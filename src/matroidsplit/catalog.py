@@ -133,7 +133,7 @@ def _checks(entries: dict[str, CatalogEntry]):
 
 def validate_all() -> VerificationReport:
     """Re-run every decode validation fact and report pass/fail."""
-    entries = _build()
+    entries = _entries()
     start = time.perf_counter()
     failures = []
     observations = {}
@@ -156,17 +156,23 @@ def validate_all() -> VerificationReport:
     )
 
 
-def _ensure_loaded() -> dict[str, CatalogEntry]:
-    global _ENTRIES, _VALIDATED
+def _entries() -> dict[str, CatalogEntry]:
+    """The entries, built once per process."""
+    global _ENTRIES
     if _ENTRIES is None:
         _ENTRIES = _build()
+    return _ENTRIES
+
+
+def _ensure_loaded() -> dict[str, CatalogEntry]:
+    global _VALIDATED
     if not _VALIDATED:
         report = validate_all()
         if report.verdict != "pass":
             raise RuntimeError("catalog validation failed: "
                                + "; ".join(f.describe() for f in report.failures))
         _VALIDATED = True
-    return _ENTRIES
+    return _entries()
 
 
 _ALIASES = {"K_4": "K4"}
@@ -186,7 +192,7 @@ def get(name: str) -> CatalogEntry:
 
 
 def names() -> tuple[str, ...]:
-    return tuple(_build().keys())
+    return tuple(_entries())
 
 
 def list_entries() -> tuple[CatalogEntry, ...]:

@@ -199,10 +199,11 @@ def minor(file, pattern, pins):
 def gammoid(file):
     """Decide the binary-gammoid property; a K4 witness certifies 'false'."""
     _, m, _ = _load(file)
-    witness = m.k4_minor()
+    verdict = m.is_binary_gammoid()
+    witness = None if verdict else m.k4_minor()
     record = formats.result_record(
         "gammoid", {"file": _input_digest(file)}, {},
-        verdict=witness is None,
+        verdict=verdict,
         witness=_witness_dict(witness) if witness else None)
     _emit(record, None, None)
 
@@ -223,6 +224,24 @@ def iso(file_a, file_b):
     _emit(record, None, None)
 
 
+def _worker_count(jobs: int | None) -> int:
+    """Worker processes from --jobs, else MATROIDSPLIT_JOBS, else 1.
+
+    Values that are not positive integers are usage errors; values above
+    the CPU count are lowered to it.
+    """
+    if jobs is None:
+        raw = os.environ.get("MATROIDSPLIT_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise click.UsageError(
+                f"MATROIDSPLIT_JOBS must be a positive integer, got {raw!r}")
+    if jobs <= 0:
+        raise click.UsageError(f"worker count must be positive, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 @main.command(name="verify")
 @click.option("--check", "checks", multiple=True, default=("all",),
               help="check name or 'all' (repeatable); names: "
@@ -232,13 +251,13 @@ def iso(file_a, file_b):
 @click.option("--corpus", "corpus_file", type=click.Path(exists=True, dir_okay=False),
               help="reuse a saved corpus file instead of enumerating")
 @click.option("--jobs", default=None, type=int,
-              help="worker processes (default: MATROIDSPLIT_JOBS or 1)")
+              help="worker processes, at most the CPU count "
+                   "(default: MATROIDSPLIT_JOBS or 1)")
 @click.option("--report-dir", default="reports", show_default=True,
               type=click.Path(file_okay=False))
 def verify_cmd(checks, max_elements, max_rank, corpus_file, jobs, report_dir):
     """Run verification checks; nonzero exit iff an asserted check fails."""
-    if jobs is None:
-        jobs = int(os.environ.get("MATROIDSPLIT_JOBS", "1"))
+    jobs = _worker_count(jobs)
     try:
         if corpus_file:
             c = corpus_mod.Corpus.load(corpus_file)

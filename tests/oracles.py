@@ -125,3 +125,27 @@ def classify_matroids(matroids):
             classes.append([m])
             invariants.append(inv)
     return classes
+
+
+def series_parallel_graph(rng, n_edges: int, rank: int) -> Graph:
+    """A seeded 2-connected series-parallel graph with the given size and rank.
+
+    Grown from one edge by ``rank - 1`` subdivisions and
+    ``n_edges - rank`` edge doublings in a seeded order, so it has
+    ``rank + 1`` vertices and no K4 minor by construction.
+    """
+    edges = [(1, 2)]
+    n_vertices = 2
+    steps = ["series"] * (rank - 1) + ["parallel"] * (n_edges - rank)
+    rng.shuffle(steps)
+    for step in steps:
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        if step == "series":
+            n_vertices += 1
+            edges[i] = (u, n_vertices)
+            edges.append((n_vertices, v))
+        else:
+            edges.append((u, v))
+    rng.shuffle(edges)
+    return Graph(n_vertices, tuple((u, v, f"s{j + 1}") for j, (u, v) in enumerate(edges)))

@@ -1,13 +1,17 @@
 """End-to-end CLI tests via Click's runner."""
 
 import json
+import os
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from matroidsplit import catalog
-from matroidsplit.cli import main
-from matroidsplit.formats import parse_matroid, write_matroid
+from matroidsplit.cli import _worker_count, main
+from matroidsplit.formats import parse_matroid, write_graph, write_matroid
+
+from oracles import series_parallel_graph
 
 
 @pytest.fixture
@@ -217,3 +221,67 @@ def test_verify_corpus_bound_mismatch(runner, tmp_path, corpus6):
 def test_verify_unknown_check(runner):
     result = invoke(runner, "verify", "--check", "bogus")
     assert result.exit_code == 2
+
+
+def test_gammoid_records_match_the_k4_witness(runner, g4_file, tmp_path):
+    # The verdict comes from the reduction; the witness from the K4 scan.
+    fold = tmp_path / "fold.matroid"
+    record_of(invoke(runner, "threefold", g4_file, "--x", "x", "--y", "y",
+                     "--out", str(fold)))
+    paths = [str(fold)]
+    for name in catalog.names():
+        path = tmp_path / f"{name}.matroid"
+        record_of(invoke(runner, "catalog", "export", name, str(path)))
+        paths.append(str(path))
+    records = {}
+    for path in paths:
+        witness = parse_matroid(open(path).read()).k4_minor()
+        rec = records[path] = record_of(invoke(runner, "gammoid", path))
+        assert rec["verdict"] is (witness is None)
+        assert rec["witness"] == (None if witness is None else {
+            "deleted": sorted(witness.deleted),
+            "contracted": sorted(witness.contracted),
+            "mapping": dict(sorted(witness.mapping.items())),
+        })
+    golden = {
+        str(fold): {"e12": "x", "e13": "y", "e14": "z",
+                    "e23": "q", "e24": "r", "e34": "p"},
+        str(tmp_path / "K4.matroid"): {f"e{p}": f"e{p}" for p in
+                                       ("12", "13", "14", "23", "24", "34")},
+    }
+    for path, mapping in golden.items():
+        assert records[path]["witness"] == {"deleted": [], "contracted": [],
+                                            "mapping": mapping}
+
+
+def test_gammoid_true_for_large_series_parallel_graph(runner, tmp_path):
+    g = series_parallel_graph(random.Random(14), 14, 8)
+    path = tmp_path / "sp.graph"
+    path.write_text(write_graph(g))
+    rec = record_of(invoke(runner, "gammoid", str(path)))
+    assert rec["verdict"] is True
+    assert rec["witness"] is None
+
+
+def test_verify_rejects_nonpositive_jobs(runner, monkeypatch):
+    for bad in ("0", "-3"):
+        result = invoke(runner, "verify", "--check", "quotients", "--jobs", bad)
+        assert result.exit_code == 2
+        assert "positive" in result.output
+    result = invoke(runner, "verify", "--check", "quotients", "--jobs", "two")
+    assert result.exit_code == 2
+    for bad in ("0", "-1", "two", "1.5"):
+        monkeypatch.setenv("MATROIDSPLIT_JOBS", bad)
+        result = invoke(runner, "verify", "--check", "quotients")
+        assert result.exit_code == 2
+        assert "positive" in result.output
+
+
+def test_worker_count_is_clamped_to_cpu_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert _worker_count(1) == 1
+    assert _worker_count(cpus + 5) == cpus
+    monkeypatch.setenv("MATROIDSPLIT_JOBS", str(10 * cpus))
+    assert _worker_count(None) == cpus
+    monkeypatch.delenv("MATROIDSPLIT_JOBS")
+    assert _worker_count(None) == 1

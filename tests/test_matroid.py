@@ -4,11 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidsplit import catalog
+from matroidsplit.formats import parse_matroid
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid, Graph, MinorWitness, k4_matroid
-from matroidsplit.ops import three_fold
+from matroidsplit.ops import admissible_pairs, splitting, three_fold
 
 from oracles import (
     brute_circuits,
@@ -16,6 +18,7 @@ from oracles import (
     brute_isomorphism,
     component_count,
     cycle_edge_sets,
+    series_parallel_graph,
     subsets,
 )
 
@@ -386,6 +389,75 @@ def test_gammoid_examples():
 def test_k4_witness_agrees_with_boolean(corpus6):
     for m in list(corpus6.members) + [e.matroid for e in catalog.list_entries()]:
         assert m.is_binary_gammoid() == (m.k4_minor() is None)
+
+
+def test_reduction_agrees_with_k4_scan_on_splittings_and_folds(corpus6):
+    # The exhaustive witness scan is the oracle for the reduction.
+    for m in corpus6.gammoids():
+        hosts = [splitting(m, t) for t in combinations(m.labels, 3)]
+        hosts += [three_fold(m, *sorted(pair)) for pair in admissible_pairs(m)]
+        for h in hosts:
+            assert h.is_binary_gammoid() == (h.k4_minor() is None)
+
+
+def test_reduction_agrees_with_k4_scan_on_series_parallel_graphs():
+    rng = random.Random(20261018)
+    for _ in range(30):
+        g = series_parallel_graph(rng, rng.randint(8, 10), rng.randint(4, 7))
+        m = BinaryMatroid.from_graph(g)
+        assert m.is_binary_gammoid()
+        assert m.k4_minor() is None
+
+
+@st.composite
+def small_matroids(draw, max_rows=6, max_cols=9):
+    # Distinct columns over at least three rows make about a third of the
+    # draws non-gammoids; parallel copies are appended afterwards.
+    n_rows = draw(st.integers(3, max_rows))
+    cols = draw(st.lists(st.integers(0, (1 << n_rows) - 1), max_size=max_cols,
+                         unique=True))
+    if cols:
+        cols += draw(st.lists(st.sampled_from(cols), max_size=max_cols - len(cols)))
+    rep = Gf2Matrix((0,) * n_rows, 0)
+    for col in cols:
+        rep = rep.append_column(col)
+    return BinaryMatroid(tuple(f"e{j}" for j in range(len(cols))), rep)
+
+
+@given(small_matroids())
+@settings(max_examples=150, deadline=None)
+def test_reduction_agrees_with_k4_scan_on_random_matrices(m):
+    assert m.is_binary_gammoid() == (m.k4_minor() is None)
+
+
+def test_reduction_on_degenerate_shapes():
+    assert BinaryMatroid((), Gf2Matrix((), 0)).is_binary_gammoid()
+    assert BinaryMatroid(("a", "b", "c"), Gf2Matrix((0, 0), 3)).is_binary_gammoid()
+    free = BinaryMatroid(tuple(f"e{j}" for j in range(8)),
+                         Gf2Matrix(tuple(1 << j for j in range(8)), 8))
+    assert free.coloops() == set(free.labels)
+    assert free.is_binary_gammoid()
+
+
+def test_reduction_reads_more_than_64_rows():
+    m = parse_matroid("elements a b c\nrow 110\n")
+    for _ in range(70):
+        m = splitting(m, ("a", "c"))
+    assert m.rep.n_rows == 71
+    assert m.is_binary_gammoid()
+
+
+def test_reduction_decides_64_element_hosts():
+    # Far beyond what the exhaustive scan can finish.
+    sp = BinaryMatroid.from_graph(series_parallel_graph(random.Random(64), 64, 40))
+    assert sp.n_elements() == 64 and sp.rank() == 40
+    assert sp.is_binary_gammoid()
+    k4_edges = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    edges = [(u, v, f"k{j}") for j, (u, v) in enumerate(k4_edges)]
+    edges += [(*k4_edges[j % 6], f"c{j}") for j in range(58)]
+    thick = BinaryMatroid.from_graph(Graph(4, tuple(edges)))
+    assert thick.n_elements() == 64
+    assert not thick.is_binary_gammoid()
 
 
 def test_gammoid_closed_under_minors(corpus6):
