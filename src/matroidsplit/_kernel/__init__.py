@@ -32,10 +32,8 @@ columns = _impl.columns
 rows_from_columns = _impl.rows_from_columns
 delete_rows = _impl.delete_rows
 contract_rows = _impl.contract_rows
-minor_rows = _impl.minor_rows
 profile = _impl.profile
 cols_rank = _impl.cols_rank
 find_minors = _impl.find_minors
-gl_tables = _impl.gl_tables
 canon_key_cols = _impl.canon_key_cols
 is_canonical = _impl.is_canonical

@@ -145,15 +145,9 @@ def validate_all() -> VerificationReport:
         elif not ok:
             failures.append(make_failure("catalog", {"fact": description},
                                          expected=True, got=False))
-    return VerificationReport(
-        name="catalog",
-        universe="all 14 catalog entries and their decode validation facts",
-        cases=cases,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-        observations=observations,
-    )
+    return VerificationReport.from_failures(
+        "catalog", "all 14 catalog entries and their decode validation facts",
+        cases, failures, start, observations)
 
 
 def _entries() -> dict[str, CatalogEntry]:

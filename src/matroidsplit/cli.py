@@ -259,6 +259,7 @@ def verify_cmd(checks, max_elements, max_rank, corpus_file, jobs, report_dir):
     """Run verification checks; nonzero exit iff an asserted check fails."""
     jobs = _worker_count(jobs)
     try:
+        checks = verify.check_names(checks)
         if corpus_file:
             c = corpus_mod.Corpus.load(corpus_file)
             if c.max_elements < max_elements:

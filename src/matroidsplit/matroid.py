@@ -263,10 +263,6 @@ class BinaryMatroid:
             return phi
         return None
 
-    def isomorphisms(self, other: "BinaryMatroid"):
-        """Iterate over every circuit-preserving label bijection."""
-        return _isomorphisms(self, other, pins=None)
-
     # -- minors ------------------------------------------------------------------
 
     def has_minor(self, pattern: "BinaryMatroid", pins: dict[str, str] | None = None,
@@ -280,53 +276,14 @@ class BinaryMatroid:
         ``keep`` names host labels that must survive into the minor, i.e.
         lie in neither the contract nor the delete set.
         """
-        n, np_ = len(self.labels), len(pattern.labels)
-        c_size = self.rank() - pattern.rank()
-        d_size = n - np_ - c_size
-        if c_size < 0 or d_size < 0:
-            return None
-        avoid = self._label_mask(keep)
-        if pins:
-            for pat_lab, host_lab in pins.items():
-                if pat_lab not in pattern.labels:
-                    raise ValueError(f"pin references unknown pattern label {pat_lab!r}")
-                if host_lab not in self.labels:
-                    raise ValueError(f"pin references unknown element label {host_lab!r}")
-                avoid |= 1 << self.labels.index(host_lab)
-            return self._scan_minors_iso(pattern, c_size, d_size, pins, avoid)
-        kind, want = _fast_pattern_kind(pattern)
-        if kind is None:
-            return self._scan_minors_iso(pattern, c_size, d_size, None, avoid)
-        hits = _kernel.find_minors(self.rep.rows, self.rep.n_cols,
-                                   c_size, d_size, kind, want, limit=1,
-                                   avoid=avoid)
-        if not hits:
-            return None
-        cmask, dmask = hits[0]
-        return self._witness_for(pattern, cmask, dmask, None)
-
-    def _scan_minors_iso(self, pattern, c_size, d_size, pins, avoid):
-        rows, n = self.rep.rows, self.rep.n_cols
-        free = [j for j in range(n) if not (avoid >> j) & 1]
-        if c_size + d_size > len(free):
-            return None
-        for d_idx in combinations(free, d_size):
-            dmask = sum(1 << j for j in d_idx)
-            rest = [j for j in free if not (dmask >> j) & 1]
-            for c_idx in combinations(rest, c_size):
-                cmask = sum(1 << j for j in c_idx)
-                if _kernel.rank_masked(rows, cmask) != c_size:
-                    continue
-                witness = self._witness_for(pattern, cmask, dmask, pins)
-                if witness is not None:
-                    return witness
-        return None
-
-    def _witness_for(self, pattern, cmask, dmask, pins):
-        deleted = _mask_to_labels(dmask, self.labels)
-        contracted = _mask_to_labels(cmask, self.labels)
-        minor = self.contract(contracted).delete(deleted)
-        for phi in _isomorphisms(pattern, minor, pins=pins):
+        pins = pins or {}
+        for pat_lab, host_lab in pins.items():
+            if pat_lab not in pattern.labels:
+                raise ValueError(f"pin references unknown pattern label {pat_lab!r}")
+            if host_lab not in self.labels:
+                raise ValueError(f"pin references unknown element label {host_lab!r}")
+        avoid = self._label_mask(tuple(keep) + tuple(pins.values()))
+        for deleted, contracted, phi in self._embeddings(pattern, pins, avoid, 1):
             return MinorWitness(deleted=deleted, contracted=contracted, mapping=phi)
         return None
 
@@ -337,31 +294,44 @@ class BinaryMatroid:
         every isomorphism onto it, collecting the host-label sets that the
         marked elements can occupy.
         """
-        n, np_ = len(self.labels), len(pattern.labels)
+        return {frozenset(phi[lab] for lab in marked)
+                for _, _, phi in self._embeddings(pattern, None, 0, 0)}
+
+    def _embeddings(self, pattern, pins, avoid: int, limit: int):
+        """Yield (deleted, contracted, mapping) for the minor occurrences of
+        ``pattern`` that avoid the ``avoid`` mask, in candidate order, and
+        for every isomorphism of the pattern onto each.
+
+        Unpinned patterns of rank <= 4 are matched in the kernel, which stops
+        after ``limit`` occurrences (0: no limit); pinned searches and larger
+        patterns test each candidate by isomorphism, lazily.
+        """
+        n = len(self.labels)
         c_size = self.rank() - pattern.rank()
-        d_size = n - np_ - c_size
+        d_size = n - len(pattern.labels) - c_size
         if c_size < 0 or d_size < 0:
-            return set()
-        kind, want = _fast_pattern_kind(pattern)
-        if kind is not None:
-            hits = _kernel.find_minors(self.rep.rows, self.rep.n_cols,
-                                       c_size, d_size, kind, want, limit=0)
+            return
+        kind, want = (None, None) if pins else _fast_pattern_kind(pattern)
+        if kind is None:
+            hits = self._candidates(c_size, d_size, avoid)
         else:
-            hits = self._all_candidates(c_size, d_size)
-        images: set[frozenset[str]] = set()
+            hits = _kernel.find_minors(self.rep.rows, n, c_size, d_size,
+                                       kind, want, limit=limit, avoid=avoid)
         for cmask, dmask in hits:
             deleted = _mask_to_labels(dmask, self.labels)
             contracted = _mask_to_labels(cmask, self.labels)
             minor = self.contract(contracted).delete(deleted)
-            for phi in _isomorphisms(pattern, minor, pins=None):
-                images.add(frozenset(phi[lab] for lab in marked))
-        return images
+            for phi in _isomorphisms(pattern, minor, pins=pins):
+                yield deleted, contracted, phi
 
-    def _all_candidates(self, c_size, d_size):
-        rows, n = self.rep.rows, self.rep.n_cols
-        for d_idx in combinations(range(n), d_size):
+    def _candidates(self, c_size: int, d_size: int, avoid: int):
+        """(contract mask, delete mask) pairs outside ``avoid`` with an
+        independent contract set, by (delete set, contract set)."""
+        rows = self.rep.rows
+        free = [j for j in range(self.rep.n_cols) if not (avoid >> j) & 1]
+        for d_idx in combinations(free, d_size):
             dmask = sum(1 << j for j in d_idx)
-            rest = [j for j in range(n) if not (dmask >> j) & 1]
+            rest = [j for j in free if not (dmask >> j) & 1]
             for c_idx in combinations(rest, c_size):
                 cmask = sum(1 << j for j in c_idx)
                 if _kernel.rank_masked(rows, cmask) == c_size:

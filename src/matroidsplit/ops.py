@@ -96,17 +96,9 @@ def three_fold(m: BinaryMatroid, x: str, y: str,
 
 
 def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
-                       new_labels=("p", "q", "r"),
-                       second_op: str = "element") -> BinaryMatroid:
+                       new_labels=("p", "q", "r")) -> BinaryMatroid:
     """3-fold built from element splittings: add p on ``t``, q on ``t_prime``,
-    then close with a column r equal to p + q, making {p, q, r} a circuit.
-
-    ``second_op`` selects how the second step is realized: "element" applies
-    a second element splitting on ``t_prime``; "plain" appends the splitting
-    row alone and then adjoins the q column that the circuit requirement
-    forces.  The two modes produce identical matrices; the flag exists so
-    both constructions can be exercised and compared.
-    """
+    then close with a column r equal to p + q, making {p, q, r} a circuit."""
     t = tuple(t)
     t_prime = tuple(t_prime)
     p, q, r = new_labels
@@ -116,22 +108,10 @@ def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
         raise ValueError("second splitting set must be a nonempty proper subset "
                          "of the first")
     t_set = frozenset(t)
-    hit = any(t_set < c for c in m.cocircuits())
-    if not hit:
+    if not any(t_set < c for c in m.cocircuits()):
         raise ValueError(f"{{{','.join(sorted(t_set))}}} not a proper subset "
                          "of any cocircuit")
-    if second_op not in ("element", "plain"):
-        raise ValueError(f"unknown second_op {second_op!r}")
-    with_p = element_splitting(m, t, p)
-    if second_op == "element":
-        with_q = element_splitting(with_p, t_prime, q)
-    else:
-        split_only = splitting(with_p, t_prime)
-        _check_label(q)
-        if q in split_only.labels:
-            raise ValueError(f"new element label {q!r} already in the ground set")
-        rep = split_only.rep.append_column(1 << (split_only.rep.n_rows - 1))
-        with_q = BinaryMatroid(split_only.labels + (q,), rep)
+    with_q = element_splitting(element_splitting(m, t, p), t_prime, q)
     p_col = with_q.rep.column(with_q.labels.index(p))
     q_col = with_q.rep.column(with_q.labels.index(q))
     if r in with_q.labels:

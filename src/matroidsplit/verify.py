@@ -4,7 +4,8 @@ Each check quantifies over a corpus of small binary matroids (usually the
 gammoid sub-corpus) and asserts exactly the implications that are proved
 constructively; converse and existential directions are gathered as
 observations and never fail a report.  Failures serialize their inputs so
-any single case can be re-run via :func:`rerun_case`.
+any single case can be re-run via :func:`rerun_case`, which computes its
+outcome with the same per-case function the sweep used.
 """
 
 from __future__ import annotations
@@ -170,14 +171,10 @@ def check_split_minor_empty(c: Corpus, k: int, jobs: int | None = None
     f = catalog.get("F").matroid
     free = [m for m in hosts if m.has_minor(f) is None]
     smallest = min(free, key=lambda m: m.n_elements(), default=None)
-    return VerificationReport(
-        name=f"gf-empty-k{k}",
-        universe=_universe(c, f"for every member and every Y with |Y| = {k}"),
-        cases=len(c.gammoids()),
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-        observations={
+    return VerificationReport.from_failures(
+        f"gf-empty-k{k}",
+        _universe(c, f"for every member and every Y with |Y| = {k}"),
+        len(c.gammoids()), failures, start, {
             "witness_hosts_with_f_minor": len(hosts) - len(free),
             "witness_hosts_f_minor_free": len(free),
             "smallest_f_minor_free_host":
@@ -185,8 +182,7 @@ def check_split_minor_empty(c: Corpus, k: int, jobs: int | None = None
             "all_binary_reading_members": n_other,
             "all_binary_reading_witnesses": len(hits),
             "all_binary_reading_examples": hits[:5],
-        },
-    )
+        })
 
 
 def check_split_minor_collection_empty(c: Corpus, k: int,
@@ -213,20 +209,15 @@ def check_split_minor_collection_empty(c: Corpus, k: int,
     start = time.perf_counter()
     _, failures, n_other, hits = _split_minor_sweep(
         c, k, pinned_splitting_minor_witness, jobs)
-    return VerificationReport(
-        name=f"gf-collection-k{k}",
-        universe=_universe(c, f"for every member and every Y with |Y| = {k}, "
-                              "F minors of the splitting that keep Y"),
-        cases=len(c.gammoids()),
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-        observations={
+    return VerificationReport.from_failures(
+        f"gf-collection-k{k}",
+        _universe(c, f"for every member and every Y with |Y| = {k}, "
+                     "F minors of the splitting that keep Y"),
+        len(c.gammoids()), failures, start, {
             "all_binary_reading_members": n_other,
             "all_binary_reading_witnesses": len(hits),
             "all_binary_reading_examples": hits[:5],
-        },
-    )
+        })
 
 
 # -- k >= 3: splitting-minor membership vs the F_i excluded minors --------------
@@ -266,26 +257,23 @@ def check_split_minor_characterization(c: Corpus, k: int = 3,
                                          expected="agree=True", got=got))
         if "splitting_minor=True" in got:
             in_collection += 1
-    return VerificationReport(
-        name="gf-minors",
-        universe=_universe(
-            c, f"both directions of: exists Y, |Y| = {k}, with an F minor in "
-               f"the splitting <=> exists an F_i minor, i = 1..4"),
-        cases=len(gammoids),
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-        observations={"members_with_splitting_minor": in_collection},
-    )
+    return VerificationReport.from_failures(
+        "gf-minors",
+        _universe(c, f"both directions of: exists Y, |Y| = {k}, with an F "
+                     f"minor in the splitting <=> exists an F_i minor, i = 1..4"),
+        len(gammoids), failures, start,
+        {"members_with_splitting_minor": in_collection})
 
 
 # -- quotients of M(F) -----------------------------------------------------------
 
 
-def _quotient_constraints(q: BinaryMatroid) -> list[str]:
-    """Constraint violations required of proper quotients: loop bound,
-    no 2-element cocircuit, parallel-class bound."""
+def _quotient_bounds(q: BinaryMatroid) -> list[str]:
+    """Bounds violated by a proper quotient: rank 1 on five elements, at
+    most two loops, no 2-element cocircuit, parallel classes of size <= 4."""
     problems = []
+    if q.rank() != 1 or q.n_elements() != 5:
+        problems.append(f"rank {q.rank()} on {q.n_elements()}")
     if len(q.loops()) > 2:
         problems.append(f"{len(q.loops())} loops")
     if any(len(cc) == 2 for cc in q.cocircuits()):
@@ -315,6 +303,57 @@ def _f_extensions():
     return cases
 
 
+_Q_CLASSES = ("Q_1", "Q_2", "Q_3")
+
+
+def _quotient_keys() -> dict:
+    return {name: canonical_key(catalog.get(name).matroid)
+            for name in _Q_CLASSES + ("Q_4",)}
+
+
+def _quotient_outcome(q: BinaryMatroid, keys: dict) -> tuple:
+    """Classify the quotient Q/a of one extension Q of F.
+
+    Returns (canonical key of Q/a, the Q_i it matches or "unexpected",
+    failure), where failure is None or the (expected, got) pair of the
+    one record this extension fails with.  The class is tested first; the
+    bounds apply to proper quotients only (a neither a loop nor a coloop).
+    """
+    quotient = q.contract({"a"})
+    key = canonical_key(quotient)
+    match = next((n for n in _Q_CLASSES if keys[n] == key), None)
+    if match is None:
+        return key, "unexpected", (
+            "quotient isomorphic to one of Q_1, Q_2, Q_3", f"key {key}")
+    proper = "a" not in q.loops() and "a" not in q.coloops()
+    problems = _quotient_bounds(quotient) if proper else []
+    return key, match, (("proper quotient of rank 1 on 5 elements within the "
+                         "loop/cocircuit/parallel bounds", "; ".join(problems))
+                        if problems else None)
+
+
+def _quotient_sweep() -> tuple:
+    """The Q_i keys and, for every extension of F, (family, column, Q)
+    followed by its :func:`_quotient_outcome`."""
+    keys = _quotient_keys()
+    return keys, [(family, col, q) + _quotient_outcome(q, keys)
+                  for family, col, q in _f_extensions()]
+
+
+def _quotient_facts(keys: dict, results) -> dict:
+    """The sweep-wide facts: check name -> (failure token, expected, got)."""
+    seen = {key for _, _, _, key, _, _ in results}
+    classes = "quotient classes exactly {Q_1, Q_2, Q_3}"
+    q4 = "Q_4 isomorphic to Q_3"
+    return {
+        "class-set": ("F-extension-sweep", classes,
+                      classes if seen == {keys[n] for n in _Q_CLASSES}
+                      else f"{len(seen)} classes"),
+        "Q_4-vs-Q_3": ("catalog", q4,
+                       q4 if keys["Q_4"] == keys["Q_3"] else "distinct keys"),
+    }
+
+
 def check_quotients_of_f() -> VerificationReport:
     """Enumerate all single-element extensions Q of F and classify Q/a.
 
@@ -323,60 +362,22 @@ def check_quotients_of_f() -> VerificationReport:
     elements, and that they satisfy the loop/cocircuit/parallel bounds.
     """
     start = time.perf_counter()
+    keys, results = _quotient_sweep()
     failures = []
-    q_names = ("Q_1", "Q_2", "Q_3", "Q_4")
-    keys = {name: canonical_key(catalog.get(name).matroid) for name in q_names}
-    expected_classes = {keys["Q_1"], keys["Q_2"], keys["Q_3"]}
-    seen = set()
     class_counts: dict[str, int] = {}
-    cases = 0
-    for family, col, q in _f_extensions():
-        cases += 1
-        quotient = q.contract({"a"})
-        key = canonical_key(quotient)
-        seen.add(key)
-        match = next((n for n in ("Q_1", "Q_2", "Q_3") if keys[n] == key), None)
-        label = match or "unexpected"
+    for family, col, q, _, label, failure in results:
         class_counts[label] = class_counts.get(label, 0) + 1
-        if match is None:
+        if failure is not None:
             failures.append(make_failure(
-                compact(q), {"family": family, "column": col},
-                expected="quotient isomorphic to one of Q_1, Q_2, Q_3",
-                got=f"key {key}"))
-            continue
-        proper = ("a" not in q.loops()) and ("a" not in q.coloops())
-        if proper:
-            if quotient.rank() != 1 or quotient.n_elements() != 5:
-                failures.append(make_failure(
-                    compact(q), {"family": family, "column": col},
-                    expected="proper quotient of rank 1 on 5 elements",
-                    got=f"rank {quotient.rank()} on {quotient.n_elements()}"))
-            problems = _quotient_constraints(quotient)
-            if problems:
-                failures.append(make_failure(
-                    compact(q), {"family": family, "column": col},
-                    expected="loop/cocircuit/parallel constraints hold",
-                    got="; ".join(problems)))
-    cases += 2
-    if seen != expected_classes:
-        failures.append(make_failure(
-            "F-extension-sweep", {"check": "class-set"},
-            expected="quotient classes exactly {Q_1, Q_2, Q_3}",
-            got=f"{len(seen)} classes"))
-    if keys["Q_4"] != keys["Q_3"]:
-        failures.append(make_failure(
-            "catalog", {"check": "Q_4-vs-Q_3"},
-            expected="Q_4 isomorphic to Q_3", got="distinct keys"))
-    return VerificationReport(
-        name="quotients",
-        universe="all single-element extensions of F (4 rank-preserving "
-                 "columns and 8 rank-3-lift columns)",
-        cases=cases,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-        observations={"quotient_class_counts": class_counts},
-    )
+                compact(q), {"family": family, "column": col}, *failure))
+    for check, (token, expected, got) in _quotient_facts(keys, results).items():
+        if got != expected:
+            failures.append(make_failure(token, {"check": check}, expected, got))
+    return VerificationReport.from_failures(
+        "quotients", "all single-element extensions of F (4 rank-preserving "
+                     "columns and 8 rank-3-lift columns)",
+        len(results) + 2, failures, start,
+        {"quotient_class_counts": class_counts})
 
 
 # -- splittings on three elements vs the G_1..G_3 excluded minors ----------------
@@ -387,17 +388,23 @@ def _gi_patterns():
                  for name in ("G_1", "G_2", "G_3"))
 
 
+_SPLIT_OK = "splitting is a binary gammoid"
+
+
+def _split_outcome(m: BinaryMatroid, t) -> str:
+    """Whether the splitting of ``m`` on ``t`` stays a binary gammoid."""
+    return _SPLIT_OK if splitting(m, t).is_binary_gammoid() else "non-gammoid"
+
+
 def _split_gammoid_worker(m: BinaryMatroid, patterns) -> tuple:
     has_excluded = any(m.has_minor(pat) is not None for _, pat, _ in patterns)
-    bad_triples = []
-    for t in combinations(sorted(m.labels), 3):
-        if not splitting(m, t).is_binary_gammoid():
-            bad_triples.append(t)
+    bad_triples = tuple(t for t in combinations(sorted(m.labels), 3)
+                        if _split_outcome(m, t) != _SPLIT_OK)
     pinned: set[frozenset[str]] = set()
     if has_excluded:
         for _, pat, marked in patterns:
             pinned |= m.minor_marked_images(pat, marked)
-    return has_excluded, tuple(bad_triples), pinned
+    return has_excluded, bad_triples, pinned
 
 
 def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
@@ -423,10 +430,8 @@ def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
     for m, (has_excluded, bad_triples, pinned) in zip(gammoids, results):
         if not has_excluded:
             for t in bad_triples:
-                failures.append(make_failure(
-                    compact(m), {"T": ",".join(t)},
-                    expected="splitting is a binary gammoid",
-                    got="non-gammoid"))
+                failures.append(make_failure(compact(m), {"T": ",".join(t)},
+                                             _SPLIT_OK, "non-gammoid"))
             continue
         with_minor += 1
         if bad_triples:
@@ -436,45 +441,68 @@ def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
             pinned_checked += 1
             if (frozenset(t) in pinned) == (frozenset(t) in bad_set):
                 pinned_agree += 1
-    return VerificationReport(
-        name="split-gammoid",
-        universe=_universe(
-            c, "members without a G_1/G_2/G_3 minor: every splitting on "
-               "|T| = 3 stays a gammoid (asserted); members with such a "
-               "minor: converse recorded observationally"),
-        cases=len(gammoids),
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-        observations={
+    return VerificationReport.from_failures(
+        "split-gammoid",
+        _universe(c, "members without a G_1/G_2/G_3 minor: every splitting on "
+                     "|T| = 3 stays a gammoid (asserted); members with such a "
+                     "minor: converse recorded observationally"),
+        len(gammoids), failures, start, {
             "members_with_excluded_minor": with_minor,
             "members_where_some_splitting_non_gammoid": with_minor_and_bad,
             "pinned_reading_pairs_checked": pinned_checked,
             "pinned_reading_agreements": pinned_agree,
-        },
-    )
+        })
 
 
 # -- 3-fold vs the G_4 excluded minor ---------------------------------------------
 
 
+_FOLD_LABELS = ("p*", "q*", "r*")
+_FOLD_OK = "3-fold is a binary gammoid"
+
+
+def _fold_outcome(m: BinaryMatroid, x: str, y: str) -> tuple[str, bool]:
+    """Whether the 3-fold of ``m`` on {x, y} stays a binary gammoid, and
+    whether the element-splitting route builds the same matrix."""
+    folded = three_fold(m, x, y, new_labels=_FOLD_LABELS)
+    got = _FOLD_OK if folded.is_binary_gammoid() else "non-gammoid"
+    other = three_fold_ghafari(m, (x, y), (x,), new_labels=_FOLD_LABELS)
+    return got, other.same_matrix(folded)
+
+
 def _three_fold_worker(m: BinaryMatroid, g4: BinaryMatroid, marked) -> tuple:
     has_g4 = m.has_minor(g4) is not None
-    pairs = sorted(admissible_pairs(m), key=sorted)
-    bad_pairs = []
-    ghafari_agree = 0
-    for pair in pairs:
-        x, y = sorted(pair)
-        folded = three_fold(m, x, y, new_labels=("p*", "q*", "r*"))
-        if not folded.is_binary_gammoid():
-            bad_pairs.append((x, y))
-        other = three_fold_ghafari(m, (x, y), (x,), new_labels=("p*", "q*", "r*"))
-        if other.same_matrix(folded):
-            ghafari_agree += 1
-    pinned: set[frozenset[str]] = set()
-    if has_g4:
-        pinned = m.minor_marked_images(g4, marked)
-    return has_g4, len(pairs), tuple(bad_pairs), pinned, ghafari_agree
+    pairs = sorted(tuple(sorted(p)) for p in admissible_pairs(m))
+    outcomes = [_fold_outcome(m, x, y) for x, y in pairs]
+    bad_pairs = tuple(p for p, (got, _) in zip(pairs, outcomes) if got != _FOLD_OK)
+    ghafari_agree = sum(same for _, same in outcomes)
+    pinned = m.minor_marked_images(g4, marked) if has_g4 else set()
+    return has_g4, pairs, bad_pairs, pinned, ghafari_agree
+
+
+def _g4_known_instance() -> dict:
+    """The 3-fold of G_4 on its marked pair: case -> (expected, got).
+
+    It is run from the reduced one-row representation so the output
+    matrix is comparable bit for bit.
+    """
+    entry = catalog.get("G_4")
+    g4 = entry.matroid
+    reduced = BinaryMatroid(g4.labels, Gf2Matrix(_kernel.rref(g4.rep.rows),
+                                                 g4.rep.n_cols))
+    folded = three_fold(reduced, *entry.marked)
+    iso = "3-fold of G_4 isomorphic to K4"
+    not_gammoid = "3-fold of G_4 is not a gammoid"
+    return {
+        "known-instance-rows": ("111000/110101/100011",
+                                "/".join(folded.rep.row_strings())),
+        "known-instance-iso": (
+            iso, iso if folded.is_isomorphic(catalog.get("K4").matroid)
+            is not None else "not isomorphic"),
+        "known-instance-gammoid": (
+            not_gammoid,
+            "gammoid" if folded.is_binary_gammoid() else not_gammoid),
+    }
 
 
 def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
@@ -486,6 +514,12 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
     the known 6-element non-gammoid isomorphic to K4 with its exact
     three-row representation.  Members containing a G_4 minor are recorded
     observationally under the unlabeled and pinned readings.
+
+    The first assertion has no cases: G_4 is U_{1,3}, and a pair properly
+    inside a cocircuit (of at least 3 elements) already gives a U_{1,3}
+    minor, so every member with an admissible pair has a G_4 minor.  The
+    observation ``direction_a_admissible_pairs`` is therefore 0, and a
+    pass rests on the three known-instance cases.
     """
     start = time.perf_counter()
     g4_entry = catalog.get("G_4")
@@ -502,58 +536,33 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
     pinned_agree = 0
     ghafari_compared = 0
     ghafari_agreed = 0
-    for m, (has_g4, n_pairs, bad_pairs, pinned, gh_agree) in zip(gammoids, results):
-        ghafari_compared += n_pairs
+    for m, (has_g4, pairs, bad_pairs, pinned, gh_agree) in zip(gammoids, results):
+        ghafari_compared += len(pairs)
         ghafari_agreed += gh_agree
         if not has_g4:
-            direction_a_admissible += n_pairs
+            direction_a_admissible += len(pairs)
             for x, y in bad_pairs:
-                failures.append(make_failure(
-                    compact(m), {"pair": f"{x},{y}"},
-                    expected="3-fold is a binary gammoid", got="non-gammoid"))
+                failures.append(make_failure(compact(m), {"pair": f"{x},{y}"},
+                                             _FOLD_OK, "non-gammoid"))
             continue
         with_minor += 1
         if bad_pairs:
             with_minor_and_bad += 1
-        bad_set = {frozenset(p) for p in bad_pairs}
-        for pair in sorted(admissible_pairs(m), key=sorted):
+        for pair in pairs:
             pinned_checked += 1
-            if (pair in pinned) == (pair in bad_set):
+            if (frozenset(pair) in pinned) == (pair in bad_pairs):
                 pinned_agree += 1
-
-    # The known instance: the 3-fold of G_4 on its marked pair, run from the
-    # reduced one-row representation so the output matrix is comparable
-    # bit for bit.
-    x, y = g4_entry.marked
-    reduced_g4 = BinaryMatroid(g4.labels, Gf2Matrix(_kernel.rref(g4.rep.rows),
-                                                    g4.rep.n_cols))
-    folded = three_fold(reduced_g4, x, y)
-    rows = folded.rep.row_strings()
-    expected_rows = ["111000", "110101", "100011"]
-    if rows != expected_rows:
-        failures.append(make_failure(
-            compact(g4), {"case": "known-instance-rows"},
-            expected="/".join(expected_rows), got="/".join(rows)))
-    if folded.is_isomorphic(catalog.get("K4").matroid) is None:
-        failures.append(make_failure(
-            compact(g4), {"case": "known-instance-iso"},
-            expected="3-fold of G_4 isomorphic to K4", got="not isomorphic"))
-    if folded.is_binary_gammoid():
-        failures.append(make_failure(
-            compact(g4), {"case": "known-instance-gammoid"},
-            expected="3-fold of G_4 is not a gammoid", got="gammoid"))
-
-    return VerificationReport(
-        name="main",
-        universe=_universe(
-            c, "members without a G_4 minor: every admissible 3-fold stays "
-               "a gammoid (asserted); the G_4 instance itself (asserted); "
-               "members with a G_4 minor: converse recorded observationally"),
-        cases=len(gammoids) + 3,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-        observations={
+    for case, (expected, got) in _g4_known_instance().items():
+        if got != expected:
+            failures.append(make_failure(compact(g4), {"case": case},
+                                         expected, got))
+    return VerificationReport.from_failures(
+        "main",
+        _universe(c, "members without a G_4 minor: every admissible 3-fold "
+                     "stays a gammoid (asserted); the G_4 instance itself "
+                     "(asserted); members with a G_4 minor: converse "
+                     "recorded observationally"),
+        len(gammoids) + 3, failures, start, {
             "members_with_excluded_minor": with_minor,
             "members_where_some_fold_non_gammoid": with_minor_and_bad,
             "direction_a_admissible_pairs": direction_a_admissible,
@@ -561,28 +570,30 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
             "pinned_reading_agreements": pinned_agree,
             "ghafari_construction_compared": ghafari_compared,
             "ghafari_construction_identical": ghafari_agreed,
-        },
-    )
+        })
 
 
 # -- element-splitting delete/contract identities ---------------------------------
 
 
-def _esplit_worker(m: BinaryMatroid, max_t: int) -> tuple:
-    new_label = "a*"
+def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
+    """The element-splitting identities on ``t`` that fail for ``m``."""
+    ext = element_splitting(m, t, "a*")
     bad = []
+    if not ext.delete({"a*"}).same_matrix(splitting(m, t)):
+        bad.append("delete identity")
+    back = ext.contract({"a*"})
+    if not (back.same_matrix(m) or back.is_isomorphic(m) is not None):
+        bad.append("contract identity")
+    return bad
+
+
+def _esplit_worker(m: BinaryMatroid, max_t: int) -> tuple:
     labels = sorted(m.labels)
-    for size in range(1, max_t + 1):
-        if size > len(labels):
-            break
-        for t in combinations(labels, size):
-            ext = element_splitting(m, t, new_label)
-            if not ext.delete({new_label}).same_matrix(splitting(m, t)):
-                bad.append((t, "delete identity"))
-            back = ext.contract({new_label})
-            if not (back.same_matrix(m) or back.is_isomorphic(m) is not None):
-                bad.append((t, "contract identity"))
-    return tuple(bad)
+    return tuple((t, which)
+                 for size in range(1, min(max_t, len(labels)) + 1)
+                 for t in combinations(labels, size)
+                 for which in _esplit_violations(m, t))
 
 
 def check_element_splitting_identities(members, max_t: int = 3,
@@ -603,27 +614,32 @@ def check_element_splitting_identities(members, max_t: int = 3,
             failures.append(make_failure(
                 compact(m), {"T": ",".join(t)},
                 expected=f"{which} holds", got="violated"))
-    return VerificationReport(
-        name="esplit-identities",
-        universe=universe or f"{len(members)} matroids, all T with |T| <= {max_t}",
-        cases=cases,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-        verdict="pass" if not failures else "fail",
-    )
+    return VerificationReport.from_failures(
+        "esplit-identities",
+        universe or f"{len(members)} matroids, all T with |T| <= {max_t}",
+        cases, failures, start)
 
 
 # -- dispatch ---------------------------------------------------------------------
 
 
-def run_checks(names, c: Corpus | None, jobs: int | None = None
-               ) -> list[VerificationReport]:
-    """Run the named checks (or all of them) and return their reports."""
+def check_names(names) -> list[str]:
+    """The checks that ``names`` selects ("all" selects every one).
+
+    Raises ValueError on an unknown name, before any work is done.
+    """
     wanted = list(CHECK_NAMES) if "all" in names else list(names)
     unknown = [n for n in wanted if n not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "
                          f"known: {', '.join(CHECK_NAMES)}, all")
+    return wanted
+
+
+def run_checks(names, c: Corpus | None, jobs: int | None = None
+               ) -> list[VerificationReport]:
+    """Run the named checks (or all of them) and return their reports."""
+    wanted = check_names(names)
     needs_corpus = set(wanted) - {"catalog", "quotients"}
     if needs_corpus and c is None:
         raise ValueError("these checks need a corpus: " + ", ".join(sorted(needs_corpus)))
@@ -662,7 +678,10 @@ def rerun_case(check_name: str, failure: CaseFailure) -> bool:
 
 
 def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
-    """Recompute the recorded outcome string of a single check case."""
+    """Recompute the recorded outcome string of a single check case.
+
+    Each branch calls the per-case function that the check's sweep calls.
+    """
     if check_name.startswith("gf-empty"):
         return _split_minor_outcome(from_compact(matroid_token),
                                     int(params["k"]), splitting_minor_witness)
@@ -671,63 +690,35 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
                                     int(params["k"]),
                                     pinned_splitting_minor_witness)
     if check_name == "gf-minors":
-        m = from_compact(matroid_token)
-        return _gf_member_worker(m, int(params["k"]), _fi_patterns())
+        return _gf_member_worker(from_compact(matroid_token), int(params["k"]),
+                                 _fi_patterns())
     if check_name == "split-gammoid":
-        m = from_compact(matroid_token)
-        t = tuple(params["T"].split(","))
-        return ("non-gammoid" if not splitting(m, t).is_binary_gammoid()
-                else "splitting is a binary gammoid")
+        return _split_outcome(from_compact(matroid_token),
+                              tuple(params["T"].split(",")))
+    if check_name == "main" and "case" in params:
+        return _case_outcome(_g4_known_instance(), params["case"])[1]
     if check_name == "main":
-        if "case" in params:
-            return _evaluate_known_instance(params["case"])
-        m = from_compact(matroid_token)
         x, y = params["pair"].split(",")
-        folded = three_fold(m, x, y, new_labels=("p*", "q*", "r*"))
-        return ("non-gammoid" if not folded.is_binary_gammoid()
-                else "3-fold is a binary gammoid")
+        return _fold_outcome(from_compact(matroid_token), x, y)[0]
     if check_name == "esplit-identities":
-        m = from_compact(matroid_token)
-        t = tuple(params["T"].split(","))
-        ext = element_splitting(m, t, "a*")
-        delete_ok = ext.delete({"a*"}).same_matrix(splitting(m, t))
-        back = ext.contract({"a*"})
-        contract_ok = back.same_matrix(m) or back.is_isomorphic(m) is not None
-        return "identities hold" if delete_ok and contract_ok else "violated"
+        bad = _esplit_violations(from_compact(matroid_token),
+                                 tuple(params["T"].split(",")))
+        return "violated" if bad else "identities hold"
+    if check_name == "quotients" and "check" in params:
+        return _case_outcome(_quotient_facts(*_quotient_sweep()),
+                             params["check"])[2]
     if check_name == "quotients":
-        if params.get("check") == "Q_4-vs-Q_3":
-            same = canonical_key(catalog.get("Q_4").matroid) == \
-                canonical_key(catalog.get("Q_3").matroid)
-            return "Q_4 isomorphic to Q_3" if same else "distinct keys"
-        q = from_compact(matroid_token)
-        quotient = q.contract({"a"})
-        problems = _quotient_constraints(quotient)
-        if problems:
-            return "; ".join(problems)
-        if quotient.rank() != 1 or quotient.n_elements() != 5:
-            return f"rank {quotient.rank()} on {quotient.n_elements()}"
-        return f"key {canonical_key(quotient)}"
+        _, label, failure = _quotient_outcome(from_compact(matroid_token),
+                                              _quotient_keys())
+        return failure[1] if failure else label
     if check_name == "catalog":
         report = catalog.validate_all()
-        fact = params["fact"]
-        failed = any(f.param("fact") == fact for f in report.failures)
+        failed = any(f.param("fact") == params["fact"] for f in report.failures)
         return "False" if failed else "True"
     raise ValueError(f"no single-case evaluator for check {check_name!r}")
 
 
-def _evaluate_known_instance(case: str) -> str:
-    entry = catalog.get("G_4")
-    x, y = entry.marked
-    m = entry.matroid
-    reduced = BinaryMatroid(m.labels, Gf2Matrix(_kernel.rref(m.rep.rows),
-                                                m.rep.n_cols))
-    folded = three_fold(reduced, x, y)
-    if case == "known-instance-rows":
-        return "/".join(folded.rep.row_strings())
-    if case == "known-instance-iso":
-        ok = folded.is_isomorphic(catalog.get("K4").matroid) is not None
-        return "3-fold of G_4 isomorphic to K4" if ok else "not isomorphic"
-    if case == "known-instance-gammoid":
-        return ("gammoid" if folded.is_binary_gammoid()
-                else "3-fold of G_4 is not a gammoid")
-    raise ValueError(f"unknown known-instance case {case!r}")
+def _case_outcome(cases: dict, case: str):
+    if case not in cases:
+        raise ValueError(f"unknown case {case!r}; known: {', '.join(cases)}")
+    return cases[case]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 
@@ -43,6 +44,18 @@ class VerificationReport:
     wall_time: float
     verdict: str
     observations: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_failures(cls, name: str, universe: str, cases: int, failures,
+                      start: float, observations: dict | None = None
+                      ) -> "VerificationReport":
+        """A gating report: verdict "pass" iff ``failures`` is empty, wall
+        time measured from ``start``, a :func:`time.perf_counter` reading."""
+        failures = tuple(failures)
+        return cls(name=name, universe=universe, cases=cases, failures=failures,
+                   wall_time=time.perf_counter() - start,
+                   verdict="fail" if failures else "pass",
+                   observations=observations or {})
 
     def __post_init__(self):
         if self.verdict == "pass" and self.failures:

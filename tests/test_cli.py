@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from matroidsplit import catalog
+from matroidsplit import catalog, corpus as corpus_mod
 from matroidsplit.cli import _worker_count, main
 from matroidsplit.formats import parse_matroid, write_graph, write_matroid
 
@@ -218,9 +218,15 @@ def test_verify_corpus_bound_mismatch(runner, tmp_path, corpus6):
     assert result.exit_code == 2
 
 
-def test_verify_unknown_check(runner):
+def test_verify_unknown_check(runner, monkeypatch):
+    # The name is rejected before any corpus is built.
+    def no_corpus(*args):
+        raise AssertionError("corpus enumerated for an unknown check name")
+
+    monkeypatch.setattr(corpus_mod, "enumerate_binary_matroids", no_corpus)
     result = invoke(runner, "verify", "--check", "bogus")
     assert result.exit_code == 2
+    assert "unknown check name(s): bogus" in result.output
 
 
 def test_gammoid_records_match_the_k4_witness(runner, g4_file, tmp_path):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidsplit import catalog
+from matroidsplit import catalog, matroid
 from matroidsplit.formats import parse_matroid
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid, Graph, MinorWitness, k4_matroid
@@ -353,21 +353,26 @@ def test_minor_witness_invariants():
                      mapping={"p": "a"})
 
 
-def test_minor_search_slow_and_fast_paths_agree(corpus6):
-    # The profile-matched kernel path and the per-candidate circuit search
-    # must pick the same first witness.
-    f = catalog.get("F").matroid
-    for m in corpus6.members:
-        c_size = m.rank() - f.rank()
-        d_size = m.n_elements() - 5 - c_size
-        if c_size < 0 or d_size < 0:
-            continue
-        fast = m.has_minor(f)
-        slow = m._scan_minors_iso(f, c_size, d_size, None, 0)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            assert fast.deleted == slow.deleted
-            assert fast.contracted == slow.contracted
+def test_minor_search_slow_and_fast_paths_agree(corpus6, monkeypatch):
+    # The kernel matchers and the per-candidate isomorphism search must pick
+    # the same first witness and the same marked images.
+    def search_all():
+        f, k4 = catalog.get("F").matroid, k4_matroid()
+        entries = [catalog.get(f"G_{i}") for i in range(1, 5)]
+        return [(_witness_key(m.has_minor(f)), _witness_key(m.has_minor(k4)),
+                 [m.minor_marked_images(e.matroid, e.marked) for e in entries])
+                for m in corpus6.members]
+
+    fast = search_all()
+    monkeypatch.setattr(matroid, "_fast_pattern_kind", lambda pattern: (None, None))
+    slow = search_all()
+    assert slow == fast
+    assert sum(k4 is not None for _, k4, _ in fast) > 0
+    assert sum(bool(images[3]) for _, _, images in fast) > 0
+
+
+def _witness_key(w):
+    return None if w is None else (w.deleted, w.contracted, w.mapping)
 
 
 def test_minor_marked_images_cover_found_witness():

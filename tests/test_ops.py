@@ -158,12 +158,6 @@ def test_ghafari_route_matches_three_fold_bit_for_bit():
     assert b.same_matrix(a)
 
 
-def test_ghafari_modes_coincide():
-    a = three_fold_ghafari(g4(), ("x", "y"), ("x",), second_op="element")
-    b = three_fold_ghafari(g4(), ("x", "y"), ("x",), second_op="plain")
-    assert a.same_matrix(b)
-
-
 def test_ghafari_new_triple_is_a_circuit():
     for entry in catalog.list_entries():
         m = entry.matroid
@@ -182,8 +176,6 @@ def test_ghafari_validations():
         three_fold_ghafari(
             BinaryMatroid.from_matrix(("a", "b"), Gf2Matrix.from_bits(["10", "01"])),
             ("a", "b"), ("a",))
-    with pytest.raises(ValueError, match="second_op"):
-        three_fold_ghafari(g4(), ("x", "y"), ("x",), second_op="other")
 
 
 # -- admissible pairs -------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from matroidsplit import catalog, verify
+from matroidsplit.corpus import CanonicalKey
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
 from matroidsplit.ops import splitting
@@ -248,6 +249,34 @@ def test_rerun_known_instance_cases():
         failure = make_failure("catalog:G_4", {"case": case},
                                expected="whatever", got=got)
         assert verify.rerun_case("main", failure)
+
+
+def test_every_forced_failure_replays(corpus6, monkeypatch):
+    # Each patch makes a check record failures; replaying each record under
+    # the same patch must reproduce its recorded outcome.
+    small = corpus6.restrict(5)
+    catalog.get("F")  # validate the catalog before any primitive is patched
+    patches = {
+        "split-gammoid": [(BinaryMatroid, "is_binary_gammoid", lambda self: False)],
+        "main": [(BinaryMatroid, "is_binary_gammoid", lambda self: True)],
+        "esplit-identities": [(BinaryMatroid, "same_matrix", lambda self, o: False),
+                              (BinaryMatroid, "is_isomorphic", lambda self, o: None)],
+        "quotients": [(verify, "canonical_key",
+                       lambda m: CanonicalKey(len(m.labels), m.rep.rows))],
+    }
+    for name, patch in patches.items():
+        with monkeypatch.context() as mp:
+            for owner, attr, value in patch:
+                mp.setattr(owner, attr, value)
+            (report,) = verify.run_checks([name], small, jobs=1)
+            assert report.verdict == "fail", name
+            replayed = [verify.rerun_case(name, f) for f in report.failures]
+            assert all(replayed), (name, replayed)
+            if name == "quotients":
+                assert len({(f.matroid, f.params) for f in report.failures}) \
+                    == len(report.failures)
+                assert "class-set" in {dict(f.params).get("check")
+                                       for f in report.failures}
 
 
 def test_evaluate_case_covers_every_check(corpus6):
