@@ -1,21 +1,8 @@
-"""Build shim for the compiled kernel.
-
-The extension is optional: if Cython or a C compiler is unavailable the
-package installs anyway and falls back to the pure-Python kernel at import.
-"""
+"""Build the optional compiled kernel; without a C compiler the package
+installs anyway and runs on the pure-Python kernel."""
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("matroidsplit._kernel._speed",
-                   ["src/matroidsplit/_kernel/_speed.pyx"],
-                   extra_compile_args=["-O3"])],
-        language_level="3",
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("matroidsplit._kernel._speed",
+                             ["src/matroidsplit/_kernel/_speed.c"],
+                             extra_compile_args=["-O3"], optional=True)])

@@ -1,39 +1,27 @@
-"""Kernel backend selection: compiled extension when available, else pure.
+"""Kernel backend selection: pure.py's API, with compiled functions on top.
 
-Set ``MATROIDSPLIT_PURE=1`` to force the pure-Python backend.  The active
-backend name is exposed as ``BACKEND`` ("compiled" or "pure").
+Every name in ``pure.__all__`` is bound from ``pure.py`` first.  Unless
+``MATROIDSPLIT_PURE`` is set, the C extension ``_speed.c``, when built, then
+rebinds the per-candidate functions it compiles: ``rank``, ``rank_masked``,
+``cols_rank``, ``rref``, ``rref_pivots``, ``nullspace_basis``,
+``space_min_supports``, ``delete_rows``, ``contract_rows``, ``find_minors``,
+``canon_key_cols`` and ``is_canonical``.  ``BACKEND`` names the module that
+loaded last ("compiled" or "pure").  Callers look these names up here at
+call time, so wrapping a module attribute traces every call.
 """
 
 from __future__ import annotations
 
 import os
 
-if os.environ.get("MATROIDSPLIT_PURE"):
-    from . import pure as _impl
-else:
+from . import pure
+from .pure import *  # noqa: F401,F403
+
+if not os.environ.get("MATROIDSPLIT_PURE"):
     try:
-        from . import _speed as _impl  # type: ignore[attr-defined]
+        from . import _speed
     except ImportError:
-        from . import pure as _impl
-
-BACKEND = _impl.BACKEND
-KIND_SIMPLE_RANK3 = _impl.KIND_SIMPLE_RANK3
-KIND_PROFILE = _impl.KIND_PROFILE
-KIND_CANONICAL = _impl.KIND_CANONICAL
-
-rank = _impl.rank
-rank_masked = _impl.rank_masked
-rref = _impl.rref
-rref_pivots = _impl.rref_pivots
-in_rowspace = _impl.in_rowspace
-nullspace_basis = _impl.nullspace_basis
-space_min_supports = _impl.space_min_supports
-columns = _impl.columns
-rows_from_columns = _impl.rows_from_columns
-delete_rows = _impl.delete_rows
-contract_rows = _impl.contract_rows
-profile = _impl.profile
-cols_rank = _impl.cols_rank
-find_minors = _impl.find_minors
-canon_key_cols = _impl.canon_key_cols
-is_canonical = _impl.is_canonical
+        pass
+    else:
+        globals().update((name, getattr(_speed, name))
+                         for name in pure.__all__ if hasattr(_speed, name))

@@ -1,8 +1,13 @@
 """Pure-Python GF(2) kernel: bit-packed rows, minor search, canonical forms.
 
-Reference implementation of the hot-loop API.  The compiled twin in
-``_speed.pyx`` mirrors every function here bit for bit; the package picks
-one at import time (see ``_kernel.__init__``).
+Reference implementation of the kernel API (``__all__``).  The hand-written
+C extension ``_speed.c`` compiles the per-candidate subset: ``rank``,
+``rank_masked``, ``cols_rank``, ``rref``, ``rref_pivots``,
+``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
+``contract_rows``, ``find_minors``, ``canon_key_cols`` and
+``is_canonical``, returning the same values for ints in [0, 2^64).  The
+rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``) is
+served from here alone; see ``_kernel.__init__``.
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -13,6 +18,14 @@ Conventions:
 from __future__ import annotations
 
 from itertools import combinations
+
+__all__ = [
+    "BACKEND", "KIND_SIMPLE_RANK3", "KIND_PROFILE", "KIND_CANONICAL",
+    "rank", "rank_masked", "cols_rank", "rref", "rref_pivots", "in_rowspace",
+    "nullspace_basis", "space_min_supports", "columns", "rows_from_columns",
+    "delete_rows", "contract_rows", "profile", "find_minors",
+    "canon_key_cols", "is_canonical",
+]
 
 BACKEND = "pure"
 

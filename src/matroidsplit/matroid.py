@@ -19,7 +19,9 @@ Label = str
 
 
 def _check_label(label: str) -> str:
-    if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
+    # str.split() and str.isspace() share one whitespace table, so a nonempty
+    # whitespace-free label is exactly one that splits into itself.
+    if not isinstance(label, str) or label.split() != [label]:
         raise ValueError(f"invalid element label {label!r}: need a nonempty "
                          "whitespace-free token")
     return label
@@ -353,7 +355,6 @@ class BinaryMatroid:
         rank and corank of M(K4), no minor can be M(K4).  No witness is
         built: :meth:`k4_minor` keeps the exhaustive scan for that.
         """
-        # The rref has at most 64 rows, so both backends transpose it whole.
         vecs = _kernel.columns(self._rref, self.rep.n_cols)
         width = self.rank()
         while True:

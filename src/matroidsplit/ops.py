@@ -13,25 +13,16 @@ from .gf2 import Gf2Matrix
 from .matroid import BinaryMatroid, _check_label
 
 
-def _t_mask(m: BinaryMatroid, t) -> int:
-    t = tuple(t)
-    if not t:
-        raise ValueError("splitting set must be nonempty")
-    mask = 0
-    for lab in t:
-        if lab not in m.labels:
-            raise ValueError(f"unknown element label {lab!r}")
-        mask |= 1 << m.labels.index(lab)
-    return mask
-
-
 def splitting(m: BinaryMatroid, t) -> BinaryMatroid:
     """Append a row with 1s exactly on the columns of ``t``.
 
     The ground set is unchanged; the rank grows by one unless the indicator
     of ``t`` already lies in the row space.
     """
-    return BinaryMatroid(m.labels, m.rep.append_row(_t_mask(m, t)))
+    t = tuple(t)
+    if not t:
+        raise ValueError("splitting set must be nonempty")
+    return BinaryMatroid(m.labels, m.rep.append_row(m._label_mask(t)))
 
 
 def element_splitting(m: BinaryMatroid, t, new_label: str) -> BinaryMatroid:
@@ -39,7 +30,10 @@ def element_splitting(m: BinaryMatroid, t, new_label: str) -> BinaryMatroid:
     _check_label(new_label)
     if new_label in m.labels:
         raise ValueError(f"new element label {new_label!r} already in the ground set")
-    rep = m.rep.append_row(_t_mask(m, t))
+    t = tuple(t)
+    if not t:
+        raise ValueError("splitting set must be nonempty")
+    rep = m.rep.append_row(m._label_mask(t))
     rep = rep.append_column(1 << (rep.n_rows - 1))
     return BinaryMatroid(m.labels + (new_label,), rep)
 
@@ -61,9 +55,7 @@ def add_loops(m: BinaryMatroid, new_labels) -> BinaryMatroid:
 def _check_fold_pair(m: BinaryMatroid, x: str, y: str) -> None:
     if x == y:
         raise ValueError("the two chosen elements must differ")
-    for lab in (x, y):
-        if lab not in m.labels:
-            raise ValueError(f"unknown element label {lab!r}")
+    m._label_mask((x, y))
     pair = frozenset((x, y))
     for cocircuit in m.cocircuits():
         if pair < cocircuit:

@@ -59,6 +59,23 @@ def test_from_matrix_rejects_duplicates_and_mismatch():
         BinaryMatroid.from_matrix(("a b",), Gf2Matrix((0,), 1))
 
 
+def _old_label_predicate(label) -> bool:
+    return isinstance(label, str) and bool(label) and \
+        not any(ch.isspace() for ch in label)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), st.text(alphabet=st.characters(
+    whitelist_categories=("Zs", "Zl", "Zp", "Cc", "Ll")), max_size=4)))
+def test_check_label_accepts_what_the_isspace_scan_accepts(label):
+    try:
+        matroid._check_label(label)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _old_label_predicate(label)
+
+
 def test_from_graph_parallel_edges_match_all_ones_row():
     g = Graph(2, ((1, 2, "x"), (1, 2, "y"), (1, 2, "z")))
     m = BinaryMatroid.from_graph(g)

@@ -41,8 +41,14 @@ def test_splitting_ground_set_unchanged():
 def test_splitting_errors():
     with pytest.raises(ValueError, match="nonempty"):
         splitting(g4(), ())
-    with pytest.raises(ValueError, match="unknown element label"):
+    with pytest.raises(ValueError, match="unknown element label 'w'"):
         splitting(g4(), ("w",))
+    with pytest.raises(ValueError, match="nonempty"):
+        element_splitting(g4(), (), "s")
+    with pytest.raises(ValueError, match="unknown element label 'w'"):
+        element_splitting(g4(), ("x", "w"), "s")
+    with pytest.raises(ValueError, match="unknown element label 'w'"):
+        three_fold(g4(), "w", "x")
 
 
 def test_splitting_on_vertex_cut_is_trivial():
