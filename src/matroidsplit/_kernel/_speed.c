@@ -11,6 +11,11 @@
  * bases and column lists use 64-entry arrays; buffers that a caller's row
  * count indexes are allocated to size.
  *
+ * find_minors decides first, as pure.find_minors does: a profile want of
+ * rank rho <= 2 with avoid 0 and c_size = rank - rho returns [] at once when
+ * no contraction M/C can hold the pattern (profile_absent).  Otherwise the
+ * scan runs unchanged, so witnesses and their order are the same.
+ *
  * Build: python setup.py build_ext --inplace
  */
 
@@ -348,6 +353,75 @@ static int next_comb(int *pos, int k, int n)
     return 1;
 }
 
+/* pure._profile_absent for a profile matcher over all nc columns of the
+ * rref basis[0..nb), which documents the test. */
+static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc,
+                          int cs, int ds)
+{
+    u64 cols[64], span[64], seen[64], have[64];
+    int pos[64];
+    long long total = m->loops;
+    if (m->rank < 0 || m->rank > 2 ||
+        cs != rank_c(basis, nb, nc == 64 ? ~(u64)0 : BIT(nc) - 1) - m->rank)
+        return 0;
+    for (Py_ssize_t i = 0; i < m->len; i++) {
+        if (m->want[i] < 1 || m->want[i] > 64 || (i && m->want[i] < m->want[i - 1]))
+            return 1;
+        total += (long long)m->want[i];
+    }
+    if (nc - cs - ds != total || (m->rank < 2 ? m->len != m->rank : m->len < 2))
+        return 1;
+    for (int j = 0; j < nc; j++) {
+        cols[j] = 0;
+        for (int i = 0; i < nb; i++)
+            cols[j] |= (basis[i] >> j & 1) << i;
+    }
+    for (int i = 0; i < cs; i++)
+        pos[i] = i;
+    do {
+        /* Echelon basis of span(C); reduced columns are coset representatives. */
+        int ns = 0, nsp = 0, zero = 0;
+        for (; nsp < cs; nsp++) {
+            u64 v = cols[pos[nsp]];
+            for (int b = 0; b < nsp; b++)
+                if (v & LOW(span[b]))
+                    v ^= span[b];
+            if (!v)
+                break;
+            span[nsp] = v;
+        }
+        if (nsp < cs)
+            continue;
+        for (int j = 0; j < nc; j++) {
+            u64 v = cols[j];
+            int s = 0;
+            for (int b = 0; b < cs; b++)
+                if (v & LOW(span[b]))
+                    v ^= span[b];
+            if (!v) {
+                zero++;
+                continue;
+            }
+            while (s < ns && seen[s] != v)
+                s++;
+            if (s == ns) {
+                seen[ns] = v;
+                have[ns++] = 0;
+            }
+            have[s]++;
+        }
+        if (zero - cs < m->loops || ns < m->len)
+            continue;
+        sort_small(have, ns);
+        Py_ssize_t i = 0;
+        while (i < m->len && have[ns - 1 - i] >= m->want[m->len - 1 - i])
+            i++;
+        if (i == m->len)
+            return 0;
+    } while (next_comb(pos, cs, nc));
+    return 1;
+}
+
 /* -- module functions ---------------------------------------------------------- */
 
 static PyObject *py_rank(PyObject *self, PyObject *rows)
@@ -549,6 +623,8 @@ static PyObject *py_find_minors(PyObject *self, PyObject *args, PyObject *kwargs
         if (!(avoid >> j & 1))
             freecol[nfree++] = j;
     if (cs < 0 || ds < 0 || cs + ds > nfree)
+        goto done;
+    if (m.kind == KIND_PROFILE && !avoid && profile_absent(&m, basis, nb, nc, cs, ds))
         goto done;
     for (int i = 0; i < ds; i++)
         dpos[i] = i;

@@ -9,6 +9,12 @@ C extension ``_speed.c`` compiles the per-candidate subset: ``rank``,
 rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``) is
 served from here alone; see ``_kernel.__init__``.
 
+``find_minors`` decides before it scans: for a rank <= 2 profile with no
+avoided columns and a contract size of rank - rho, it reads each contraction
+M/C once and returns ``[]`` when no candidate can match (see
+``_profile_absent``).  Otherwise, and whenever a match exists, the scan runs
+unchanged, so every witness and its order stay the same.
+
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
   * a column vector over rows 0..r-1 is an int with bit ``i`` = entry in row ``i``
@@ -231,6 +237,60 @@ def _match(mrows, m_cols: int, kind: int, want) -> bool:
     raise ValueError(f"unknown minor matcher kind {kind}")
 
 
+def _profile_absent(rows, n: int, c_size: int, d_size: int, want) -> bool:
+    """True when no (C, D) candidate of ``find_minors`` over all ``n``
+    columns can match the profile ``want``; False when one matches or the
+    test does not apply.
+
+    It applies when the wanted rank rho is at most 2 and
+    ``c_size == rank - rho``, so that M/C has rank rho for every
+    independent C.  The loops of M/C are the columns in span(C), minus C
+    itself, and its parallel classes are the nonzero cosets of span(C)
+    that columns fall in.  M/C \\ D keeps loops as loops and classes as
+    classes, and any l loops plus any s_i elements from distinct classes
+    give the wanted minor, since two distinct nonzero points span a rank-2
+    binary space.  So a match exists iff some C leaves at least l loops and
+    class sizes that, both sorted descending, dominate the wanted ones.
+    Wants whose shape no minor has are absent outright, as the scan finds.
+    """
+    rho, loops, sizes = want
+    if not 0 <= rho <= 2:
+        return False
+    rows = [row & ((1 << n) - 1) for row in rows]
+    if c_size != rank(rows) - rho:
+        return False
+    if (min(sizes, default=1) < 1 or list(sizes) != sorted(sizes)
+            or n - c_size - d_size != loops + sum(sizes)
+            or (len(sizes) != rho if rho < 2 else len(sizes) < 2)):
+        return True
+    cols = columns(rows, n)
+    need = sorted(sizes, reverse=True)
+    for c_idx in combinations(range(n), c_size):
+        # Echelon basis of span(C); a column reduced by it is its coset's
+        # unique representative.
+        basis = []
+        for j in c_idx:
+            v = cols[j]
+            for b in basis:
+                if v & b & -b:
+                    v ^= b
+            if not v:
+                break
+            basis.append(v)
+        else:
+            counts = {}
+            for v in cols:
+                for b in basis:
+                    if v & b & -b:
+                        v ^= b
+                counts[v] = counts.get(v, 0) + 1
+            have = sorted((s for v, s in counts.items() if v), reverse=True)
+            if (counts.get(0, 0) - c_size >= loops and len(have) >= len(need)
+                    and all(h >= w for h, w in zip(have, need))):
+                return False
+    return True
+
+
 def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,
                 limit: int = 1, avoid: int = 0):
     """Scan minors of the given contract/delete sizes for pattern matches.
@@ -239,9 +299,17 @@ def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,
     index order; contract sets are restricted to independent sets.  Columns
     in ``avoid`` are excluded from both sets.  Returns up to ``limit``
     (cmask, dmask) pairs (all matches when ``limit`` is 0).
+
+    Decide first: for a profile of rank <= 2 with ``avoid`` 0 and
+    ``c_size == rank - rho``, ``_profile_absent`` reads each contraction
+    M/C once and returns ``[]`` when no candidate can match; otherwise the
+    scan runs as always, so the witnesses and their order do not change.
     """
     free = [j for j in range(n_cols) if not (avoid >> j) & 1]
     if c_size + d_size > len(free) or c_size < 0 or d_size < 0:
+        return []
+    if (kind == KIND_PROFILE and not avoid
+            and _profile_absent(rows, len(free), c_size, d_size, want)):
         return []
     out = []
     for d_idx in combinations(free, d_size):

@@ -277,6 +277,10 @@ class BinaryMatroid:
         order.  ``pins`` forces pattern labels onto specific host labels;
         ``keep`` names host labels that must survive into the minor, i.e.
         lie in neither the contract nor the delete set.
+
+        An unpinned pattern of rank <= 2 with nothing kept is decided first
+        from the contractions alone (see :meth:`_embeddings`); the witness
+        found is the same.
         """
         pins = pins or {}
         for pat_lab, host_lab in pins.items():
@@ -306,7 +310,10 @@ class BinaryMatroid:
 
         Unpinned patterns of rank <= 4 are matched in the kernel, which stops
         after ``limit`` occurrences (0: no limit); pinned searches and larger
-        patterns test each candidate by isomorphism, lazily.
+        patterns test each candidate by isomorphism, lazily.  For a pattern
+        of rank <= 2 with ``avoid`` 0 the kernel first decides, from each
+        contraction M/C, whether any occurrence exists, and scans only if
+        one does; the occurrences and their order do not change.
         """
         n = len(self.labels)
         c_size = self.rank() - pattern.rank()

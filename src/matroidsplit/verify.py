@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -99,11 +101,21 @@ def pinned_splitting_minor_witness(s: BinaryMatroid, k: int):
     return None
 
 
+# The process pool that one run_checks call shares among all of its sweeps.
+_SHARED_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar(
+    "_SHARED_POOL", default=None)
+
+
 def _map_members(fn, members, jobs: int | None):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, members, chunksize=4))
-    return [fn(m) for m in members]
+    """``fn`` over ``members`` in order: serially, or with ``jobs > 1`` on
+    the pool that run_checks shares, else on a pool of this call's own."""
+    if not (jobs and jobs > 1):
+        return [fn(m) for m in members]
+    shared = _SHARED_POOL.get()
+    if shared is not None:
+        return list(shared.map(fn, members, chunksize=4))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, members, chunksize=4))
 
 
 def _universe(c: Corpus, quantifier: str, gammoids_only: bool = True) -> str:
@@ -638,31 +650,44 @@ def check_names(names) -> list[str]:
 
 def run_checks(names, c: Corpus | None, jobs: int | None = None
                ) -> list[VerificationReport]:
-    """Run the named checks (or all of them) and return their reports."""
+    """Run the named checks (or all of them) and return their reports.
+
+    With ``jobs > 1`` one process pool of ``jobs`` workers serves every
+    sweep of the call.
+    """
     wanted = check_names(names)
     needs_corpus = set(wanted) - {"catalog", "quotients"}
     if needs_corpus and c is None:
         raise ValueError("these checks need a corpus: " + ", ".join(sorted(needs_corpus)))
-    reports = []
-    for name in wanted:
-        if name == "catalog":
-            reports.append(catalog.validate_all())
-        elif name == "quotients":
-            reports.append(check_quotients_of_f())
-        elif name == "gf-empty":
-            reports.append(check_split_minor_empty(c, 1, jobs))
-            reports.append(check_split_minor_empty(c, 2, jobs))
-        elif name == "gf-minors":
-            reports.append(check_split_minor_characterization(c, 3, jobs))
-        elif name == "split-gammoid":
-            reports.append(check_splitting_excluded_minors(c, jobs))
-        elif name == "main":
-            reports.append(check_three_fold_excluded_minor(c, jobs))
-        elif name == "esplit-identities":
-            reports.append(check_element_splitting_identities(
-                c.members, jobs=jobs,
-                universe=_universe(c, "all T with |T| <= 3", gammoids_only=False)))
-    return reports
+    # Only the corpus checks sweep members.
+    pooled = needs_corpus and jobs and jobs > 1
+    with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
+        token = _SHARED_POOL.set(pool)
+        try:
+            return [report for name in wanted
+                    for report in _named_check(name, c, jobs)]
+        finally:
+            _SHARED_POOL.reset(token)
+
+
+def _named_check(name: str, c: Corpus | None, jobs: int | None
+                 ) -> list[VerificationReport]:
+    if name == "catalog":
+        return [catalog.validate_all()]
+    if name == "quotients":
+        return [check_quotients_of_f()]
+    if name == "gf-empty":
+        return [check_split_minor_empty(c, 1, jobs),
+                check_split_minor_empty(c, 2, jobs)]
+    if name == "gf-minors":
+        return [check_split_minor_characterization(c, 3, jobs)]
+    if name == "split-gammoid":
+        return [check_splitting_excluded_minors(c, jobs)]
+    if name == "main":
+        return [check_three_fold_excluded_minor(c, jobs)]
+    return [check_element_splitting_identities(
+        c.members, jobs=jobs,
+        universe=_universe(c, "all T with |T| <= 3", gammoids_only=False))]
 
 
 # -- single-case re-runs ------------------------------------------------------------

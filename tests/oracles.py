@@ -3,7 +3,8 @@
 Everything here is deliberately naive and independent of the library's
 algorithmic paths: circuits come from subset-rank enumeration, isomorphism
 from permutation search over circuit sets, graph cycles from degree checks,
-and connected components from union-find.
+connected components from union-find, and the profiles of minors from the
+rank function of the contraction.
 """
 
 from __future__ import annotations
@@ -55,6 +56,59 @@ def brute_isomorphism(a: BinaryMatroid, b: BinaryMatroid):
         if {frozenset(phi[x] for x in c) for c in ca} == cb:
             return phi
     return None
+
+
+def profile_minors(rows, n_cols: int, c_size: int, d_size: int, want):
+    """Every (cmask, dmask) whose minor M/C \\ D has the profile ``want``,
+    in ``find_minors`` candidate order: delete sets D, then independent
+    contract sets C, each in lexicographic index order.
+
+    The profile is (rank, loops, sorted parallel-class sizes), read off the
+    rank function of the contraction, r(X | C) - r(C), which is computed by
+    elimination on the columns (bits of ``rows`` at or above ``n_cols`` are
+    not columns).  Each pair is tested on its own.
+    """
+    cols = [sum(((row >> j) & 1) << i for i, row in enumerate(rows))
+            for j in range(n_cols)]
+
+    def rank(idx):
+        pivots = {}
+        for j in idx:
+            v = cols[j]
+            while v and v.bit_length() in pivots:
+                v ^= pivots[v.bit_length()]
+            if v:
+                pivots[v.bit_length()] = v
+        return len(pivots)
+
+    def mask(idx):
+        return sum(1 << j for j in idx)
+
+    out = []
+    if c_size < 0 or d_size < 0:
+        return out
+    for d_idx in combinations(range(n_cols), d_size):
+        rest = [j for j in range(n_cols) if j not in d_idx]
+        for c_idx in combinations(rest, c_size):
+            if rank(c_idx) < c_size:
+                continue
+            kept = [j for j in rest if j not in c_idx]
+            loops = [j for j in kept if rank(c_idx + (j,)) == c_size]
+            classes = []
+            for j in kept:
+                if j in loops:
+                    continue
+                for cls in classes:
+                    if rank(c_idx + (cls[0], j)) == c_size + 1:
+                        cls.append(j)
+                        break
+                else:
+                    classes.append([j])
+            got = (rank(c_idx + tuple(kept)) - c_size, len(loops),
+                   tuple(sorted(len(cls) for cls in classes)))
+            if got == want:
+                out.append((mask(c_idx), mask(d_idx)))
+    return out
 
 
 def cycle_edge_sets(g: Graph) -> frozenset[frozenset[str]]:

@@ -108,14 +108,19 @@ def test_canonical_forms_agree(compiled):
 
 def test_find_minors_agree_in_order_and_content(compiled):
     rng = random.Random(5150)
-    wants = ((pure.KIND_SIMPLE_RANK3, None),
-             (pure.KIND_PROFILE, (1, 1, (3,))),
-             (pure.KIND_PROFILE, (2, 0, (1, 2, 2))))
+    # (kind, want, pattern size); the last four wants have their own size,
+    # so that the decision reads contractions.
+    wants = ((pure.KIND_SIMPLE_RANK3, None, 6),
+             (pure.KIND_PROFILE, (1, 1, (3,)), 5),
+             (pure.KIND_PROFILE, (2, 0, (1, 2, 2)), 5),
+             (pure.KIND_PROFILE, (1, 0, (3,)), 3),
+             (pure.KIND_PROFILE, (2, 0, (2, 2, 2)), 6),
+             (pure.KIND_PROFILE, (2, 0, (1, 1)), 2),
+             (pure.KIND_PROFILE, (0, 2, ()), 2))
     for _ in range(400):
         n_cols = rng.randint(6, 9)
         rows = random_rows(rng, n_cols, rng.randint(2, 4))
-        for kind, want in wants:
-            pat_n = 6 if kind == pure.KIND_SIMPLE_RANK3 else 5
+        for kind, want, pat_n in wants:
             for c_size in range(0, 3):
                 d_size = n_cols - pat_n - c_size
                 if d_size < 0:
@@ -216,6 +221,31 @@ def test_find_minors_agrees_on_edge_shapes(compiled, matrix, kind_want, c_size,
     for c, d in ((c_size, d_size), (0, len(free) - 6), (len(free) - 4, 0)):
         assert pure.find_minors(rows, n_cols, c, d, kind, want, limit=limit, avoid=avoid) == \
             compiled.find_minors(rows, n_cols, c, d, kind, want, limit=limit, avoid=avoid)
+
+
+PROFILE_WANTS = st.sampled_from([
+    (1, 1, (3,)), (2, 0, (1, 2, 2)), (2, 1, (1, 2, 2)), (1, 0, (3,)),
+    (2, 0, (2, 2, 2)), (2, 0, (1, 1)), (0, 2, ()), (0, 0, ()), (1, 2, (1,)),
+    (2, 1, (3, 1)), (2, 0, (0, 2)), (3, 0, (1, 1, 1)),
+])
+
+
+@EDGE
+@given(st.integers(0, 80), st.integers(0, 12), PROFILE_WANTS,
+       st.integers(-1, 1), st.integers(0, 2), st.data())
+def test_find_minors_agrees_on_the_decision_path(compiled, n_rows, n_cols, want,
+                                                 c_shift, limit, data):
+    # avoid = 0, and c_size = rank - rho unless shifted, so the compiled
+    # decision runs; bits above n_cols must be ignored by both.
+    rows = tuple(data.draw(st.lists(st.integers(0, (1 << (n_cols + 2)) - 1),
+                                    min_size=n_rows, max_size=n_rows)))
+    rho, loops, sizes = want
+    c_size = pure.rank_masked(rows, (1 << n_cols) - 1) - rho + c_shift
+    d_size = n_cols - loops - sum(sizes) - c_size + data.draw(st.sampled_from([0, 0, 1]))
+    assert pure.find_minors(rows, n_cols, c_size, d_size, pure.KIND_PROFILE, want,
+                            limit=limit) == \
+        compiled.find_minors(rows, n_cols, c_size, d_size, pure.KIND_PROFILE, want,
+                             limit=limit)
 
 
 @EDGE

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroidsplit import catalog, matroid
+from matroidsplit._kernel import pure
 from matroidsplit.formats import parse_matroid
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid, Graph, MinorWitness, k4_matroid
@@ -18,6 +19,7 @@ from oracles import (
     brute_isomorphism,
     component_count,
     cycle_edge_sets,
+    profile_minors,
     series_parallel_graph,
     subsets,
 )
@@ -390,6 +392,54 @@ def test_minor_search_slow_and_fast_paths_agree(corpus6, monkeypatch):
 
 def _witness_key(w):
     return None if w is None else (w.deleted, w.contracted, w.mapping)
+
+
+# Every catalog profile (K4's has rank 3), all-loop and two-point wants, and
+# wants no minor has: unsorted or zero class sizes, two classes at rank 1.
+PROFILE_WANTS = sorted({pure.profile(e.matroid.rep.rows, e.matroid.rep.n_cols)
+                        for e in catalog.list_entries()}) + [
+    (0, 0, ()), (0, 2, ()), (0, 3, ()), (2, 0, (1, 1)), (2, 1, (1, 1, 1)),
+    (2, 1, (3, 1)), (2, 0, (0, 2, 2)), (1, 0, (1, 2)), (1, 0, (0,)),
+    (3, 0, (1, 1, 1)),
+]
+
+
+def _assert_profile_minors_match_oracle(rows, n_cols, rng):
+    full = pure.rank_masked(rows, (1 << n_cols) - 1)
+    for want in PROFILE_WANTS:
+        rho, loops, sizes = want
+        c0 = full - rho
+        # c_size = rank - rho is the decided case; the others always scan,
+        # and a limit only cuts the scan short.
+        for c_size, limits in ((c0, (0, 1, 2)), (c0 - 1, (0,)), (c0 + 1, (0,))):
+            d_size = n_cols - loops - sum(sizes) - c_size
+            expected = profile_minors(rows, n_cols, c_size, d_size, want)
+            avoid = 1 << rng.randrange(n_cols) if n_cols else 0
+            avoided = [p for p in expected if not (p[0] | p[1]) & avoid]
+            for limit in limits:
+                for mask, hits in ((0, expected), (avoid, avoided)):
+                    got = pure.find_minors(rows, n_cols, c_size, d_size,
+                                           pure.KIND_PROFILE, want,
+                                           limit=limit, avoid=mask)
+                    assert got == (hits[:limit] if limit else hits), \
+                        (rows, n_cols, c_size, d_size, want, limit, mask)
+
+
+def test_profile_minors_match_brute_force_on_corpus(corpus6):
+    rng = random.Random(6)
+    for m in corpus6.members:
+        hosts = [m] + [splitting(m, m.labels[:k]) for k in (1, 3) if k <= len(m.labels)]
+        for h in hosts:
+            _assert_profile_minors_match_oracle(h.rep.rows, h.rep.n_cols, rng)
+
+
+def test_profile_minors_match_brute_force_on_random_matrices():
+    rng = random.Random(2026)
+    # Few of the widest: a 10-column host costs the oracle seconds.
+    for n_cols in [n for n in range(11) for _ in range(4 if n < 9 else 1)]:
+        # Bits above n_cols are not columns and must be ignored.
+        rows = tuple(rng.getrandbits(n_cols + 2) for _ in range(rng.randint(0, 5)))
+        _assert_profile_minors_match_oracle(rows, n_cols, rng)
 
 
 def test_minor_marked_images_cover_found_witness():

@@ -295,3 +295,30 @@ def test_parallel_jobs_give_identical_reports(corpus6):
     a.pop("wall_time")
     b.pop("wall_time")
     assert a == b
+
+
+def test_run_checks_shares_one_pool(corpus6, monkeypatch):
+    small = corpus6.restrict(5)
+    starts = []
+
+    class CountedPool(verify.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", CountedPool)
+    names = ["catalog", "gf-empty", "gf-minors", "esplit-identities"]
+    pooled = verify.run_checks(names, small, jobs=2)
+    assert starts == [2]
+    serial = verify.run_checks(names, small, jobs=1)
+    assert starts == [2]
+    for a, b in zip(serial, pooled):
+        a, b = a.to_json_dict(), b.to_json_dict()
+        a.pop("wall_time")
+        b.pop("wall_time")
+        assert a == b
+    # A check run on its own still opens a pool of its own.
+    verify.check_split_minor_characterization(small, 3, jobs=2)
+    assert starts == [2, 2]
+    verify.run_checks(["catalog", "quotients"], None, jobs=2)
+    assert starts == [2, 2]
