@@ -6,14 +6,16 @@ C extension ``_speed.c`` compiles the per-candidate subset: ``rank``,
 ``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
 ``contract_rows``, ``find_minors``, ``canon_key_cols`` and
 ``is_canonical``, returning the same values for ints in [0, 2^64).  The
-rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``) is
-served from here alone; see ``_kernel.__init__``.
+rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
+``profile_images``) is served from here alone; see ``_kernel.__init__``.
 
-``find_minors`` decides before it scans: for a rank <= 2 profile with no
-avoided columns and a contract size of rank - rho, it reads each contraction
-M/C once and returns ``[]`` when no candidate can match (see
+Rank <= 2 patterns are read off the contractions M/C, one per flat of the
+right rank (``_contractions``).  ``find_minors`` decides before it scans:
+for a rank <= 2 profile with no avoided columns and a contract size of
+rank - rho, it returns ``[]`` when no candidate can match (see
 ``_profile_absent``).  Otherwise, and whenever a match exists, the scan runs
-unchanged, so every witness and its order stay the same.
+unchanged, so every witness and its order stay the same.  ``profile_images``
+reads the marked images of such a pattern from the same contractions.
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -23,14 +25,14 @@ Conventions:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 __all__ = [
     "BACKEND", "KIND_SIMPLE_RANK3", "KIND_PROFILE", "KIND_CANONICAL",
     "rank", "rank_masked", "cols_rank", "rref", "rref_pivots", "in_rowspace",
     "nullspace_basis", "space_min_supports", "columns", "rows_from_columns",
-    "delete_rows", "contract_rows", "profile", "find_minors",
-    "canon_key_cols", "is_canonical",
+    "delete_rows", "contract_rows", "profile", "profile_images",
+    "find_minors", "canon_key_cols", "is_canonical",
 ]
 
 BACKEND = "pure"
@@ -237,6 +239,46 @@ def _match(mrows, m_cols: int, kind: int, want) -> bool:
     raise ValueError(f"unknown minor matcher kind {kind}")
 
 
+def _contractions(rows, n: int, c_size: int):
+    """Yield the parallel classes of M/C once for each flat of rank
+    ``c_size`` of the ``n`` columns, C being any basis of the flat.
+
+    Each item maps a column vector reduced modulo span(C) to the mask of
+    the columns that reduce to it.  Entry 0 is the flat itself: C plus the
+    loops of M/C.  Every other entry is a parallel class of M/C, since two
+    columns are parallel in M/C iff their sum lies in span(C); so the
+    classes depend on the flat alone.  C runs over independent sets of
+    distinct nonzero column vectors, and a flat already read is skipped.
+    """
+    points = {}
+    for j, v in enumerate(columns(rows, n)):
+        points[v] = points.get(v, 0) | 1 << j
+    loops = points.pop(0, 0)
+    points = tuple(points.items())
+    seen = set()
+    for chosen in combinations(points, c_size):
+        # Echelon basis of span(C); a vector reduced by it is its coset's
+        # unique representative.
+        basis = []
+        for v, _ in chosen:
+            for low, b in basis:
+                if v & low:
+                    v ^= b
+            if not v:
+                break
+            basis.append((v & -v, v))
+        else:
+            classes = {0: loops}
+            for v, mask in points:
+                for low, b in basis:
+                    if v & low:
+                        v ^= b
+                classes[v] = classes.get(v, 0) | mask
+            if classes[0] not in seen:
+                seen.add(classes[0])
+                yield classes
+
+
 def _profile_absent(rows, n: int, c_size: int, d_size: int, want) -> bool:
     """True when no (C, D) candidate of ``find_minors`` over all ``n``
     columns can match the profile ``want``; False when one matches or the
@@ -244,14 +286,14 @@ def _profile_absent(rows, n: int, c_size: int, d_size: int, want) -> bool:
 
     It applies when the wanted rank rho is at most 2 and
     ``c_size == rank - rho``, so that M/C has rank rho for every
-    independent C.  The loops of M/C are the columns in span(C), minus C
-    itself, and its parallel classes are the nonzero cosets of span(C)
-    that columns fall in.  M/C \\ D keeps loops as loops and classes as
-    classes, and any l loops plus any s_i elements from distinct classes
-    give the wanted minor, since two distinct nonzero points span a rank-2
-    binary space.  So a match exists iff some C leaves at least l loops and
-    class sizes that, both sorted descending, dominate the wanted ones.
-    Wants whose shape no minor has are absent outright, as the scan finds.
+    independent C.  ``_contractions`` reads the parallel classes of each
+    M/C; its loops are the flat spanned by C, minus C.  M/C \\ D keeps
+    loops as loops and classes as classes, and any l loops plus any s_i
+    elements from distinct classes give the wanted minor, since two
+    distinct nonzero points span a rank-2 binary space.  So a match exists
+    iff some C leaves at least l loops and class sizes that, both sorted
+    descending, dominate the wanted ones.  Wants whose shape no minor has
+    are absent outright, as the scan finds.
     """
     rho, loops, sizes = want
     if not 0 <= rho <= 2:
@@ -263,32 +305,76 @@ def _profile_absent(rows, n: int, c_size: int, d_size: int, want) -> bool:
             or n - c_size - d_size != loops + sum(sizes)
             or (len(sizes) != rho if rho < 2 else len(sizes) < 2)):
         return True
-    cols = columns(rows, n)
     need = sorted(sizes, reverse=True)
-    for c_idx in combinations(range(n), c_size):
-        # Echelon basis of span(C); a column reduced by it is its coset's
-        # unique representative.
-        basis = []
-        for j in c_idx:
-            v = cols[j]
-            for b in basis:
-                if v & b & -b:
-                    v ^= b
-            if not v:
-                break
-            basis.append(v)
-        else:
-            counts = {}
-            for v in cols:
-                for b in basis:
-                    if v & b & -b:
-                        v ^= b
-                counts[v] = counts.get(v, 0) + 1
-            have = sorted((s for v, s in counts.items() if v), reverse=True)
-            if (counts.get(0, 0) - c_size >= loops and len(have) >= len(need)
-                    and all(h >= w for h, w in zip(have, need))):
-                return False
+    for classes in _contractions(rows, n, c_size):
+        have = sorted((m.bit_count() for v, m in classes.items() if v),
+                      reverse=True)
+        if (classes[0].bit_count() - c_size >= loops and len(have) >= len(need)
+                and all(h >= w for h, w in zip(have, need))):
+            return False
     return True
+
+
+def _subset_masks(mask: int, k: int):
+    """Masks of the k-element subsets of the set bits of ``mask``."""
+    bits = [1 << j for j in range(mask.bit_length()) if (mask >> j) & 1]
+    return [sum(s) for s in combinations(bits, k)]
+
+
+def profile_images(rows, n_cols: int, pattern_rows, pattern_n_cols: int,
+                   marked_mask: int):
+    """Host column masks that the ``marked_mask`` columns of a rank <= 2
+    pattern occupy, over every minor occurrence and every isomorphism.
+
+    A binary matroid of rank <= 2 is determined by its loops and parallel
+    classes, and every bijection that keeps loops and classes is an
+    isomorphism.  Let the pattern have rank rho, l loops (m_0 of them
+    marked) and classes of sizes s_j (m_j marked).  For each flat F of rank
+    rank - rho, read by ``_contractions``, and each basis C of F, M/C has
+    the loops F - C and the classes P of that item.  If |F - C| >= l, then
+    for each injection sigma of pattern classes into classes of M/C with
+    |P_sigma(j)| >= s_j, every union of m_0 elements of F - C and m_j of
+    P_sigma(j) is an image: deleting the rest of M/C leaves the pattern.
+    An m_0-set X of F lies outside some basis C iff F - X has rank
+    rank - rho.  Bits of either matrix at or above its column count are
+    ignored.
+    """
+    pattern_rows = [row & ((1 << pattern_n_cols) - 1) for row in pattern_rows]
+    rho = rank(pattern_rows)
+    if rho > 2:
+        raise ValueError(f"profile_images needs a pattern of rank <= 2, not {rho}")
+    loops, marked_loops = 0, 0
+    by_vector = {}
+    for j, v in enumerate(columns(pattern_rows, pattern_n_cols)):
+        marked = (marked_mask >> j) & 1
+        if v:
+            size, count = by_vector.get(v, (0, 0))
+            by_vector[v] = (size + 1, count + marked)
+        else:
+            loops += 1
+            marked_loops += marked
+    # (s_j, m_j) for each pattern class j.
+    shape = list(by_vector.values())
+    rows = [row & ((1 << n_cols) - 1) for row in rows]
+    c_size = rank(rows) - rho
+    images = set()
+    if c_size < 0:
+        return images
+    for classes in _contractions(rows, n_cols, c_size):
+        flat = classes.pop(0)
+        if flat.bit_count() - c_size < loops:
+            continue
+        loop_picks = [x for x in _subset_masks(flat, marked_loops)
+                      if rank_masked(rows, flat & ~x) == c_size]
+        parts = list(classes.values())
+        for sigma in permutations(parts, len(shape)):
+            if any(part.bit_count() < size
+                   for part, (size, _) in zip(sigma, shape)):
+                continue
+            choices = [loop_picks] + [_subset_masks(part, count)
+                                      for part, (_, count) in zip(sigma, shape)]
+            images.update(sum(pick) for pick in product(*choices))
+    return images
 
 
 def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,

@@ -296,10 +296,19 @@ class BinaryMatroid:
     def minor_marked_images(self, pattern: "BinaryMatroid", marked) -> set[frozenset[str]]:
         """Images of ``marked`` pattern labels across all minor embeddings.
 
-        Enumerates every (contract, delete) occurrence of the pattern and
-        every isomorphism onto it, collecting the host-label sets that the
-        marked elements can occupy.
+        The host-label sets that the marked elements can occupy, over every
+        (contract, delete) occurrence of the pattern and every isomorphism
+        onto it.  A pattern of rank <= 2 is read off the contractions M/C
+        alone (``_kernel.profile_images``), since its isomorphisms are the
+        bijections that keep loops and parallel classes; any other pattern
+        goes through :meth:`_embeddings`.
         """
+        marked_mask = pattern._label_mask(marked)
+        if _fast_pattern_kind(pattern)[0] == _kernel.KIND_PROFILE:
+            masks = _kernel.profile_images(self.rep.rows, self.rep.n_cols,
+                                           pattern.rep.rows, pattern.rep.n_cols,
+                                           marked_mask)
+            return {_mask_to_labels(mask, self.labels) for mask in masks}
         return {frozenset(phi[lab] for lab in marked)
                 for _, _, phi in self._embeddings(pattern, None, 0, 0)}
 
@@ -313,7 +322,9 @@ class BinaryMatroid:
         patterns test each candidate by isomorphism, lazily.  For a pattern
         of rank <= 2 with ``avoid`` 0 the kernel first decides, from each
         contraction M/C, whether any occurrence exists, and scans only if
-        one does; the occurrences and their order do not change.
+        one does; the occurrences and their order do not change.  Marked
+        images of rank <= 2 patterns do not come through here: see
+        :meth:`minor_marked_images`.
         """
         n = len(self.labels)
         c_size = self.rank() - pattern.rank()

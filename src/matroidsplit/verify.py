@@ -409,14 +409,14 @@ def _split_outcome(m: BinaryMatroid, t) -> str:
 
 
 def _split_gammoid_worker(m: BinaryMatroid, patterns) -> tuple:
-    has_excluded = any(m.has_minor(pat) is not None for _, pat, _ in patterns)
+    # Every pattern's marked triple is nonempty, so m has an excluded minor
+    # iff some marked image exists.
+    pinned: set[frozenset[str]] = set()
+    for _, pat, marked in patterns:
+        pinned |= m.minor_marked_images(pat, marked)
     bad_triples = tuple(t for t in combinations(sorted(m.labels), 3)
                         if _split_outcome(m, t) != _SPLIT_OK)
-    pinned: set[frozenset[str]] = set()
-    if has_excluded:
-        for _, pat, marked in patterns:
-            pinned |= m.minor_marked_images(pat, marked)
-    return has_excluded, bad_triples, pinned
+    return bool(pinned), bad_triples, pinned
 
 
 def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
@@ -483,13 +483,13 @@ def _fold_outcome(m: BinaryMatroid, x: str, y: str) -> tuple[str, bool]:
 
 
 def _three_fold_worker(m: BinaryMatroid, g4: BinaryMatroid, marked) -> tuple:
-    has_g4 = m.has_minor(g4) is not None
+    # The marked pair is nonempty, so m has a G_4 minor iff it has an image.
+    pinned = m.minor_marked_images(g4, marked)
     pairs = sorted(tuple(sorted(p)) for p in admissible_pairs(m))
     outcomes = [_fold_outcome(m, x, y) for x, y in pairs]
     bad_pairs = tuple(p for p, (got, _) in zip(pairs, outcomes) if got != _FOLD_OK)
     ghafari_agree = sum(same for _, same in outcomes)
-    pinned = m.minor_marked_images(g4, marked) if has_g4 else set()
-    return has_g4, pairs, bad_pairs, pinned, ghafari_agree
+    return bool(pinned), pairs, bad_pairs, pinned, ghafari_agree
 
 
 def _g4_known_instance() -> dict:

@@ -9,6 +9,7 @@ rank function of the contraction.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from matroidsplit.matroid import BinaryMatroid, Graph
@@ -58,6 +59,12 @@ def brute_isomorphism(a: BinaryMatroid, b: BinaryMatroid):
     return None
 
 
+def _columns(rows, n_cols: int):
+    """Packed columns of ``rows``; bits at or above ``n_cols`` are dropped."""
+    return [sum(((row >> j) & 1) << i for i, row in enumerate(rows))
+            for j in range(n_cols)]
+
+
 def profile_minors(rows, n_cols: int, c_size: int, d_size: int, want):
     """Every (cmask, dmask) whose minor M/C \\ D has the profile ``want``,
     in ``find_minors`` candidate order: delete sets D, then independent
@@ -68,8 +75,7 @@ def profile_minors(rows, n_cols: int, c_size: int, d_size: int, want):
     elimination on the columns (bits of ``rows`` at or above ``n_cols`` are
     not columns).  Each pair is tested on its own.
     """
-    cols = [sum(((row >> j) & 1) << i for i, row in enumerate(rows))
-            for j in range(n_cols)]
+    cols = _columns(rows, n_cols)
 
     def rank(idx):
         pivots = {}
@@ -109,6 +115,64 @@ def profile_minors(rows, n_cols: int, c_size: int, d_size: int, want):
             if got == want:
                 out.append((mask(c_idx), mask(d_idx)))
     return out
+
+
+@lru_cache(maxsize=64)
+def _subset_ranks(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """GF(2) rank of every subset of ``cols``, indexed by subset mask."""
+    ranks = []
+    for subset in range(1 << len(cols)):
+        pivots = {}
+        for j, v in enumerate(cols):
+            if not (subset >> j) & 1:
+                continue
+            while v and v.bit_length() in pivots:
+                v ^= pivots[v.bit_length()]
+            if v:
+                pivots[v.bit_length()] = v
+        ranks.append(len(pivots))
+    return tuple(ranks)
+
+
+def marked_images(host: BinaryMatroid, pattern: BinaryMatroid, marked):
+    """Every set of host labels that the ``marked`` pattern labels occupy in
+    some minor occurrence of ``pattern``.
+
+    An occurrence is a pair (C, D) of disjoint host sets, any C, dependent
+    ones included, and a bijection phi from the pattern's elements onto the
+    rest with r_P(X) = r(phi(X) | C) - r(C) for every set X of pattern
+    elements.  Every pair is listed; phi is grown one pattern element at a
+    time, testing each X that contains the newest.  Ranks come from the
+    subset-rank tables of both matrices, by elimination on the columns.
+    """
+    k, n = len(pattern.labels), len(host.labels)
+    r_pattern = _subset_ranks(tuple(_columns(pattern.rep.rows, k)))
+    r_host = _subset_ranks(tuple(_columns(host.rep.rows, n)))
+    marked_mask = sum(1 << pattern.labels.index(lab) for lab in marked)
+    images = set()
+
+    def extend(image, rest, cmask):
+        # image[x] is phi(X) | C for each set X of the first i pattern
+        # elements, indexed by mask.
+        if len(image) == 1 << k:
+            chosen = image[marked_mask] & ~cmask
+            images.add(frozenset(host.labels[h] for h in range(n) if (chosen >> h) & 1))
+            return
+        for h in rest:
+            if (image[-1] >> h) & 1:
+                continue
+            new = [t | 1 << h for t in image]
+            if all(r_pattern[len(image) + x] == r_host[t] - r_host[cmask]
+                   for x, t in enumerate(new)):
+                extend(image + new, rest, cmask)
+
+    for rest in combinations(range(n), k):
+        rest_mask = sum(1 << h for h in rest)
+        for contract in subsets(h for h in range(n) if h not in rest):
+            cmask = sum(1 << h for h in contract)
+            if r_host[cmask | rest_mask] - r_host[cmask] == r_pattern[-1]:
+                extend([cmask], rest, cmask)
+    return images
 
 
 def cycle_edge_sets(g: Graph) -> frozenset[frozenset[str]]:

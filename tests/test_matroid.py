@@ -19,6 +19,7 @@ from oracles import (
     brute_isomorphism,
     component_count,
     cycle_edge_sets,
+    marked_images,
     profile_minors,
     series_parallel_graph,
     subsets,
@@ -374,20 +375,37 @@ def test_minor_witness_invariants():
 
 def test_minor_search_slow_and_fast_paths_agree(corpus6, monkeypatch):
     # The kernel matchers and the per-candidate isomorphism search must pick
-    # the same first witness and the same marked images.
+    # the same first witness, and the contraction reader and the isomorphism
+    # search the same marked images.
+    hosts = list(corpus6.members) + [splitting(m, m.labels[:3])
+                                     for m in corpus6.members if len(m.labels) >= 3]
+    image_searches = []
+    embeddings = BinaryMatroid._embeddings
+
+    def counted(self, pattern, pins, avoid, limit):
+        # Only minor_marked_images asks for every occurrence (limit 0).
+        image_searches.append(limit == 0)
+        return embeddings(self, pattern, pins, avoid, limit)
+
+    monkeypatch.setattr(BinaryMatroid, "_embeddings", counted)
+
     def search_all():
         f, k4 = catalog.get("F").matroid, k4_matroid()
         entries = [catalog.get(f"G_{i}") for i in range(1, 5)]
+        entries += [catalog.get(f"F_{i}") for i in range(1, 5)]
         return [(_witness_key(m.has_minor(f)), _witness_key(m.has_minor(k4)),
                  [m.minor_marked_images(e.matroid, e.marked) for e in entries])
-                for m in corpus6.members]
+                for m in hosts]
 
     fast = search_all()
+    assert not any(image_searches)
     monkeypatch.setattr(matroid, "_fast_pattern_kind", lambda pattern: (None, None))
     slow = search_all()
+    assert any(image_searches)
     assert slow == fast
     assert sum(k4 is not None for _, k4, _ in fast) > 0
     assert sum(bool(images[3]) for _, _, images in fast) > 0
+    assert all(sum(bool(images[i]) for _, _, images in fast) > 0 for i in range(8))
 
 
 def _witness_key(w):
@@ -440,6 +458,47 @@ def test_profile_minors_match_brute_force_on_random_matrices():
         # Bits above n_cols are not columns and must be ignored.
         rows = tuple(rng.getrandbits(n_cols + 2) for _ in range(rng.randint(0, 5)))
         _assert_profile_minors_match_oracle(rows, n_cols, rng)
+
+
+# Every catalog pattern of rank <= 2 (G_1 has a marked loop, F_3 and F_4
+# two loops, G_3 three classes of one size), each with its marks, one mark,
+# no marks and all labels.
+MARKED_PATTERNS = [(e.matroid, marks) for e in catalog.list_entries()
+                   if e.matroid.rank() <= 2
+                   for marks in sorted({e.marked, e.marked[:1], (), e.matroid.labels})]
+
+
+def _assert_marked_images_match_oracle(host, raw_rows=None):
+    for pattern, marks in MARKED_PATTERNS:
+        expected = marked_images(host, pattern, marks)
+        assert host.minor_marked_images(pattern, marks) == expected, \
+            (host, pattern, marks)
+        if raw_rows is not None:
+            got = pure.profile_images(raw_rows, host.rep.n_cols, pattern.rep.rows,
+                                      pattern.rep.n_cols, pattern._label_mask(marks))
+            assert got == {host._label_mask(image) for image in expected}
+
+
+def test_marked_images_match_brute_force_on_corpus(corpus6):
+    for m in corpus6.members:
+        _assert_marked_images_match_oracle(m)
+        for k in (1, 3):
+            if k <= len(m.labels):
+                _assert_marked_images_match_oracle(splitting(m, m.labels[:k]))
+
+
+def test_marked_images_match_brute_force_on_random_matrices():
+    rng = random.Random(2027)
+    for n_cols in [n for n in range(10) for _ in range(3 if n < 8 else 1)]:
+        # Clearing a column makes a loop.  The kernel is also handed rows
+        # with bits above n_cols, which are not columns and must be ignored.
+        loop = ~(1 << rng.randrange(n_cols)) if n_cols and rng.random() < 0.5 else -1
+        raw_rows = tuple(rng.getrandbits(n_cols + 2) & loop
+                         for _ in range(rng.randint(0, 4)))
+        rows = tuple(row & ((1 << n_cols) - 1) for row in raw_rows)
+        host = BinaryMatroid.from_matrix([f"e{j}" for j in range(n_cols)],
+                                         Gf2Matrix(rows, n_cols))
+        _assert_marked_images_match_oracle(host, raw_rows)
 
 
 def test_minor_marked_images_cover_found_witness():
