@@ -6,10 +6,10 @@
  * pure.py return; pure.py documents them and stays the reference.  Rows,
  * masks and vectors are ints in [0, 2^64): others raise OverflowError or
  * TypeError, never wrap.  Where pure would go past a word (n_cols > 64 in
- * nullspace_basis and find_minors) or walk GL(r, 2) for r > 6, ValueError
- * is raised.  Distinct low bits bound a reduced basis by 64 rows, so only
- * bases and column lists use 64-entry arrays; buffers that a caller's row
- * count indexes are allocated to size.
+ * nullspace_basis and find_minors) or take canonical forms for r > 6,
+ * ValueError is raised.  Distinct low bits bound a reduced basis by 64
+ * rows, so only bases and column lists use 64-entry arrays; buffers that a
+ * caller's row count indexes are allocated to size.
  *
  * find_minors decides first, as pure.find_minors does: a profile want of
  * rank rho <= 2 with avoid 0 and c_size = rank - rho returns [] at once when
@@ -172,17 +172,20 @@ static Py_ssize_t pivot_out_c(u64 *rows, Py_ssize_t n, int n_cols, u64 cmask)
     return n;
 }
 
-/* -- GL(r, 2) orbits ---------------------------------------------------------
- * gl_dfs walks the invertible maps depth first, choosing the image of basis
- * vector i outside the span of the images chosen so far; tab[v] is the image
- * of v, and the first map reached is the identity.  For each map the sorted
- * image of cols[0..k) goes to img.  A walk either keeps the least image in
- * best, or stops at the first image sorting below ref and notes whether
- * some image equals ref.  Columns must lie below 2^r, r <= GL_MAX_RANK.
+/* -- canonical forms ---------------------------------------------------------
+ * The least sorted image of a column multiset under GL(r, 2) is the least
+ * image under the maps that send an ordered basis of the columns' span,
+ * chosen among the columns, to 1, 2, 4, ...; pure._images_below proves it.
+ * gl_dfs picks basis vector i among the distinct columns outside the span
+ * so far (span is a bitmap), and tab[v] is the image of every v in that
+ * span.  Once the span holds every column, the sorted image of cols[0..k)
+ * goes to img.  A walk either keeps the least image in best, or stops at
+ * the first image sorting below ref and notes whether some image equals
+ * ref.  Columns must lie below 2^r, r <= GL_MAX_RANK.
  */
 
 typedef struct {
-    int r, equal;
+    int equal;
     Py_ssize_t k;
     const u64 *cols, *ref;
     u64 *img, *best;
@@ -227,28 +230,29 @@ static int gl_leaf(glwalk *w)
 
 static int gl_dfs(glwalk *w, int i, u64 span)
 {
-    if (i == w->r || i == GL_MAX_RANK) /* the same test; gcc sees the bound */
-        return gl_leaf(w);
-    int half = 1 << i;
-    for (int cand = 1; cand < 1 << w->r; cand++) {
-        if (span >> cand & 1)
+    u64 tried = span;
+    for (Py_ssize_t j = 0; j < w->k && i < GL_MAX_RANK; j++) {
+        int cand = (int)w->cols[j];
+        if (tried >> cand & 1)
             continue;
+        tried |= BIT(cand);
         u64 grown = span;
-        for (int v = 0; v < half; v++) {
-            w->tab[half + v] = w->tab[v] ^ cand;
-            grown |= BIT(w->tab[half + v]);
+        for (u64 s = span; s; s &= s - 1) {
+            int v = __builtin_ctzll(s);
+            w->tab[v ^ cand] = w->tab[v] | 1 << i;
+            grown |= BIT(v ^ cand);
         }
         if (gl_dfs(w, i + 1, grown))
             return 1;
     }
-    return 0;
+    return tried == span ? gl_leaf(w) : 0;
 }
 
 static int gl_rank_ok(long r)
 {
     if (0 <= r && r <= GL_MAX_RANK)
         return 1;
-    PyErr_Format(PyExc_ValueError, "GL(r,2) walks need 0 <= r <= %d", GL_MAX_RANK);
+    PyErr_Format(PyExc_ValueError, "canonical forms need 0 <= r <= %d", GL_MAX_RANK);
     return 0;
 }
 
@@ -293,7 +297,7 @@ static int match(const matcher *m, const u64 *basis, int nb, int n_cols,
     }
     if (m->kind == KIND_CANONICAL) {
         u64 img[64];
-        glwalk w = {.r = mn, .k = mc, .cols = cols, .ref = m->want, .img = img};
+        glwalk w = {.k = mc, .cols = cols, .ref = m->want, .img = img};
         return mn == m->rank && mc == m->len && !gl_dfs(&w, 0, 1) && w.equal;
     }
     int loops = 0, ns = 0;
@@ -685,7 +689,7 @@ static PyObject *canon_common(PyObject *const *args, Py_ssize_t nargs,
         }
     if (buf == NULL)
         goto done;
-    glwalk w = {.r = r, .k = k, .cols = cols, .ref = cols, .img = buf,
+    glwalk w = {.k = k, .cols = cols, .ref = cols, .img = buf,
                 .best = test ? NULL : buf + k};
     if (test) {
         out = PyBool_FromLong(!gl_dfs(&w, 0, 1));

@@ -9,6 +9,9 @@ C extension ``_speed.c`` compiles the per-candidate subset: ``rank``,
 rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
 ``profile_images``) is served from here alone; see ``_kernel.__init__``.
 
+Canonical forms minimise over ordered bases of the columns, not over all
+of GL(r, 2), and reach the same least image (``_images_below``).
+
 Rank <= 2 patterns are read off the contractions M/C, one per flat of the
 right rank (``_contractions``).  ``find_minors`` decides before it scans:
 for a rank <= 2 profile with no avoided columns and a contract size of
@@ -417,62 +420,68 @@ def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,
     return out
 
 
-_GL_TABLES: dict[int, tuple] = {}
+def _images_below(cols, bound):
+    """Yield the images of ``cols`` that sort below ``bound``, each below
+    the one before, over the maps sending an ordered basis of span(cols),
+    chosen among the columns, to 1, 2, 4, ...; depth first.
 
+    The least of them is the least image T* over GL(r, 2), since T* holds
+    1, 2, ..., 2^(s-1) for s = rank(cols), and their preimages form such a
+    basis.  Were that not so, let k <= s be least with 2^(k-1) not in T*,
+    and w the least element of T* of bit length >= k (T* has rank s >= k);
+    w > 2^(k-1).  A GL map fixing 1, ..., 2^(k-2) and sending w to 2^(k-1)
+    fixes the elements of T* below w, all in the span of 1, ..., 2^(k-2),
+    and sends no other element there.  Its sorted image keeps them and puts
+    2^(k-1) < w next, so it sorts below T*: a contradiction.
 
-def gl_tables(r: int):
-    """All invertible linear maps GF(2)^r -> GF(2)^r as value-lookup tables.
-
-    Each table t satisfies t[v] = image of v; tables are built once per rank
-    and cached.  |GL(4,2)| = 20160 is the largest instance used.
+    With i basis vectors chosen, the columns in their span have images
+    below 2^i and all others at least 2^i.  A branch is cut when the
+    former, sorted and followed by 2^i, sort above ``bound``.
     """
-    if r in _GL_TABLES:
-        return _GL_TABLES[r]
-    if r == 0:
-        _GL_TABLES[r] = ((0,),)
-        return _GL_TABLES[r]
-    n = 1 << r
-    tables = []
-    images = [0] * r
+    points = sorted(set(cols) - {0})
+    best = list(bound)
 
-    def extend(i: int, span: set):
-        if i == r:
-            table = [0] * n
-            for v in range(1, n):
-                low = v & -v
-                table[v] = table[v ^ low] ^ images[low.bit_length() - 1]
-            tables.append(tuple(table))
+    def walk(coords):
+        head = sorted([coords[c] for c in cols if c in coords])
+        head.append(len(coords))
+        if head > best[:len(head)]:
             return
-        for cand in range(1, n):
-            if cand in span:
-                continue
-            images[i] = cand
-            new_span = span | {s ^ cand for s in span}
-            extend(i + 1, new_span)
+        if len(head) > len(cols):
+            best[:] = head[:-1]
+            yield tuple(best)
+        for p in points:
+            if p not in coords:
+                grown = dict(coords)
+                grown.update((v ^ p, c | len(coords)) for v, c in coords.items())
+                yield from walk(grown)
 
-    extend(0, {0})
-    _GL_TABLES[r] = tuple(tables)
-    return _GL_TABLES[r]
+    yield from walk({0: 0})
+
+
+def _checked_columns(cols, r: int):
+    """``cols`` as a list; each must lie in GF(2)^r when r > 0."""
+    cols = list(cols)
+    if r < 0 or r and any(c >> r for c in cols):
+        raise ValueError(f"canonical forms need r >= 0 and columns in GF(2)^r; "
+                         f"r = {r}")
+    return cols
 
 
 def canon_key_cols(cols, r: int):
-    """Lexicographically least sorted column multiset over all GL(r,2) maps."""
-    if r == 0:
-        return tuple(sorted(cols))
-    best = None
-    for table in gl_tables(r):
-        cand = tuple(sorted(table[c] for c in cols))
-        if best is None or cand < best:
-            best = cand
-    return best
+    """Lexicographically least sorted column multiset over all GL(r,2) maps:
+    the last image that ``_images_below`` yields."""
+    cols = _checked_columns(cols, r)
+    best = sorted(cols)
+    if r:
+        for best in _images_below(cols, best):
+            pass
+    return tuple(best)
 
 
 def is_canonical(cols_sorted, r: int) -> bool:
-    """True iff the sorted multiset is the least member of its GL(r,2) orbit."""
+    """True iff the sorted multiset is the least member of its GL(r,2) orbit:
+    the walk of ``_images_below`` stops at the first image below it."""
     if r == 0:
         return True
-    for table in gl_tables(r):
-        cand = sorted(table[c] for c in cols_sorted)
-        if tuple(cand) < tuple(cols_sorted):
-            return False
-    return True
+    cols = _checked_columns(cols_sorted, r)
+    return next(_images_below(cols, cols), None) is None

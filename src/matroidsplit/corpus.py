@@ -3,9 +3,13 @@
 A rank-r binary matroid on k elements is a size-k multiset of vectors from
 GF(2)^r (zero vectors encode loops) of full rank r.  One representative per
 isomorphism class is kept by accepting exactly the multisets that are
-lexicographically least within their GL(r,2) orbit.  Ranks are capped at 4
-(|GL(4,2)| = 20160) and loops at multiplicity 3, which covers everything
-the verification harness quantifies over.
+lexicographically least within their GL(r,2) orbit (``is_canonical``).
+Such a multiset contains the unit vectors 1, 2, ..., 2^(r-1), so only
+multisets that hold them are generated: the other k - r columns run over
+multisets of GF(2)^r.  Ranks are capped at 4 and loops at multiplicity 3,
+which covers everything the verification harness quantifies over.  The
+rank cap is the harness's bound, not the canonical forms': the compiled
+kernel takes them up to rank 6, the pure one at any rank.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ class CanonicalKey:
 
 
 def canonical_key(m: BinaryMatroid) -> CanonicalKey:
-    """Key equality coincides with matroid isomorphism (rank <= 4 only)."""
+    """Key equality coincides with matroid isomorphism.  Keys are taken up
+    to rank ``MAX_RANK``, the corpus bound."""
     r, cols = reduced_columns(m)
     if r > MAX_RANK:
         raise ValueError(f"rank {r} exceeds canonical-form limit {MAX_RANK}")
@@ -89,20 +94,16 @@ def enumerate_binary_matroids(max_elements: int, max_rank: int) -> Corpus:
     members = []
     flags = []
     for r in range(max_rank + 1):
-        space = 1 << r
+        units = tuple(1 << i for i in range(r))
         for k in range(max(r, 1), max_elements + 1):
-            for cols in combinations_with_replacement(range(space), k):
-                n_loops = 0
-                for c in cols:
-                    if c:
-                        break
-                    n_loops += 1
-                if n_loops > MAX_LOOPS:
+            block = []
+            for extras in combinations_with_replacement(range(1 << r), k - r):
+                if extras.count(0) > MAX_LOOPS:
                     continue
-                if _kernel.cols_rank(cols) != r:
-                    continue
-                if not _kernel.is_canonical(cols, r):
-                    continue
+                cols = tuple(sorted(units + extras))
+                if _kernel.is_canonical(cols, r):
+                    block.append(cols)
+            for cols in sorted(block):
                 m = matroid_from_columns(r, cols)
                 members.append(m)
                 flags.append(m.is_binary_gammoid())

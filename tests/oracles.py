@@ -3,8 +3,9 @@
 Everything here is deliberately naive and independent of the library's
 algorithmic paths: circuits come from subset-rank enumeration, isomorphism
 from permutation search over circuit sets, graph cycles from degree checks,
-connected components from union-find, and the profiles of minors from the
-rank function of the contraction.
+connected components from union-find, the profiles of minors from the
+rank function of the contraction, and canonical forms from every map of
+GL(r, 2).
 """
 
 from __future__ import annotations
@@ -173,6 +174,26 @@ def marked_images(host: BinaryMatroid, pattern: BinaryMatroid, marked):
             if r_host[cmask | rest_mask] - r_host[cmask] == r_pattern[-1]:
                 extend([cmask], rest, cmask)
     return images
+
+
+@lru_cache(maxsize=None)
+def _gl_tables(r: int) -> tuple[tuple[int, ...], ...]:
+    """Every invertible linear map of GF(2)^r as a value table t[v]: the
+    maps e_i -> images[i] whose 2^r values are all distinct."""
+    tables = []
+    for images in permutations(range(1, 1 << r), r):
+        table = [0] * (1 << r)
+        for v in range(1, 1 << r):
+            low = v & -v
+            table[v] = table[v ^ low] ^ images[low.bit_length() - 1]
+        if len(set(table)) == 1 << r:
+            tables.append(tuple(table))
+    return tuple(tables)
+
+
+def gl_least_image(cols, r: int) -> tuple[int, ...]:
+    """Least sorted image of a column multiset over the whole of GL(r, 2)."""
+    return min(tuple(sorted(t[c] for c in cols)) for t in _gl_tables(r))
 
 
 def cycle_edge_sets(g: Graph) -> frozenset[frozenset[str]]:

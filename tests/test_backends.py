@@ -98,7 +98,7 @@ def test_elementwise_functions_agree(compiled):
 
 def test_canonical_forms_agree(compiled):
     rng = random.Random(77)
-    for r in range(5):
+    for r in range(7):
         for _ in range(150):
             k = rng.randint(1, 8)
             cols = tuple(sorted(rng.randrange(1 << r) for _ in range(k)))
@@ -148,6 +148,37 @@ def test_find_minors_canonical_kind_agrees(compiled):
                                 pure.KIND_CANONICAL, want, limit=0) == \
             compiled.find_minors(rows, n_cols, c_size, d_size,
                                  pure.KIND_CANONICAL, want, limit=0)
+    # Rank 4, 7 elements, with a parallel pair: no other matcher takes it.
+    want = (4, pure.canon_key_cols((1, 2, 4, 8, 3, 3, 13), 4))
+    rng = random.Random(4242)
+    found = 0
+    for _ in range(60):
+        n_rows = rng.randint(4, 5)
+        n_cols = rng.randint(7, 9)
+        rows = random_rows(rng, n_cols, n_rows)
+        for c_size in range(n_rows - 3):
+            d_size = n_cols - 7 - c_size
+            if d_size < 0:
+                continue
+            got = pure.find_minors(rows, n_cols, c_size, d_size,
+                                   pure.KIND_CANONICAL, want, limit=0)
+            assert got == compiled.find_minors(rows, n_cols, c_size, d_size,
+                                               pure.KIND_CANONICAL, want, limit=0)
+            found += bool(got)
+    assert found
+
+
+@pytest.mark.parametrize("name", ["canon_key_cols", "is_canonical"])
+def test_canonical_forms_raise_alike_on_bad_columns_and_ranks(compiled, name):
+    # Columns at or above 2^r (r >= 1) and negative ranks raise ValueError
+    # on both kernels; at r = 0 no column is checked.
+    cases = [((1 << r,), r) for r in range(1, 7)]
+    cases += [((0, 1, (1 << r) + 1), r) for r in range(1, 7)]
+    cases += [(((1 << 63) | 1, 1), 3), ((1,), -1), ((), -1), ((5, 2), 0)]
+    for cols, r in cases:
+        got = outcome(getattr(pure, name), cols, r)
+        assert got == outcome(getattr(compiled, name), cols, r), (cols, r)
+        assert got is ValueError or r == 0, (cols, r)
 
 
 # -- edge shapes: no rows, no columns, 64 columns, more than 64 rows ---------------

@@ -1,11 +1,12 @@
 """Canonical keys and isomorph-free enumeration."""
 
+import hashlib
 import random
 from itertools import combinations_with_replacement
 
 import pytest
 
-from matroidsplit import catalog
+from matroidsplit import _kernel, catalog
 from matroidsplit import corpus as corpus_mod
 from matroidsplit.corpus import (
     Corpus,
@@ -17,7 +18,7 @@ from matroidsplit.corpus import (
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
 
-from oracles import classify_matroids
+from oracles import classify_matroids, gl_least_image
 
 
 def shuffled_copy(m, rng):
@@ -50,6 +51,48 @@ def test_key_invariant_under_column_shuffle():
     for entry in catalog.list_entries():
         assert canonical_key(shuffled_copy(entry.matroid, rng)) == \
             canonical_key(entry.matroid)
+
+
+def _span_sample(rng, basis, k):
+    """k random vectors of the span of ``basis``."""
+    out = []
+    for _ in range(k):
+        v = 0
+        for b in basis:
+            if rng.random() < 0.5:
+                v ^= b
+        out.append(v)
+    return out
+
+
+def _seeded_multisets(rng):
+    """(cols, r) for r <= 4 and k <= 10: empty; drawn from a span of rank
+    up to r, so often rank-deficient, both as drawn (unsorted) and sorted;
+    and the first units of GF(2)^r merged with such columns, sorted, as the
+    corpus generates them."""
+    for r in range(5):
+        yield (), r
+        for _ in range(10):
+            s = rng.randint(0, r)
+            basis = [rng.randrange(1, 1 << r) for _ in range(s)]
+            cols = _span_sample(rng, basis, rng.randint(1, 10))
+            yield tuple(cols), r
+            yield tuple(sorted(cols)), r
+            units = [1 << i for i in range(s)]
+            extras = _span_sample(rng, units, rng.randint(0, 10 - s))
+            yield tuple(sorted(units + extras)), r
+
+
+def test_canonical_forms_match_the_gl_brute_force():
+    rng = random.Random(4410)
+    canonical = 0
+    for cols, r in _seeded_multisets(rng):
+        least = gl_least_image(cols, r)
+        assert _kernel.canon_key_cols(cols, r) == least, (cols, r)
+        assert _kernel.is_canonical(cols, r) == (cols == least), (cols, r)
+        assert _kernel.is_canonical(least, r), (least, r)
+        canonical += cols == least
+    assert canonical >= 20
 
 
 def test_key_rank_limit():
@@ -112,6 +155,16 @@ def test_loop_multiplicity_capped_at_three(corpus8):
     assert all(len(m.loops()) <= 3 for m in corpus8.members)
     c = enumerate_binary_matroids(4, 0)
     assert len(c) == 3  # one, two, and three loops
+
+
+# sha256 of the corpus text at n <= 8, rank <= 4 (432 classes).
+CORPUS8_SHA256 = "e6a85ae773b5b3297a9a48d7ab1379049f562d919045a537fa2f71bb52eaa084"
+
+
+def test_corpus8_text_is_pinned(corpus8):
+    text = corpus_mod.to_file_text(corpus8)
+    assert len(corpus8) == 432
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS8_SHA256
 
 
 def test_determinism_byte_for_byte():
