@@ -9,7 +9,9 @@ rebinds the per-candidate functions it compiles: ``rank``, ``rank_masked``,
 ``columns``, ``rows_from_columns``, ``profile``, ``profile_images``) is
 served by ``pure.py`` on both backends.  ``BACKEND`` names the module that
 loaded last ("compiled" or "pure").  Callers look these names up here at
-call time, so wrapping a module attribute traces every call.
+call time, so wrapping a module attribute traces every call, except the
+minor searches for patterns above rank 6: the compiled canonical forms stop
+there, so ``matroid`` takes those from ``pure`` directly.
 """
 
 from __future__ import annotations

@@ -99,6 +99,8 @@ def row_space_contains(m: Gf2Matrix, v: int | str) -> bool:
     if isinstance(v, str):
         if len(v) != m.n_cols:
             raise ValueError(f"vector length {len(v)} != column count {m.n_cols}")
+        if set(v) - {"0", "1"}:
+            raise ValueError("vector entries must be 0 or 1")
         v = sum(int(ch) << j for j, ch in enumerate(v))
     if not 0 <= v < (1 << m.n_cols):
         raise ValueError("vector has bits outside the column range")

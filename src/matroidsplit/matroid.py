@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from . import _kernel
 from .gf2 import Gf2Matrix, MAX_SUPPORT_COLS
@@ -274,22 +273,25 @@ class BinaryMatroid:
         Scans disjoint (contract, delete) pairs with the contract set
         independent and of size rank(self) - rank(pattern); candidates are
         ordered lexicographically by (delete set, contract set) in label
-        order.  ``pins`` forces pattern labels onto specific host labels;
+        order.  ``pins`` forces pattern labels onto distinct host labels;
         ``keep`` names host labels that must survive into the minor, i.e.
-        lie in neither the contract nor the delete set.
-
-        An unpinned pattern of rank <= 2 with nothing kept is decided first
-        from the contractions alone (see :meth:`_embeddings`); the witness
-        found is the same.
+        lie in neither the contract nor the delete set.  Every search scans
+        in the kernel's ``find_minors`` (see :meth:`_embeddings`).
         """
         pins = pins or {}
+        pinned = set()
         for pat_lab, host_lab in pins.items():
             if pat_lab not in pattern.labels:
                 raise ValueError(f"pin references unknown pattern label {pat_lab!r}")
             if host_lab not in self.labels:
                 raise ValueError(f"pin references unknown element label {host_lab!r}")
+            if host_lab in pinned:
+                raise ValueError(f"pins repeat the element label {host_lab!r}")
+            pinned.add(host_lab)
         avoid = self._label_mask(tuple(keep) + tuple(pins.values()))
-        for deleted, contracted, phi in self._embeddings(pattern, pins, avoid, 1):
+        # A pinned isomorphism need not exist onto the first hit.
+        for deleted, contracted, phi in self._embeddings(pattern, pins, avoid,
+                                                         0 if pins else 1):
             return MinorWitness(deleted=deleted, contracted=contracted, mapping=phi)
         return None
 
@@ -304,7 +306,7 @@ class BinaryMatroid:
         goes through :meth:`_embeddings`.
         """
         marked_mask = pattern._label_mask(marked)
-        if _fast_pattern_kind(pattern)[0] == _kernel.KIND_PROFILE:
+        if pattern.rank() <= 2:
             masks = _kernel.profile_images(self.rep.rows, self.rep.n_cols,
                                            pattern.rep.rows, pattern.rep.n_cols,
                                            marked_mask)
@@ -315,47 +317,29 @@ class BinaryMatroid:
     def _embeddings(self, pattern, pins, avoid: int, limit: int):
         """Yield (deleted, contracted, mapping) for the minor occurrences of
         ``pattern`` that avoid the ``avoid`` mask, in candidate order, and
-        for every isomorphism of the pattern onto each.
+        for every isomorphism of the pattern onto each that keeps ``pins``.
 
-        Unpinned patterns of rank <= 4 are matched in the kernel, which stops
-        after ``limit`` occurrences (0: no limit); pinned searches and larger
-        patterns test each candidate by isomorphism, lazily.  For a pattern
-        of rank <= 2 with ``avoid`` 0 the kernel first decides, from each
-        contraction M/C, whether any occurrence exists, and scans only if
-        one does; the occurrences and their order do not change.  Marked
-        images of rank <= 2 patterns do not come through here: see
-        :meth:`minor_marked_images`.
+        The kernel's ``find_minors`` scans the candidates with a complete
+        matcher (:func:`_fast_pattern_kind`), so each hit is a minor
+        isomorphic to the pattern; it stops after ``limit`` hits (0: no
+        limit).  For a pattern of rank <= 2 with ``avoid`` 0 the kernel first
+        decides, from each contraction M/C, whether any occurrence exists,
+        and scans only if one does; the occurrences and their order do not
+        change.
         """
         n = len(self.labels)
         c_size = self.rank() - pattern.rank()
         d_size = n - len(pattern.labels) - c_size
         if c_size < 0 or d_size < 0:
             return
-        kind, want = (None, None) if pins else _fast_pattern_kind(pattern)
-        if kind is None:
-            hits = self._candidates(c_size, d_size, avoid)
-        else:
-            hits = _kernel.find_minors(self.rep.rows, n, c_size, d_size,
-                                       kind, want, limit=limit, avoid=avoid)
-        for cmask, dmask in hits:
+        kernel, kind, want = _fast_pattern_kind(pattern)
+        for cmask, dmask in kernel.find_minors(self.rep.rows, n, c_size, d_size,
+                                               kind, want, limit=limit, avoid=avoid):
             deleted = _mask_to_labels(dmask, self.labels)
             contracted = _mask_to_labels(cmask, self.labels)
             minor = self.contract(contracted).delete(deleted)
             for phi in _isomorphisms(pattern, minor, pins=pins):
                 yield deleted, contracted, phi
-
-    def _candidates(self, c_size: int, d_size: int, avoid: int):
-        """(contract mask, delete mask) pairs outside ``avoid`` with an
-        independent contract set, by (delete set, contract set)."""
-        rows = self.rep.rows
-        free = [j for j in range(self.rep.n_cols) if not (avoid >> j) & 1]
-        for d_idx in combinations(free, d_size):
-            dmask = sum(1 << j for j in d_idx)
-            rest = [j for j in free if not (dmask >> j) & 1]
-            for c_idx in combinations(rest, c_size):
-                cmask = sum(1 << j for j in c_idx)
-                if _kernel.rank_masked(rows, cmask) == c_size:
-                    yield cmask, dmask
 
     # -- gammoid test ------------------------------------------------------------
 
@@ -398,23 +382,26 @@ def reduced_columns(m: BinaryMatroid) -> tuple[int, tuple[int, ...]]:
 
 
 def _fast_pattern_kind(pattern: BinaryMatroid):
-    """Pick a complete kernel-side matcher for the pattern, if one exists.
+    """(kernel, kind, want): a complete matcher for the pattern and the
+    kernel whose ``find_minors`` runs it.
 
     Rank <= 2 binary matroids are determined by (rank, loops, parallel-class
-    sizes); a simple rank-3 matroid on 6 elements is determined outright.
-    Other patterns of rank <= 4 fall back to canonical-key comparison.
+    sizes), and a simple rank-3 matroid on 6 elements is M(K4).  Any other
+    pattern is matched by its canonical key, which binary matroids share
+    exactly when they are isomorphic.  The compiled canonical forms stop at
+    rank 6 (``GL_MAX_RANK`` in ``_speed.c``), so a pattern of higher rank
+    takes its key and its scan from ``_kernel.pure``.
     """
     prof = _kernel.profile(pattern.rep.rows, pattern.rep.n_cols)
     r, loops, sizes = prof
     n = pattern.rep.n_cols
     if r <= 2:
-        return _kernel.KIND_PROFILE, prof
+        return _kernel, _kernel.KIND_PROFILE, prof
     if r == 3 and loops == 0 and all(s == 1 for s in sizes) and n == 6:
-        return _kernel.KIND_SIMPLE_RANK3, None
-    if r <= 4:
-        rk, cols = reduced_columns(pattern)
-        return _kernel.KIND_CANONICAL, (rk, _kernel.canon_key_cols(cols, rk))
-    return None, None
+        return _kernel, _kernel.KIND_SIMPLE_RANK3, None
+    kernel = _kernel if r <= 6 else _kernel.pure
+    rk, cols = reduced_columns(pattern)
+    return kernel, _kernel.KIND_CANONICAL, (rk, kernel.canon_key_cols(cols, rk))
 
 
 _K4_CACHE: list[BinaryMatroid] = []
@@ -471,10 +458,7 @@ def _isomorphisms(a: BinaryMatroid, b: BinaryMatroid, pins):
     fixed = {}
     if pins:
         for pat_lab, host_lab in pins.items():
-            i = a.labels.index(pat_lab)
-            if host_lab not in b.labels:
-                return
-            fixed[i] = b.labels.index(host_lab)
+            fixed[a.labels.index(pat_lab)] = b.labels.index(host_lab)
 
     # Rare signatures first shrinks the branching factor.
     freq: dict[tuple, int] = {}

@@ -32,7 +32,11 @@ CHECK_NAMES = ("catalog", "quotients", "gf-empty", "gf-minors",
 
 
 def compact(m: BinaryMatroid) -> str:
-    """One-token serialization 'labels;rows' used in failure records."""
+    """One-token serialization 'labels;rows' used in failure records; a label
+    holding ',' or ';' would not parse back, so it raises."""
+    for lab in m.labels:
+        if "," in lab or ";" in lab:
+            raise ValueError(f"label {lab!r} holds ',' or ';' and cannot be compacted")
     return ",".join(m.labels) + ";" + ",".join(m.rep.row_strings())
 
 

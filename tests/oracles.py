@@ -3,9 +3,9 @@
 Everything here is deliberately naive and independent of the library's
 algorithmic paths: circuits come from subset-rank enumeration, isomorphism
 from permutation search over circuit sets, graph cycles from degree checks,
-connected components from union-find, the profiles of minors from the
-rank function of the contraction, and canonical forms from every map of
-GL(r, 2).
+connected components from union-find, the profiles of minors and the
+first minor occurrence from the rank function of the contraction, and
+canonical forms from every map of GL(r, 2).
 """
 
 from __future__ import annotations
@@ -174,6 +174,58 @@ def marked_images(host: BinaryMatroid, pattern: BinaryMatroid, marked):
             if r_host[cmask | rest_mask] - r_host[cmask] == r_pattern[-1]:
                 extend([cmask], rest, cmask)
     return images
+
+
+def _circuits_from_ranks(ranks, ground: int, base: int):
+    """Circuit masks of the contraction by ``base`` restricted to ``ground``:
+    the minimal X within ``ground`` with r(X | base) - r(base) < |X|."""
+    subsets_of = [x for x in range(ground + 1) if x & ground == x]
+    dependent = [x for x in subsets_of
+                 if x and ranks[x | base] - ranks[base] < x.bit_count()]
+    return {x for x in dependent if not any(y != x and y & x == y for y in dependent)}
+
+
+def first_minor(host: BinaryMatroid, pattern: BinaryMatroid, pins=None):
+    """The first (deleted, contracted) label pair, in ``has_minor`` candidate
+    order, whose minor host / C \\ D admits a circuit bijection from the
+    pattern that sends each pinned pattern label to its host label; None
+    when no candidate does.
+
+    Candidates avoid the pinned host labels: delete sets D, then contract
+    sets C independent and of size r(host) - r(pattern), each in
+    lexicographic index order.  Circuits come from subset ranks alone, the
+    bijection from a search over every permutation.
+    """
+    pins = pins or {}
+    n, k = len(host.labels), len(pattern.labels)
+    r_host = _subset_ranks(tuple(_columns(host.rep.rows, n)))
+    r_pattern = _subset_ranks(tuple(_columns(pattern.rep.rows, k)))
+    c_size = r_host[-1] - r_pattern[-1]
+    d_size = n - k - c_size
+    if c_size < 0 or d_size < 0:
+        return None
+    pattern_circuits = _circuits_from_ranks(r_pattern, (1 << k) - 1, 0)
+    fixed = {pattern.labels.index(p): host.labels.index(h) for p, h in pins.items()}
+    free = [h for h in range(n) if h not in fixed.values()]
+    for d_idx in combinations(free, d_size):
+        rest = [h for h in free if h not in d_idx]
+        for c_idx in combinations(rest, c_size):
+            cmask = sum(1 << h for h in c_idx)
+            if r_host[cmask] < c_size:
+                continue
+            kept = [h for h in range(n) if h not in d_idx and h not in c_idx]
+            circuits = _circuits_from_ranks(r_host, sum(1 << h for h in kept), cmask)
+            if len(circuits) != len(pattern_circuits):
+                continue
+            for perm in permutations(kept):
+                if any(perm[i] != h for i, h in fixed.items()):
+                    continue
+                mapped = {sum(1 << perm[i] for i in range(k) if (c >> i) & 1)
+                          for c in pattern_circuits}
+                if mapped == circuits:
+                    return (frozenset(host.labels[h] for h in d_idx),
+                            frozenset(host.labels[h] for h in c_idx))
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -2,14 +2,15 @@
 
 The compiled side is built from ``setup.py`` into a temporary directory once
 per session and loaded from there by path, so nothing is written under
-``src/``.  Its tests skip only when that build produces no extension, for
-example on a machine without a C compiler.
+``src/``.  A failed build fails these tests; they skip only when the C
+compiler that ``sysconfig`` names is not installed.
 """
 
 import importlib.util
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -36,7 +37,10 @@ def build_lib(tmp_path_factory):
         cwd=REPO, capture_output=True, text=True)
     lib = root / "lib"
     if not (lib / "matroidsplit" / "_kernel" / SO_NAME).exists():
-        pytest.skip("compiled kernel did not build: " + run.stderr[-500:])
+        compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+        if shutil.which(compiler):
+            pytest.fail("compiled kernel did not build: " + run.stderr[-2000:])
+        pytest.skip(f"no C compiler {compiler!r} to build the compiled kernel")
     return lib
 
 
@@ -343,16 +347,42 @@ _REPRO = (
 )
 
 
+# Minor searches for patterns of rank 5, 6 and 7 and a pinned G_4.  The
+# compiled canonical forms stop at rank 6, so the rank-7 pattern U(7,8) is
+# scanned by pure.find_minors on both backends.
+_MINORS = (
+    "from matroidsplit import catalog\n"
+    "from matroidsplit.gf2 import Gf2Matrix\n"
+    "from matroidsplit.matroid import BinaryMatroid\n"
+    "def named(prefix, rep):\n"
+    "    return BinaryMatroid([f'{prefix}{i}' for i in range(rep.n_cols)], rep)\n"
+    "h = named('h', Gf2Matrix.from_bits(['1000000110', '0100000011', '0010000101',\n"
+    "    '0001000111', '0000100100', '0000010010', '0000001001']))\n"
+    "wide = named('h', Gf2Matrix(tuple(1 << i | 1 << 8 for i in range(8)), 9))\n"
+    "searches = [(h, named('p', h.minor({'h9'}, {'h0', 'h3'}).rep), None),\n"
+    "            (h, named('p', h.minor({'h7', 'h8'}, {'h1'}).rep), None),\n"
+    "            (wide, named('p', Gf2Matrix(tuple(1 << i | 1 << 7 for i in range(7)), 8)),\n"
+    "             None),\n"
+    "            (h, catalog.get('G_4').matroid, {'x': 'h9', 'y': 'h2'})]\n"
+    "minors = []\n"
+    "for host, pattern, pins in searches:\n"
+    "    w = host.has_minor(pattern, pins=pins)\n"
+    "    minors.append([pattern.rank(), sorted(w.deleted), sorted(w.contracted),\n"
+    "                   sorted(w.mapping.items())])\n"
+)
+
+
 def test_full_check_agrees_across_backends(build_lib):
-    # Same corpus file, verdicts and >64-row structure from both kernels.
+    # Same corpus file, verdicts, >64-row structure and minor witnesses from
+    # both kernels.
     code = (
         "import json\n"
         "from matroidsplit import _kernel, corpus, verify\n"
-        + _REPRO +
+        + _REPRO + _MINORS +
         "c = corpus.enumerate_binary_matroids(5, 3)\n"
         "r = verify.check_split_minor_characterization(c, 3)\n"
         "d = r.to_json_dict(); d.pop('wall_time')\n"
-        "print(json.dumps([_kernel.BACKEND, repro, corpus.to_file_text(c), d],"
+        "print(json.dumps([_kernel.BACKEND, repro, minors, corpus.to_file_text(c), d],"
         " sort_keys=True))\n"
     )
     outs = {}
@@ -367,4 +397,7 @@ def test_full_check_agrees_across_backends(build_lib):
         outs[backend] = json.loads(run.stdout)
         assert outs[backend][0] == backend
     assert outs["pure"][1] == [[["a"], ["b"], ["c"]], [], None]
+    assert [rank for rank, *_ in outs["pure"][2]] == [5, 6, 7, 1]
+    assert outs["pure"][2][2][1:3] == [[], ["h0"]]
+    assert dict(outs["pure"][2][3][3])["x"] == "h9"
     assert outs["compiled"][1:] == outs["pure"][1:]

@@ -136,6 +136,10 @@ def test_minor_with_pattern_file_and_pins(runner, g4_file, tmp_path):
     bad = invoke(runner, "minor", str(fold), "--pattern", str(patt),
                  "--pin", "zz=x")
     assert bad.exit_code == 2
+    repeated = invoke(runner, "minor", str(fold), "--pattern", str(patt),
+                      "--pin", "e12=x", "--pin", "e13=x")
+    assert repeated.exit_code == 2
+    assert "repeat the element label 'x'" in repeated.output
 
 
 def test_minor_unknown_catalog_pattern(runner, g4_file):

@@ -69,6 +69,14 @@ def test_row_space_contains_length_mismatch():
         row_space_contains(bits("111"), "11")
 
 
+def test_row_space_contains_rejects_non_binary_characters():
+    # int() reads "2" as the bit 1 << 1, so "20" answered for "01", and it
+    # reads non-ASCII digits such as U+0661 as well.
+    for vec in ("20", "0 ", "1\u0661"):
+        with pytest.raises(ValueError, match="0 or 1"):
+            row_space_contains(bits("01"), vec)
+
+
 def test_row_space_contains_vertex_cut_of_f1():
     from matroidsplit import catalog
 

@@ -19,6 +19,7 @@ from oracles import (
     brute_isomorphism,
     component_count,
     cycle_edge_sets,
+    first_minor,
     marked_images,
     profile_minors,
     series_parallel_graph,
@@ -364,6 +365,12 @@ def test_minor_pins_unknown_labels_error():
         k4_matroid().has_minor(k4_matroid(), keep={"nope"})
 
 
+def test_minor_pins_repeating_a_host_label_error():
+    # Two pattern labels cannot share one host label; this once read absent.
+    with pytest.raises(ValueError, match="repeat the element label 'e12'"):
+        k4_matroid().has_minor(g4(), pins={"x": "e12", "y": "e12"})
+
+
 def test_minor_witness_invariants():
     with pytest.raises(ValueError):
         MinorWitness(deleted=frozenset({"a"}), contracted=frozenset({"a"}),
@@ -373,43 +380,45 @@ def test_minor_witness_invariants():
                      mapping={"p": "a"})
 
 
-def test_minor_search_slow_and_fast_paths_agree(corpus6, monkeypatch):
-    # The kernel matchers and the per-candidate isomorphism search must pick
-    # the same first witness, and the contraction reader and the isomorphism
-    # search the same marked images.
+def test_minor_search_matches_brute_force(corpus6):
+    # Every matcher kind, unpinned and pinned, must find the first candidate
+    # that the brute force finds, with a mapping that verifies and keeps the
+    # pins; marked images of patterns above rank 2 come from the same scan.
+    rng = random.Random(10)
     hosts = list(corpus6.members) + [splitting(m, m.labels[:3])
                                      for m in corpus6.members if len(m.labels) >= 3]
-    image_searches = []
-    embeddings = BinaryMatroid._embeddings
+    canonical = [m for m in corpus6.members
+                 if (m.rank(), len(m.labels)) in ((3, 5), (4, 5), (3, 4))]
+    patterns = [catalog.get("F").matroid, catalog.get("G_4").matroid, k4_matroid()]
+    patterns += rng.sample(canonical, 4)
+    found = {"plain": 0, "pinned": 0, "images": 0}
+    for host in hosts:
+        for pattern in patterns:
+            pin_sets = [None]
+            if len(host.labels) >= 2:
+                pin_sets.append(dict(zip(rng.sample(pattern.labels, 2),
+                                         rng.sample(host.labels, 2))))
+            w = host.has_minor(pattern)
+            if w is not None:
+                pin_sets.append({p: w.mapping[p] for p in rng.sample(pattern.labels, 2)})
+            for pins in pin_sets:
+                w = host.has_minor(pattern, pins=pins)
+                expected = first_minor(host, pattern, pins)
+                assert _deleted_contracted(w) == expected, (host, pattern, pins)
+                if w is not None:
+                    assert w.verify(host, pattern)
+                    assert all(w.mapping[p] == h for p, h in (pins or {}).items())
+                    found["pinned" if pins else "plain"] += 1
+            if pattern.rank() > 2:
+                marks = pattern.labels[:2]
+                images = host.minor_marked_images(pattern, marks)
+                assert images == marked_images(host, pattern, marks), (host, pattern)
+                found["images"] += bool(images)
+    assert all(found.values()), found
 
-    def counted(self, pattern, pins, avoid, limit):
-        # Only minor_marked_images asks for every occurrence (limit 0).
-        image_searches.append(limit == 0)
-        return embeddings(self, pattern, pins, avoid, limit)
 
-    monkeypatch.setattr(BinaryMatroid, "_embeddings", counted)
-
-    def search_all():
-        f, k4 = catalog.get("F").matroid, k4_matroid()
-        entries = [catalog.get(f"G_{i}") for i in range(1, 5)]
-        entries += [catalog.get(f"F_{i}") for i in range(1, 5)]
-        return [(_witness_key(m.has_minor(f)), _witness_key(m.has_minor(k4)),
-                 [m.minor_marked_images(e.matroid, e.marked) for e in entries])
-                for m in hosts]
-
-    fast = search_all()
-    assert not any(image_searches)
-    monkeypatch.setattr(matroid, "_fast_pattern_kind", lambda pattern: (None, None))
-    slow = search_all()
-    assert any(image_searches)
-    assert slow == fast
-    assert sum(k4 is not None for _, k4, _ in fast) > 0
-    assert sum(bool(images[3]) for _, _, images in fast) > 0
-    assert all(sum(bool(images[i]) for _, _, images in fast) > 0 for i in range(8))
-
-
-def _witness_key(w):
-    return None if w is None else (w.deleted, w.contracted, w.mapping)
+def _deleted_contracted(w):
+    return None if w is None else (w.deleted, w.contracted)
 
 
 # Every catalog profile (K4's has rank 3), all-loop and two-point wants, and

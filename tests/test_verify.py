@@ -223,6 +223,14 @@ def test_compact_round_trip(corpus6):
         assert back.same_matrix(m)
 
 
+def test_compact_rejects_labels_holding_separators():
+    # "a,b" once compacted to "a,b,c;11", which parses back as 3 labels.
+    for bad in ("a,b", "a;b"):
+        m = BinaryMatroid((bad, "c"), Gf2Matrix.from_bits(["11"]))
+        with pytest.raises(ValueError, match=repr(bad)):
+            verify.compact(m)
+
+
 def test_rerun_reproduces_synthetic_failure():
     host = f_plus_loop()
     failure = make_failure(verify.compact(host), {"k": 1},
