@@ -158,13 +158,28 @@ def rows_from_columns(cols, n_rows: int):
 
 
 def delete_rows(rows, n_cols: int, dmask: int):
-    """Drop the columns in ``dmask`` and compact the survivors in order."""
-    keep = [j for j in range(n_cols) if not (dmask >> j) & 1]
+    """Drop the columns in ``dmask`` and compact the survivors in order.
+
+    Bits at or above ``n_cols`` are dropped too, whatever ``dmask`` says
+    there.  Each run of consecutive kept columns moves with one mask and one
+    shift.  Nothing is checked: callers pass kernel or validated rows.
+    """
+    runs = []
+    keep = ((1 << n_cols) - 1) & ~dmask
+    width = 0
+    while keep:
+        low = (keep & -keep).bit_length() - 1
+        run = keep >> low
+        length = (~run & (run + 1)).bit_length() - 1
+        span = ((1 << length) - 1) << low
+        runs.append((span, low - width))
+        width += length
+        keep ^= span
     out = []
     for row in rows:
         packed = 0
-        for idx, j in enumerate(keep):
-            packed |= ((row >> j) & 1) << idx
+        for span, shift in runs:
+            packed |= (row & span) >> shift
         out.append(packed)
     return tuple(out)
 

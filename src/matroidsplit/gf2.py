@@ -40,13 +40,15 @@ class Gf2Matrix:
 
     @classmethod
     def from_bits(cls, bit_rows) -> "Gf2Matrix":
-        """Build from an iterable of 0/1 strings or 0/1 sequences."""
+        """Build from an iterable of 0/1 strings or 0/1 sequences.
+
+        A string entry must be exactly "0" or "1": ``int`` alone would also
+        read other Unicode digits and surrounding whitespace.
+        """
         packed = []
         width = None
         for bits in bit_rows:
-            vals = [int(b) for b in bits]
-            if any(v not in (0, 1) for v in vals):
-                raise ValueError("matrix entries must be 0 or 1")
+            vals = [_entry(b) for b in bits]
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -82,6 +84,16 @@ class Gf2Matrix:
 
     def columns(self) -> tuple[int, ...]:
         return _kernel.columns(self.rows, self.n_cols)
+
+
+def _entry(b) -> int:
+    """One entry of :meth:`Gf2Matrix.from_bits`: 0, 1, "0" or "1"."""
+    if isinstance(b, str) and b not in ("0", "1"):
+        raise ValueError("matrix entries must be 0 or 1")
+    v = int(b)
+    if v not in (0, 1):
+        raise ValueError("matrix entries must be 0 or 1")
+    return v
 
 
 def rank(m: Gf2Matrix) -> int:

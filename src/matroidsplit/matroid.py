@@ -107,6 +107,27 @@ class BinaryMatroid:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _derived(cls, labels: tuple[str, ...], rows: tuple[int, ...],
+                 n_cols: int) -> "BinaryMatroid":
+        """Build without any check, for matroids derived from a validated one.
+
+        ``labels`` must be a tuple of distinct labels that passed
+        :func:`_check_label`, taken from a validated matroid (with any new
+        label checked by the caller), and ``rows`` a tuple of ints below
+        ``1 << n_cols``, with ``len(labels) == n_cols <= MAX_COLS``: rows from
+        a kernel function of validated rows, or validated rows plus a
+        label mask.  That is what the public constructor would check, so
+        skipping it changes nothing; every public entry point validates.
+        """
+        rep = object.__new__(Gf2Matrix)
+        object.__setattr__(rep, "rows", rows)
+        object.__setattr__(rep, "n_cols", n_cols)
+        m = object.__new__(cls)
+        object.__setattr__(m, "labels", labels)
+        object.__setattr__(m, "rep", rep)
+        return m
+
+    @classmethod
     def from_matrix(cls, labels, m: Gf2Matrix) -> "BinaryMatroid":
         """Wrap labels and a representation; no normalization."""
         return cls(tuple(labels), m)
@@ -225,14 +246,14 @@ class BinaryMatroid:
         mask = self._label_mask(subset)
         rows = _kernel.delete_rows(self.rep.rows, self.rep.n_cols, mask)
         labels = tuple(l for j, l in enumerate(self.labels) if not (mask >> j) & 1)
-        return BinaryMatroid(labels, Gf2Matrix(rows, len(labels)))
+        return BinaryMatroid._derived(labels, rows, len(labels))
 
     def contract(self, subset) -> "BinaryMatroid":
         """Contract ``subset`` by pivoting; loops in the set are deleted."""
         mask = self._label_mask(subset)
         rows = _kernel.contract_rows(self.rep.rows, self.rep.n_cols, mask)
         labels = tuple(l for j, l in enumerate(self.labels) if not (mask >> j) & 1)
-        return BinaryMatroid(labels, Gf2Matrix(rows, len(labels)))
+        return BinaryMatroid._derived(labels, rows, len(labels))
 
     def minor(self, deleted, contracted) -> "BinaryMatroid":
         return self.contract(contracted).delete(deleted)
@@ -249,7 +270,7 @@ class BinaryMatroid:
                 if (reduced[i] >> q) & 1:
                     row |= 1 << p
             rows.append(row)
-        return BinaryMatroid(self.labels, Gf2Matrix(tuple(rows), self.rep.n_cols))
+        return BinaryMatroid._derived(self.labels, tuple(rows), self.rep.n_cols)
 
     # -- isomorphism -----------------------------------------------------------
 
@@ -344,35 +365,46 @@ class BinaryMatroid:
     # -- gammoid test ------------------------------------------------------------
 
     def is_binary_gammoid(self) -> bool:
-        """True iff no M(K4) minor exists, decided by series-parallel reduction.
-
-        A binary matroid has no M(K4) minor iff deleting loops and parallel
-        copies and contracting coloops and series copies empties it: every
-        nonempty matroid without an M(K4) minor has one of these four
-        (Duffin 1965; Brylawski 1971; Oxley, *Matroid Theory*, 2nd ed.,
-        Section 5.4).  In standard form [I | A] the rows of A are the basis
-        elements and its columns the others, so a zero, weight-one or
-        repeated column is a loop or parallel copy, and the same in a row is
-        a coloop or series copy.  Once rank or corank drops below 3, the
-        rank and corank of M(K4), no minor can be M(K4).  No witness is
-        built: :meth:`k4_minor` keeps the exhaustive scan for that.
-        """
-        vecs = _kernel.columns(self._rref, self.rep.n_cols)
-        width = self.rank()
-        while True:
-            # One side of A loses its zero, weight-one and repeated vectors;
-            # when that removes nothing, the other side, cleaned by the
-            # previous pass, is unchanged too, so A is irreducible.
-            kept = tuple({v for v in vecs if v & (v - 1)})
-            if len(kept) < 3 or width < 3:
-                return True
-            if len(kept) == len(vecs):
-                return False
-            vecs, width = _kernel.columns(kept, width), len(kept)
+        """True iff no M(K4) minor exists (:func:`series_parallel_reduces` on
+        the reduced rows).  No witness is built: :meth:`k4_minor` keeps the
+        exhaustive scan for that."""
+        return series_parallel_reduces(self._rref, self.rep.n_cols)
 
     def k4_minor(self):
         """MinorWitness of M(K4) when the matroid is not a binary gammoid."""
         return self.has_minor(k4_matroid())
+
+
+def series_parallel_reduces(reduced: tuple[int, ...], n_cols: int) -> bool:
+    """True iff the binary matroid with reduced rows ``reduced`` (the rref
+    rows, no zero row, of an ``n_cols``-column representation) has no M(K4)
+    minor, decided by series-parallel reduction.
+
+    A binary matroid has no M(K4) minor iff deleting loops and parallel
+    copies and contracting coloops and series copies empties it: every
+    nonempty matroid without an M(K4) minor has one of these four
+    (Duffin 1965; Brylawski 1971; Oxley, *Matroid Theory*, 2nd ed.,
+    Section 5.4).  In standard form [I | A] the rows of A are the basis
+    elements and its columns the others, so a zero, weight-one or repeated
+    column is a loop or parallel copy, and the same in a row is a coloop or
+    series copy.  Once rank or corank drops below 3, the rank and corank of
+    M(K4), no minor can be M(K4).  Labels play no part, so callers may pass
+    rows that no ``BinaryMatroid`` holds: ``verify`` passes the rref of a
+    splitting's rows, built from a validated matroid's rows and a label
+    mask, so they are not checked again.
+    """
+    vecs = _kernel.columns(reduced, n_cols)
+    width = len(reduced)
+    while True:
+        # One side of A loses its zero, weight-one and repeated vectors;
+        # when that removes nothing, the other side, cleaned by the
+        # previous pass, is unchanged too, so A is irreducible.
+        kept = tuple({v for v in vecs if v & (v - 1)})
+        if len(kept) < 3 or width < 3:
+            return True
+        if len(kept) == len(vecs):
+            return False
+        vecs, width = _kernel.columns(kept, width), len(kept)
 
 
 def reduced_columns(m: BinaryMatroid) -> tuple[int, tuple[int, ...]]:

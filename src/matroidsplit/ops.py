@@ -9,8 +9,31 @@ extension from two element splittings plus a closing column.
 
 from __future__ import annotations
 
-from .gf2 import Gf2Matrix
+from .gf2 import MAX_COLS
 from .matroid import BinaryMatroid, _check_label
+
+# Every construction here builds its result with BinaryMatroid._derived:
+# inherited labels were validated with ``m``, each new label is checked
+# below, and rows are ``m``'s rows plus label masks or new columns.
+
+
+def _check_new_label(labels, label: str) -> None:
+    _check_label(label)
+    if label in labels:
+        raise ValueError(f"new element label {label!r} already in the ground set")
+
+
+def _check_room(n_cols: int) -> None:
+    if n_cols >= MAX_COLS:
+        raise ValueError("column limit exceeded")
+
+
+def _inside_cocircuit(m: BinaryMatroid, subset) -> bool:
+    """True iff ``subset`` is a proper subset of some cocircuit of ``m``."""
+    if not set(subset) <= set(m.labels):
+        return False
+    mask = m._label_mask(subset)
+    return any(mask & c == mask != c for c in m._cocircuit_masks)
 
 
 def splitting(m: BinaryMatroid, t) -> BinaryMatroid:
@@ -22,45 +45,39 @@ def splitting(m: BinaryMatroid, t) -> BinaryMatroid:
     t = tuple(t)
     if not t:
         raise ValueError("splitting set must be nonempty")
-    return BinaryMatroid(m.labels, m.rep.append_row(m._label_mask(t)))
+    return BinaryMatroid._derived(m.labels, m.rep.rows + (m._label_mask(t),),
+                                  m.rep.n_cols)
 
 
 def element_splitting(m: BinaryMatroid, t, new_label: str) -> BinaryMatroid:
     """Splitting on ``t`` plus a new element carrying the new row's indicator."""
-    _check_label(new_label)
-    if new_label in m.labels:
-        raise ValueError(f"new element label {new_label!r} already in the ground set")
+    _check_new_label(m.labels, new_label)
     t = tuple(t)
     if not t:
         raise ValueError("splitting set must be nonempty")
-    rep = m.rep.append_row(m._label_mask(t))
-    rep = rep.append_column(1 << (rep.n_rows - 1))
-    return BinaryMatroid(m.labels + (new_label,), rep)
+    mask = m._label_mask(t)
+    n = m.rep.n_cols
+    _check_room(n)
+    return BinaryMatroid._derived(m.labels + (new_label,),
+                                  m.rep.rows + (mask | 1 << n,), n + 1)
 
 
 def add_loops(m: BinaryMatroid, new_labels) -> BinaryMatroid:
     """Extend the ground set by fresh loops (all-zero columns)."""
-    new_labels = tuple(new_labels)
     labels = m.labels
-    rep = m.rep
     for lab in new_labels:
-        _check_label(lab)
-        if lab in labels:
-            raise ValueError(f"new element label {lab!r} already in the ground set")
+        _check_new_label(labels, lab)
+        _check_room(len(labels))
         labels = labels + (lab,)
-        rep = rep.append_column(0)
-    return BinaryMatroid(labels, rep)
+    return BinaryMatroid._derived(labels, m.rep.rows, len(labels))
 
 
 def _check_fold_pair(m: BinaryMatroid, x: str, y: str) -> None:
     if x == y:
         raise ValueError("the two chosen elements must differ")
     m._label_mask((x, y))
-    pair = frozenset((x, y))
-    for cocircuit in m.cocircuits():
-        if pair < cocircuit:
-            return
-    raise ValueError(f"{{{x},{y}}} not a proper subset of any cocircuit")
+    if not _inside_cocircuit(m, (x, y)):
+        raise ValueError(f"{{{x},{y}}} not a proper subset of any cocircuit")
 
 
 def three_fold_steps(m: BinaryMatroid, x: str, y: str,
@@ -99,18 +116,19 @@ def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
     if not t_prime or not set(t_prime) < set(t):
         raise ValueError("second splitting set must be a nonempty proper subset "
                          "of the first")
-    t_set = frozenset(t)
-    if not any(t_set < c for c in m.cocircuits()):
-        raise ValueError(f"{{{','.join(sorted(t_set))}}} not a proper subset "
-                         "of any cocircuit")
+    if not _inside_cocircuit(m, t):
+        raise ValueError(f"{{{','.join(sorted(frozenset(t)))}}} not a proper "
+                         "subset of any cocircuit")
     with_q = element_splitting(element_splitting(m, t, p), t_prime, q)
-    p_col = with_q.rep.column(with_q.labels.index(p))
-    q_col = with_q.rep.column(with_q.labels.index(q))
-    if r in with_q.labels:
-        raise ValueError(f"new element label {r!r} already in the ground set")
-    _check_label(r)
-    rep = with_q.rep.append_column(p_col ^ q_col)
-    return BinaryMatroid(with_q.labels + (r,), rep)
+    _check_new_label(with_q.labels, r)
+    n = with_q.rep.n_cols
+    _check_room(n)
+    # p and q are the last two columns, each a unit vector on one of the
+    # last two rows, so r = p + q is 1 on exactly those rows.
+    rows = with_q.rep.rows
+    return BinaryMatroid._derived(
+        with_q.labels + (r,),
+        rows[:-2] + (rows[-2] | 1 << n, rows[-1] | 1 << n), n + 1)
 
 
 def admissible_pairs(m: BinaryMatroid) -> frozenset[frozenset[str]]:

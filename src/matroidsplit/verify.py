@@ -20,10 +20,10 @@ from itertools import combinations
 from math import comb
 
 from . import _kernel, catalog
-from .gf2 import Gf2Matrix
-from .matroid import BinaryMatroid, MinorWitness
-from .ops import admissible_pairs, element_splitting, splitting, \
-    three_fold, three_fold_ghafari
+from .gf2 import Gf2Matrix, MAX_COLS
+from .matroid import BinaryMatroid, MinorWitness, series_parallel_reduces
+from .ops import admissible_pairs, splitting, three_fold, three_fold_ghafari
+from .ops import element_splitting  # noqa: F401  (bench/run.py traces it here)
 from .corpus import Corpus, canonical_key
 from .verifyreport import CaseFailure, VerificationReport, make_failure
 
@@ -408,8 +408,16 @@ _SPLIT_OK = "splitting is a binary gammoid"
 
 
 def _split_outcome(m: BinaryMatroid, t) -> str:
-    """Whether the splitting of ``m`` on ``t`` stays a binary gammoid."""
-    return _SPLIT_OK if splitting(m, t).is_binary_gammoid() else "non-gammoid"
+    """Whether the splitting of ``m`` on ``t`` stays a binary gammoid.
+
+    Decided on rows, without building the splitting: its rows are ``m``'s
+    plus the mask of ``t`` (as :func:`ops.splitting` builds them), reduced
+    and handed to :func:`series_parallel_reduces`.  ``m`` was validated and
+    ``_label_mask`` rejects unknown labels, so nothing is left to check.
+    """
+    reduced = _kernel.rref(m.rep.rows + (m._label_mask(t),))
+    return (_SPLIT_OK if series_parallel_reduces(reduced, m.rep.n_cols)
+            else "non-gammoid")
 
 
 def _split_gammoid_worker(m: BinaryMatroid, patterns) -> tuple:
@@ -593,13 +601,28 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
 
 
 def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
-    """The element-splitting identities on ``t`` that fail for ``m``."""
-    ext = element_splitting(m, t, "a*")
+    """The element-splitting identities on ``t`` that fail for ``m``.
+
+    Checked on rows, as :func:`ops.element_splitting` builds them: the
+    extension by a new last element e has ``m``'s rows plus the mask of
+    ``t`` with e's bit set.  Deleting e must leave exactly the splitting's
+    rows, ``m``'s plus the mask; contracting e must give back ``m``'s rows,
+    or else a matroid isomorphic to ``m``.  ``m`` was validated, ``t`` goes
+    through ``_label_mask`` and e needs no label, so the only matroid built
+    is the isomorphism fallback's, by the trusted constructor.
+    """
+    mask = m._label_mask(t)
+    n = m.rep.n_cols
+    if n >= MAX_COLS:
+        raise ValueError("column limit exceeded")
+    rows = m.rep.rows
+    ext = rows + (mask | 1 << n,)
     bad = []
-    if not ext.delete({"a*"}).same_matrix(splitting(m, t)):
+    if _kernel.delete_rows(ext, n + 1, 1 << n) != rows + (mask,):
         bad.append("delete identity")
-    back = ext.contract({"a*"})
-    if not (back.same_matrix(m) or back.is_isomorphic(m) is not None):
+    back = _kernel.contract_rows(ext, n + 1, 1 << n)
+    if back != rows and \
+            BinaryMatroid._derived(m.labels, back, n).is_isomorphic(m) is None:
         bad.append("contract identity")
     return bad
 

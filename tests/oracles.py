@@ -60,6 +60,13 @@ def brute_isomorphism(a: BinaryMatroid, b: BinaryMatroid):
     return None
 
 
+def delete_rows(rows, n_cols: int, dmask: int):
+    """Keep the columns below ``n_cols`` outside ``dmask``, bit by bit."""
+    keep = [j for j in range(n_cols) if not (dmask >> j) & 1]
+    return tuple(sum(((row >> j) & 1) << i for i, j in enumerate(keep))
+                 for row in rows)
+
+
 def _columns(rows, n_cols: int):
     """Packed columns of ``rows``; bits at or above ``n_cols`` are dropped."""
     return [sum(((row >> j) & 1) << i for i, row in enumerate(rows))

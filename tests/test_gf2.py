@@ -1,8 +1,12 @@
 """GF(2) matrix layer: rank, rref, row-space membership, minimal supports."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from matroidsplit._kernel import pure
 from matroidsplit.gf2 import (
     Gf2Matrix,
     null_space_min_supports,
@@ -117,6 +121,24 @@ def test_column_count_limit():
 def test_from_bits_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Gf2Matrix.from_bits(["110", "1101"])
+
+
+def test_from_bits_rejects_non_binary_characters():
+    for rows in (["\u0661\u0660"], ["1\u0660"], ["1 "], [[" 1", "0"]], ["12"]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Gf2Matrix.from_bits(rows)
+    assert Gf2Matrix.from_bits(["10", [0, 1], (True, False)]).rows == (1, 2, 1)
+
+
+def test_pure_delete_rows_matches_bit_by_bit_oracle():
+    rng = random.Random(11)
+    for n_cols in [0, 1, 2, 7, 20, 63, 64] * 300:
+        # Bits up to 3 above n_cols, in rows and in dmask alike.
+        rows = tuple(rng.getrandbits(n_cols + 3) for _ in range(rng.randrange(5)))
+        dmask = rng.getrandbits(n_cols + 3) & rng.choice(
+            (0, -1, rng.getrandbits(n_cols + 3)))
+        assert pure.delete_rows(rows, n_cols, dmask) == \
+            oracles.delete_rows(rows, n_cols, dmask), (rows, n_cols, dmask)
 
 
 def test_zero_by_n_and_m_by_zero_are_valid():

@@ -1,5 +1,7 @@
 """Splitting, element splitting, 3-fold constructions, admissible pairs."""
 
+from itertools import combinations
+
 import pytest
 
 from matroidsplit import catalog
@@ -218,3 +220,64 @@ def test_admissible_pairs_match_cocircuit_oracle():
                 for j in range(i + 1, len(members)):
                     expected.add(frozenset((members[i], members[j])))
         assert admissible_pairs(m) == expected
+
+
+# -- derived matroids skip validation; public constructors keep it ------------------------------
+
+
+def _derived_from(m):
+    """Every matroid the object layer and ``ops`` derive from ``m`` without
+    re-validating, for every T with |T| <= 3 and every admissible pair."""
+    out = [m.dual(), add_loops(m, ("p*", "q*", "r*"))]
+    for size in range(4):
+        for t in combinations(m.labels, size):
+            out += [m.delete(t), m.contract(t)]
+            if t:
+                out += [splitting(m, t), element_splitting(m, t, "e*")]
+    for pair in sorted(admissible_pairs(m), key=sorted):
+        x, y = sorted(pair)
+        out += [three_fold(m, x, y), three_fold_ghafari(m, (x, y), (x,))]
+    return out
+
+
+def test_derived_matroids_equal_their_validated_rebuilds(corpus6):
+    derived = 0
+    for m in corpus6.members:
+        for d in _derived_from(m):
+            # The rebuild validates labels and rows, and converts neither.
+            again = BinaryMatroid(d.labels, Gf2Matrix(d.rep.rows, d.rep.n_cols))
+            assert again.labels == d.labels and again.same_matrix(d), (m, d)
+            derived += 1
+    assert derived > 10_000
+
+
+def test_public_constructors_still_validate():
+    for labels, rep in ((("a b",), Gf2Matrix((0,), 1)),
+                        (("a", "a"), Gf2Matrix((0,), 2)),
+                        (("a",), Gf2Matrix((0,), 2))):
+        with pytest.raises(ValueError):
+            BinaryMatroid(labels, rep)
+        with pytest.raises(ValueError):
+            BinaryMatroid.from_matrix(labels, rep)
+    with pytest.raises(ValueError, match="outside 2 columns"):
+        Gf2Matrix((4,), 2)
+    with pytest.raises(ValueError, match="invalid element label"):
+        element_splitting(g4(), ("x",), "new label")
+    with pytest.raises(ValueError, match="invalid element label"):
+        add_loops(g4(), ("",))
+
+
+def test_added_columns_keep_the_64_column_limit():
+    # One all-ones row: the whole ground set is a cocircuit, so {e0, e1} is
+    # admissible and only the column limit can refuse.
+    labels = tuple(f"e{j}" for j in range(64))
+    full = BinaryMatroid(labels, Gf2Matrix(((1 << 64) - 1,), 64))
+    with pytest.raises(ValueError, match="column limit"):
+        element_splitting(full, ("e0",), "new")
+    with pytest.raises(ValueError, match="column limit"):
+        add_loops(full, ("new",))
+    with pytest.raises(ValueError, match="column limit"):
+        three_fold_ghafari(full, ("e0", "e1"), ("e0",))
+    with pytest.raises(ValueError, match="column limit"):
+        add_loops(full.delete({"e0"}), ("p", "q"))
+    assert add_loops(full.delete({"e0"}), ("p",)).n_elements() == 64

@@ -2,7 +2,7 @@
 
 import pytest
 
-from matroidsplit import catalog, verify
+from matroidsplit import _kernel, catalog, matroid, verify
 from matroidsplit.corpus import CanonicalKey
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
@@ -180,6 +180,16 @@ def test_esplit_identities(corpus6):
     assert report.failures == ()
 
 
+def test_esplit_identities_on_a_member_labelled_like_a_new_element():
+    # The identities adjoin an unlabelled element, so a member may hold any
+    # label; the check once named its new element "a*" and raised here.
+    m = BinaryMatroid.from_matrix(("a*", "b", "c"),
+                                  Gf2Matrix.from_bits(["110", "011"]))
+    report = verify.check_element_splitting_identities([m])
+    assert report.verdict == "pass"
+    assert report.cases == 7
+
+
 # -- dispatch / reports / re-runs -------------------------------------------------------------
 
 
@@ -264,10 +274,16 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     # the same patch must reproduce its recorded outcome.
     small = corpus6.restrict(5)
     catalog.get("F")  # validate the catalog before any primitive is patched
+    # The workers decide on rows: split-gammoid calls the series-parallel
+    # reduction imported into verify, main reaches it through
+    # is_binary_gammoid, and the esplit identities compare the kernel's
+    # delete and contract rows, with is_isomorphic as the fallback.  A kernel
+    # patch that returns its input rows leaves the new element in place.
     patches = {
-        "split-gammoid": [(BinaryMatroid, "is_binary_gammoid", lambda self: False)],
-        "main": [(BinaryMatroid, "is_binary_gammoid", lambda self: True)],
-        "esplit-identities": [(BinaryMatroid, "same_matrix", lambda self, o: False),
+        "split-gammoid": [(verify, "series_parallel_reduces", lambda rows, n: False)],
+        "main": [(matroid, "series_parallel_reduces", lambda rows, n: True)],
+        "esplit-identities": [(_kernel, "delete_rows", lambda rows, n, mask: rows),
+                              (_kernel, "contract_rows", lambda rows, n, mask: rows),
                               (BinaryMatroid, "is_isomorphic", lambda self, o: None)],
         "quotients": [(verify, "canonical_key",
                        lambda m: CanonicalKey(len(m.labels), m.rep.rows))],
@@ -280,6 +296,9 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
             assert report.verdict == "fail", name
             replayed = [verify.rerun_case(name, f) for f in report.failures]
             assert all(replayed), (name, replayed)
+            if name == "esplit-identities":
+                assert {f.expected for f in report.failures} == {
+                    "delete identity holds", "contract identity holds"}
             if name == "quotients":
                 assert len({(f.matroid, f.params) for f in report.failures}) \
                     == len(report.failures)
