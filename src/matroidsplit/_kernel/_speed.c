@@ -1,20 +1,24 @@
 /* Compiled GF(2) kernel: the per-candidate half of matroidsplit._kernel.pure.
  *
  * rank, rank_masked, cols_rank, rref, rref_pivots, nullspace_basis,
- * space_min_supports, delete_rows, contract_rows, find_minors,
- * canon_key_cols and is_canonical return exactly what their namesakes in
- * pure.py return; pure.py documents them and stays the reference.  Rows,
- * masks and vectors are ints in [0, 2^64): others raise OverflowError or
- * TypeError, never wrap.  Where pure would go past a word (n_cols > 64 in
- * nullspace_basis and find_minors) or take canonical forms for r > 6,
- * ValueError is raised.  Distinct low bits bound a reduced basis by 64
- * rows, so only bases and column lists use 64-entry arrays; buffers that a
- * caller's row count indexes are allocated to size.
+ * space_min_supports, delete_rows, contract_rows, profile_present,
+ * find_minors, canon_key_cols and is_canonical return exactly what their
+ * namesakes in pure.py return; pure.py documents them and stays the
+ * reference.  Rows, masks and vectors are ints in [0, 2^64): others raise
+ * OverflowError or TypeError, never wrap, except canonical-form columns,
+ * which raise ValueError as pure does.  Where pure would go past a word
+ * (n_cols > 64 in nullspace_basis, profile_present and find_minors) or
+ * take canonical forms for r > 6, ValueError is raised.  Distinct low bits
+ * bound a reduced basis by 64 rows, so only bases and column lists use
+ * 64-entry arrays; buffers that a caller's row count indexes are allocated
+ * to size.
  *
- * find_minors decides first, as pure.find_minors does: a profile want of
- * rank rho <= 2 with avoid 0 and c_size = rank - rho returns [] at once when
- * no contraction M/C can hold the pattern (profile_absent).  Otherwise the
- * scan runs unchanged, so witnesses and their order are the same.
+ * profile_present decides one want at a time with profile_absent, which
+ * reads every contraction M/C.  find_minors decides first with it, as
+ * pure.find_minors does: a profile want of rank rho <= 2 with avoid 0 and
+ * c_size = rank - rho returns [] at once when no contraction M/C can hold
+ * the pattern.  Otherwise the scan runs unchanged, so witnesses and their
+ * order are the same.
  *
  * Build: python setup.py build_ext --inplace
  */
@@ -357,36 +361,53 @@ static int next_comb(int *pos, int k, int n)
     return 1;
 }
 
-/* pure._profile_absent for a profile matcher over all nc columns of the
- * rref basis[0..nb), which documents the test. */
-static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc,
-                          int cs, int ds)
+/* pure.profile_present for one profile want m over all nc columns of the
+ * rref basis[0..nb), where 0 <= m->rank <= 2 and cs = rank - m->rank >= 0:
+ * 1 when no minor has the profile, 0 when one does.  pure.profile_present
+ * documents the test; this one reads M/C for every independent cs-set C of
+ * distinct nonzero columns. */
+static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc, int cs)
 {
-    u64 cols[64], span[64], seen[64], have[64];
-    int pos[64];
+    u64 pts[64], cnt[64], span[64], seen[64], have[64];
+    int pos[64], np = 0, nloops = 0;
     long long total = m->loops;
-    if (m->rank < 0 || m->rank > 2 ||
-        cs != rank_c(basis, nb, nc == 64 ? ~(u64)0 : BIT(nc) - 1) - m->rank)
-        return 0;
+    if (m->loops < 0 || (m->rank < 2 ? m->len != m->rank : m->len < 2))
+        return 1;
     for (Py_ssize_t i = 0; i < m->len; i++) {
         if (m->want[i] < 1 || m->want[i] > 64 || (i && m->want[i] < m->want[i - 1]))
             return 1;
         total += (long long)m->want[i];
     }
-    if (nc - cs - ds != total || (m->rank < 2 ? m->len != m->rank : m->len < 2))
+    if (total > nc - cs)
         return 1;
+    /* C runs over the distinct nonzero columns, pts[0..np) with cnt[]
+     * copies each, so loops and parallel copies add no contract sets. */
     for (int j = 0; j < nc; j++) {
-        cols[j] = 0;
+        u64 v = 0;
+        int s = 0;
         for (int i = 0; i < nb; i++)
-            cols[j] |= (basis[i] >> j & 1) << i;
+            v |= (basis[i] >> j & 1) << i;
+        if (!v) {
+            nloops++;
+            continue;
+        }
+        while (s < np && pts[s] != v)
+            s++;
+        if (s == np) {
+            pts[np] = v;
+            cnt[np++] = 0;
+        }
+        cnt[s]++;
     }
+    if (cs > np)
+        return 1;
     for (int i = 0; i < cs; i++)
         pos[i] = i;
     do {
         /* Echelon basis of span(C); reduced columns are coset representatives. */
-        int ns = 0, nsp = 0, zero = 0;
+        int ns = 0, nsp = 0, zero = nloops;
         for (; nsp < cs; nsp++) {
-            u64 v = cols[pos[nsp]];
+            u64 v = pts[pos[nsp]];
             for (int b = 0; b < nsp; b++)
                 if (v & LOW(span[b]))
                     v ^= span[b];
@@ -396,14 +417,14 @@ static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc,
         }
         if (nsp < cs)
             continue;
-        for (int j = 0; j < nc; j++) {
-            u64 v = cols[j];
+        for (int j = 0; j < np; j++) {
+            u64 v = pts[j];
             int s = 0;
             for (int b = 0; b < cs; b++)
                 if (v & LOW(span[b]))
                     v ^= span[b];
             if (!v) {
-                zero++;
+                zero += (int)cnt[j];
                 continue;
             }
             while (s < ns && seen[s] != v)
@@ -412,7 +433,7 @@ static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc,
                 seen[ns] = v;
                 have[ns++] = 0;
             }
-            have[s]++;
+            have[s] += cnt[j];
         }
         if (zero - cs < m->loops || ns < m->len)
             continue;
@@ -422,7 +443,7 @@ static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc,
             i++;
         if (i == m->len)
             return 0;
-    } while (next_comb(pos, cs, nc));
+    } while (next_comb(pos, cs, np));
     return 1;
 }
 
@@ -592,6 +613,51 @@ static PyObject *minor_common(PyObject *const *args, Py_ssize_t nargs,
 VARIANT(delete_rows, minor_common, 0)
 VARIANT(contract_rows, minor_common, 1)
 
+/* profile_present(rows, n_cols, wants): profile_absent for each want. */
+static PyObject *py_profile_present(PyObject *self, PyObject *const *args,
+                                    Py_ssize_t nargs)
+{
+    Py_ssize_t n;
+    u64 basis[64];
+    if (check_nargs(nargs, 3, "profile_present") < 0)
+        return NULL;
+    long nc = PyLong_AsLong(args[1]);
+    if (nc == -1 && PyErr_Occurred())
+        return NULL;
+    if (nc < 0 || nc > 64) {
+        PyErr_SetString(PyExc_ValueError, "profile_present needs 0 <= n_cols <= 64");
+        return NULL;
+    }
+    PyObject *wants = PySequence_Fast(args[2], "wants must be a sequence");
+    if (wants == NULL)
+        return NULL;
+    u64 *buf = load(args[0], &n);
+    Py_ssize_t nw = PySequence_Fast_GET_SIZE(wants);
+    PyObject *out = buf == NULL ? NULL : PyTuple_New(nw);
+    int nb = buf == NULL ? 0 : rref_c(buf, n, basis);
+    PyMem_Free(buf);
+    int full = rank_c(basis, nb, nc == 64 ? ~(u64)0 : BIT(nc) - 1);
+    for (Py_ssize_t w = 0; out != NULL && w < nw; w++) {
+        matcher m = {.kind = KIND_PROFILE};
+        if (parse_want(&m, PySequence_Fast_GET_ITEM(wants, w)) < 0) {
+            Py_CLEAR(out);
+            break;
+        }
+        int cs = full - m.rank;
+        if (m.rank < 0 || m.rank > 2) {
+            PyErr_Format(PyExc_ValueError,
+                         "profile_present decides wants of rank 0..2, not %d", m.rank);
+            Py_CLEAR(out);
+        } else {
+            PyTuple_SET_ITEM(out, w, PyBool_FromLong(
+                cs >= 0 && !profile_absent(&m, basis, nb, (int)nc, cs)));
+        }
+        PyMem_Free(m.want);
+    }
+    Py_DECREF(wants);
+    return out;
+}
+
 /* The candidates of pure.find_minors in the same order.  Every matcher reads
  * only the row space of the minor, so the scan starts from the rref. */
 static PyObject *py_find_minors(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -628,7 +694,9 @@ static PyObject *py_find_minors(PyObject *self, PyObject *args, PyObject *kwargs
             freecol[nfree++] = j;
     if (cs < 0 || ds < 0 || cs + ds > nfree)
         goto done;
-    if (m.kind == KIND_PROFILE && !avoid && profile_absent(&m, basis, nb, nc, cs, ds))
+    if (m.kind == KIND_PROFILE && !avoid && m.rank >= 0 && m.rank <= 2 &&
+        cs == rank_c(basis, nb, nc == 64 ? ~(u64)0 : BIT(nc) - 1) - m.rank &&
+        profile_absent(&m, basis, nb, nc, cs))
         goto done;
     for (int i = 0; i < ds; i++)
         dpos[i] = i;
@@ -680,7 +748,10 @@ static PyObject *canon_common(PyObject *const *args, Py_ssize_t nargs,
     if (!gl_rank_ok(r))
         return NULL;
     u64 *cols = load(args[0], &k), *buf = NULL;
-    if (cols != NULL && (buf = PyMem_Malloc(2 * (k ? k : 1) * sizeof(u64))) == NULL)
+    if (cols == NULL && PyErr_ExceptionMatches(PyExc_OverflowError)) {
+        /* Negative or 2^64 and above: outside GF(2)^r, as pure says. */
+        PyErr_SetString(PyExc_ValueError, "column vector outside GF(2)^r");
+    } else if (cols != NULL && (buf = PyMem_Malloc(2 * (k ? k : 1) * sizeof(u64))) == NULL)
         PyErr_NoMemory();
     for (Py_ssize_t i = 0; buf != NULL && r && i < k; i++)
         if (cols[i] >> r) {
@@ -722,6 +793,7 @@ static PyMethodDef methods[] = {
     ONE(space_min_supports, py_space_min_supports),
     FAST(delete_rows),
     FAST(contract_rows),
+    FAST(profile_present),
     {"find_minors", (PyCFunction)(void (*)(void))py_find_minors,
      METH_VARARGS | METH_KEYWORDS, "See pure.find_minors."},
     FAST(canon_key_cols),

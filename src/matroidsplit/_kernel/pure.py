@@ -4,21 +4,23 @@ Reference implementation of the kernel API (``__all__``).  The hand-written
 C extension ``_speed.c`` compiles the per-candidate subset: ``rank``,
 ``rank_masked``, ``cols_rank``, ``rref``, ``rref_pivots``,
 ``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
-``contract_rows``, ``find_minors``, ``canon_key_cols`` and
-``is_canonical``, returning the same values for ints in [0, 2^64).  The
-rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
+``contract_rows``, ``profile_present``, ``find_minors``, ``canon_key_cols``
+and ``is_canonical``, returning the same values for ints in [0, 2^64).
+The rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
 ``profile_images``) is served from here alone; see ``_kernel.__init__``.
 
 Canonical forms minimise over ordered bases of the columns, not over all
 of GL(r, 2), and reach the same least image (``_images_below``).
 
 Rank <= 2 patterns are read off the contractions M/C, one per flat of the
-right rank (``_contractions``).  ``find_minors`` decides before it scans:
-for a rank <= 2 profile with no avoided columns and a contract size of
-rank - rho, it returns ``[]`` when no candidate can match (see
-``_profile_absent``).  Otherwise, and whenever a match exists, the scan runs
-unchanged, so every witness and its order stay the same.  ``profile_images``
-reads the marked images of such a pattern from the same contractions.
+right rank (``_contractions``).  ``profile_present`` decides from them
+whether a minor with a given profile exists, and is the one rank <= 2
+decision: ``find_minors`` decides with it before it scans, for a profile
+with no avoided columns and a contract size of rank - rho, and returns
+``[]`` when no candidate can match.  Otherwise, and whenever a match
+exists, the scan runs unchanged, so every witness and its order stay the
+same.  ``profile_images`` reads the marked images of such a pattern from
+the same contractions.
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -35,7 +37,7 @@ __all__ = [
     "rank", "rank_masked", "cols_rank", "rref", "rref_pivots", "in_rowspace",
     "nullspace_basis", "space_min_supports", "columns", "rows_from_columns",
     "delete_rows", "contract_rows", "profile", "profile_images",
-    "find_minors", "canon_key_cols", "is_canonical",
+    "profile_present", "find_minors", "canon_key_cols", "is_canonical",
 ]
 
 BACKEND = "pure"
@@ -258,13 +260,13 @@ def _match(mrows, m_cols: int, kind: int, want) -> bool:
 
 
 def _contractions(rows, n: int, c_size: int):
-    """Yield the parallel classes of M/C once for each flat of rank
-    ``c_size`` of the ``n`` columns, C being any basis of the flat.
+    """Yield (flat, classes) once for each flat of rank ``c_size`` of the
+    ``n`` columns: the flat's column mask and, for C any basis of it, the
+    parallel classes of M/C, each a column mask under a key of its own.
 
-    Each item maps a column vector reduced modulo span(C) to the mask of
-    the columns that reduce to it.  Entry 0 is the flat itself: C plus the
-    loops of M/C.  Every other entry is a parallel class of M/C, since two
-    columns are parallel in M/C iff their sum lies in span(C); so the
+    The flat is C plus the loops of M/C.  The classes map a column vector
+    reduced modulo span(C) to the mask of the columns that reduce to it;
+    two columns are parallel in M/C iff their sum lies in span(C), so the
     classes depend on the flat alone.  C runs over independent sets of
     distinct nonzero column vectors, and a flat already read is skipped.
     """
@@ -286,51 +288,67 @@ def _contractions(rows, n: int, c_size: int):
                 break
             basis.append((v & -v, v))
         else:
-            classes = {0: loops}
+            flat, classes = loops, {}
             for v, mask in points:
                 for low, b in basis:
                     if v & low:
                         v ^= b
-                classes[v] = classes.get(v, 0) | mask
-            if classes[0] not in seen:
-                seen.add(classes[0])
-                yield classes
+                if v:
+                    classes[v] = classes.get(v, 0) | mask
+                else:
+                    flat |= mask
+            if flat not in seen:
+                seen.add(flat)
+                yield flat, classes
 
 
-def _profile_absent(rows, n: int, c_size: int, d_size: int, want) -> bool:
-    """True when no (C, D) candidate of ``find_minors`` over all ``n``
-    columns can match the profile ``want``; False when one matches or the
-    test does not apply.
+def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
+    """For each profile ``(rho, loops, sizes)`` in ``wants``, 0 <= rho <= 2,
+    whether some minor of the ``n_cols``-column matroid has that profile.
 
-    It applies when the wanted rank rho is at most 2 and
-    ``c_size == rank - rho``, so that M/C has rank rho for every
-    independent C.  ``_contractions`` reads the parallel classes of each
-    M/C; its loops are the flat spanned by C, minus C.  M/C \\ D keeps
-    loops as loops and classes as classes, and any l loops plus any s_i
-    elements from distinct classes give the wanted minor, since two
-    distinct nonzero points span a rank-2 binary space.  So a match exists
-    iff some C leaves at least l loops and class sizes that, both sorted
-    descending, dominate the wanted ones.  Wants whose shape no minor has
-    are absent outright, as the scan finds.
+    Every minor of rank rho is M/C \\ D with C independent of size
+    rank - rho, so M/C has rank rho.  ``_contractions`` reads the parallel
+    classes of each M/C; its loops are the flat spanned by C, minus C.
+    M/C \\ D keeps loops as loops and classes as classes, and any l loops
+    plus any s_i elements from distinct classes give the wanted minor,
+    since two distinct nonzero points span a rank-2 binary space.  So a
+    minor exists iff some C leaves at least l loops and class sizes that,
+    both sorted descending, dominate the wanted ones.  One pass over the
+    contractions serves every want of the same rank, and it stops once
+    they are all found.  A want whose shape no minor has (unsorted or
+    nonpositive sizes, negative loops, or a class count that does not fit
+    rho) reads False, as do rho > rank and wants of more elements than M/C
+    has, without a pass.  Bits at or above ``n_cols`` are ignored.  Equal
+    to ``bool(find_minors(...))`` for the profile with ``c_size = rank -
+    rho`` and the matching ``d_size``, without the scan.
     """
-    rho, loops, sizes = want
-    if not 0 <= rho <= 2:
-        return False
-    rows = [row & ((1 << n) - 1) for row in rows]
-    if c_size != rank(rows) - rho:
-        return False
-    if (min(sizes, default=1) < 1 or list(sizes) != sorted(sizes)
-            or n - c_size - d_size != loops + sum(sizes)
-            or (len(sizes) != rho if rho < 2 else len(sizes) < 2)):
-        return True
-    need = sorted(sizes, reverse=True)
-    for classes in _contractions(rows, n, c_size):
-        have = sorted((m.bit_count() for v, m in classes.items() if v),
-                      reverse=True)
-        if (classes[0].bit_count() - c_size >= loops and len(have) >= len(need)
-                and all(h >= w for h, w in zip(have, need))):
-            return False
-    return True
+    rows = [row & ((1 << n_cols) - 1) for row in rows]
+    full = rank(rows)
+    found = [False] * len(wants)
+    # rho -> [(index, loops, sizes sorted descending)] still to find.
+    open_wants = {}
+    for i, (rho, loops, sizes) in enumerate(wants):
+        if not 0 <= rho <= 2:
+            raise ValueError(f"profile_present decides wants of rank 0..2, not {rho}")
+        if (rho <= full and loops >= 0 and min(sizes, default=1) >= 1
+                and list(sizes) == sorted(sizes)
+                and (len(sizes) == rho if rho < 2 else len(sizes) >= 2)
+                and loops + sum(sizes) <= n_cols - full + rho):
+            open_wants.setdefault(rho, []).append((i, loops, sorted(sizes, reverse=True)))
+    for rho, pending in open_wants.items():
+        c_size = full - rho
+        for flat, classes in _contractions(rows, n_cols, c_size):
+            loops_here = flat.bit_count() - c_size
+            have = sorted((m.bit_count() for m in classes.values()), reverse=True)
+            for item in list(pending):
+                i, loops, need = item
+                if (loops_here >= loops and len(have) >= len(need)
+                        and all(h >= w for h, w in zip(have, need))):
+                    found[i] = True
+                    pending.remove(item)
+            if not pending:
+                break
+    return tuple(found)
 
 
 def _subset_masks(mask: int, k: int):
@@ -378,8 +396,7 @@ def profile_images(rows, n_cols: int, pattern_rows, pattern_n_cols: int,
     images = set()
     if c_size < 0:
         return images
-    for classes in _contractions(rows, n_cols, c_size):
-        flat = classes.pop(0)
+    for flat, classes in _contractions(rows, n_cols, c_size):
         if flat.bit_count() - c_size < loops:
             continue
         loop_picks = [x for x in _subset_masks(flat, marked_loops)
@@ -405,15 +422,16 @@ def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,
     (cmask, dmask) pairs (all matches when ``limit`` is 0).
 
     Decide first: for a profile of rank <= 2 with ``avoid`` 0 and
-    ``c_size == rank - rho``, ``_profile_absent`` reads each contraction
-    M/C once and returns ``[]`` when no candidate can match; otherwise the
-    scan runs as always, so the witnesses and their order do not change.
+    ``c_size == rank - rho``, it returns ``[]`` when ``profile_present``
+    finds no such minor; otherwise the scan runs as always, so the
+    witnesses and their order do not change.
     """
     free = [j for j in range(n_cols) if not (avoid >> j) & 1]
     if c_size + d_size > len(free) or c_size < 0 or d_size < 0:
         return []
-    if (kind == KIND_PROFILE and not avoid
-            and _profile_absent(rows, len(free), c_size, d_size, want)):
+    if (kind == KIND_PROFILE and not avoid and 0 <= want[0] <= 2
+            and c_size == rank_masked(rows, (1 << n_cols) - 1) - want[0]
+            and not profile_present(rows, n_cols, (want,))[0]):
         return []
     out = []
     for d_idx in combinations(free, d_size):

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import comb
 
@@ -71,15 +71,38 @@ def _k_subsets(s: BinaryMatroid, k: int):
     return combinations(sorted(s.labels), k)
 
 
-def splitting_minor_witness(s: BinaryMatroid, k: int):
-    """Search all k-subsets Y for an F minor inside the splitting on Y."""
-    subsets = _k_subsets(s, k)
-    f = catalog.get("F").matroid
-    for y in subsets:
-        w = splitting(s, y).has_minor(f)
-        if w is not None:
-            return SplitMinorWitness(y_set=frozenset(y), witness=w)
+@cache
+def _profile_want(name: str):
+    """The profile of catalog pattern ``name``, which has rank <= 2."""
+    rep = catalog.get(name).matroid.rep
+    return _kernel.profile(rep.rows, rep.n_cols)
+
+
+def splitting_minor_set(s: BinaryMatroid, k: int):
+    """The first k-subset Y, in label order, whose splitting has an F minor
+    anywhere, as a frozenset; None when there is none.
+
+    Decided on rows with one ``_kernel.profile_present`` call per Y: the
+    splitting's rows are ``s``'s plus the mask of Y (as
+    :func:`ops.splitting` builds them), and F has rank 2, so no splitting,
+    minor or witness is built.
+    """
+    want = _profile_want("F")
+    rows, n = s.rep.rows, s.rep.n_cols
+    for y in _k_subsets(s, k):
+        if _kernel.profile_present(rows + (s._label_mask(y),), n, (want,))[0]:
+            return frozenset(y)
     return None
+
+
+def splitting_minor_witness(s: BinaryMatroid, k: int):
+    """The F minor witness of the splitting on the Y that
+    :func:`splitting_minor_set` finds, or None."""
+    y = splitting_minor_set(s, k)
+    if y is None:
+        return None
+    f = catalog.get("F").matroid
+    return SplitMinorWitness(y_set=y, witness=splitting(s, sorted(y)).has_minor(f))
 
 
 def pinned_splitting_minor(s: BinaryMatroid, y) -> MinorWitness | None:
@@ -103,6 +126,12 @@ def pinned_splitting_minor_witness(s: BinaryMatroid, k: int):
         if w is not None:
             return SplitMinorWitness(y_set=frozenset(y), witness=w)
     return None
+
+
+def _pinned_splitting_minor_set(s: BinaryMatroid, k: int):
+    """The Y of :func:`pinned_splitting_minor_witness`, or None."""
+    w = pinned_splitting_minor_witness(s, k)
+    return None if w is None else w.y_set
 
 
 # The process pool that one run_checks call shares among all of its sweeps.
@@ -132,12 +161,13 @@ def _universe(c: Corpus, quantifier: str, gammoids_only: bool = True) -> str:
 
 
 def _split_minor_outcome(m: BinaryMatroid, k: int, search) -> str:
+    """``search(m, k)`` returns the Y found, or None."""
     if k > m.n_elements():
         return "absent"
-    w = search(m, k)
-    if w is None:
+    y = search(m, k)
+    if y is None:
         return "absent"
-    return f"witness Y={{{','.join(sorted(w.y_set))}}}"
+    return f"witness Y={{{','.join(sorted(y))}}}"
 
 
 def _split_minor_sweep(c: Corpus, k: int, search, jobs: int | None):
@@ -178,14 +208,21 @@ def check_split_minor_empty(c: Corpus, k: int, jobs: int | None = None
     many are F-minor-free and the smallest F-minor-free one (fewest
     elements, first in corpus order); and the same sweep over the
     non-gammoids, since the claim is only made for gammoids.
+
+    Every question here is whether an F minor exists, and F has rank 2, so
+    each is one ``_kernel.profile_present`` decision on rows: per Y through
+    :func:`splitting_minor_set`, and once per witness host for the counts.
+    No witness is built; :func:`splitting_minor_witness` builds one for the
+    same Y.
     """
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
     hosts, failures, n_other, hits = _split_minor_sweep(
-        c, k, splitting_minor_witness, jobs)
-    f = catalog.get("F").matroid
-    free = [m for m in hosts if m.has_minor(f) is None]
+        c, k, splitting_minor_set, jobs)
+    f_want = _profile_want("F")
+    free = [m for m in hosts
+            if not _kernel.profile_present(m.rep.rows, m.rep.n_cols, (f_want,))[0]]
     smallest = min(free, key=lambda m: m.n_elements(), default=None)
     return VerificationReport.from_failures(
         f"gf-empty-k{k}",
@@ -224,7 +261,7 @@ def check_split_minor_collection_empty(c: Corpus, k: int,
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
     _, failures, n_other, hits = _split_minor_sweep(
-        c, k, pinned_splitting_minor_witness, jobs)
+        c, k, _pinned_splitting_minor_set, jobs)
     return VerificationReport.from_failures(
         f"gf-collection-k{k}",
         _universe(c, f"for every member and every Y with |Y| = {k}, "
@@ -239,31 +276,36 @@ def check_split_minor_collection_empty(c: Corpus, k: int,
 # -- k >= 3: splitting-minor membership vs the F_i excluded minors --------------
 
 
-def _gf_member_worker(m: BinaryMatroid, k: int, patterns) -> str:
-    if k > m.n_elements():
-        lhs = False
-    else:
-        lhs = splitting_minor_witness(m, k) is not None
-    found = [name for name, pat in patterns if m.has_minor(pat) is not None]
+def _gf_member_worker(m: BinaryMatroid, k: int, fi_wants) -> str:
+    """The gf-minors outcome of ``m``; ``fi_wants`` is :func:`_fi_wants`."""
+    lhs = k <= m.n_elements() and splitting_minor_set(m, k) is not None
+    present = _kernel.profile_present(m.rep.rows, m.rep.n_cols,
+                                      tuple(want for _, want in fi_wants))
+    found = [name for (name, _), hit in zip(fi_wants, present) if hit]
     rhs = bool(found)
     return f"splitting_minor={lhs} f_minors={','.join(found) if found else 'none'} agree={lhs == rhs}"
 
 
-def _fi_patterns():
-    return tuple((name, catalog.get(name).matroid)
-                 for name in ("F_1", "F_2", "F_3", "F_4"))
+def _fi_wants():
+    """(name, profile) for F_1..F_4, all of rank <= 2."""
+    return tuple((name, _profile_want(name)) for name in ("F_1", "F_2", "F_3", "F_4"))
 
 
 def check_split_minor_characterization(c: Corpus, k: int = 3,
                                        jobs: int | None = None
                                        ) -> VerificationReport:
-    """Assert: some k-element splitting has an F minor iff some F_i minor exists."""
+    """Assert: some k-element splitting has an F minor iff some F_i minor exists.
+
+    F and F_1..F_4 have rank <= 2, so both sides are ``_kernel.profile_present``
+    decisions on rows, with no witness built: the left through
+    :func:`splitting_minor_set`, the right in one call holding all four
+    wants, so F_2..F_4 share one pass over the rank-1 contractions.
+    """
     if k < 3:
         raise ValueError("the characterization is asserted for k >= 3")
     start = time.perf_counter()
     gammoids = c.gammoids()
-    patterns = _fi_patterns()
-    results = _map_members(partial(_gf_member_worker, k=k, patterns=patterns),
+    results = _map_members(partial(_gf_member_worker, k=k, fi_wants=_fi_wants()),
                            gammoids, jobs)
     failures = []
     in_collection = 0
@@ -544,6 +586,21 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
     minor, so every member with an admissible pair has a G_4 minor.  The
     observation ``direction_a_admissible_pairs`` is therefore 0, and a
     pass rests on the three known-instance cases.
+
+    More holds: for every binary matroid M and every admissible pair
+    {x, y}, the 3-fold has an M(K4) minor, so it is never a gammoid.
+    Proof sketch: {x, y} lies properly inside a cocircuit C*; pick
+    z in C* - {x, y}.  H = E - C* is a hyperplane, so contracting a basis B
+    of H leaves rank 1 with every element of C* a non-loop, and deleting
+    H - B and C* - {x, y, z} leaves U_{1,3} = G_4 on {x, y, z}.  Splitting
+    on a set commutes with deleting or contracting an element outside it
+    (the new row is 0 there and survives the pivot), and so does adjoining
+    loops; none of the removed elements is x, y or a new loop.  So the same
+    deletions and contractions take the 3-fold of M to the 3-fold of G_4,
+    which is M(K4) (the known instance).  This is the 3-fold of this
+    module: three loops p, q, r adjoined, then splittings on {x, y, p, r}
+    and on {x, q, r}.  PAPER.md holds only the paper's abstract, so the
+    paper's 3-fold-3-point splitting may be defined otherwise.
     """
     start = time.perf_counter()
     g4_entry = catalog.get("G_4")
@@ -606,10 +663,10 @@ def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
     Checked on rows, as :func:`ops.element_splitting` builds them: the
     extension by a new last element e has ``m``'s rows plus the mask of
     ``t`` with e's bit set.  Deleting e must leave exactly the splitting's
-    rows, ``m``'s plus the mask; contracting e must give back ``m``'s rows,
-    or else a matroid isomorphic to ``m``.  ``m`` was validated, ``t`` goes
-    through ``_label_mask`` and e needs no label, so the only matroid built
-    is the isomorphism fallback's, by the trusted constructor.
+    rows, ``m``'s plus the mask; contracting e must give back exactly
+    ``m``'s rows, since e's only 1 is in the appended row, so the pivot on e
+    removes that row and touches no other.  ``m`` was validated, ``t`` goes
+    through ``_label_mask`` and e needs no label, so no matroid is built.
     """
     mask = m._label_mask(t)
     n = m.rep.n_cols
@@ -620,9 +677,7 @@ def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
     bad = []
     if _kernel.delete_rows(ext, n + 1, 1 << n) != rows + (mask,):
         bad.append("delete identity")
-    back = _kernel.contract_rows(ext, n + 1, 1 << n)
-    if back != rows and \
-            BinaryMatroid._derived(m.labels, back, n).is_isomorphic(m) is None:
+    if _kernel.contract_rows(ext, n + 1, 1 << n) != rows:
         bad.append("contract identity")
     return bad
 
@@ -736,14 +791,14 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
     """
     if check_name.startswith("gf-empty"):
         return _split_minor_outcome(from_compact(matroid_token),
-                                    int(params["k"]), splitting_minor_witness)
+                                    int(params["k"]), splitting_minor_set)
     if check_name.startswith("gf-collection"):
         return _split_minor_outcome(from_compact(matroid_token),
                                     int(params["k"]),
-                                    pinned_splitting_minor_witness)
+                                    _pinned_splitting_minor_set)
     if check_name == "gf-minors":
         return _gf_member_worker(from_compact(matroid_token), int(params["k"]),
-                                 _fi_patterns())
+                                 _fi_wants())
     if check_name == "split-gammoid":
         return _split_outcome(from_compact(matroid_token),
                               tuple(params["T"].split(",")))

@@ -17,7 +17,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from matroidsplit._kernel import pure
 
@@ -70,8 +70,8 @@ def test_compiled_module_defines_exactly_the_hot_subset(compiled):
     names = {n for n in pure.__all__ if hasattr(compiled, n)}
     assert names == {"BACKEND", "rank", "rank_masked", "cols_rank", "rref",
                      "rref_pivots", "nullspace_basis", "space_min_supports",
-                     "delete_rows", "contract_rows", "find_minors",
-                     "canon_key_cols", "is_canonical"}
+                     "delete_rows", "contract_rows", "profile_present",
+                     "find_minors", "canon_key_cols", "is_canonical"}
     assert compiled.BACKEND == "compiled"
 
 
@@ -98,6 +98,19 @@ def test_elementwise_functions_agree(compiled):
             compiled.delete_rows(rows, n_cols, dmask)
         assert pure.contract_rows(rows, n_cols, cmask) == \
             compiled.contract_rows(rows, n_cols, cmask)
+
+
+def test_contracting_an_appended_unit_column_gives_back_the_rows(compiled):
+    # The contract identity of esplit-identities: a new last column whose
+    # only 1 lies in an appended row pivots that row away and nothing else.
+    rng = random.Random(1998)
+    for _ in range(400):
+        n_cols = rng.choice((0, 1, 5, 9, 63, rng.randint(0, 63)))
+        rows = random_rows(rng, n_cols, rng.randint(0, 6))
+        mask = rng.getrandbits(n_cols) if n_cols else 0
+        ext = rows + (mask | 1 << n_cols,)
+        for kernel in (pure, compiled):
+            assert kernel.contract_rows(ext, n_cols + 1, 1 << n_cols) == rows
 
 
 def test_canonical_forms_agree(compiled):
@@ -179,6 +192,9 @@ def test_canonical_forms_raise_alike_on_bad_columns_and_ranks(compiled, name):
     cases = [((1 << r,), r) for r in range(1, 7)]
     cases += [((0, 1, (1 << r) + 1), r) for r in range(1, 7)]
     cases += [(((1 << 63) | 1, 1), 3), ((1,), -1), ((), -1), ((5, 2), 0)]
+    # Negative columns and columns of 2^64 or more, which no word holds.
+    cases += [((-1, 1), 1), ((1 << 64,), 3), ((1, 2, -5), 6),
+              ((1, (1 << 64) + 1), 2), ((1 << 70,), 1)]
     for cols, r in cases:
         got = outcome(getattr(pure, name), cols, r)
         assert got == outcome(getattr(compiled, name), cols, r), (cols, r)
@@ -258,11 +274,12 @@ def test_find_minors_agrees_on_edge_shapes(compiled, matrix, kind_want, c_size,
             compiled.find_minors(rows, n_cols, c, d, kind, want, limit=limit, avoid=avoid)
 
 
-PROFILE_WANTS = st.sampled_from([
+PROFILE_WANT_LIST = [
     (1, 1, (3,)), (2, 0, (1, 2, 2)), (2, 1, (1, 2, 2)), (1, 0, (3,)),
     (2, 0, (2, 2, 2)), (2, 0, (1, 1)), (0, 2, ()), (0, 0, ()), (1, 2, (1,)),
-    (2, 1, (3, 1)), (2, 0, (0, 2)), (3, 0, (1, 1, 1)),
-])
+    (2, 1, (3, 1)), (2, 0, (0, 2)), (2, -1, (1, 2)), (3, 0, (1, 1, 1)),
+]
+PROFILE_WANTS = st.sampled_from(PROFILE_WANT_LIST)
 
 
 @EDGE
@@ -281,6 +298,29 @@ def test_find_minors_agrees_on_the_decision_path(compiled, n_rows, n_cols, want,
                             limit=limit) == \
         compiled.find_minors(rows, n_cols, c_size, d_size, pure.KIND_PROFILE, want,
                              limit=limit)
+    assert outcome(pure.profile_present, rows, n_cols, (want,)) == \
+        outcome(compiled.profile_present, rows, n_cols, (want,))
+
+
+@EDGE
+@given(st.one_of(edge_matrices(), st.tuples(st.lists(st.integers(0, WORD), max_size=6)
+                                            .map(tuple), st.integers(0, 64))))
+@example(matrix=(tuple(1 << i for i in range(30)), 64))
+@example(matrix=(tuple(1 << i | 1 << 19 for i in range(19)), 64))
+def test_profile_present_agrees_on_edge_shapes(compiled, matrix):
+    # 0 rows, exactly 64 columns and row bits at or above n_cols, with every
+    # want of rank <= 2 in one call, and a want of rank 3 in another.  The
+    # examples, 30 coloops and a 20-element circuit among 64 columns, have
+    # wants that no contraction holds: the contract sets must run over the
+    # distinct nonzero columns, not over all 64.
+    rows, n_cols = matrix
+    wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2] + [
+        (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2)))]
+    assert pure.profile_present(rows, n_cols, wants) == \
+        compiled.profile_present(rows, n_cols, wants)
+    for call in (pure.profile_present, compiled.profile_present):
+        with pytest.raises(ValueError):
+            call(rows, n_cols, wants[:1] + [(3, 0, (1, 1, 1))])
 
 
 @EDGE
@@ -307,6 +347,7 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
             lambda: compiled.contract_rows((bad,), 3, 1),
             lambda: compiled.find_minors((1,), 3, 0, 1, pure.KIND_PROFILE,
                                          (1, 0, (1, 1)), avoid=bad),
+            lambda: compiled.profile_present((1, bad), 3, [(1, 0, (1,))]),
             lambda: compiled.canon_key_cols((bad,), 0),
             lambda: compiled.is_canonical((bad,), 2),
         ]
@@ -317,6 +358,8 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
         compiled.nullspace_basis((1,), 65)
     with pytest.raises(ValueError):
         compiled.find_minors((1,), 65, 0, 0, pure.KIND_SIMPLE_RANK3, None)
+    with pytest.raises(ValueError):
+        compiled.profile_present((1,), 65, [(1, 0, (1,))])
 
 
 def test_backend_name_reported():

@@ -427,12 +427,13 @@ PROFILE_WANTS = sorted({pure.profile(e.matroid.rep.rows, e.matroid.rep.n_cols)
                         for e in catalog.list_entries()}) + [
     (0, 0, ()), (0, 2, ()), (0, 3, ()), (2, 0, (1, 1)), (2, 1, (1, 1, 1)),
     (2, 1, (3, 1)), (2, 0, (0, 2, 2)), (1, 0, (1, 2)), (1, 0, (0,)),
-    (3, 0, (1, 1, 1)),
+    (2, -1, (1, 2)), (3, 0, (1, 1, 1)),
 ]
 
 
 def _assert_profile_minors_match_oracle(rows, n_cols, rng):
     full = pure.rank_masked(rows, (1 << n_cols) - 1)
+    present = []
     for want in PROFILE_WANTS:
         rho, loops, sizes = want
         c0 = full - rho
@@ -441,6 +442,10 @@ def _assert_profile_minors_match_oracle(rows, n_cols, rng):
         for c_size, limits in ((c0, (0, 1, 2)), (c0 - 1, (0,)), (c0 + 1, (0,))):
             d_size = n_cols - loops - sum(sizes) - c_size
             expected = profile_minors(rows, n_cols, c_size, d_size, want)
+            if c_size == c0 and rho <= 2:
+                present.append(bool(expected))
+                assert pure.profile_present(rows, n_cols, (want,)) == \
+                    (bool(expected),), (rows, n_cols, want)
             avoid = 1 << rng.randrange(n_cols) if n_cols else 0
             avoided = [p for p in expected if not (p[0] | p[1]) & avoid]
             for limit in limits:
@@ -450,6 +455,11 @@ def _assert_profile_minors_match_oracle(rows, n_cols, rng):
                                            limit=limit, avoid=mask)
                     assert got == (hits[:limit] if limit else hits), \
                         (rows, n_cols, c_size, d_size, want, limit, mask)
+    # One call decides every want; a want above rank 2 is refused.
+    wants = [w for w in PROFILE_WANTS if w[0] <= 2]
+    assert pure.profile_present(rows, n_cols, wants) == tuple(present)
+    with pytest.raises(ValueError):
+        pure.profile_present(rows, n_cols, wants + [(3, 0, (1, 1, 1))])
 
 
 def test_profile_minors_match_brute_force_on_corpus(corpus6):

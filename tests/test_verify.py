@@ -57,6 +57,26 @@ def test_loop_splitting_produces_a_witness():
     assert w.verify(host)
 
 
+def test_splitting_minor_set_is_the_first_y_with_a_witness(corpus6):
+    # The decision on rows finds the Y that a witness search over the built
+    # splittings finds first, and the witness for that Y verifies.
+    f = catalog.get("F").matroid
+    found = 0
+    for m in corpus6.members:
+        for k in (1, 2, 3):
+            if k > m.n_elements():
+                continue
+            first = next((frozenset(y) for y in verify._k_subsets(m, k)
+                          if splitting(m, y).has_minor(f) is not None), None)
+            assert verify.splitting_minor_set(m, k) == first, (m, k)
+            w = verify.splitting_minor_witness(m, k)
+            assert (w is None) == (first is None)
+            if w is not None:
+                assert w.y_set == first and w.verify(m)
+                found += 1
+    assert found
+
+
 def test_pinned_search_keeps_y_in_the_minor():
     # The unpinned witness on F plus a loop contracts its Y = {l}; an F minor
     # that keeps l does not exist, because l is a coloop of the splitting.
@@ -276,15 +296,20 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     catalog.get("F")  # validate the catalog before any primitive is patched
     # The workers decide on rows: split-gammoid calls the series-parallel
     # reduction imported into verify, main reaches it through
-    # is_binary_gammoid, and the esplit identities compare the kernel's
-    # delete and contract rows, with is_isomorphic as the fallback.  A kernel
-    # patch that returns its input rows leaves the new element in place.
+    # is_binary_gammoid, the esplit identities compare the kernel's delete
+    # and contract rows, and gf-minors decides both sides with the kernel's
+    # profile_present.  A kernel patch that returns its input rows leaves
+    # the new element in place; the profile_present patch reads a want as
+    # present when the last row is odd, so the F test on the split rows and
+    # the F_i test on the host's rows disagree on some members.
     patches = {
         "split-gammoid": [(verify, "series_parallel_reduces", lambda rows, n: False)],
         "main": [(matroid, "series_parallel_reduces", lambda rows, n: True)],
         "esplit-identities": [(_kernel, "delete_rows", lambda rows, n, mask: rows),
-                              (_kernel, "contract_rows", lambda rows, n, mask: rows),
-                              (BinaryMatroid, "is_isomorphic", lambda self, o: None)],
+                              (_kernel, "contract_rows", lambda rows, n, mask: rows)],
+        "gf-minors": [(_kernel, "profile_present",
+                       lambda rows, n, wants: (bool(rows) and rows[-1] % 2 == 1,)
+                       * len(wants))],
         "quotients": [(verify, "canonical_key",
                        lambda m: CanonicalKey(len(m.labels), m.rep.rows))],
     }
