@@ -5,8 +5,8 @@ Every name in ``pure.__all__`` is bound from ``pure.py`` first.  Unless
 rebinds the per-candidate functions it compiles: ``rank``, ``rank_masked``,
 ``cols_rank``, ``rref``, ``rref_pivots``, ``nullspace_basis``,
 ``space_min_supports``, ``delete_rows``, ``contract_rows``,
-``profile_present``, ``find_minors``, ``canon_key_cols`` and
-``is_canonical``.  The rest (``in_rowspace``,
+``profile_present``, ``split_profile_first``, ``find_minors``,
+``canon_key_cols`` and ``is_canonical``.  The rest (``in_rowspace``,
 ``columns``, ``rows_from_columns``, ``profile``, ``profile_images``) is
 served by ``pure.py`` on both backends.  ``BACKEND`` names the module that
 loaded last ("compiled" or "pure").  Callers look these names up here at

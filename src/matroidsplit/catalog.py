@@ -129,6 +129,12 @@ def _checks(entries: dict[str, CatalogEntry]):
     yield ("decode observation: Q_3 and Q_4 are isomorphic matroids",
            entries["Q_3"].matroid.is_isomorphic(entries["Q_4"].matroid)
            is not None, True)
+    yield ("decode observation: F_3 and F_4 are isomorphic matroids",
+           entries["F_3"].matroid.is_isomorphic(entries["F_4"].matroid)
+           is not None, True)
+    yield ("decode observation: F_1 and F are isomorphic matroids",
+           entries["F_1"].matroid.is_isomorphic(entries["F"].matroid)
+           is not None, True)
 
 
 def validate_all() -> VerificationReport:

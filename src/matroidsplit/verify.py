@@ -82,17 +82,18 @@ def splitting_minor_set(s: BinaryMatroid, k: int):
     """The first k-subset Y, in label order, whose splitting has an F minor
     anywhere, as a frozenset; None when there is none.
 
-    Decided on rows with one ``_kernel.profile_present`` call per Y: the
-    splitting's rows are ``s``'s plus the mask of Y (as
-    :func:`ops.splitting` builds them), and F has rank 2, so no splitting,
-    minor or witness is built.
+    Decided on rows with one ``_kernel.split_profile_first`` call for all
+    the Ys of ``s`` and k: each splitting's rows are ``s``'s plus the mask
+    of Y (as :func:`ops.splitting` builds them), and F has rank 2, so no
+    splitting, minor or witness is built.
     """
-    want = _profile_want("F")
-    rows, n = s.rep.rows, s.rep.n_cols
-    for y in _k_subsets(s, k):
-        if _kernel.profile_present(rows + (s._label_mask(y),), n, (want,))[0]:
-            return frozenset(y)
-    return None
+    ys = list(_k_subsets(s, k))
+    # The masks of the k-subsets, in the order of ``ys``.
+    bits = [1 << s.labels.index(lab) for lab in sorted(s.labels)]
+    masks = [sum(y) for y in combinations(bits, k)]
+    first = _kernel.split_profile_first(s.rep.rows, s.rep.n_cols, masks,
+                                        _profile_want("F"))
+    return None if first < 0 else frozenset(ys[first])
 
 
 def splitting_minor_witness(s: BinaryMatroid, k: int):
@@ -210,10 +211,11 @@ def check_split_minor_empty(c: Corpus, k: int, jobs: int | None = None
     non-gammoids, since the claim is only made for gammoids.
 
     Every question here is whether an F minor exists, and F has rank 2, so
-    each is one ``_kernel.profile_present`` decision on rows: per Y through
-    :func:`splitting_minor_set`, and once per witness host for the counts.
-    No witness is built; :func:`splitting_minor_witness` builds one for the
-    same Y.
+    each is decided on rows: every Y of a member at once, with one
+    ``_kernel.split_profile_first`` call per member and k through
+    :func:`splitting_minor_set`, and one ``_kernel.profile_present`` call
+    per witness host for the counts.  No witness is built;
+    :func:`splitting_minor_witness` builds one for the same Y.
     """
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
@@ -296,10 +298,11 @@ def check_split_minor_characterization(c: Corpus, k: int = 3,
                                        ) -> VerificationReport:
     """Assert: some k-element splitting has an F minor iff some F_i minor exists.
 
-    F and F_1..F_4 have rank <= 2, so both sides are ``_kernel.profile_present``
-    decisions on rows, with no witness built: the left through
-    :func:`splitting_minor_set`, the right in one call holding all four
-    wants, so F_2..F_4 share one pass over the rank-1 contractions.
+    F and F_1..F_4 have rank <= 2, so both sides are decided on rows, with
+    no witness built: the left with one ``_kernel.split_profile_first``
+    call per member and k through :func:`splitting_minor_set`, the right
+    with one ``_kernel.profile_present`` call holding all four wants, so
+    F_2..F_4 share one pass over the rank-1 contractions.
     """
     if k < 3:
         raise ValueError("the characterization is asserted for k >= 3")

@@ -14,6 +14,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -71,7 +73,8 @@ def test_compiled_module_defines_exactly_the_hot_subset(compiled):
     assert names == {"BACKEND", "rank", "rank_masked", "cols_rank", "rref",
                      "rref_pivots", "nullspace_basis", "space_min_supports",
                      "delete_rows", "contract_rows", "profile_present",
-                     "find_minors", "canon_key_cols", "is_canonical"}
+                     "split_profile_first", "find_minors", "canon_key_cols",
+                     "is_canonical"}
     assert compiled.BACKEND == "compiled"
 
 
@@ -323,6 +326,59 @@ def test_profile_present_agrees_on_edge_shapes(compiled, matrix):
             call(rows, n_cols, wants[:1] + [(3, 0, (1, 1, 1))])
 
 
+def test_split_profile_first_agrees(compiled, corpus6):
+    # Every k-subset of corpus members, also behind 64 and 100 empty Ys
+    # (cocycles), so that the compiled blocks of 64 Ys meet a boundary; then
+    # random matrices with bits at or above n_cols and up to 150 masks.
+    rng = random.Random(1984)
+    wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2]
+    firsts = []
+    for m in corpus6.members:
+        n_cols = m.rep.n_cols
+        for k in (1, 2, 3):
+            ys = [sum(1 << j for j in y) for y in combinations(range(n_cols), k)]
+            for want in wants:
+                for masks in (ys, [0] * 64 + ys, [0] * 100 + ys[::-1]):
+                    got = pure.split_profile_first(m.rep.rows, n_cols, masks, want)
+                    assert got == compiled.split_profile_first(m.rep.rows, n_cols, masks, want)
+                    firsts.append(got)
+    for _ in range(300):
+        n_cols = rng.randint(0, 10)
+        rows = random_rows(rng, n_cols + 2, rng.randint(0, 5))
+        ys = [rng.getrandbits(n_cols + 2) for _ in range(rng.choice((0, 1, 63, 64, 65, 150)))]
+        for want in rng.sample(wants, 3):
+            got = pure.split_profile_first(rows, n_cols, ys, want)
+            assert got == compiled.split_profile_first(rows, n_cols, ys, want)
+            firsts.append(got)
+    assert min(firsts) == -1 and 0 in firsts and max(firsts) > 100
+
+
+def test_split_profile_first_agrees_on_edge_shapes(compiled):
+    # 0 rows, more than 64 rows and exactly 64 columns, with every want of
+    # rank <= 2 and masks past the first block; a rank-3 want raises on
+    # both.  The examples of test_profile_present_agrees_on_edge_shapes,
+    # 30 coloops and a 20-element circuit among 64 columns, hold most wants
+    # for no Y, so the walk over their column subsets runs to the end.
+    rng = random.Random(64)
+    matrices = [((), 0), ((), 5), ((), 64),
+                (random_rows(rng, 9, 70), 9), (random_rows(rng, 64, 66), 64),
+                (tuple(1 << i for i in range(30)), 64),
+                (tuple(1 << i | 1 << 19 for i in range(19)), 64)]
+    for rows, n_cols in matrices:
+        ys = [0, WORD, (1 << n_cols) & WORD] + [rng.getrandbits(64) for _ in range(70)]
+        wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2] + [
+            (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2)))]
+        for want in wants:
+            for masks in (ys, ys[:1]):
+                start = time.perf_counter()
+                got = pure.split_profile_first(rows, n_cols, masks, want)
+                assert time.perf_counter() - start < 1, (rows, want)
+                assert got == compiled.split_profile_first(rows, n_cols, masks, want)
+        for call in (pure.split_profile_first, compiled.split_profile_first):
+            with pytest.raises(ValueError):
+                call(rows, n_cols, ys, (3, 0, (1, 1, 1)))
+
+
 @EDGE
 @given(st.integers(0, 3), st.integers(0, 80), st.data())
 def test_canonical_forms_agree_on_edge_shapes(compiled, r, k, data):
@@ -348,6 +404,8 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
             lambda: compiled.find_minors((1,), 3, 0, 1, pure.KIND_PROFILE,
                                          (1, 0, (1, 1)), avoid=bad),
             lambda: compiled.profile_present((1, bad), 3, [(1, 0, (1,))]),
+            lambda: compiled.split_profile_first((1, bad), 3, [1], (1, 0, (1,))),
+            lambda: compiled.split_profile_first((1,), 3, [1, bad], (1, 0, (1,))),
             lambda: compiled.canon_key_cols((bad,), 0),
             lambda: compiled.is_canonical((bad,), 2),
         ]
@@ -360,6 +418,8 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
         compiled.find_minors((1,), 65, 0, 0, pure.KIND_SIMPLE_RANK3, None)
     with pytest.raises(ValueError):
         compiled.profile_present((1,), 65, [(1, 0, (1,))])
+    with pytest.raises(ValueError):
+        compiled.split_profile_first((1,), 65, [1], (1, 0, (1,)))
 
 
 def test_backend_name_reported():

@@ -10,7 +10,7 @@ def test_validate_all_passes():
     report = catalog.validate_all()
     assert report.verdict == "pass"
     assert report.failures == ()
-    assert report.cases == 19
+    assert report.cases == 21
 
 
 def test_names_cover_every_figure_instance():
@@ -72,6 +72,8 @@ def test_decode_observations_are_reported():
     obs = report.observations
     assert obs["decode observation: G_1 and G_2 are isomorphic matroids"] is True
     assert obs["decode observation: Q_3 and Q_4 are isomorphic matroids"] is True
+    assert obs["decode observation: F_3 and F_4 are isomorphic matroids"] is True
+    assert obs["decode observation: F_1 and F are isomorphic matroids"] is True
 
 
 def test_quotient_shape_profiles():

@@ -479,6 +479,54 @@ def test_profile_minors_match_brute_force_on_random_matrices():
         _assert_profile_minors_match_oracle(rows, n_cols, rng)
 
 
+# Wants of rank 0, 1 and 2, with and without loops, F's among them.
+SPLIT_WANTS = [(0, 0, ()), (0, 2, ()), (1, 0, (1,)), (1, 1, (2,)), (1, 2, (1,)),
+               (2, 0, (1, 1)), (2, 1, (1, 2)), (2, 0, (1, 1, 1)), (2, 0, (1, 2, 2)),
+               (2, 1, (2, 2))]
+
+
+def _split_masks(rows, n_cols, rng):
+    """Y = {} (0), cocycles (row-space vectors, some with bits at or above
+    n_cols), singletons and random masks with such bits, shuffled."""
+    cocycles = [rows[0] ^ rows[-1], rng.choice(rows) | 1 << n_cols] if rows else []
+    ys = [0, 1 << n_cols] + cocycles + [1 << j for j in range(n_cols)]
+    ys += [rng.getrandbits(n_cols + 2) for _ in range(6)]
+    rng.shuffle(ys)
+    return ys
+
+
+def _assert_split_first_matches_oracle(rows, n_cols, rng):
+    ys = _split_masks(rows, n_cols, rng)
+    for want in SPLIT_WANTS:
+        rho, loops, sizes = want
+        present = []
+        for y in ys:
+            split = tuple(rows) + (y,)
+            c_size = pure.rank_masked(split, (1 << n_cols) - 1) - rho
+            d_size = n_cols - loops - sum(sizes) - c_size
+            present.append(bool(profile_minors(split, n_cols, c_size, d_size, want)))
+        expected = present.index(True) if True in present else -1
+        assert pure.split_profile_first(rows, n_cols, ys, want) == expected, \
+            (rows, n_cols, ys, want)
+    with pytest.raises(ValueError):
+        pure.split_profile_first(rows, n_cols, ys, (3, 0, (1, 1, 1)))
+
+
+def test_split_profile_first_matches_brute_force_on_corpus(corpus6):
+    # Members and their splittings, so that hosts hold loops and coloops.
+    rng = random.Random(1998)
+    for m in corpus6.restrict(5).members:
+        for h in (m, splitting(m, m.labels[:2])):
+            _assert_split_first_matches_oracle(h.rep.rows, h.rep.n_cols, rng)
+
+
+def test_split_profile_first_matches_brute_force_on_random_matrices():
+    rng = random.Random(1997)
+    for n_cols in [n for n in range(9) for _ in range(6 if n < 7 else 2)]:
+        rows = tuple(rng.getrandbits(n_cols + 2) for _ in range(rng.randint(0, 4)))
+        _assert_split_first_matches_oracle(rows, n_cols, rng)
+
+
 # Every catalog pattern of rank <= 2 (G_1 has a marked loop, F_3 and F_4
 # two loops, G_3 three classes of one size), each with its marks, one mark,
 # no marks and all labels.

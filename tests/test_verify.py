@@ -297,11 +297,14 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     # The workers decide on rows: split-gammoid calls the series-parallel
     # reduction imported into verify, main reaches it through
     # is_binary_gammoid, the esplit identities compare the kernel's delete
-    # and contract rows, and gf-minors decides both sides with the kernel's
-    # profile_present.  A kernel patch that returns its input rows leaves
-    # the new element in place; the profile_present patch reads a want as
-    # present when the last row is odd, so the F test on the split rows and
-    # the F_i test on the host's rows disagree on some members.
+    # and contract rows, gf-minors decides both sides with the kernel's
+    # profile_present, and gf-empty decides every Y of a member with one
+    # split_profile_first call.  A kernel patch that returns its input rows
+    # leaves the new element in place; the profile_present patch reads a
+    # want as present when the last row is odd, so the F test on the split
+    # rows and the F_i test on the host's rows disagree on some members;
+    # the split_profile_first patch names the last Y of members whose rows
+    # sum to an odd number.
     patches = {
         "split-gammoid": [(verify, "series_parallel_reduces", lambda rows, n: False)],
         "main": [(matroid, "series_parallel_reduces", lambda rows, n: True)],
@@ -310,6 +313,8 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
         "gf-minors": [(_kernel, "profile_present",
                        lambda rows, n, wants: (bool(rows) and rows[-1] % 2 == 1,)
                        * len(wants))],
+        "gf-empty": [(_kernel, "split_profile_first",
+                      lambda rows, n, ymasks, want: len(ymasks) - 1 if sum(rows) % 2 else -1)],
         "quotients": [(verify, "canonical_key",
                        lambda m: CanonicalKey(len(m.labels), m.rep.rows))],
     }
@@ -317,18 +322,19 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
         with monkeypatch.context() as mp:
             for owner, attr, value in patch:
                 mp.setattr(owner, attr, value)
-            (report,) = verify.run_checks([name], small, jobs=1)
-            assert report.verdict == "fail", name
-            replayed = [verify.rerun_case(name, f) for f in report.failures]
-            assert all(replayed), (name, replayed)
-            if name == "esplit-identities":
-                assert {f.expected for f in report.failures} == {
-                    "delete identity holds", "contract identity holds"}
-            if name == "quotients":
-                assert len({(f.matroid, f.params) for f in report.failures}) \
-                    == len(report.failures)
-                assert "class-set" in {dict(f.params).get("check")
-                                       for f in report.failures}
+            # gf-empty gives two reports, k = 1 and 2; the others one.
+            for report in verify.run_checks([name], small, jobs=1):
+                assert report.verdict == "fail", report.name
+                replayed = [verify.rerun_case(report.name, f) for f in report.failures]
+                assert all(replayed), (report.name, replayed)
+                if name == "esplit-identities":
+                    assert {f.expected for f in report.failures} == {
+                        "delete identity holds", "contract identity holds"}
+                if name == "quotients":
+                    assert len({(f.matroid, f.params) for f in report.failures}) \
+                        == len(report.failures)
+                    assert "class-set" in {dict(f.params).get("check")
+                                           for f in report.failures}
 
 
 def test_evaluate_case_covers_every_check(corpus6):
