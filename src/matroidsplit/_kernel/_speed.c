@@ -6,10 +6,11 @@
  * exactly what their namesakes in pure.py return; pure.py documents them
  * and stays the reference.  Rows, masks and vectors are ints in [0, 2^64):
  * others raise OverflowError or TypeError, never wrap, except
- * canonical-form columns, which raise ValueError as pure does.  Where pure
- * would go past a word (n_cols > 64 in nullspace_basis, profile_present,
- * split_profile_first and find_minors) or take canonical forms for r > 6,
- * ValueError is raised.  Distinct low bits bound a reduced basis by 64
+ * canonical-form columns, which raise ValueError as pure does, and the
+ * class sizes of profile wants: a want with a size outside [0, 2^64) reads
+ * as absent, as in pure.  Where pure would go past a word (n_cols > 64 in
+ * nullspace_basis, profile_present, split_profile_first and find_minors)
+ * or take canonical forms for r > 6, ValueError is raised.  Distinct low bits bound a reduced basis by 64
  * rows, so only bases and column lists use 64-entry arrays; buffers that a
  * caller's row count indexes are allocated to size.
  *
@@ -46,8 +47,22 @@ static int to_u64(PyObject *obj, u64 *out)
     return (*out == (u64)-1 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* Copy a sequence of ints into a new PyMem buffer; *len gets its length. */
-static u64 *load(PyObject *seq, Py_ssize_t *len)
+/* A class size of a profile want.  want_fits reads a size outside 1..64
+ * as fitting no minor, so a size that no u64 holds, negative or past 2^64,
+ * is stored as 0 and its want reads as absent, as pure reads it. */
+static int to_size(PyObject *obj, u64 *out)
+{
+    int over;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &over);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = over || v < 0 ? 0 : (u64)v;
+    return 0;
+}
+
+/* Copy a sequence of ints, each through conv, into a new PyMem buffer;
+ * *len gets its length. */
+static u64 *load_as(PyObject *seq, Py_ssize_t *len, int (*conv)(PyObject *, u64 *))
 {
     PyObject *fast = PySequence_Fast(seq, "expected a sequence of ints");
     if (fast == NULL)
@@ -57,13 +72,18 @@ static u64 *load(PyObject *seq, Py_ssize_t *len)
     if (buf == NULL)
         PyErr_NoMemory();
     for (Py_ssize_t i = 0; buf != NULL && i < n; i++)
-        if (to_u64(PySequence_Fast_GET_ITEM(fast, i), &buf[i]) < 0) {
+        if (conv(PySequence_Fast_GET_ITEM(fast, i), &buf[i]) < 0) {
             PyMem_Free(buf);
             buf = NULL;
         }
     Py_DECREF(fast);
     *len = n;
     return buf;
+}
+
+static u64 *load(PyObject *seq, Py_ssize_t *len)
+{
+    return load_as(seq, len, to_u64);
 }
 
 static PyObject *tuple_u64(const u64 *v, Py_ssize_t n)
@@ -344,7 +364,7 @@ static int parse_want(matcher *m, PyObject *want)
         PyErr_Format(PyExc_ValueError, "unknown minor matcher kind %d", m->kind);
         return -1;
     }
-    m->want = load(seq, &m->len);
+    m->want = load_as(seq, &m->len, m->kind == KIND_PROFILE ? to_size : to_u64);
     return m->want == NULL ? -1 : 0;
 }
 

@@ -390,8 +390,8 @@ def series_parallel_reduces(reduced: tuple[int, ...], n_cols: int) -> bool:
     series copy.  Once rank or corank drops below 3, the rank and corank of
     M(K4), no minor can be M(K4).  Labels play no part, so callers may pass
     rows that no ``BinaryMatroid`` holds: ``verify`` passes the rref of a
-    splitting's rows, built from a validated matroid's rows and a label
-    mask, so they are not checked again.
+    splitting's or a 3-fold's rows, built from a validated matroid's rows
+    and label masks, so they are not checked again.
     """
     vecs = _kernel.columns(reduced, n_cols)
     width = len(reduced)

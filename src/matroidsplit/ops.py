@@ -5,6 +5,12 @@
 indicator of that row.  ``three_fold`` composes two splittings after
 adjoining three loops p, q, r, and ``three_fold_ghafari`` builds the same
 extension from two element splittings plus a closing column.
+
+Each 3-fold construction has one row-level core, :func:`three_fold_rows`
+and :func:`three_fold_ghafari_rows`, which takes the host's rows and label
+masks and returns the extension's rows; the public functions validate their
+arguments and wrap the core's rows, and ``verify`` decides the 3-fold
+sweep on the cores' rows without building a matroid.
 """
 
 from __future__ import annotations
@@ -72,12 +78,53 @@ def add_loops(m: BinaryMatroid, new_labels) -> BinaryMatroid:
     return BinaryMatroid._derived(labels, m.rep.rows, len(labels))
 
 
-def _check_fold_pair(m: BinaryMatroid, x: str, y: str) -> None:
+def three_fold_rows(rows, n_cols: int, xy: int, x: int) -> tuple[int, ...]:
+    """The rows of the 3-fold of the matroid with ``rows`` on ``n_cols``
+    columns, for the masks ``xy`` of {x, y} and ``x`` of {x}.
+
+    Three zero columns p, q, r (bits ``n_cols`` to ``n_cols + 2``) are
+    adjoined, then the splittings on {x, y, p, r} and on {x, q, r} append
+    one row each.
+    """
+    p, q, r = 1 << n_cols, 1 << n_cols + 1, 1 << n_cols + 2
+    return tuple(rows) + (xy | p | r, x | q | r)
+
+
+def three_fold_ghafari_rows(rows, n_cols: int, t: int,
+                            t_prime: int) -> tuple[int, ...]:
+    """The rows of Ghafari's 3-fold of the matroid with ``rows`` on
+    ``n_cols`` columns, for the masks ``t`` and ``t_prime``.
+
+    Two element splittings add p (bit ``n_cols``) on ``t`` and q on
+    ``t_prime``; the closing column r equals p + q.  p and q are unit
+    vectors on the two new rows, so r is 1 on exactly those rows.
+    """
+    p, q, r = 1 << n_cols, 1 << n_cols + 1, 1 << n_cols + 2
+    with_q = tuple(rows) + (t | p, t_prime | q)
+    return with_q[:-2] + (with_q[-2] | r, with_q[-1] | r)
+
+
+def _new_fold_labels(m: BinaryMatroid, new_labels) -> tuple[str, ...]:
+    """``m``'s labels plus the three new ones, each checked, with room for
+    all three columns."""
+    if len(set(new_labels)) != 3:
+        raise ValueError("the three new labels must be pairwise distinct")
+    for lab in new_labels:
+        _check_new_label(m.labels, lab)
+    _check_room(m.rep.n_cols + 2)
+    return m.labels + tuple(new_labels)
+
+
+def _fold(m: BinaryMatroid, x: str, y: str, new_labels):
+    """(labels, rows) of the 3-fold of ``m`` on {x, y}, validated."""
+    labels = _new_fold_labels(m, new_labels)
     if x == y:
         raise ValueError("the two chosen elements must differ")
-    m._label_mask((x, y))
+    xy = m._label_mask((x, y))
     if not _inside_cocircuit(m, (x, y)):
         raise ValueError(f"{{{x},{y}}} not a proper subset of any cocircuit")
+    return labels, three_fold_rows(m.rep.rows, m.rep.n_cols, xy,
+                                   m._label_mask((x,)))
 
 
 def three_fold_steps(m: BinaryMatroid, x: str, y: str,
@@ -88,20 +135,17 @@ def three_fold_steps(m: BinaryMatroid, x: str, y: str,
     entry is the 3-fold itself.  Requires {x, y} to be a proper subset of
     some cocircuit.
     """
-    p, q, r = new_labels
-    if len({p, q, r}) != 3:
-        raise ValueError("the three new labels must be pairwise distinct")
-    _check_fold_pair(m, x, y)
-    extended = add_loops(m, (p, q, r))
-    first = splitting(extended, (x, y, p, r))
-    second = splitting(first, (x, q, r))
-    return extended, first, second
+    labels, rows = _fold(m, x, y, new_labels)
+    n = len(labels)
+    return tuple(BinaryMatroid._derived(labels, rows[:len(rows) - drop], n)
+                 for drop in (2, 1, 0))
 
 
 def three_fold(m: BinaryMatroid, x: str, y: str,
                new_labels=("p", "q", "r")) -> BinaryMatroid:
     """Adjoin loops p, q, r, then split on {x, y, p, r} and on {x, q, r}."""
-    return three_fold_steps(m, x, y, new_labels)[2]
+    labels, rows = _fold(m, x, y, new_labels)
+    return BinaryMatroid._derived(labels, rows, len(labels))
 
 
 def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
@@ -110,25 +154,16 @@ def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
     then close with a column r equal to p + q, making {p, q, r} a circuit."""
     t = tuple(t)
     t_prime = tuple(t_prime)
-    p, q, r = new_labels
-    if len({p, q, r}) != 3:
-        raise ValueError("the three new labels must be pairwise distinct")
+    labels = _new_fold_labels(m, new_labels)
     if not t_prime or not set(t_prime) < set(t):
         raise ValueError("second splitting set must be a nonempty proper subset "
                          "of the first")
     if not _inside_cocircuit(m, t):
         raise ValueError(f"{{{','.join(sorted(frozenset(t)))}}} not a proper "
                          "subset of any cocircuit")
-    with_q = element_splitting(element_splitting(m, t, p), t_prime, q)
-    _check_new_label(with_q.labels, r)
-    n = with_q.rep.n_cols
-    _check_room(n)
-    # p and q are the last two columns, each a unit vector on one of the
-    # last two rows, so r = p + q is 1 on exactly those rows.
-    rows = with_q.rep.rows
-    return BinaryMatroid._derived(
-        with_q.labels + (r,),
-        rows[:-2] + (rows[-2] | 1 << n, rows[-1] | 1 << n), n + 1)
+    rows = three_fold_ghafari_rows(m.rep.rows, m.rep.n_cols, m._label_mask(t),
+                                   m._label_mask(t_prime))
+    return BinaryMatroid._derived(labels, rows, len(labels))
 
 
 def admissible_pairs(m: BinaryMatroid) -> frozenset[frozenset[str]]:

@@ -22,8 +22,12 @@ from math import comb
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, MAX_COLS
 from .matroid import BinaryMatroid, MinorWitness, series_parallel_reduces
-from .ops import admissible_pairs, splitting, three_fold, three_fold_ghafari
-from .ops import element_splitting  # noqa: F401  (bench/run.py traces it here)
+from .ops import admissible_pairs, splitting, three_fold, three_fold_rows
+from .ops import three_fold_ghafari_rows
+# bench/run.py's install_tracer wraps splitting, element_splitting,
+# three_fold, three_fold_ghafari and admissible_pairs here and at ops, and
+# requires each name to be the same function at both.
+from .ops import element_splitting, three_fold_ghafari  # noqa: F401
 from .corpus import Corpus, canonical_key
 from .verifyreport import CaseFailure, VerificationReport, make_failure
 
@@ -452,17 +456,49 @@ def _gi_patterns():
 _SPLIT_OK = "splitting is a binary gammoid"
 
 
-def _split_outcome(m: BinaryMatroid, t) -> str:
+def _coset(reduced: tuple[int, ...], vec: int) -> int:
+    """The representative of ``vec`` modulo the row space of the rref rows
+    ``reduced``: ``vec`` with every pivot bit cleared.  Each pivot column
+    holds a 1 in its own row only, so one pass in any order clears them,
+    and two vectors get the same representative iff their sum lies in the
+    row space."""
+    for row in reduced:
+        if vec & row & -row:
+            vec ^= row
+    return vec
+
+
+def _gammoid_once(memo: dict, key, rows, n_cols: int) -> bool:
+    """Whether the matroid with ``rows`` on ``n_cols`` columns is a binary
+    gammoid (:func:`series_parallel_reduces` on the rref), decided once per
+    ``key`` in ``memo``."""
+    if key not in memo:
+        memo[key] = series_parallel_reduces(_kernel.rref(rows), n_cols)
+    return memo[key]
+
+
+def _split_outcome(m: BinaryMatroid, t, memo: dict | None = None) -> str:
     """Whether the splitting of ``m`` on ``t`` stays a binary gammoid.
 
     Decided on rows, without building the splitting: its rows are ``m``'s
     plus the mask of ``t`` (as :func:`ops.splitting` builds them), reduced
     and handed to :func:`series_parallel_reduces`.  ``m`` was validated and
     ``_label_mask`` rejects unknown labels, so nothing is left to check.
+
+    ``memo`` holds the gammoid decisions already made for ``m``, keyed by
+    the coset representative v(T) of T's mask modulo ``m``'s row space (a
+    binary matroid is fixed by the row space of its representation).  If
+    T's mask is u and another's is u + w with w in the row space, the
+    appended rows span the same space, so the rref, the only input of
+    :func:`series_parallel_reduces` besides the column count, is the
+    same, and the memo returns exactly what the computation would.  The
+    sweep shares one memo among all triples of a member; without one, the
+    outcome is computed.
     """
-    reduced = _kernel.rref(m.rep.rows + (m._label_mask(t),))
-    return (_SPLIT_OK if series_parallel_reduces(reduced, m.rep.n_cols)
-            else "non-gammoid")
+    mask = m._label_mask(t)
+    ok = _gammoid_once({} if memo is None else memo, _coset(m._rref, mask),
+                       m.rep.rows + (mask,), m.rep.n_cols)
+    return _SPLIT_OK if ok else "non-gammoid"
 
 
 def _split_gammoid_worker(m: BinaryMatroid, patterns) -> tuple:
@@ -471,8 +507,9 @@ def _split_gammoid_worker(m: BinaryMatroid, patterns) -> tuple:
     pinned: set[frozenset[str]] = set()
     for _, pat, marked in patterns:
         pinned |= m.minor_marked_images(pat, marked)
+    memo: dict = {}
     bad_triples = tuple(t for t in combinations(sorted(m.labels), 3)
-                        if _split_outcome(m, t) != _SPLIT_OK)
+                        if _split_outcome(m, t, memo) != _SPLIT_OK)
     return bool(pinned), bad_triples, pinned
 
 
@@ -485,6 +522,12 @@ def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
     that do contain such a minor, the converse is recorded observationally
     under both the unlabeled reading (some splitting goes non-gammoid) and
     the pinned reading (the splitting set matches a marked-triple image).
+
+    Each splitting M_T is decided on rows by :func:`_split_outcome`, once
+    per row-space coset of T's mask: the splitting appends the row of T
+    (Raghunathan, Shikare, Waphare, "Splitting in a binary matroid",
+    Discrete Math. 184, 1998), so M_T depends only on that mask modulo
+    the row space of M, and the triples of a member share one memo.
     """
     start = time.perf_counter()
     gammoids = [m for m in c.gammoids() if m.n_elements() >= 3]
@@ -526,24 +569,49 @@ def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
 # -- 3-fold vs the G_4 excluded minor ---------------------------------------------
 
 
-_FOLD_LABELS = ("p*", "q*", "r*")
 _FOLD_OK = "3-fold is a binary gammoid"
 
 
-def _fold_outcome(m: BinaryMatroid, x: str, y: str) -> tuple[str, bool]:
+def _fold_outcome(m: BinaryMatroid, x: str, y: str,
+                  memo: dict | None = None) -> tuple[str, bool]:
     """Whether the 3-fold of ``m`` on {x, y} stays a binary gammoid, and
-    whether the element-splitting route builds the same matrix."""
-    folded = three_fold(m, x, y, new_labels=_FOLD_LABELS)
-    got = _FOLD_OK if folded.is_binary_gammoid() else "non-gammoid"
-    other = three_fold_ghafari(m, (x, y), (x,), new_labels=_FOLD_LABELS)
-    return got, other.same_matrix(folded)
+    whether the element-splitting route builds the same matrix.
+
+    Decided on rows, without building either 3-fold: the fold's rows are
+    :func:`ops.three_fold_rows` of ``m``'s rows and the masks of {x, y} and
+    {x}, reduced and handed to :func:`series_parallel_reduces` on three
+    more columns.  The two routes' labels are ``m.labels`` plus the three
+    new ones on both, so comparing :func:`ops.three_fold_ghafari_rows` with
+    the fold's rows compares the matroids :func:`ops.three_fold` and
+    :func:`ops.three_fold_ghafari` build.  The sweep takes {x, y} from
+    :func:`ops.admissible_pairs`; here only the labels (``_label_mask``)
+    and the column limit are checked.
+
+    ``memo`` holds the gammoid decisions already made for ``m``, keyed
+    by (v(xy), v(x)), the coset representatives of the two masks modulo
+    ``m``'s row space.  p, q and r are zero in ``m``'s rows, so adding w
+    in that row space to xy or to x adds w to the appended row xy|p|r or
+    x|q|r, and the rows span the same space.  The rref, and with it the
+    outcome, is then the same, so the memo returns exactly what the
+    computation would.  The Ghafari comparison is made for every pair.
+    """
+    n = m.rep.n_cols
+    if n + 3 > MAX_COLS:
+        raise ValueError("column limit exceeded")
+    xy, x_only = m._label_mask((x, y)), m._label_mask((x,))
+    rows = three_fold_rows(m.rep.rows, n, xy, x_only)
+    same = three_fold_ghafari_rows(m.rep.rows, n, xy, x_only) == rows
+    ok = _gammoid_once({} if memo is None else memo,
+                       (_coset(m._rref, xy), _coset(m._rref, x_only)), rows, n + 3)
+    return _FOLD_OK if ok else "non-gammoid", same
 
 
 def _three_fold_worker(m: BinaryMatroid, g4: BinaryMatroid, marked) -> tuple:
     # The marked pair is nonempty, so m has a G_4 minor iff it has an image.
     pinned = m.minor_marked_images(g4, marked)
     pairs = sorted(tuple(sorted(p)) for p in admissible_pairs(m))
-    outcomes = [_fold_outcome(m, x, y) for x, y in pairs]
+    memo: dict = {}
+    outcomes = [_fold_outcome(m, x, y, memo) for x, y in pairs]
     bad_pairs = tuple(p for p, (got, _) in zip(pairs, outcomes) if got != _FOLD_OK)
     ghafari_agree = sum(same for _, same in outcomes)
     return bool(pinned), pairs, bad_pairs, pinned, ghafari_agree
@@ -553,7 +621,8 @@ def _g4_known_instance() -> dict:
     """The 3-fold of G_4 on its marked pair: case -> (expected, got).
 
     It is run from the reduced one-row representation so the output
-    matrix is comparable bit for bit.
+    matrix is comparable bit for bit.  Its gammoid case is decided by
+    :func:`_fold_outcome`, as the sweep decides every admissible pair.
     """
     entry = catalog.get("G_4")
     g4 = entry.matroid
@@ -570,7 +639,8 @@ def _g4_known_instance() -> dict:
             is not None else "not isomorphic"),
         "known-instance-gammoid": (
             not_gammoid,
-            "gammoid" if folded.is_binary_gammoid() else not_gammoid),
+            "gammoid" if _fold_outcome(reduced, *entry.marked)[0] == _FOLD_OK
+            else not_gammoid),
     }
 
 
@@ -604,6 +674,12 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
     module: three loops p, q, r adjoined, then splittings on {x, y, p, r}
     and on {x, q, r}.  PAPER.md holds only the paper's abstract, so the
     paper's 3-fold-3-point splitting may be defined otherwise.
+
+    Each 3-fold is decided on rows by :func:`_fold_outcome`, once per pair
+    of row-space cosets (v(xy), v(x)) of the two splitting masks: adding a
+    row-space vector to either mask leaves the span of the fold's rows
+    unchanged, so the pairs of a member share one memo.  Neither 3-fold
+    object is built; the Ghafari observation compares the two row cores.
     """
     start = time.perf_counter()
     g4_entry = catalog.get("G_4")

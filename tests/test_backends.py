@@ -227,7 +227,9 @@ def edge_matrices(draw):
 
 
 TOP_MASKS = st.integers(0, WORD).map(lambda m: m | TOP)
-EDGE = settings(max_examples=60, deadline=None,
+# The draws are pinned (derandomize), so every run feeds the same examples
+# and costs the same time.
+EDGE = settings(max_examples=60, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -281,6 +283,8 @@ PROFILE_WANT_LIST = [
     (1, 1, (3,)), (2, 0, (1, 2, 2)), (2, 1, (1, 2, 2)), (1, 0, (3,)),
     (2, 0, (2, 2, 2)), (2, 0, (1, 1)), (0, 2, ()), (0, 0, ()), (1, 2, (1,)),
     (2, 1, (3, 1)), (2, 0, (0, 2)), (2, -1, (1, 2)), (3, 0, (1, 1, 1)),
+    # Negative class sizes fit no minor: both kernels read them as absent.
+    (1, 0, (-1,)), (2, 0, (-1, 2)), (2, 1, (1, -2)),
 ]
 PROFILE_WANTS = st.sampled_from(PROFILE_WANT_LIST)
 

@@ -1,12 +1,14 @@
 """Verification harness: witnesses, reports, re-runs, and check outcomes."""
 
+from itertools import combinations
+
 import pytest
 
-from matroidsplit import _kernel, catalog, matroid, verify
+from matroidsplit import _kernel, catalog, verify
 from matroidsplit.corpus import CanonicalKey
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
-from matroidsplit.ops import splitting
+from matroidsplit.ops import admissible_pairs, splitting, three_fold, three_fold_ghafari
 from matroidsplit.verifyreport import VerificationReport, make_failure
 
 
@@ -191,6 +193,47 @@ def test_three_fold_check(corpus6):
         obs["ghafari_construction_compared"]
 
 
+# -- one decision per row-space coset -------------------------------------------------------
+
+
+def test_split_outcomes_shared_per_coset_match_the_splittings(corpus6):
+    # One memo per member, as the sweep shares it: every triple's outcome is
+    # the splitting's own gammoid test, and the memo holds one entry per
+    # distinct splitting (row space), no more and no fewer.
+    for m in corpus6.gammoids():
+        memo, spans = {}, set()
+        for t in combinations(sorted(m.labels), 3):
+            split = splitting(m, t)
+            got = verify._split_outcome(m, t, memo)
+            assert (got == verify._SPLIT_OK) == split.is_binary_gammoid(), (m, t)
+            spans.add(split._rref)
+        assert len(memo) == len(spans), m
+
+
+def test_fold_outcomes_shared_per_coset_match_the_3_folds(corpus6):
+    # The same for every admissible pair and its 3-fold; the Ghafari
+    # comparison is made on every pair.
+    for m in corpus6.gammoids():
+        memo, spans = {}, set()
+        for pair in sorted(admissible_pairs(m), key=sorted):
+            x, y = sorted(pair)
+            folded = three_fold(m, x, y)
+            got, same = verify._fold_outcome(m, x, y, memo)
+            assert (got == verify._FOLD_OK) == folded.is_binary_gammoid(), (m, x, y)
+            assert same == three_fold_ghafari(m, (x, y), (x,)).same_matrix(folded)
+            spans.add(folded._rref)
+        assert len(memo) == len(spans), m
+
+
+def test_fold_outcome_keeps_the_64_column_limit():
+    # The 3-fold adds three columns, so a 62-column member is refused, as
+    # ops.three_fold refuses it, on both kernels.
+    labels = tuple(f"e{j}" for j in range(62))
+    wide = BinaryMatroid(labels, Gf2Matrix(((1 << 62) - 1,), 62))
+    with pytest.raises(ValueError, match="column limit"):
+        verify.evaluate_case("main", verify.compact(wide), {"pair": "e0,e1"})
+
+
 # -- element-splitting identities ----------------------------------------------------------
 
 
@@ -294,9 +337,10 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     # the same patch must reproduce its recorded outcome.
     small = corpus6.restrict(5)
     catalog.get("F")  # validate the catalog before any primitive is patched
-    # The workers decide on rows: split-gammoid calls the series-parallel
-    # reduction imported into verify, main reaches it through
-    # is_binary_gammoid, the esplit identities compare the kernel's delete
+    # The workers decide on rows: split-gammoid and main call the
+    # series-parallel reduction imported into verify, main for every
+    # admissible pair and for the G_4 known instance, whose gammoid case
+    # fails under the patch; the esplit identities compare the kernel's delete
     # and contract rows, gf-minors decides both sides with the kernel's
     # profile_present, and gf-empty decides every Y of a member with one
     # split_profile_first call.  A kernel patch that returns its input rows
@@ -307,7 +351,7 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     # sum to an odd number.
     patches = {
         "split-gammoid": [(verify, "series_parallel_reduces", lambda rows, n: False)],
-        "main": [(matroid, "series_parallel_reduces", lambda rows, n: True)],
+        "main": [(verify, "series_parallel_reduces", lambda rows, n: True)],
         "esplit-identities": [(_kernel, "delete_rows", lambda rows, n, mask: rows),
                               (_kernel, "contract_rows", lambda rows, n, mask: rows)],
         "gf-minors": [(_kernel, "profile_present",
