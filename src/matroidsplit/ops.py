@@ -6,11 +6,11 @@ indicator of that row.  ``three_fold`` composes two splittings after
 adjoining three loops p, q, r, and ``three_fold_ghafari`` builds the same
 extension from two element splittings plus a closing column.
 
-Each 3-fold construction has one row-level core, :func:`three_fold_rows`
-and :func:`three_fold_ghafari_rows`, which takes the host's rows and label
-masks and returns the extension's rows; the public functions validate their
-arguments and wrap the core's rows, and ``verify`` decides the 3-fold
-sweep on the cores' rows without building a matroid.
+Both 3-fold constructions share one row-level core, :func:`three_fold_rows`,
+which takes the host's rows and two label masks and returns the extension's
+rows; the public functions validate their arguments and wrap the core's
+rows, and ``verify`` decides the 3-fold sweep on the core's rows without
+building a matroid.
 """
 
 from __future__ import annotations
@@ -90,20 +90,6 @@ def three_fold_rows(rows, n_cols: int, xy: int, x: int) -> tuple[int, ...]:
     return tuple(rows) + (xy | p | r, x | q | r)
 
 
-def three_fold_ghafari_rows(rows, n_cols: int, t: int,
-                            t_prime: int) -> tuple[int, ...]:
-    """The rows of Ghafari's 3-fold of the matroid with ``rows`` on
-    ``n_cols`` columns, for the masks ``t`` and ``t_prime``.
-
-    Two element splittings add p (bit ``n_cols``) on ``t`` and q on
-    ``t_prime``; the closing column r equals p + q.  p and q are unit
-    vectors on the two new rows, so r is 1 on exactly those rows.
-    """
-    p, q, r = 1 << n_cols, 1 << n_cols + 1, 1 << n_cols + 2
-    with_q = tuple(rows) + (t | p, t_prime | q)
-    return with_q[:-2] + (with_q[-2] | r, with_q[-1] | r)
-
-
 def _new_fold_labels(m: BinaryMatroid, new_labels) -> tuple[str, ...]:
     """``m``'s labels plus the three new ones, each checked, with room for
     all three columns."""
@@ -151,7 +137,15 @@ def three_fold(m: BinaryMatroid, x: str, y: str,
 def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
                        new_labels=("p", "q", "r")) -> BinaryMatroid:
     """3-fold built from element splittings: add p on ``t``, q on ``t_prime``,
-    then close with a column r equal to p + q, making {p, q, r} a circuit."""
+    then close with a column r equal to p + q, making {p, q, r} a circuit.
+
+    The result is built by :func:`three_fold_rows` on the masks of ``t``
+    and ``t_prime``.  The identity is algebra on the rows: the element
+    splittings append the rows t|p and t'|q, so p and q are unit columns on
+    those two rows, r = p + q is 1 on exactly them, and the rows are
+    ``m``'s plus (t|p|r, t'|q|r), as the core builds them.  The tests pin
+    it against the element splittings themselves.
+    """
     t = tuple(t)
     t_prime = tuple(t_prime)
     labels = _new_fold_labels(m, new_labels)
@@ -161,8 +155,8 @@ def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
     if not _inside_cocircuit(m, t):
         raise ValueError(f"{{{','.join(sorted(frozenset(t)))}}} not a proper "
                          "subset of any cocircuit")
-    rows = three_fold_ghafari_rows(m.rep.rows, m.rep.n_cols, m._label_mask(t),
-                                   m._label_mask(t_prime))
+    rows = three_fold_rows(m.rep.rows, m.rep.n_cols, m._label_mask(t),
+                           m._label_mask(t_prime))
     return BinaryMatroid._derived(labels, rows, len(labels))
 
 

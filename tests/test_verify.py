@@ -4,11 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from matroidsplit import _kernel, catalog, verify
+from matroidsplit import _kernel, catalog, matroid, verify
 from matroidsplit.corpus import CanonicalKey
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
-from matroidsplit.ops import admissible_pairs, splitting, three_fold, three_fold_ghafari
+from matroidsplit.ops import admissible_pairs, splitting, three_fold
 from matroidsplit.verifyreport import VerificationReport, make_failure
 
 
@@ -211,16 +211,14 @@ def test_split_outcomes_shared_per_coset_match_the_splittings(corpus6):
 
 
 def test_fold_outcomes_shared_per_coset_match_the_3_folds(corpus6):
-    # The same for every admissible pair and its 3-fold; the Ghafari
-    # comparison is made on every pair.
+    # The same for every admissible pair and its 3-fold.
     for m in corpus6.gammoids():
         memo, spans = {}, set()
         for pair in sorted(admissible_pairs(m), key=sorted):
             x, y = sorted(pair)
             folded = three_fold(m, x, y)
-            got, same = verify._fold_outcome(m, x, y, memo)
+            got = verify._fold_outcome(m, x, y, memo)
             assert (got == verify._FOLD_OK) == folded.is_binary_gammoid(), (m, x, y)
-            assert same == three_fold_ghafari(m, (x, y), (x,)).same_matrix(folded)
             spans.add(folded._rref)
         assert len(memo) == len(spans), m
 
@@ -232,6 +230,19 @@ def test_fold_outcome_keeps_the_64_column_limit():
     wide = BinaryMatroid(labels, Gf2Matrix(((1 << 62) - 1,), 62))
     with pytest.raises(ValueError, match="column limit"):
         verify.evaluate_case("main", verify.compact(wide), {"pair": "e0,e1"})
+
+
+def test_fold_replay_refuses_pairs_the_sweep_never_takes():
+    # A record of main is replayed only for an admissible pair, as the sweep
+    # takes its pairs from admissible_pairs; e0 and e1 are coloops here.
+    coloops = verify.compact(BinaryMatroid(("e0", "e1", "e2"),
+                                           Gf2Matrix((0b001, 0b010, 0b100), 3)))
+    m = verify.compact(catalog.get("G_4").matroid)
+    assert verify.evaluate_case("main", m, {"pair": "x,y"}) == "non-gammoid"
+    for token, pair in ((m, "x,x"), (coloops, "e0,e1"), (m, "x,w")):
+        failure = make_failure(token, {"pair": pair}, verify._FOLD_OK, "non-gammoid")
+        with pytest.raises(ValueError):
+            verify.rerun_case("main", failure)
 
 
 # -- element-splitting identities ----------------------------------------------------------
@@ -338,20 +349,23 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     small = corpus6.restrict(5)
     catalog.get("F")  # validate the catalog before any primitive is patched
     # The workers decide on rows: split-gammoid and main call the
-    # series-parallel reduction imported into verify, main for every
-    # admissible pair and for the G_4 known instance, whose gammoid case
-    # fails under the patch; the esplit identities compare the kernel's delete
+    # series-parallel reduction imported into verify.  main also reaches it
+    # through is_binary_gammoid, for the G_4 known instance, and only that
+    # instance can fail there: the asserted direction over admissible pairs
+    # has no cases (see check_three_fold_excluded_minor), so main's patch
+    # covers both names.  The esplit identities compare the kernel's delete
     # and contract rows, gf-minors decides both sides with the kernel's
     # profile_present, and gf-empty decides every Y of a member with one
     # split_profile_first call.  A kernel patch that returns its input rows
-    # leaves the new element in place; the profile_present patch reads a
-    # want as present when the last row is odd, so the F test on the split
-    # rows and the F_i test on the host's rows disagree on some members;
-    # the split_profile_first patch names the last Y of members whose rows
-    # sum to an odd number.
+    # leaves the new element in place; the profile_present patch reads a want
+    # as present when the last row is odd, so the F test on the split rows
+    # and the F_i test on the host's rows disagree on some members; the
+    # split_profile_first patch names the last Y of members whose rows sum to
+    # an odd number.
     patches = {
         "split-gammoid": [(verify, "series_parallel_reduces", lambda rows, n: False)],
-        "main": [(verify, "series_parallel_reduces", lambda rows, n: True)],
+        "main": [(verify, "series_parallel_reduces", lambda rows, n: True),
+                 (matroid, "series_parallel_reduces", lambda rows, n: True)],
         "esplit-identities": [(_kernel, "delete_rows", lambda rows, n, mask: rows),
                               (_kernel, "contract_rows", lambda rows, n, mask: rows)],
         "gf-minors": [(_kernel, "profile_present",
