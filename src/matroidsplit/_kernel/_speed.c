@@ -7,8 +7,10 @@
  * and stays the reference.  Rows, masks and vectors are ints in [0, 2^64):
  * others raise OverflowError or TypeError, never wrap, except
  * canonical-form columns, which raise ValueError as pure does, and the
- * class sizes of profile wants: a want with a size outside [0, 2^64) reads
- * as absent, as in pure.  Where pure would go past a word (n_cols > 64 in
+ * ranks, loop counts and class sizes of wants: a want with a size outside
+ * [0, 2^64) or a loop count of any size that fits no minor reads as
+ * absent, as in pure, and a rank of any size outside 0..2 raises
+ * ValueError in the profile decisions, as in pure.  Where pure would go past a word (n_cols > 64 in
  * nullspace_basis, profile_present, split_profile_first and find_minors)
  * or take canonical forms for r > 6, ValueError is raised.  Distinct low bits bound a reduced basis by 64
  * rows, so only bases and column lists use 64-entry arrays; buffers that a
@@ -57,6 +59,21 @@ static int to_size(PyObject *obj, u64 *out)
     if (v == -1 && PyErr_Occurred())
         return -1;
     *out = over || v < 0 ? 0 : (u64)v;
+    return 0;
+}
+
+/* A rank or loop count of a want, an int of any size, clamped to
+ * [-2^62, 2^62] so that adding 64 class sizes to it cannot overflow.  Every
+ * matcher accepts far smaller values only, so a clamped want is refused or
+ * read as absent just as its own value would be. */
+static int to_count(PyObject *obj, long long *out)
+{
+    const long long cap = (long long)1 << 62;
+    int over;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &over);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = over > 0 || v > cap ? cap : over < 0 || v < -cap ? -cap : v;
     return 0;
 }
 
@@ -273,7 +290,7 @@ static int gl_dfs(glwalk *w, int i, u64 span)
     return tried == span ? gl_leaf(w) : 0;
 }
 
-static int gl_rank_ok(long r)
+static int gl_rank_ok(long long r)
 {
     if (0 <= r && r <= GL_MAX_RANK)
         return 1;
@@ -286,7 +303,8 @@ static int gl_rank_ok(long r)
  */
 
 typedef struct {
-    int kind, rank, loops;
+    int kind;
+    long long rank, loops;
     Py_ssize_t len;
     u64 *want;
 } matcher;
@@ -347,23 +365,25 @@ static int match(const matcher *m, const u64 *basis, int nb, int n_cols,
 
 static int parse_want(matcher *m, PyObject *want)
 {
-    PyObject *seq;
+    PyObject *rank, *loops = NULL, *seq;
     if (m->kind == KIND_SIMPLE_RANK3)
         return 0;
     if (m->kind == KIND_PROFILE) {
-        if (!PyArg_ParseTuple(want, "iiO;profile want is (rank, loops, sizes)",
-                              &m->rank, &m->loops, &seq))
+        if (!PyArg_ParseTuple(want, "OOO;profile want is (rank, loops, sizes)",
+                              &rank, &loops, &seq))
             return -1;
     } else if (m->kind == KIND_CANONICAL) {
-        if (!PyArg_ParseTuple(want, "iO;canonical want is (rank, key)",
-                              &m->rank, &seq))
-            return -1;
-        if (!gl_rank_ok(m->rank))
+        if (!PyArg_ParseTuple(want, "OO;canonical want is (rank, key)",
+                              &rank, &seq))
             return -1;
     } else {
         PyErr_Format(PyExc_ValueError, "unknown minor matcher kind %d", m->kind);
         return -1;
     }
+    if (to_count(rank, &m->rank) < 0 || (loops != NULL && to_count(loops, &m->loops) < 0))
+        return -1;
+    if (m->kind == KIND_CANONICAL && !gl_rank_ok(m->rank))
+        return -1;
     m->want = load_as(seq, &m->len, m->kind == KIND_PROFILE ? to_size : to_u64);
     return m->want == NULL ? -1 : 0;
 }
@@ -672,8 +692,8 @@ static void split_setup(splitwalk *w, const matcher *m, const u64 *basis, int nb
             }
     w->m = m;
     w->n = nc;
-    w->c = nb + 1 - m->rank;
-    w->top = m->loops;
+    w->c = nb + 1 - (int)m->rank;
+    w->top = (int)m->loops;
     for (Py_ssize_t i = 0; i < m->len; i++) {
         sum += (long long)m->want[i];
         if ((int)m->want[i] > w->top)
@@ -899,12 +919,12 @@ static PyObject *py_profile_present(PyObject *self, PyObject *const *args,
             Py_CLEAR(out);
             break;
         }
-        int cs = full - m.rank;
         if (m.rank < 0 || m.rank > 2) {
             PyErr_Format(PyExc_ValueError,
-                         "profile decisions take wants of rank 0..2, not %d", m.rank);
+                         "profile decisions take wants of rank 0..2, not %lld", m.rank);
             Py_CLEAR(out);
         } else {
+            int cs = full - (int)m.rank;
             PyTuple_SET_ITEM(out, w, PyBool_FromLong(
                 cs >= 0 && !profile_absent(&m, basis, nb, (int)nc, cs)));
         }
@@ -937,7 +957,7 @@ static PyObject *py_split_profile_first(PyObject *self, PyObject *const *args,
         return NULL;
     if (m.rank < 0 || m.rank > 2) {
         PyErr_Format(PyExc_ValueError,
-                     "profile decisions take wants of rank 0..2, not %d", m.rank);
+                     "profile decisions take wants of rank 0..2, not %lld", m.rank);
         goto done;
     }
     if ((rows = load(args[0], &n)) == NULL || (ys = load(args[2], &ny)) == NULL)

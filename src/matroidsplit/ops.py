@@ -8,9 +8,9 @@ extension from two element splittings plus a closing column.
 
 Both 3-fold constructions share one row-level core, :func:`three_fold_rows`,
 which takes the host's rows and two label masks and returns the extension's
-rows; the public functions validate their arguments and wrap the core's
-rows, and ``verify`` decides the 3-fold sweep on the core's rows without
-building a matroid.
+rows.  The core checks the column limit; the public functions validate the
+rest of their arguments and wrap the core's rows, and ``verify`` decides
+the 3-fold sweep on the core's rows without building a matroid.
 """
 
 from __future__ import annotations
@@ -84,20 +84,21 @@ def three_fold_rows(rows, n_cols: int, xy: int, x: int) -> tuple[int, ...]:
 
     Three zero columns p, q, r (bits ``n_cols`` to ``n_cols + 2``) are
     adjoined, then the splittings on {x, y, p, r} and on {x, q, r} append
-    one row each.
+    one row each.  Raises ValueError when r, the last new column, does not
+    fit under ``MAX_COLS``; every 3-fold, built or decided on rows, gets
+    its rows here.
     """
+    _check_room(n_cols + 2)
     p, q, r = 1 << n_cols, 1 << n_cols + 1, 1 << n_cols + 2
     return tuple(rows) + (xy | p | r, x | q | r)
 
 
 def _new_fold_labels(m: BinaryMatroid, new_labels) -> tuple[str, ...]:
-    """``m``'s labels plus the three new ones, each checked, with room for
-    all three columns."""
+    """``m``'s labels plus the three new ones, each checked."""
     if len(set(new_labels)) != 3:
         raise ValueError("the three new labels must be pairwise distinct")
     for lab in new_labels:
         _check_new_label(m.labels, lab)
-    _check_room(m.rep.n_cols + 2)
     return m.labels + tuple(new_labels)
 
 

@@ -6,11 +6,18 @@ constructively; converse and existential directions are gathered as
 observations and never fail a report.  Failures serialize their inputs so
 any single case can be re-run via :func:`rerun_case`, which computes its
 outcome with the same per-case function the sweep used.
+
+The paper's excluded-minor laws, ``split-gammoid`` (3-element splittings,
+G_1..G_3) and ``main`` (3-folds, G_4), are ``_Law`` constants run by one
+law sweep, :func:`_law_sweep`: one worker, one tally and one memoized row
+decision, :func:`_law_outcome`.  A law's replay refuses any case, read as
+a set, that its sweep never takes on the recorded matroid.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from contextvars import ContextVar
@@ -444,15 +451,32 @@ def check_quotients_of_f() -> VerificationReport:
         {"quotient_class_counts": class_counts})
 
 
-# -- splittings on three elements vs the G_1..G_3 excluded minors ----------------
-
-
-def _gi_patterns():
-    return tuple((name, catalog.get(name).matroid, catalog.get(name).marked)
-                 for name in ("G_1", "G_2", "G_3"))
+# -- excluded-minor laws: 3-element splittings and 3-folds ------------------------
 
 
 _SPLIT_OK = "splitting is a binary gammoid"
+_FOLD_OK = "3-fold is a binary gammoid"
+
+
+@dataclass(frozen=True)
+class _Law:
+    """A gammoid with no minor among ``patterns`` (catalog names with
+    nonempty marks) stays a gammoid under the operation, read as ``ok``,
+    on each case of ``cases(m)``: sorted label tuples, in sweep order.
+    ``extend(m, case)`` gives (rows, n_cols) of the result: ``m``'s rows
+    plus appended rows, each a label mask u plus bits in new columns.
+    A failure names its case under ``param``; ``some_bad_key`` counts the
+    members with an excluded minor where some case goes non-gammoid.  The
+    sweep reads the gammoids of at least ``min_elements`` elements."""
+
+    name: str
+    patterns: tuple[str, ...]
+    cases: Callable
+    extend: Callable
+    ok: str
+    param: str
+    some_bad_key: str
+    min_elements: int
 
 
 def _coset(reduced: tuple[int, ...], vec: int) -> int:
@@ -467,49 +491,128 @@ def _coset(reduced: tuple[int, ...], vec: int) -> int:
     return vec
 
 
-def _gammoid_once(memo: dict, key, rows, n_cols: int) -> bool:
-    """Whether the matroid with ``rows`` on ``n_cols`` columns is a binary
-    gammoid (:func:`series_parallel_reduces` on the rref), decided once per
-    ``key`` in ``memo``."""
+def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict | None = None
+                 ) -> str:
+    """Whether the operation of ``law`` on ``case`` keeps ``m`` a binary
+    gammoid: ``law.ok`` or "non-gammoid".
+
+    Decided on rows, without building the result: the rows that
+    ``law.extend`` gives are reduced and handed to
+    :func:`series_parallel_reduces`.  ``m`` was validated and
+    ``_label_mask`` rejects unknown labels, so nothing is left to check.
+
+    ``memo`` holds the decisions already made for ``m``, keyed by the
+    coset representatives v(u) modulo ``m``'s row space of the parts u of
+    the appended rows on ``m``'s columns.  The new columns are 0 in
+    ``m``'s rows, so adding w in that row space to u adds w to the appended
+    row, and the rows span the same space.  A binary matroid is fixed by
+    the row space of its representation (Oxley, Matroid Theory, 2nd ed.,
+    Ch. 6), so the rref, the only input of :func:`series_parallel_reduces`
+    besides the column count, is the same, and the memo returns exactly
+    what the computation would.  The sweep shares one memo among the cases
+    of a member; without one, the outcome is computed.
+    """
+    rows, n_cols = law.extend(m, case)
+    low = (1 << m.rep.n_cols) - 1
+    key = tuple(_coset(m._rref, row & low) for row in rows[len(m.rep.rows):])
+    memo = {} if memo is None else memo
     if key not in memo:
         memo[key] = series_parallel_reduces(_kernel.rref(rows), n_cols)
-    return memo[key]
+    return law.ok if memo[key] else "non-gammoid"
+
+
+def _split_extend(m: BinaryMatroid, t) -> tuple:
+    """The splitting on ``t`` appends the mask of ``t`` as a row
+    (Raghunathan, Shikare, Waphare, "Splitting in a binary matroid",
+    Discrete Math. 184, 1998), as :func:`ops.splitting` builds it."""
+    return m.rep.rows + (m._label_mask(t),), m.rep.n_cols
+
+
+def _fold_extend(m: BinaryMatroid, pair) -> tuple:
+    """The 3-fold on (x, y) appends xy|p|r and x|q|r on three new columns,
+    :func:`ops.three_fold_rows` of the masks of {x, y} and {x}."""
+    n = m.rep.n_cols
+    return three_fold_rows(m.rep.rows, n, m._label_mask(pair),
+                           m._label_mask(pair[:1])), n + 3
+
+
+# Workers look a law up here by name, so no lambda is pickled.
+_LAWS = {law.name: law for law in (
+    _Law(name="split-gammoid", patterns=("G_1", "G_2", "G_3"),
+         cases=lambda m: tuple(combinations(sorted(m.labels), 3)),
+         extend=_split_extend, ok=_SPLIT_OK, param="T",
+         some_bad_key="members_where_some_splitting_non_gammoid", min_elements=3),
+    _Law(name="main", patterns=("G_4",),
+         cases=lambda m: tuple(sorted(tuple(sorted(p)) for p in admissible_pairs(m))),
+         extend=_fold_extend, ok=_FOLD_OK, param="pair",
+         some_bad_key="members_where_some_fold_non_gammoid", min_elements=0),
+)}
 
 
 def _split_outcome(m: BinaryMatroid, t, memo: dict | None = None) -> str:
-    """Whether the splitting of ``m`` on ``t`` stays a binary gammoid.
-
-    Decided on rows, without building the splitting: its rows are ``m``'s
-    plus the mask of ``t`` (as :func:`ops.splitting` builds them), reduced
-    and handed to :func:`series_parallel_reduces`.  ``m`` was validated and
-    ``_label_mask`` rejects unknown labels, so nothing is left to check.
-
-    ``memo`` holds the gammoid decisions already made for ``m``, keyed by
-    the coset representative v(T) of T's mask modulo ``m``'s row space (a
-    binary matroid is fixed by the row space of its representation).  If
-    T's mask is u and another's is u + w with w in the row space, the
-    appended rows span the same space, so the rref, the only input of
-    :func:`series_parallel_reduces` besides the column count, is the
-    same, and the memo returns exactly what the computation would.  The
-    sweep shares one memo among all triples of a member; without one, the
-    outcome is computed.
-    """
-    mask = m._label_mask(t)
-    ok = _gammoid_once({} if memo is None else memo, _coset(m._rref, mask),
-                       m.rep.rows + (mask,), m.rep.n_cols)
-    return _SPLIT_OK if ok else "non-gammoid"
+    """Whether the splitting of ``m`` on ``t`` stays a binary gammoid."""
+    return _law_outcome(_LAWS["split-gammoid"], m, t, memo)
 
 
-def _split_gammoid_worker(m: BinaryMatroid, patterns) -> tuple:
-    # Every pattern's marked triple is nonempty, so m has an excluded minor
-    # iff some marked image exists.
+def _fold_outcome(m: BinaryMatroid, x: str, y: str,
+                  memo: dict | None = None) -> str:
+    """Whether the 3-fold of ``m`` on {x, y} stays a binary gammoid.  The
+    caller checks that {x, y} is an admissible pair."""
+    return _law_outcome(_LAWS["main"], m, (x, y), memo)
+
+
+def _law_worker(m: BinaryMatroid, name: str, patterns) -> tuple:
+    """(whether ``m`` has an excluded minor, its number of cases, the cases
+    that go non-gammoid, the cases where the pinned reading agrees)."""
+    law = _LAWS[name]
+    # Every marked set is nonempty, so m has an excluded minor iff some
+    # marked image exists.
     pinned: set[frozenset[str]] = set()
-    for _, pat, marked in patterns:
-        pinned |= m.minor_marked_images(pat, marked)
+    for pattern, marked in patterns:
+        pinned |= m.minor_marked_images(pattern, marked)
+    cases = law.cases(m)
     memo: dict = {}
-    bad_triples = tuple(t for t in combinations(sorted(m.labels), 3)
-                        if _split_outcome(m, t, memo) != _SPLIT_OK)
-    return bool(pinned), bad_triples, pinned
+    bad = tuple(case for case in cases
+                if _law_outcome(law, m, case, memo) != law.ok)
+    bad_set = set(bad)
+    agree = sum((frozenset(case) in pinned) == (case in bad_set) for case in cases)
+    return bool(pinned), len(cases), bad, agree
+
+
+def _law_sweep(name: str, c: Corpus, jobs: int | None) -> tuple:
+    """Sweep law ``name`` over the gammoids of ``c``: (members, failures,
+    observations, number of cases of the members without an excluded
+    minor).  Those members carry the asserted direction, and each of
+    their cases that goes non-gammoid is a failure; the members with an
+    excluded minor record the converse under the unlabeled reading (some
+    case goes non-gammoid) and the pinned reading (a case goes
+    non-gammoid iff it is the image of a marked set)."""
+    law = _LAWS[name]
+    members = [m for m in c.gammoids() if m.n_elements() >= law.min_elements]
+    # Patterns equal bit for bit (labels, rows and marks) are read once:
+    # G_2 is G_1 with its loop b at another vertex, the same matrix.
+    patterns = {(e.matroid.labels, e.matroid.rep, e.marked): (e.matroid, e.marked)
+                for e in map(catalog.get, law.patterns)}
+    results = _map_members(partial(_law_worker, name=name,
+                                   patterns=tuple(patterns.values())), members, jobs)
+    failures = []
+    asserted = with_minor = with_minor_and_bad = pinned_checked = pinned_agree = 0
+    for m, (has_excluded, n_cases, bad, agree) in zip(members, results):
+        if not has_excluded:
+            asserted += n_cases
+            failures += [make_failure(compact(m), {law.param: ",".join(case)},
+                                      law.ok, "non-gammoid") for case in bad]
+            continue
+        with_minor += 1
+        with_minor_and_bad += bool(bad)
+        pinned_checked += n_cases
+        pinned_agree += agree
+    return members, failures, {
+        "members_with_excluded_minor": with_minor,
+        law.some_bad_key: with_minor_and_bad,
+        "pinned_reading_pairs_checked": pinned_checked,
+        "pinned_reading_agreements": pinned_agree,
+    }, asserted
 
 
 def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
@@ -522,91 +625,17 @@ def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
     under both the unlabeled reading (some splitting goes non-gammoid) and
     the pinned reading (the splitting set matches a marked-triple image).
 
-    Each splitting M_T is decided on rows by :func:`_split_outcome`, once
-    per row-space coset of T's mask: the splitting appends the row of T
-    (Raghunathan, Shikare, Waphare, "Splitting in a binary matroid",
-    Discrete Math. 184, 1998), so M_T depends only on that mask modulo
-    the row space of M, and the triples of a member share one memo.
+    Each splitting M_T is decided on rows by :func:`_law_outcome`, once
+    per row-space coset of T's mask.
     """
     start = time.perf_counter()
-    gammoids = [m for m in c.gammoids() if m.n_elements() >= 3]
-    patterns = _gi_patterns()
-    results = _map_members(partial(_split_gammoid_worker, patterns=patterns),
-                           gammoids, jobs)
-    failures = []
-    with_minor = 0
-    with_minor_and_bad = 0
-    pinned_checked = 0
-    pinned_agree = 0
-    for m, (has_excluded, bad_triples, pinned) in zip(gammoids, results):
-        if not has_excluded:
-            for t in bad_triples:
-                failures.append(make_failure(compact(m), {"T": ",".join(t)},
-                                             _SPLIT_OK, "non-gammoid"))
-            continue
-        with_minor += 1
-        if bad_triples:
-            with_minor_and_bad += 1
-        bad_set = {frozenset(t) for t in bad_triples}
-        for t in combinations(sorted(m.labels), 3):
-            pinned_checked += 1
-            if (frozenset(t) in pinned) == (frozenset(t) in bad_set):
-                pinned_agree += 1
+    members, failures, observations, _ = _law_sweep("split-gammoid", c, jobs)
     return VerificationReport.from_failures(
         "split-gammoid",
         _universe(c, "members without a G_1/G_2/G_3 minor: every splitting on "
                      "|T| = 3 stays a gammoid (asserted); members with such a "
                      "minor: converse recorded observationally"),
-        len(gammoids), failures, start, {
-            "members_with_excluded_minor": with_minor,
-            "members_where_some_splitting_non_gammoid": with_minor_and_bad,
-            "pinned_reading_pairs_checked": pinned_checked,
-            "pinned_reading_agreements": pinned_agree,
-        })
-
-
-# -- 3-fold vs the G_4 excluded minor ---------------------------------------------
-
-
-_FOLD_OK = "3-fold is a binary gammoid"
-
-
-def _fold_outcome(m: BinaryMatroid, x: str, y: str,
-                  memo: dict | None = None) -> str:
-    """Whether the 3-fold of ``m`` on {x, y} stays a binary gammoid.
-
-    Decided on rows, without building the 3-fold: its rows are
-    :func:`ops.three_fold_rows` of ``m``'s rows and the masks of {x, y} and
-    {x}, as :func:`ops.three_fold` builds them, reduced and handed to
-    :func:`series_parallel_reduces` on three more columns.  The caller
-    checks that {x, y} is an admissible pair: the sweep takes it from
-    :func:`ops.admissible_pairs` and :func:`evaluate_case` refuses any other.
-
-    ``memo`` holds the gammoid decisions already made for ``m``, keyed
-    by (v(xy), v(x)), the coset representatives of the two masks modulo
-    ``m``'s row space.  p, q and r are zero in ``m``'s rows, so adding w
-    in that row space to xy or to x adds w to the appended row xy|p|r or
-    x|q|r, and the rows span the same space.  The rref, and with it the
-    outcome, is then the same, so the memo returns exactly what the
-    computation would.
-    """
-    n = m.rep.n_cols
-    if n + 3 > MAX_COLS:
-        raise ValueError("column limit exceeded")
-    xy, x_only = m._label_mask((x, y)), m._label_mask((x,))
-    ok = _gammoid_once({} if memo is None else memo,
-                       (_coset(m._rref, xy), _coset(m._rref, x_only)),
-                       three_fold_rows(m.rep.rows, n, xy, x_only), n + 3)
-    return _FOLD_OK if ok else "non-gammoid"
-
-
-def _three_fold_worker(m: BinaryMatroid, g4: BinaryMatroid, marked) -> tuple:
-    # The marked pair is nonempty, so m has a G_4 minor iff it has an image.
-    pinned = m.minor_marked_images(g4, marked)
-    pairs = sorted(tuple(sorted(p)) for p in admissible_pairs(m))
-    memo: dict = {}
-    bad_pairs = tuple(p for p in pairs if _fold_outcome(m, *p, memo) != _FOLD_OK)
-    return bool(pinned), pairs, bad_pairs, pinned
+        len(members), failures, start, observations)
 
 
 def _g4_known_instance() -> dict:
@@ -665,11 +694,8 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
     and on {x, q, r}.  PAPER.md holds only the paper's abstract, so the
     paper's 3-fold-3-point splitting may be defined otherwise.
 
-    Each 3-fold is decided on rows by :func:`_fold_outcome`, once per pair
-    of row-space cosets (v(xy), v(x)) of the two splitting masks: adding a
-    row-space vector to either mask leaves the span of the fold's rows
-    unchanged, so the pairs of a member share one memo.  No 3-fold object
-    is built.
+    Each 3-fold is decided on rows by :func:`_law_outcome`, once per pair
+    of row-space cosets (v(xy), v(x)) of the two splitting masks.
 
     ``ghafari_construction_identical`` is proved, not measured: it equals
     ``ghafari_construction_compared``, the number of admissible pairs.
@@ -681,53 +707,22 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
     the n <= 6 corpus.
     """
     start = time.perf_counter()
-    g4_entry = catalog.get("G_4")
-    g4 = g4_entry.matroid
-    gammoids = c.gammoids()
-    results = _map_members(
-        partial(_three_fold_worker, g4=g4, marked=g4_entry.marked),
-        gammoids, jobs)
-    failures = []
-    with_minor = 0
-    with_minor_and_bad = 0
-    direction_a_admissible = 0
-    pinned_checked = 0
-    pinned_agree = 0
-    ghafari_compared = 0
-    for m, (has_g4, pairs, bad_pairs, pinned) in zip(gammoids, results):
-        ghafari_compared += len(pairs)
-        if not has_g4:
-            direction_a_admissible += len(pairs)
-            for x, y in bad_pairs:
-                failures.append(make_failure(compact(m), {"pair": f"{x},{y}"},
-                                             _FOLD_OK, "non-gammoid"))
-            continue
-        with_minor += 1
-        if bad_pairs:
-            with_minor_and_bad += 1
-        for pair in pairs:
-            pinned_checked += 1
-            if (frozenset(pair) in pinned) == (pair in bad_pairs):
-                pinned_agree += 1
+    members, failures, observations, asserted = _law_sweep("main", c, jobs)
     for case, (expected, got) in _g4_known_instance().items():
         if got != expected:
-            failures.append(make_failure(compact(g4), {"case": case},
-                                         expected, got))
+            failures.append(make_failure(compact(catalog.get("G_4").matroid),
+                                         {"case": case}, expected, got))
+    pairs = asserted + observations["pinned_reading_pairs_checked"]
+    observations.update(direction_a_admissible_pairs=asserted,
+                        ghafari_construction_compared=pairs,
+                        ghafari_construction_identical=pairs)
     return VerificationReport.from_failures(
         "main",
         _universe(c, "members without a G_4 minor: every admissible 3-fold "
                      "stays a gammoid (asserted); the G_4 instance itself "
                      "(asserted); members with a G_4 minor: converse "
                      "recorded observationally"),
-        len(gammoids) + 3, failures, start, {
-            "members_with_excluded_minor": with_minor,
-            "members_where_some_fold_non_gammoid": with_minor_and_bad,
-            "direction_a_admissible_pairs": direction_a_admissible,
-            "pinned_reading_pairs_checked": pinned_checked,
-            "pinned_reading_agreements": pinned_agree,
-            "ghafari_construction_compared": ghafari_compared,
-            "ghafari_construction_identical": ghafari_compared,
-        })
+        len(members) + 3, failures, start, observations)
 
 
 # -- element-splitting delete/contract identities ---------------------------------
@@ -875,17 +870,16 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
     if check_name == "gf-minors":
         return _gf_member_worker(from_compact(matroid_token), int(params["k"]),
                                  _fi_wants())
-    if check_name == "split-gammoid":
-        return _split_outcome(from_compact(matroid_token),
-                              tuple(params["T"].split(",")))
     if check_name == "main" and "case" in params:
         return _case_outcome(_g4_known_instance(), params["case"])[1]
-    if check_name == "main":
+    if check_name in _LAWS:
+        law = _LAWS[check_name]
         m = from_compact(matroid_token)
-        x, y = params["pair"].split(",")
-        if frozenset((x, y)) not in admissible_pairs(m):
-            raise ValueError(f"{{{x},{y}}} is not an admissible pair")
-        return _fold_outcome(m, x, y)
+        case = tuple(sorted(params[law.param].split(",")))
+        if case not in law.cases(m):
+            raise ValueError(f"{law.param}={params[law.param]} is not a case "
+                             f"that {check_name} sweeps on this matroid")
+        return _law_outcome(law, m, case)
     if check_name == "esplit-identities":
         bad = _esplit_violations(from_compact(matroid_token),
                                  tuple(params["T"].split(",")))

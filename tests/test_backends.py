@@ -27,6 +27,10 @@ REPO = Path(__file__).resolve().parents[1]
 SO_NAME = "_speed" + sysconfig.get_config_var("EXT_SUFFIX")
 WORD = (1 << 64) - 1
 TOP = 1 << 63
+# A rank or loop count that no C int holds.  As a loop count it fits no
+# minor, so the want reads as absent; as a rank it is outside 0..2, so the
+# profile decisions raise ValueError and find_minors matches nothing.
+HUGE = 1 << 40
 
 
 @pytest.fixture(scope="session")
@@ -186,6 +190,11 @@ def test_find_minors_canonical_kind_agrees(compiled):
                                                pure.KIND_CANONICAL, want, limit=0)
             found += bool(got)
     assert found
+    # The compiled canonical forms stop at rank 6: a want above it raises
+    # ValueError there, by design, also when no C int holds its rank.
+    for r in (7, HUGE):
+        with pytest.raises(ValueError):
+            compiled.find_minors((1,), 3, 0, 0, pure.KIND_CANONICAL, (r, (1,)))
 
 
 @pytest.mark.parametrize("name", ["canon_key_cols", "is_canonical"])
@@ -260,6 +269,9 @@ KINDS = st.sampled_from([
     (pure.KIND_PROFILE, (0, 0, ())),
     (pure.KIND_CANONICAL, (0, ())),
     (pure.KIND_CANONICAL, (3, (1, 2, 3, 4, 5, 6))),
+    (pure.KIND_PROFILE, (1, HUGE, (1,))),
+    (pure.KIND_PROFILE, (HUGE, 0, (1,))),
+    (pure.KIND_PROFILE, (-HUGE, 0, (1,))),
 ])
 
 
@@ -316,18 +328,21 @@ def test_find_minors_agrees_on_the_decision_path(compiled, n_rows, n_cols, want,
 @example(matrix=(tuple(1 << i | 1 << 19 for i in range(19)), 64))
 def test_profile_present_agrees_on_edge_shapes(compiled, matrix):
     # 0 rows, exactly 64 columns and row bits at or above n_cols, with every
-    # want of rank <= 2 in one call, and a want of rank 3 in another.  The
+    # want of rank <= 2 in one call, and a want of rank 3, HUGE or -HUGE
+    # in another.  The
     # examples, 30 coloops and a 20-element circuit among 64 columns, have
     # wants that no contraction holds: the contract sets must run over the
     # distinct nonzero columns, not over all 64.
     rows, n_cols = matrix
     wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2] + [
-        (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2)))]
+        (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2))),
+        (1, HUGE, (1,))]
     assert pure.profile_present(rows, n_cols, wants) == \
         compiled.profile_present(rows, n_cols, wants)
     for call in (pure.profile_present, compiled.profile_present):
-        with pytest.raises(ValueError):
-            call(rows, n_cols, wants[:1] + [(3, 0, (1, 1, 1))])
+        for bad in ((3, 0, (1, 1, 1)), (HUGE, 0, (1,)), (-HUGE, 0, (1,))):
+            with pytest.raises(ValueError):
+                call(rows, n_cols, wants[:1] + [bad])
 
 
 def test_split_profile_first_agrees(compiled, corpus6):
@@ -359,8 +374,8 @@ def test_split_profile_first_agrees(compiled, corpus6):
 
 def test_split_profile_first_agrees_on_edge_shapes(compiled):
     # 0 rows, more than 64 rows and exactly 64 columns, with every want of
-    # rank <= 2 and masks past the first block; a rank-3 want raises on
-    # both.  The examples of test_profile_present_agrees_on_edge_shapes,
+    # rank <= 2 and masks past the first block; a want of rank 3, HUGE or
+    # -HUGE raises on both.  The examples of test_profile_present_agrees_on_edge_shapes,
     # 30 coloops and a 20-element circuit among 64 columns, hold most wants
     # for no Y, so the walk over their column subsets runs to the end.
     rng = random.Random(64)
@@ -371,7 +386,8 @@ def test_split_profile_first_agrees_on_edge_shapes(compiled):
     for rows, n_cols in matrices:
         ys = [0, WORD, (1 << n_cols) & WORD] + [rng.getrandbits(64) for _ in range(70)]
         wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2] + [
-            (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2)))]
+            (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2))),
+            (1, HUGE, (1,))]
         for want in wants:
             for masks in (ys, ys[:1]):
                 start = time.perf_counter()
@@ -379,8 +395,9 @@ def test_split_profile_first_agrees_on_edge_shapes(compiled):
                 assert time.perf_counter() - start < 1, (rows, want)
                 assert got == compiled.split_profile_first(rows, n_cols, masks, want)
         for call in (pure.split_profile_first, compiled.split_profile_first):
-            with pytest.raises(ValueError):
-                call(rows, n_cols, ys, (3, 0, (1, 1, 1)))
+            for bad in ((3, 0, (1, 1, 1)), (HUGE, 0, (1,)), (-HUGE, 0, (1,))):
+                with pytest.raises(ValueError):
+                    call(rows, n_cols, ys, bad)
 
 
 @EDGE

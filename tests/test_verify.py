@@ -1,6 +1,11 @@
 """Verification harness: witnesses, reports, re-runs, and check outcomes."""
 
+import json
+import shutil
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,8 @@ from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
 from matroidsplit.ops import admissible_pairs, splitting, three_fold
 from matroidsplit.verifyreport import VerificationReport, make_failure
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def f_plus_loop():
@@ -245,6 +252,19 @@ def test_fold_replay_refuses_pairs_the_sweep_never_takes():
             verify.rerun_case("main", failure)
 
 
+def test_split_replay_refuses_triples_the_sweep_never_takes():
+    # A record of split-gammoid is replayed only for a 3-subset of the
+    # ground set, as the sweep takes its triples; the labels of a record
+    # may come in any order.
+    g1 = verify.compact(catalog.get("G_1").matroid)
+    for t in ("b,c,x", "x,b,c", "c,x,b"):
+        assert verify.evaluate_case("split-gammoid", g1, {"T": t}) == "non-gammoid"
+    for t in ("x,x,b", "x,b", "x,b,c,bottom", "x,b,w"):
+        failure = make_failure(g1, {"T": t}, verify._SPLIT_OK, "non-gammoid")
+        with pytest.raises(ValueError):
+            verify.rerun_case("split-gammoid", failure)
+
+
 # -- element-splitting identities ----------------------------------------------------------
 
 
@@ -423,7 +443,8 @@ def test_run_checks_shares_one_pool(corpus6, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", CountedPool)
-    names = ["catalog", "gf-empty", "gf-minors", "esplit-identities"]
+    names = ["catalog", "gf-empty", "gf-minors", "split-gammoid", "main",
+             "esplit-identities"]
     pooled = verify.run_checks(names, small, jobs=2)
     assert starts == [2]
     serial = verify.run_checks(names, small, jobs=1)
@@ -438,3 +459,23 @@ def test_run_checks_shares_one_pool(corpus6, monkeypatch):
     assert starts == [2, 2]
     verify.run_checks(["catalog", "quotients"], None, jobs=2)
     assert starts == [2, 2]
+
+
+# -- the traced bench run ------------------------------------------------------------
+
+
+def test_traced_bench_run_of_verify_n8_is_correct(tmp_path):
+    # bench/run.py wraps names at verify and ops and gates each pass on the
+    # report fields; a short traced run in a copy of bench/ and src/ must
+    # still find every name and pass every gate.
+    for part in ("bench", "src"):
+        shutil.copytree(REPO / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "runs"))
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "verify-n8", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
