@@ -62,10 +62,10 @@ static int to_size(PyObject *obj, u64 *out)
     return 0;
 }
 
-/* A rank or loop count of a want, an int of any size, clamped to
- * [-2^62, 2^62] so that adding 64 class sizes to it cannot overflow.  Every
- * matcher accepts far smaller values only, so a clamped want is refused or
- * read as absent just as its own value would be. */
+/* A rank or loop count of a want, or a contract or delete size, an int of
+ * any size, clamped to [-2^62, 2^62] so that adding 64 class sizes to it
+ * cannot overflow.  Every caller accepts far smaller values only, so a
+ * clamped count is refused or read as absent just as its own value would be. */
 static int to_count(PyObject *obj, long long *out)
 {
     const long long cap = (long long)1 << 62;
@@ -1023,15 +1023,18 @@ static PyObject *py_find_minors(PyObject *self, PyObject *args, PyObject *kwargs
 {
     static char *names[] = {"rows", "n_cols", "c_size", "d_size", "kind",
                             "want", "limit", "avoid", NULL};
-    PyObject *rows_obj, *want, *avoid_obj = NULL, *out = NULL;
-    int nc, cs, ds, nfree = 0, nrest;
+    PyObject *rows_obj, *cs_obj, *ds_obj, *want, *avoid_obj = NULL, *out = NULL;
+    int nc, nfree = 0, nrest;
+    long long cs, ds;
     int freecol[64], rest[64], dpos[64], cpos[64];
     Py_ssize_t limit = 1, n;
     u64 avoid = 0, basis[64];
     matcher m = {0};
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OiiiiO|nO:find_minors", names,
-                                     &rows_obj, &nc, &cs, &ds, &m.kind, &want,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OiOOiO|nO:find_minors", names,
+                                     &rows_obj, &nc, &cs_obj, &ds_obj, &m.kind, &want,
                                      &limit, &avoid_obj))
+        return NULL;
+    if (to_count(cs_obj, &cs) < 0 || to_count(ds_obj, &ds) < 0)
         return NULL;
     if (avoid_obj != NULL && to_u64(avoid_obj, &avoid) < 0)
         return NULL;
@@ -1051,7 +1054,7 @@ static PyObject *py_find_minors(PyObject *self, PyObject *args, PyObject *kwargs
     for (int j = 0; j < nc; j++)
         if (!(avoid >> j & 1))
             freecol[nfree++] = j;
-    if (cs < 0 || ds < 0 || cs + ds > nfree)
+    if (cs < 0 || ds < 0 || cs > nfree - ds)
         goto done;
     if (m.kind == KIND_PROFILE && !avoid && m.rank >= 0 && m.rank <= 2 &&
         cs == rank_c(basis, nb, nc == 64 ? ~(u64)0 : BIT(nc) - 1) - m.rank &&

@@ -237,6 +237,7 @@ def profile(rows, n_cols: int):
     return (rank(rows), loops, tuple(sorted(sizes.values())))
 
 
+# Nothing in the package calls cols_rank; it stays because bench/run.py wraps it.
 def cols_rank(cols) -> int:
     """Rank of a set of packed column vectors."""
     return rank(cols)

@@ -110,13 +110,6 @@ def enumerate_binary_matroids(max_elements: int, max_rank: int) -> Corpus:
     return Corpus(max_elements, max_rank, tuple(members), tuple(flags))
 
 
-def gammoid_corpus(c: Corpus) -> Corpus:
-    """Filter a corpus down to its binary gammoids."""
-    kept = [m for m, g in zip(c.members, c.gammoid_flags) if g]
-    return Corpus(c.max_elements, c.max_rank, tuple(kept),
-                  tuple(True for _ in kept))
-
-
 # -- line-oriented corpus files -------------------------------------------------
 
 

@@ -66,9 +66,6 @@ class Gf2Matrix:
     def row_strings(self) -> list[str]:
         return [self.row_string(i) for i in range(self.n_rows)]
 
-    def append_row(self, row: int) -> "Gf2Matrix":
-        return Gf2Matrix(self.rows + (row,), self.n_cols)
-
     def append_column(self, col: int) -> "Gf2Matrix":
         """Append one column; bit ``i`` of ``col`` is the entry in row ``i``."""
         if self.n_cols + 1 > MAX_COLS:

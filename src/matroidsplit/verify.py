@@ -12,6 +12,9 @@ G_1..G_3) and ``main`` (3-folds, G_4), are ``_Law`` constants run by one
 law sweep, :func:`_law_sweep`: one worker, one tally and one memoized row
 decision, :func:`_law_outcome`.  A law's replay refuses any case, read as
 a set, that its sweep never takes on the recorded matroid.
+
+Only :func:`run_checks` opens a process pool, one per call, shared by all
+of its sweeps; a check function called on its own runs serially.
 """
 
 from __future__ import annotations
@@ -61,18 +64,6 @@ def from_compact(token: str) -> BinaryMatroid:
     return BinaryMatroid(labels, rep)
 
 
-@dataclass(frozen=True)
-class SplitMinorWitness:
-    """Witness that splitting on ``y_set`` yields a matroid with an F minor."""
-
-    y_set: frozenset[str]
-    witness: MinorWitness
-
-    def verify(self, host: BinaryMatroid) -> bool:
-        split = splitting(host, sorted(self.y_set))
-        return self.witness.verify(split, catalog.get("F").matroid)
-
-
 def _k_subsets(s: BinaryMatroid, k: int):
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -106,16 +97,6 @@ def splitting_minor_set(s: BinaryMatroid, k: int):
     return None if first < 0 else frozenset(ys[first])
 
 
-def splitting_minor_witness(s: BinaryMatroid, k: int):
-    """The F minor witness of the splitting on the Y that
-    :func:`splitting_minor_set` finds, or None."""
-    y = splitting_minor_set(s, k)
-    if y is None:
-        return None
-    f = catalog.get("F").matroid
-    return SplitMinorWitness(y_set=y, witness=splitting(s, sorted(y)).has_minor(f))
-
-
 def pinned_splitting_minor(s: BinaryMatroid, y) -> MinorWitness | None:
     """An F minor of the splitting on ``y`` that keeps every element of ``y``.
 
@@ -129,20 +110,12 @@ def pinned_splitting_minor(s: BinaryMatroid, y) -> MinorWitness | None:
     return splitting(s, y).has_minor(catalog.get("F").matroid, keep=y)
 
 
-def pinned_splitting_minor_witness(s: BinaryMatroid, k: int):
-    """Search all k-subsets Y for an F minor of the splitting on Y that
-    keeps Y (see :func:`pinned_splitting_minor`)."""
-    for y in _k_subsets(s, k):
-        w = pinned_splitting_minor(s, y)
-        if w is not None:
-            return SplitMinorWitness(y_set=frozenset(y), witness=w)
-    return None
-
-
-def _pinned_splitting_minor_set(s: BinaryMatroid, k: int):
-    """The Y of :func:`pinned_splitting_minor_witness`, or None."""
-    w = pinned_splitting_minor_witness(s, k)
-    return None if w is None else w.y_set
+def pinned_splitting_minor_set(s: BinaryMatroid, k: int):
+    """The first k-subset Y, in label order, whose splitting has an F minor
+    that keeps Y (see :func:`pinned_splitting_minor`), as a frozenset; None
+    when there is none."""
+    return next((frozenset(y) for y in _k_subsets(s, k)
+                 if pinned_splitting_minor(s, y) is not None), None)
 
 
 # The process pool that one run_checks call shares among all of its sweeps.
@@ -150,16 +123,13 @@ _SHARED_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar(
     "_SHARED_POOL", default=None)
 
 
-def _map_members(fn, members, jobs: int | None):
-    """``fn`` over ``members`` in order: serially, or with ``jobs > 1`` on
-    the pool that run_checks shares, else on a pool of this call's own."""
-    if not (jobs and jobs > 1):
+def _map_members(fn, members):
+    """``fn`` over ``members`` in order, on the pool that run_checks opened,
+    or serially when there is none."""
+    pool = _SHARED_POOL.get()
+    if pool is None:
         return [fn(m) for m in members]
-    shared = _SHARED_POOL.get()
-    if shared is not None:
-        return list(shared.map(fn, members, chunksize=4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, members, chunksize=4))
+    return list(pool.map(fn, members, chunksize=4))
 
 
 def _universe(c: Corpus, quantifier: str, gammoids_only: bool = True) -> str:
@@ -181,29 +151,29 @@ def _split_minor_outcome(m: BinaryMatroid, k: int, search) -> str:
     return f"witness Y={{{','.join(sorted(y))}}}"
 
 
-def _split_minor_sweep(c: Corpus, k: int, search, jobs: int | None):
+def _split_minor_sweep(c: Corpus, k: int, search):
     """Run ``search`` at k over the corpus.
 
     Returns the gammoids whose outcome is a witness, their failure records,
     the number of non-gammoids, and the compact tokens of the non-gammoids
     that have a witness.
     """
-    worker = partial(_split_minor_outcome, k=k, search=search)
-    gammoids = c.gammoids()
-    hosts, failures = [], []
-    for m, got in zip(gammoids, _map_members(worker, gammoids, jobs)):
-        if got != "absent":
+    outcomes = _map_members(partial(_split_minor_outcome, k=k, search=search),
+                            c.members)
+    hosts, failures, hits = [], [], []
+    for m, gammoid, got in zip(c.members, c.gammoid_flags, outcomes):
+        if got == "absent":
+            continue
+        if gammoid:
             hosts.append(m)
             failures.append(make_failure(compact(m), {"k": k},
                                          expected="absent", got=got))
-    non_gammoids = [m for m, g in zip(c.members, c.gammoid_flags) if not g]
-    other = _map_members(worker, non_gammoids, jobs)
-    hits = [compact(m) for m, got in zip(non_gammoids, other) if got != "absent"]
-    return hosts, failures, len(non_gammoids), hits
+        else:
+            hits.append(compact(m))
+    return hosts, failures, c.gammoid_flags.count(False), hits
 
 
-def check_split_minor_empty(c: Corpus, k: int, jobs: int | None = None
-                            ) -> VerificationReport:
+def check_split_minor_empty(c: Corpus, k: int) -> VerificationReport:
     """Unpinned reading at k = 1, 2: no gammoid has a Y with |Y| = k whose
     splitting has an F minor anywhere.
 
@@ -224,14 +194,12 @@ def check_split_minor_empty(c: Corpus, k: int, jobs: int | None = None
     each is decided on rows: every Y of a member at once, with one
     ``_kernel.split_profile_first`` call per member and k through
     :func:`splitting_minor_set`, and one ``_kernel.profile_present`` call
-    per witness host for the counts.  No witness is built;
-    :func:`splitting_minor_witness` builds one for the same Y.
+    per witness host for the counts.  No witness is built.
     """
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
-    hosts, failures, n_other, hits = _split_minor_sweep(
-        c, k, splitting_minor_set, jobs)
+    hosts, failures, n_other, hits = _split_minor_sweep(c, k, splitting_minor_set)
     f_want = _profile_want("F")
     free = [m for m in hosts
             if not _kernel.profile_present(m.rep.rows, m.rep.n_cols, (f_want,))[0]]
@@ -250,9 +218,7 @@ def check_split_minor_empty(c: Corpus, k: int, jobs: int | None = None
         })
 
 
-def check_split_minor_collection_empty(c: Corpus, k: int,
-                                       jobs: int | None = None
-                                       ) -> VerificationReport:
+def check_split_minor_collection_empty(c: Corpus, k: int) -> VerificationReport:
     """Assert that the splitting-minor collection is empty for k = 1, 2.
 
     For every gammoid M and every Y with |Y| = k, the splitting M_Y has no
@@ -272,8 +238,7 @@ def check_split_minor_collection_empty(c: Corpus, k: int,
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
-    _, failures, n_other, hits = _split_minor_sweep(
-        c, k, _pinned_splitting_minor_set, jobs)
+    _, failures, n_other, hits = _split_minor_sweep(c, k, pinned_splitting_minor_set)
     return VerificationReport.from_failures(
         f"gf-collection-k{k}",
         _universe(c, f"for every member and every Y with |Y| = {k}, "
@@ -303,9 +268,7 @@ def _fi_wants():
     return tuple((name, _profile_want(name)) for name in ("F_1", "F_2", "F_3", "F_4"))
 
 
-def check_split_minor_characterization(c: Corpus, k: int = 3,
-                                       jobs: int | None = None
-                                       ) -> VerificationReport:
+def check_split_minor_characterization(c: Corpus, k: int = 3) -> VerificationReport:
     """Assert: some k-element splitting has an F minor iff some F_i minor exists.
 
     F and F_1..F_4 have rank <= 2, so both sides are decided on rows, with
@@ -319,7 +282,7 @@ def check_split_minor_characterization(c: Corpus, k: int = 3,
     start = time.perf_counter()
     gammoids = c.gammoids()
     results = _map_members(partial(_gf_member_worker, k=k, fi_wants=_fi_wants()),
-                           gammoids, jobs)
+                           gammoids)
     failures = []
     in_collection = 0
     for m, got in zip(gammoids, results):
@@ -549,18 +512,6 @@ _LAWS = {law.name: law for law in (
 )}
 
 
-def _split_outcome(m: BinaryMatroid, t, memo: dict | None = None) -> str:
-    """Whether the splitting of ``m`` on ``t`` stays a binary gammoid."""
-    return _law_outcome(_LAWS["split-gammoid"], m, t, memo)
-
-
-def _fold_outcome(m: BinaryMatroid, x: str, y: str,
-                  memo: dict | None = None) -> str:
-    """Whether the 3-fold of ``m`` on {x, y} stays a binary gammoid.  The
-    caller checks that {x, y} is an admissible pair."""
-    return _law_outcome(_LAWS["main"], m, (x, y), memo)
-
-
 def _law_worker(m: BinaryMatroid, name: str, patterns) -> tuple:
     """(whether ``m`` has an excluded minor, its number of cases, the cases
     that go non-gammoid, the cases where the pinned reading agrees)."""
@@ -579,7 +530,7 @@ def _law_worker(m: BinaryMatroid, name: str, patterns) -> tuple:
     return bool(pinned), len(cases), bad, agree
 
 
-def _law_sweep(name: str, c: Corpus, jobs: int | None) -> tuple:
+def _law_sweep(name: str, c: Corpus) -> tuple:
     """Sweep law ``name`` over the gammoids of ``c``: (members, failures,
     observations, number of cases of the members without an excluded
     minor).  Those members carry the asserted direction, and each of
@@ -594,7 +545,7 @@ def _law_sweep(name: str, c: Corpus, jobs: int | None) -> tuple:
     patterns = {(e.matroid.labels, e.matroid.rep, e.marked): (e.matroid, e.marked)
                 for e in map(catalog.get, law.patterns)}
     results = _map_members(partial(_law_worker, name=name,
-                                   patterns=tuple(patterns.values())), members, jobs)
+                                   patterns=tuple(patterns.values())), members)
     failures = []
     asserted = with_minor = with_minor_and_bad = pinned_checked = pinned_agree = 0
     for m, (has_excluded, n_cases, bad, agree) in zip(members, results):
@@ -615,8 +566,7 @@ def _law_sweep(name: str, c: Corpus, jobs: int | None) -> tuple:
     }, asserted
 
 
-def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
-                                    ) -> VerificationReport:
+def check_splitting_excluded_minors(c: Corpus) -> VerificationReport:
     """Excluded-minor law for 3-element splittings of gammoids.
 
     Asserted direction: a gammoid with no G_1/G_2/G_3 minor keeps the
@@ -629,7 +579,7 @@ def check_splitting_excluded_minors(c: Corpus, jobs: int | None = None
     per row-space coset of T's mask.
     """
     start = time.perf_counter()
-    members, failures, observations, _ = _law_sweep("split-gammoid", c, jobs)
+    members, failures, observations, _ = _law_sweep("split-gammoid", c)
     return VerificationReport.from_failures(
         "split-gammoid",
         _universe(c, "members without a G_1/G_2/G_3 minor: every splitting on "
@@ -663,8 +613,7 @@ def _g4_known_instance() -> dict:
     }
 
 
-def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
-                                    ) -> VerificationReport:
+def check_three_fold_excluded_minor(c: Corpus) -> VerificationReport:
     """Excluded-minor law for the 3-fold extension of gammoids.
 
     Asserted: members without a G_4 minor keep the gammoid property under
@@ -707,7 +656,7 @@ def check_three_fold_excluded_minor(c: Corpus, jobs: int | None = None
     the n <= 6 corpus.
     """
     start = time.perf_counter()
-    members, failures, observations, asserted = _law_sweep("main", c, jobs)
+    members, failures, observations, asserted = _law_sweep("main", c)
     for case, (expected, got) in _g4_known_instance().items():
         if got != expected:
             failures.append(make_failure(compact(catalog.get("G_4").matroid),
@@ -753,35 +702,34 @@ def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
     return bad
 
 
-def _esplit_worker(m: BinaryMatroid, max_t: int) -> tuple:
+# The sizes of T that the element-splitting identities are swept over.
+_ESPLIT_SIZES = (1, 2, 3)
+
+
+def _esplit_worker(m: BinaryMatroid) -> tuple:
     labels = sorted(m.labels)
     return tuple((t, which)
-                 for size in range(1, min(max_t, len(labels)) + 1)
+                 for size in _ESPLIT_SIZES
                  for t in combinations(labels, size)
                  for which in _esplit_violations(m, t))
 
 
-def check_element_splitting_identities(members, max_t: int = 3,
-                                       jobs: int | None = None,
-                                       universe: str = "",
-                                       ) -> VerificationReport:
+def check_element_splitting_identities(c: Corpus) -> VerificationReport:
     """delete(esplit) equals the splitting exactly; contract(esplit) gives
-    back the original matroid.  Swept over every T with 1 <= |T| <= max_t."""
+    back the original matroid.  Swept over every member of ``c`` and every T
+    with 1 <= |T| <= 3."""
     start = time.perf_counter()
-    members = list(members)
-    results = _map_members(partial(_esplit_worker, max_t=max_t), members, jobs)
     failures = []
     cases = 0
-    for m, bad in zip(members, results):
-        n = m.n_elements()
-        cases += sum(comb(n, size) for size in range(1, min(max_t, n) + 1))
+    for m, bad in zip(c.members, _map_members(_esplit_worker, c.members)):
+        cases += sum(comb(m.n_elements(), size) for size in _ESPLIT_SIZES)
         for t, which in bad:
             failures.append(make_failure(
                 compact(m), {"T": ",".join(t)},
                 expected=f"{which} holds", got="violated"))
     return VerificationReport.from_failures(
         "esplit-identities",
-        universe or f"{len(members)} matroids, all T with |T| <= {max_t}",
+        _universe(c, "all T with |T| <= 3", gammoids_only=False),
         cases, failures, start)
 
 
@@ -806,7 +754,9 @@ def run_checks(names, c: Corpus | None, jobs: int | None = None
     """Run the named checks (or all of them) and return their reports.
 
     With ``jobs > 1`` one process pool of ``jobs`` workers serves every
-    sweep of the call.
+    sweep of the call.  This is the only place that opens a pool: the
+    check functions take no worker count and map on this pool, or run
+    serially without one.
     """
     wanted = check_names(names)
     needs_corpus = set(wanted) - {"catalog", "quotients"}
@@ -818,29 +768,26 @@ def run_checks(names, c: Corpus | None, jobs: int | None = None
         token = _SHARED_POOL.set(pool)
         try:
             return [report for name in wanted
-                    for report in _named_check(name, c, jobs)]
+                    for report in _named_check(name, c)]
         finally:
             _SHARED_POOL.reset(token)
 
 
-def _named_check(name: str, c: Corpus | None, jobs: int | None
-                 ) -> list[VerificationReport]:
+def _named_check(name: str, c: Corpus | None) -> list[VerificationReport]:
+    # k stays positional: bench/run.py's tracer names gf-empty spans by args[1].
     if name == "catalog":
         return [catalog.validate_all()]
     if name == "quotients":
         return [check_quotients_of_f()]
     if name == "gf-empty":
-        return [check_split_minor_empty(c, 1, jobs),
-                check_split_minor_empty(c, 2, jobs)]
+        return [check_split_minor_empty(c, 1), check_split_minor_empty(c, 2)]
     if name == "gf-minors":
-        return [check_split_minor_characterization(c, 3, jobs)]
+        return [check_split_minor_characterization(c, 3)]
     if name == "split-gammoid":
-        return [check_splitting_excluded_minors(c, jobs)]
+        return [check_splitting_excluded_minors(c)]
     if name == "main":
-        return [check_three_fold_excluded_minor(c, jobs)]
-    return [check_element_splitting_identities(
-        c.members, jobs=jobs,
-        universe=_universe(c, "all T with |T| <= 3", gammoids_only=False))]
+        return [check_three_fold_excluded_minor(c)]
+    return [check_element_splitting_identities(c)]
 
 
 # -- single-case re-runs ------------------------------------------------------------
@@ -866,7 +813,7 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
     if check_name.startswith("gf-collection"):
         return _split_minor_outcome(from_compact(matroid_token),
                                     int(params["k"]),
-                                    _pinned_splitting_minor_set)
+                                    pinned_splitting_minor_set)
     if check_name == "gf-minors":
         return _gf_member_worker(from_compact(matroid_token), int(params["k"]),
                                  _fi_wants())

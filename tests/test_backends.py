@@ -298,7 +298,7 @@ PROFILE_WANT_LIST = [
     # Negative class sizes fit no minor: both kernels read them as absent.
     (1, 0, (-1,)), (2, 0, (-1, 2)), (2, 1, (1, -2)),
 ]
-PROFILE_WANTS = st.sampled_from(PROFILE_WANT_LIST)
+PROFILE_WANTS = st.sampled_from(PROFILE_WANT_LIST + [(1, HUGE, (1,))])
 
 
 @EDGE
@@ -307,16 +307,19 @@ PROFILE_WANTS = st.sampled_from(PROFILE_WANT_LIST)
 def test_find_minors_agrees_on_the_decision_path(compiled, n_rows, n_cols, want,
                                                  c_shift, limit, data):
     # avoid = 0, and c_size = rank - rho unless shifted, so the compiled
-    # decision runs; bits above n_cols must be ignored by both.
+    # decision runs; bits above n_cols must be ignored by both.  A want with
+    # HUGE loops gives a d_size that no C int holds, and so do the HUGE and
+    # -HUGE sizes after it: no minor has them, so both return [].
     rows = tuple(data.draw(st.lists(st.integers(0, (1 << (n_cols + 2)) - 1),
                                     min_size=n_rows, max_size=n_rows)))
     rho, loops, sizes = want
     c_size = pure.rank_masked(rows, (1 << n_cols) - 1) - rho + c_shift
     d_size = n_cols - loops - sum(sizes) - c_size + data.draw(st.sampled_from([0, 0, 1]))
-    assert pure.find_minors(rows, n_cols, c_size, d_size, pure.KIND_PROFILE, want,
-                            limit=limit) == \
-        compiled.find_minors(rows, n_cols, c_size, d_size, pure.KIND_PROFILE, want,
-                             limit=limit)
+    for c, d in ((c_size, d_size), (HUGE, d_size), (c_size, -HUGE), (HUGE, HUGE)):
+        assert pure.find_minors(rows, n_cols, c, d, pure.KIND_PROFILE, want,
+                                limit=limit) == \
+            compiled.find_minors(rows, n_cols, c, d, pure.KIND_PROFILE, want,
+                                 limit=limit)
     assert outcome(pure.profile_present, rows, n_cols, (want,)) == \
         outcome(compiled.profile_present, rows, n_cols, (want,))
 

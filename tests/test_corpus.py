@@ -12,7 +12,6 @@ from matroidsplit.corpus import (
     Corpus,
     canonical_key,
     enumerate_binary_matroids,
-    gammoid_corpus,
     matroid_from_columns,
 )
 from matroidsplit.gf2 import Gf2Matrix
@@ -193,19 +192,19 @@ def test_bounds_are_enforced():
 
 
 def test_gammoid_corpus_excludes_k4_includes_f(corpus8):
-    g = gammoid_corpus(corpus8)
-    keys = {canonical_key(m) for m in g.members}
+    g = corpus8.gammoids()
+    keys = {canonical_key(m) for m in g}
     assert canonical_key(catalog.get("K4").matroid) not in keys
     assert canonical_key(catalog.get("F").matroid) in keys
-    assert all(g.gammoid_flags)
+    assert all(m.is_binary_gammoid() for m in g)
 
 
 def test_gammoid_corpus_minor_closed(corpus6):
     # Single-element minors of gammoid members stay gammoids, and stay in
     # the corpus unless the contraction pushes them past the loop cap.
-    g = gammoid_corpus(corpus6)
-    keys = {canonical_key(m) for m in g.members}
-    for m in g.members:
+    g = corpus6.gammoids()
+    keys = {canonical_key(m) for m in g}
+    for m in g:
         for lab in m.labels:
             for smaller in (m.delete({lab}), m.contract({lab})):
                 if smaller.n_elements() < 1:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from matroidsplit import _kernel, catalog, matroid, verify
-from matroidsplit.corpus import CanonicalKey
+from matroidsplit.corpus import CanonicalKey, Corpus
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
 from matroidsplit.ops import admissible_pairs, splitting, three_fold
@@ -31,39 +31,43 @@ def f_plus_loop():
 
 def test_marked_triple_witness_for_f1():
     entry = catalog.get("F_1")
-    w = verify.splitting_minor_witness(entry.matroid, 3)
-    assert w is not None
-    assert w.verify(entry.matroid)
+    f = catalog.get("F").matroid
+    y = verify.splitting_minor_set(entry.matroid, 3)
+    assert y is not None
+    split = splitting(entry.matroid, sorted(y))
+    w = split.has_minor(f)
+    assert w.verify(split, f)
 
 
 def test_f_itself_has_no_single_element_witness():
     # Any splitting of F on one element raises the rank to 3, but an F minor
     # needs rank 2 on all five elements.
-    assert verify.splitting_minor_witness(catalog.get("F").matroid, 1) is None
+    assert verify.splitting_minor_set(catalog.get("F").matroid, 1) is None
 
 
 def test_small_ground_sets_never_produce_witnesses():
     m = BinaryMatroid.from_matrix(("a", "b", "c"),
                                   Gf2Matrix.from_bits(["111"]))
     for k in (1, 2, 3):
-        assert verify.splitting_minor_witness(m, k) is None
+        assert verify.splitting_minor_set(m, k) is None
 
 
 def test_witness_bounds():
     m = catalog.get("F").matroid
     with pytest.raises(ValueError):
-        verify.splitting_minor_witness(m, 0)
+        verify.splitting_minor_set(m, 0)
     with pytest.raises(ValueError):
-        verify.splitting_minor_witness(m, 6)
+        verify.splitting_minor_set(m, 6)
 
 
 def test_loop_splitting_produces_a_witness():
     # Splitting a loop turns it into a coloop; contracting it restores F.
     host = f_plus_loop()
-    w = verify.splitting_minor_witness(host, 1)
-    assert w is not None
-    assert w.y_set == {"l"}
-    assert w.verify(host)
+    f = catalog.get("F").matroid
+    assert verify.splitting_minor_set(host, 1) == {"l"}
+    split = splitting(host, ["l"])
+    w = split.has_minor(f)
+    assert w.verify(split, f)
 
 
 def test_splitting_minor_set_is_the_first_y_with_a_witness(corpus6):
@@ -78,10 +82,10 @@ def test_splitting_minor_set_is_the_first_y_with_a_witness(corpus6):
             first = next((frozenset(y) for y in verify._k_subsets(m, k)
                           if splitting(m, y).has_minor(f) is not None), None)
             assert verify.splitting_minor_set(m, k) == first, (m, k)
-            w = verify.splitting_minor_witness(m, k)
-            assert (w is None) == (first is None)
-            if w is not None:
-                assert w.y_set == first and w.verify(m)
+            if first is not None:
+                split = splitting(m, sorted(first))
+                w = split.has_minor(f)
+                assert w.verify(split, f)
                 found += 1
     assert found
 
@@ -90,24 +94,27 @@ def test_pinned_search_keeps_y_in_the_minor():
     # The unpinned witness on F plus a loop contracts its Y = {l}; an F minor
     # that keeps l does not exist, because l is a coloop of the splitting.
     host = f_plus_loop()
-    unpinned = verify.splitting_minor_witness(host, 1)
-    assert unpinned.y_set == {"l"}
-    assert unpinned.y_set <= unpinned.witness.contracted
-    assert verify.pinned_splitting_minor_witness(host, 1) is None
+    f = catalog.get("F").matroid
+    assert verify.splitting_minor_set(host, 1) == {"l"}
+    unpinned = splitting(host, ["l"]).has_minor(f)
+    assert {"l"} <= unpinned.contracted
+    assert verify.pinned_splitting_minor_set(host, 1) is None
     # F_2 split on its marked triple is isomorphic to F: nothing is removed.
     entry = catalog.get("F_2")
     m = entry.matroid
     w = verify.pinned_splitting_minor(m, entry.marked)
     assert w is not None and not (w.deleted | w.contracted)
-    assert w.verify(splitting(m, entry.marked), catalog.get("F").matroid)
+    assert w.verify(splitting(m, entry.marked), f)
     # The first triple in label order is an image of the marked triple under
     # an automorphism of F_2: two of the parallel elements and the loop.
-    found = verify.pinned_splitting_minor_witness(m, 3)
-    assert found.y_set in m.minor_marked_images(m, entry.marked)
-    assert found.verify(m)
-    assert found.y_set <= set(found.witness.mapping.values())
+    found = verify.pinned_splitting_minor_set(m, 3)
+    assert found in m.minor_marked_images(m, entry.marked)
+    split = splitting(m, sorted(found))
+    w = verify.pinned_splitting_minor(m, sorted(found))
+    assert w.verify(split, f)
+    assert found <= set(w.mapping.values())
     with pytest.raises(ValueError):
-        verify.pinned_splitting_minor_witness(m, 6)
+        verify.pinned_splitting_minor_set(m, 6)
 
 
 # -- emptiness checks (the unpinned reading fails; see the docstrings) ----------------
@@ -211,7 +218,7 @@ def test_split_outcomes_shared_per_coset_match_the_splittings(corpus6):
         memo, spans = {}, set()
         for t in combinations(sorted(m.labels), 3):
             split = splitting(m, t)
-            got = verify._split_outcome(m, t, memo)
+            got = verify._law_outcome(verify._LAWS["split-gammoid"], m, t, memo)
             assert (got == verify._SPLIT_OK) == split.is_binary_gammoid(), (m, t)
             spans.add(split._rref)
         assert len(memo) == len(spans), m
@@ -224,7 +231,7 @@ def test_fold_outcomes_shared_per_coset_match_the_3_folds(corpus6):
         for pair in sorted(admissible_pairs(m), key=sorted):
             x, y = sorted(pair)
             folded = three_fold(m, x, y)
-            got = verify._fold_outcome(m, x, y, memo)
+            got = verify._law_outcome(verify._LAWS["main"], m, (x, y), memo)
             assert (got == verify._FOLD_OK) == folded.is_binary_gammoid(), (m, x, y)
             spans.add(folded._rref)
         assert len(memo) == len(spans), m
@@ -269,7 +276,7 @@ def test_split_replay_refuses_triples_the_sweep_never_takes():
 
 
 def test_esplit_identities(corpus6):
-    report = verify.check_element_splitting_identities(corpus6.members)
+    report = verify.check_element_splitting_identities(corpus6)
     assert report.verdict == "pass"
     assert report.failures == ()
 
@@ -279,7 +286,7 @@ def test_esplit_identities_on_a_member_labelled_like_a_new_element():
     # label; the check once named its new element "a*" and raised here.
     m = BinaryMatroid.from_matrix(("a*", "b", "c"),
                                   Gf2Matrix.from_bits(["110", "011"]))
-    report = verify.check_element_splitting_identities([m])
+    report = verify.check_element_splitting_identities(Corpus(3, 2, (m,), (True,)))
     assert report.verdict == "pass"
     assert report.cases == 7
 
@@ -415,6 +422,24 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
                                            for f in report.failures}
 
 
+def test_every_forced_gf_collection_failure_replays(corpus6, monkeypatch):
+    # gf-collection-k1 and -k2 are not run_checks names, so
+    # test_every_forced_failure_replays never reaches them.  The patch reads a Y as pinned when it holds the
+    # member's last label and the member's rows sum to an odd number, so
+    # pinned_splitting_minor_set searches past the first Y, in the sweep and
+    # in the replay alike.
+    small = corpus6.restrict(5)
+    monkeypatch.setattr(verify, "pinned_splitting_minor",
+                        lambda s, y: s if sum(s.rep.rows) % 2 and max(s.labels) in y
+                        else None)
+    for k in (1, 2):
+        report = verify.check_split_minor_collection_empty(small, k)
+        assert report.name == f"gf-collection-k{k}"
+        assert report.verdict == "fail"
+        replayed = [verify.rerun_case(report.name, f) for f in report.failures]
+        assert all(replayed), (report.name, replayed)
+
+
 def test_evaluate_case_covers_every_check(corpus6):
     m = corpus6.members[0]
     token = verify.compact(m)
@@ -426,7 +451,7 @@ def test_evaluate_case_covers_every_check(corpus6):
 
 def test_parallel_jobs_give_identical_reports(corpus6):
     serial = verify.check_split_minor_characterization(corpus6, 3)
-    parallel = verify.check_split_minor_characterization(corpus6, 3, jobs=2)
+    [parallel] = verify.run_checks(["gf-minors"], corpus6, jobs=2)
     a, b = serial.to_json_dict(), parallel.to_json_dict()
     a.pop("wall_time")
     b.pop("wall_time")
@@ -454,11 +479,11 @@ def test_run_checks_shares_one_pool(corpus6, monkeypatch):
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b
-    # A check run on its own still opens a pool of its own.
-    verify.check_split_minor_characterization(small, 3, jobs=2)
-    assert starts == [2, 2]
+    # A check called on its own opens no pool.
+    verify.check_split_minor_characterization(small, 3)
+    assert starts == [2]
     verify.run_checks(["catalog", "quotients"], None, jobs=2)
-    assert starts == [2, 2]
+    assert starts == [2]
 
 
 # -- the traced bench run ------------------------------------------------------------
