@@ -3,12 +3,11 @@
 Every name in ``pure.__all__`` is bound from ``pure.py`` first.  Unless
 ``MATROIDSPLIT_PURE`` is set, the C extension ``_speed.c``, when built, then
 rebinds the per-candidate functions it compiles: ``rank``, ``rank_masked``,
-``cols_rank``, ``rref``, ``rref_pivots``, ``nullspace_basis``,
-``space_min_supports``, ``delete_rows``, ``contract_rows``,
-``profile_present``, ``split_profile_first``, ``find_minors``,
-``canon_key_cols`` and ``is_canonical``.  The rest (``in_rowspace``,
-``columns``, ``rows_from_columns``, ``profile``, ``profile_images``) is
-served by ``pure.py`` on both backends.  ``BACKEND`` names the module that
+``rref``, ``rref_pivots``, ``nullspace_basis``, ``space_min_supports``,
+``delete_rows``, ``contract_rows``, ``profile_present``, ``find_minors``,
+``canon_key_cols`` and ``is_canonical``.  The rest (``cols_rank``,
+``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
+``profile_images``) is served by ``pure.py`` on both backends.  ``BACKEND`` names the module that
 loaded last ("compiled" or "pure").  Callers look these names up here at
 call time, so wrapping a module attribute traces every call, except the
 minor searches for patterns above rank 6: the compiled canonical forms stop

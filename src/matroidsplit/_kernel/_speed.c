@@ -1,18 +1,18 @@
 /* Compiled GF(2) kernel: the per-candidate half of matroidsplit._kernel.pure.
  *
- * rank, rank_masked, cols_rank, rref, rref_pivots, nullspace_basis,
+ * rank, rank_masked, rref, rref_pivots, nullspace_basis,
  * space_min_supports, delete_rows, contract_rows, profile_present,
- * split_profile_first, find_minors, canon_key_cols and is_canonical return
- * exactly what their namesakes in pure.py return; pure.py documents them
- * and stays the reference.  Rows, masks and vectors are ints in [0, 2^64):
- * others raise OverflowError or TypeError, never wrap, except
- * canonical-form columns, which raise ValueError as pure does, and the
- * ranks, loop counts and class sizes of wants: a want with a size outside
- * [0, 2^64) or a loop count of any size that fits no minor reads as
- * absent, as in pure, and a rank of any size outside 0..2 raises
- * ValueError in the profile decisions, as in pure.  Where pure would go past a word (n_cols > 64 in
- * nullspace_basis, profile_present, split_profile_first and find_minors)
- * or take canonical forms for r > 6, ValueError is raised.  Distinct low bits bound a reduced basis by 64
+ * find_minors, canon_key_cols and is_canonical return exactly what their
+ * namesakes in pure.py return; pure.py documents them and stays the
+ * reference.  Rows, masks and vectors are ints in [0, 2^64): others raise
+ * OverflowError or TypeError, never wrap, except canonical-form columns,
+ * which raise ValueError as pure does, and the ranks, loop counts and class
+ * sizes of wants: a want with a size outside [0, 2^64) or a loop count of
+ * any size that fits no minor reads as absent, as in pure, and a rank of
+ * any size outside 0..2 raises ValueError in the profile decisions, as in
+ * pure.  Where pure would go past a word (n_cols > 64 in nullspace_basis,
+ * profile_present and find_minors) or take canonical forms for r > 6,
+ * ValueError is raised.  Distinct low bits bound a reduced basis by 64
  * rows, so only bases and column lists use 64-entry arrays; buffers that a
  * caller's row count indexes are allocated to size.
  *
@@ -21,8 +21,7 @@
  * pure.find_minors does: a profile want of rank rho <= 2 with avoid 0 and
  * c_size = rank - rho returns [] at once when no contraction M/C can hold
  * the pattern.  Otherwise the scan runs unchanged, so witnesses and their
- * order are the same.  split_profile_first takes its Ys in blocks of 64,
- * one bit of a word per Y, and stops after the first block with a hit.
+ * order are the same.
  *
  * Build: python setup.py build_ext --inplace
  */
@@ -402,11 +401,6 @@ static int next_comb(int *pos, int k, int n)
     return 1;
 }
 
-/* pure.profile_present for one profile want m over all nc columns of the
- * rref basis[0..nb), where 0 <= m->rank <= 2 and cs = rank - m->rank >= 0:
- * 1 when no minor has the profile, 0 when one does.  pure.profile_present
- * documents the test; this one reads M/C for every independent cs-set C of
- * distinct nonzero columns. */
 /* pure._profile_need: 1 when some minor of an nc-column matroid of rank
  * full can have the profile of m, going by its shape alone. */
 static int want_fits(const matcher *m, int full, int nc)
@@ -435,6 +429,11 @@ static int sizes_dominate(u64 *have, int ns, const u64 *want, Py_ssize_t len)
     return 1;
 }
 
+/* pure.profile_present for one profile want m over all nc columns of the
+ * rref basis[0..nb), where 0 <= m->rank <= 2 and cs = rank - m->rank >= 0:
+ * 1 when no minor has the profile, 0 when one does.  pure.profile_present
+ * documents the test; this one reads M/C for every independent cs-set C of
+ * distinct nonzero columns. */
 static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc, int cs)
 {
     u64 pts[64], cnt[64], span[64], seen[64], have[64];
@@ -500,227 +499,6 @@ static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc, in
             return 0;
     } while (next_comb(pos, cs, np));
     return 1;
-}
-
-/* -- splitting decision --------------------------------------------------------
- * pure.split_profile_first and pure._split_walk document the walk; here a
- * plane is one word, bit t for the t-th Y of a block of 64.  Columns are in
- * walk order (nonzero columns of M first); m is the want, of at most three
- * class sizes.
- */
-
-typedef struct {
-    const matcher *m;
-    int n, c, top;
-    int tail[65], min_other[65];
-    u64 cols[64], planes[64];
-    u64 every, live, hits;
-} splitwalk;
-
-static void split_hit(splitwalk *w, u64 plane)
-{
-    w->hits |= plane & w->live;
-    if (w->hits)
-        w->live &= LOW(w->hits) - 1;
-}
-
-/* Saturating counters: ge[k] gains the bits of x that are in ge[k - 1]. */
-static void count_into(u64 *ge, int top, u64 x)
-{
-    for (int k = top; k > 0; k--)
-        ge[k] |= ge[k - 1] & x;
-}
-
-/* The distinct values of red[0..n) into vals with their counts; how many. */
-static int count_values(const u64 *red, int n, u64 *vals, u64 *cnt)
-{
-    int nv = 0;
-    for (int j = 0; j < n; j++) {
-        int a = 0;
-        while (a < nv && vals[a] != red[j])
-            a++;
-        if (a == nv) {
-            vals[nv] = red[j];
-            cnt[nv++] = 0;
-        }
-        cnt[a]++;
-    }
-    return nv;
-}
-
-static long long count_of(const u64 *vals, const u64 *cnt, int nv, u64 r)
-{
-    for (int a = 0; a < nv; a++)
-        if (vals[a] == r)
-            return (long long)cnt[a];
-    return 0;
-}
-
-/* The leaf C + i of rank c - 1, its columns counted modulo span(C) in
- * vals/cnt and i reducing to v: M/(C + i) has the profile. */
-static int split_span_fits(const splitwalk *w, const u64 *vals, const u64 *cnt,
-                           int nv, u64 v)
-{
-    u64 key[64], size[64], low = LOW(v);
-    int ns = 0;
-    long long zero = -w->c;
-    for (int a = 0; a < nv; a++) {
-        u64 r = vals[a] & low ? vals[a] ^ v : vals[a];
-        int s = 0;
-        if (!r) {
-            zero += (long long)cnt[a];
-            continue;
-        }
-        while (s < ns && key[s] != r)
-            s++;
-        if (s == ns) {
-            key[ns] = r;
-            size[ns++] = 0;
-        }
-        size[s] += cnt[a];
-    }
-    return zero >= w->m->loops && sizes_dominate(size, ns, w->m->want, w->m->len);
-}
-
-/* The independent leaf C + i, i reducing to (v, p) modulo span(C): the
- * live Ys for which M_Y/(C + i) has the profile.  Counters: ge[0] loops,
- * ge[1] the class e, ge[2] and ge[3] the nonzero coset by parity against
- * its first column (M/(C + i) has rank <= 1, so there is one at most). */
-static u64 split_plane_fits(const splitwalk *w, const u64 *red, const u64 *q,
-                            u64 chosen, u64 v, u64 p)
-{
-    u64 ge[4][65], low = LOW(v), ref = 0, fit;
-    int have_ref = 0;
-    for (int a = 0; a < 4; a++) {
-        ge[a][0] = w->every;
-        for (int k = 1; k <= w->top; k++)
-            ge[a][k] = 0;
-    }
-    for (int j = 0; j < w->n; j++) {
-        u64 r = red[j], x = q[j];
-        int a = 0;
-        if (chosen >> j & 1)
-            continue;
-        if (r & low) {
-            r ^= v;
-            x ^= p;
-        }
-        if (r) {
-            if (!have_ref) {
-                ref = x;
-                have_ref = 1;
-            }
-            x ^= ref;
-            a = 2;
-        }
-        count_into(ge[a], w->top, w->every & ~x);
-        count_into(ge[a + 1], w->top, x);
-    }
-    fit = ge[0][w->m->loops] & w->live;
-    /* Sorted sizes dominate the want iff, for each k, at least k of the
-     * three classes reach its k-th largest size. */
-    for (int k = 1; k <= w->m->len; k++) {
-        u64 s = w->m->want[w->m->len - k], a = ge[1][s], b = ge[2][s], c = ge[3][s];
-        fit &= k == 1 ? a | b | c : k == 2 ? (a & b) | (a & c) | (b & c) : a & b & c;
-    }
-    return fit;
-}
-
-/* C is chosen (size columns), with the dependency plane dep when has_dep;
- * red and q are every column reduced modulo span(C). */
-static void split_dfs(splitwalk *w, int start, int size, int has_dep, u64 dep,
-                      u64 chosen, const u64 *red, const u64 *q)
-{
-    u64 red2[64], q2[64], vals[64], cnt[64];
-    int nv = -1, span_here = -1, rank_now = size - has_dep;
-    for (int i = start; i <= w->n - (w->c - size); i++) {
-        u64 v = red[i], p = q[i];
-        if (!(has_dep ? dep & w->live : w->live) || rank_now + w->tail[i] < w->c - 1)
-            return;
-        if (!v && (has_dep || !(p & w->live)))
-            continue;
-        if (size + 1 < w->c) {
-            if (!v) {
-                split_dfs(w, i + 1, size + 1, 1, p, chosen | BIT(i), red, q);
-                continue;
-            }
-            for (int j = 0; j < w->n; j++) {
-                int in_v = (red[j] & LOW(v)) != 0;
-                red2[j] = in_v ? red[j] ^ v : red[j];
-                q2[j] = in_v ? q[j] ^ p : q[j];
-            }
-            split_dfs(w, i + 1, size + 1, has_dep, dep, chosen | BIT(i), red2, q2);
-            continue;
-        }
-        if (nv < 0)
-            nv = count_values(red, w->n, vals, cnt);
-        if (!has_dep && v) {
-            long long m0 = count_of(vals, cnt, nv, 0) + count_of(vals, cnt, nv, v) - w->c;
-            if (w->n - w->c - m0 >= w->min_other[m0])
-                split_hit(w, split_plane_fits(w, red, q, chosen | BIT(i), v, p));
-        } else if (v) {
-            if (split_span_fits(w, vals, cnt, nv, v))
-                split_hit(w, dep);
-        } else {
-            /* Every dependent i leaves the span of C as it is. */
-            if (span_here < 0)
-                span_here = split_span_fits(w, vals, cnt, nv, 0);
-            if (span_here)
-                split_hit(w, p);
-        }
-    }
-}
-
-/* Columns of basis[0..nb) in walk order, suffix ranks and min_other
- * for the non-cocycle Ys: M_Y has rank nb + 1. */
-static void split_setup(splitwalk *w, const matcher *m, const u64 *basis, int nb,
-                        int nc, int *order)
-{
-    u64 ech[64], col[64];
-    int ne = 0, k = 0;
-    long long sum = 0;
-    for (int j = 0; j < nc; j++) {
-        col[j] = 0;
-        for (int i = 0; i < nb; i++)
-            col[j] |= (basis[i] >> j & 1) << i;
-    }
-    for (int zero = 0; zero < 2; zero++)
-        for (int j = 0; j < nc; j++)
-            if ((col[j] == 0) == zero) {
-                order[k] = j;
-                w->cols[k++] = col[j];
-            }
-    w->m = m;
-    w->n = nc;
-    w->c = nb + 1 - (int)m->rank;
-    w->top = (int)m->loops;
-    for (Py_ssize_t i = 0; i < m->len; i++) {
-        sum += (long long)m->want[i];
-        if ((int)m->want[i] > w->top)
-            w->top = (int)m->want[i];
-    }
-    w->tail[nc] = 0;
-    for (int i = nc - 1; i >= 0; i--) {
-        u64 v = w->cols[i];
-        for (int b = 0; b < ne; b++)
-            if (v & LOW(ech[b]))
-                v ^= ech[b];
-        if (v)
-            ech[ne++] = v;
-        w->tail[i] = ne;
-    }
-    /* The fewest columns the nonzero coset of an independent leaf needs
-     * when m0 columns reduce to 0: those hold the loops and at most one
-     * wanted class, e. */
-    for (int m0 = 0; m0 <= nc; m0++) {
-        w->min_other[m0] = nc + 1;
-        for (Py_ssize_t e = -1; e < m->len; e++) {
-            long long in_e = e < 0 ? 0 : (long long)m->want[e];
-            if (m->len - (e >= 0) <= 2 && m->loops + in_e <= m0 &&
-                sum - in_e < w->min_other[m0])
-                w->min_other[m0] = (int)(sum - in_e);
-        }
-    }
 }
 
 /* -- module functions ---------------------------------------------------------- */
@@ -934,89 +712,6 @@ static PyObject *py_profile_present(PyObject *self, PyObject *const *args,
     return out;
 }
 
-/* split_profile_first(rows, n_cols, ymasks, want), Ys in blocks of 64. */
-static PyObject *py_split_profile_first(PyObject *self, PyObject *const *args,
-                                        Py_ssize_t nargs)
-{
-    Py_ssize_t n, ny, first = -1;
-    u64 basis[64], *rows = NULL, *ys = NULL;
-    int order[64], cocycle_fits = -1;
-    PyObject *out = NULL;
-    matcher m = {.kind = KIND_PROFILE};
-    splitwalk w;
-    if (check_nargs(nargs, 4, "split_profile_first") < 0)
-        return NULL;
-    long nc = PyLong_AsLong(args[1]);
-    if (nc == -1 && PyErr_Occurred())
-        return NULL;
-    if (nc < 0 || nc > 64) {
-        PyErr_SetString(PyExc_ValueError, "split_profile_first needs 0 <= n_cols <= 64");
-        return NULL;
-    }
-    if (parse_want(&m, args[3]) < 0)
-        return NULL;
-    if (m.rank < 0 || m.rank > 2) {
-        PyErr_Format(PyExc_ValueError,
-                     "profile decisions take wants of rank 0..2, not %lld", m.rank);
-        goto done;
-    }
-    if ((rows = load(args[0], &n)) == NULL || (ys = load(args[2], &ny)) == NULL)
-        goto done;
-    u64 word = nc == 64 ? ~(u64)0 : BIT(nc) - 1;
-    for (Py_ssize_t i = 0; i < n; i++)
-        rows[i] &= word;
-    int nb = rref_c(rows, n, basis);
-    int walks = m.len <= 3 && want_fits(&m, nb + 1, (int)nc);
-    if (walks)
-        split_setup(&w, &m, basis, nb, (int)nc, order);
-    for (Py_ssize_t base = 0; base < ny && first < 0; base += 64) {
-        u64 planes[64] = {0}, odd = 0, hits;
-        int count = ny - base < 64 ? (int)(ny - base) : 64;
-        u64 every = count == 64 ? ~(u64)0 : BIT(count) - 1;
-        for (int t = 0; t < count; t++)
-            for (u64 y = ys[base + t] & word; y; y &= y - 1)
-                planes[__builtin_ctzll(y)] |= BIT(t);
-        /* y is in the row space iff it is even against every null vector:
-         * one per non-pivot column j, with the pivots of the rows holding j. */
-        for (int j = 0; j < nc; j++) {
-            u64 parity = planes[j];
-            int pivot = 0;
-            for (int i = 0; i < nb; i++) {
-                pivot |= __builtin_ctzll(basis[i]) == j;
-                if (basis[i] >> j & 1)
-                    parity ^= planes[__builtin_ctzll(basis[i])];
-            }
-            if (!pivot)
-                odd |= parity;
-        }
-        hits = every & ~odd;
-        if (hits && cocycle_fits < 0)
-            cocycle_fits = nb >= m.rank && !profile_absent(&m, basis, nb, (int)nc, nb - m.rank);
-        if (hits && !cocycle_fits)
-            hits = 0;
-        if (walks) {
-            w.every = every;
-            w.live = odd & (hits ? LOW(hits) - 1 : every);
-            w.hits = 0;
-            for (int k = 0; k < nc; k++)
-                w.planes[k] = planes[order[k]];
-            if (w.live && w.c == 0)
-                split_hit(&w, split_plane_fits(&w, w.cols, w.planes, 0, 0, 0));
-            else if (w.live)
-                split_dfs(&w, 0, 0, 0, 0, 0, w.cols, w.planes);
-            hits |= w.hits;
-        }
-        if (hits)
-            first = base + __builtin_ctzll(hits);
-    }
-    out = PyLong_FromSsize_t(first);
-done:
-    PyMem_Free(rows);
-    PyMem_Free(ys);
-    PyMem_Free(m.want);
-    return out;
-}
-
 /* The candidates of pure.find_minors in the same order.  Every matcher reads
  * only the row space of the minor, so the scan starts from the rref. */
 static PyObject *py_find_minors(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -1147,7 +842,6 @@ VARIANT(is_canonical, canon_common, 1)
 
 static PyMethodDef methods[] = {
     ONE(rank, py_rank),
-    ONE(cols_rank, py_rank),
     FAST(rank_masked),
     FAST(rref),
     FAST(rref_pivots),
@@ -1156,7 +850,6 @@ static PyMethodDef methods[] = {
     FAST(delete_rows),
     FAST(contract_rows),
     FAST(profile_present),
-    FAST(split_profile_first),
     {"find_minors", (PyCFunction)(void (*)(void))py_find_minors,
      METH_VARARGS | METH_KEYWORDS, "See pure.find_minors."},
     FAST(canon_key_cols),

@@ -2,13 +2,13 @@
 
 Reference implementation of the kernel API (``__all__``).  The hand-written
 C extension ``_speed.c`` compiles the per-candidate subset: ``rank``,
-``rank_masked``, ``cols_rank``, ``rref``, ``rref_pivots``,
-``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
-``contract_rows``, ``profile_present``, ``split_profile_first``,
-``find_minors``, ``canon_key_cols`` and ``is_canonical``, returning the
-same values for ints in [0, 2^64).
-The rest (``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
-``profile_images``) is served from here alone; see ``_kernel.__init__``.
+``rank_masked``, ``rref``, ``rref_pivots``, ``nullspace_basis``,
+``space_min_supports``, ``delete_rows``, ``contract_rows``,
+``profile_present``, ``find_minors``, ``canon_key_cols`` and
+``is_canonical``, returning the same values for ints in [0, 2^64).
+The rest (``cols_rank``, ``in_rowspace``, ``columns``,
+``rows_from_columns``, ``profile``, ``profile_images``) is served from here
+alone; see ``_kernel.__init__``.
 
 Canonical forms minimise over ordered bases of the columns, not over all
 of GL(r, 2), and reach the same least image (``_images_below``).
@@ -21,8 +21,7 @@ with no avoided columns and a contract size of rank - rho, and returns
 ``[]`` when no candidate can match.  Otherwise, and whenever a match
 exists, the scan runs unchanged, so every witness and its order stay the
 same.  ``profile_images`` reads the marked images of such a pattern from
-the same contractions.  ``split_profile_first`` decides the same question
-for the splitting on each of many Ys in one walk, one bit per Y.
+the same contractions.
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -39,8 +38,7 @@ __all__ = [
     "rank", "rank_masked", "cols_rank", "rref", "rref_pivots", "in_rowspace",
     "nullspace_basis", "space_min_supports", "columns", "rows_from_columns",
     "delete_rows", "contract_rows", "profile", "profile_images",
-    "profile_present", "split_profile_first", "find_minors", "canon_key_cols",
-    "is_canonical",
+    "profile_present", "find_minors", "canon_key_cols", "is_canonical",
 ]
 
 BACKEND = "pure"
@@ -359,7 +357,11 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
             open_wants.setdefault(want[0], []).append((i, want[1], need))
     for rho, pending in open_wants.items():
         c_size = full - rho
+        # A flat with fewer classes than each open want needs dominates none.
+        fewest = min(len(need) for _, _, need in pending)
         for flat, classes in _contractions(rows, n_cols, c_size):
+            if len(classes) < fewest:
+                continue
             loops_here = flat.bit_count() - c_size
             have = sorted((m.bit_count() for m in classes.values()), reverse=True)
             for item in list(pending):
@@ -370,213 +372,6 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
             if not pending:
                 break
     return tuple(found)
-
-
-def split_profile_first(rows, n_cols: int, ymasks, want) -> int:
-    """The index of the first y in ``ymasks`` for which ``rows + (y,)``
-    (the splitting M_Y) has a minor with the rank <= 2 profile ``want``,
-    or -1: ``profile_present(rows + (y,), n_cols, (want,))`` for every y,
-    decided in one walk over the contract sets for all of them.
-
-    Ys are bit-sliced (Biham, FSE 1997): P_i is the plane whose bit t is
-    set iff column i lies in Y_t.  Write a column of M_Y as (v_i, y_i).  If
-    y lies in the row space (Y is a cocycle, y even against every null
-    vector), M_Y = M, and one ``profile_present(rows)`` decides every such
-    Y.  Otherwise M_Y has rank r + 1 (Raghunathan, Shikare, Waphare,
-    Discrete Math. 184, 1998), and a minor of rank rho contracts a set C of c = r + 1 - rho
-    columns, independent in M_Y (see ``profile_present``).  A dependency
-    of C in M_Y is one in M whose y-parity is even; so if C has two
-    independent dependencies Z1, Z2 in M, one of Z1, Z2, Z1 + Z2 stays
-    dependent in M_Y.  The walk therefore grows C in column order with an
-    echelon basis and cuts it at the second dependency.
-
-    * C independent in M.  Write v_j = red_j + sum of v_i over S_j in C,
-      red_j the reduced vector; j lies in the span of C in M_Y iff
-      red_j = 0 and its parity q_j = y_j + sum of y_i over S_j is 0, and j,
-      k are parallel in M_Y / C iff red_j = red_k and q_j = q_k.  The plane
-      of q_j is P_j XOR the planes of S_j, carried along with red_j.  So a
-      column with red 0 is a loop where q_j is 0 and lies in the class "e"
-      of the new row where it is 1; columns of one nonzero red split into
-      two classes by q_j XOR the q of the coset's first column.  M/C has
-      rank rho - 1 <= 1, so there are at most three classes.  Class sizes
-      are saturating plane counters (bit t of ``ge[k]``: size >= k for
-      Y_t), and the sizes, sorted, dominate the wanted ones iff for each k
-      at least k classes reach the k-th largest wanted size.  Before any
-      plane is read, a leaf is skipped when the counts of its two cosets
-      cannot hold the loops and the wanted classes for any Y.
-    * C with one dependency Z in M.  C is independent in M_Y iff |Y n Z|
-      is odd, and then the span of C in M_Y holds (0, 1), so M_Y / C is
-      M / C on E - C, whatever Y is.  Its decision is one scalar, and the
-      plane XOR of P_i over Z marks the Ys it serves.
-
-    After a hit only the Ys below the first one stay live, and the walk
-    stops once none is.  Columns of M that are loops go last, so the C
-    that a loop completes share one span and one decision, and a branch is
-    cut when the rank left in the later columns cannot make C span c - 1.
-    Bound: the walk reads column subsets, not the distinct points that
-    ``profile_present`` reads, since parallel copies differ in Y; so
-    parallel copies add contract sets: 32 doubled coloops give about
-    32 * 2^31 sets of rank 31.  Raises ValueError unless 0 <= rho <= 2.
-    Bits of rows and masks at or above ``n_cols`` are ignored.
-    """
-    word = (1 << n_cols) - 1
-    rows = [row & word for row in rows]
-    full = rank(rows)
-    need = _profile_need(want, full + 1, n_cols)
-    planes = columns([y & word for y in ymasks], n_cols)
-    every = (1 << len(ymasks)) - 1
-    odd = 0
-    for z in nullspace_basis(rows, n_cols):
-        parity = 0
-        for j in range(n_cols):
-            if (z >> j) & 1:
-                parity ^= planes[j]
-        odd |= parity
-    hits = every & ~odd
-    if hits and not profile_present(rows, n_cols, (want,))[0]:
-        hits = 0
-    live = odd & ((hits & -hits) - 1 if hits else every)
-    if need is not None and live:
-        hits |= _split_walk(columns(rows, n_cols), planes, every, live,
-                            full + 1 - want[0], want[1], need)
-    return (hits & -hits).bit_length() - 1
-
-
-def _at_least(planes, top: int, every: int):
-    """Saturating counters: bit t of ``ge[k]`` is set iff at least k of
-    ``planes`` have bit t, for k = 0..top."""
-    ge = [every] + [0] * top
-    for x in planes:
-        for k in range(top, 0, -1):
-            ge[k] |= ge[k - 1] & x
-    return ge
-
-
-def _split_walk(cols, planes, every: int, live: int, c: int, loops: int, need):
-    """The live Ys whose splitting has the profile through some contract
-    set of ``c`` columns independent in M_Y; see ``split_profile_first``.
-    Planes are ints with one bit per Y."""
-    order = sorted(range(len(cols)), key=lambda j: not cols[j])
-    cols = [cols[j] for j in order]
-    planes = [planes[j] for j in order]
-    n = len(cols)
-    # tail[i]: rank of cols[i:].
-    tail = [0] * (n + 1)
-    basis = []
-    for i in range(n - 1, -1, -1):
-        v = cols[i]
-        for low, b in basis:
-            if v & low:
-                v ^= b
-        if v:
-            basis.append((v & -v, v))
-        tail[i] = len(basis)
-    top = need[0] if need else 0
-    # min_other[m0]: the fewest columns the nonzero coset of an independent
-    # leaf needs when m0 columns reduce to 0.  Those m0 hold the loops and
-    # at most one wanted class, e; the nonzero coset holds the other two.
-    min_other = [n + 1] * (n + 1)
-    for in_e, rest in [(0, need)] + [(w, need[:k] + need[k + 1:])
-                                     for k, w in enumerate(need)]:
-        if len(rest) <= 2:
-            for m0 in range(loops + in_e, n + 1):
-                min_other[m0] = min(min_other[m0], sum(rest))
-    hits = 0
-
-    def span_fits(counts, v):
-        # M/(C + i) for a C + i of rank c - 1, from the counts of the columns
-        # reduced modulo span(C): adding v to the span merges r with r ^ v.
-        low = v & -v
-        sizes = {}
-        for r, m in counts.items():
-            if r & low:
-                r ^= v
-            sizes[r] = sizes.get(r, 0) + m
-        return (sizes.pop(0, 0) - c >= loops
-                and _dominates(sorted(sizes.values(), reverse=True), need))
-
-    def plane_fits(red, q, chosen, v, p):
-        # The leaf C + i, i reducing to (v, p) modulo span(C).  M/(C + i)
-        # has rank rho - 1 <= 1, so one nonzero coset at most.  Its columns
-        # split by parity against its first column's; the zero coset's
-        # split into loops (parity 0) and the class e.
-        low = v & -v
-        zero, other, ref = [], [], None
-        for j, r in enumerate(red):
-            if (chosen >> j) & 1:
-                continue
-            x = q[j]
-            if r & low:
-                r ^= v
-                x ^= p
-            if not r:
-                zero.append(x)
-            else:
-                if ref is None:
-                    ref = x
-                other.append(x ^ ref)
-        fit = _at_least([every & ~x for x in zero], loops, every)[loops] & live
-        if not fit:
-            return 0
-        classes = (_at_least(zero, top, every),
-                   _at_least([every & ~x for x in other], top, every),
-                   _at_least(other, top, every))
-        # Sorted sizes dominate ``need`` iff, for each k, at least k
-        # classes have size >= need[k - 1].
-        for k, w in enumerate(need, 1):
-            fit &= _at_least([ge[w] for ge in classes], k, every)[k]
-        return fit
-
-    def hit(plane):
-        nonlocal hits, live
-        hits |= plane & live
-        if hits:
-            live &= (hits & -hits) - 1
-
-    def walk(start, size, dep, chosen, red, q):
-        # C is ``chosen`` (size columns); dep is the plane of its dependency
-        # or None; red and q are every column reduced modulo span(C).
-        # Leaves C + i are decided here, from the counts of red.
-        rank_now = size - (dep is not None)
-        counts = span_here = None
-        for i in range(start, n - (c - size) + 1):
-            if not (live if dep is None else dep & live) or rank_now + tail[i] < c - 1:
-                return
-            v, p = red[i], q[i]
-            if not v and (dep is not None or not p & live):
-                continue
-            if size + 1 < c:
-                if v:
-                    low = v & -v
-                    walk(i + 1, size + 1, dep, chosen | 1 << i,
-                         [r ^ v if r & low else r for r in red],
-                         [x ^ p if r & low else x for r, x in zip(red, q)])
-                else:
-                    walk(i + 1, size + 1, p, chosen | 1 << i, red, q)
-                continue
-            if counts is None:
-                counts = {}
-                for r in red:
-                    counts[r] = counts.get(r, 0) + 1
-            if dep is None and v:
-                m0 = counts.get(0, 0) + counts[v] - c
-                if n - c - m0 >= min_other[m0]:
-                    hit(plane_fits(red, q, chosen | 1 << i, v, p))
-            elif v:
-                if span_fits(counts, v):
-                    hit(dep)
-            else:
-                # Every dependent i leaves the span of C as it is.
-                if span_here is None:
-                    span_here = span_fits(counts, 0)
-                if span_here:
-                    hit(p)
-
-    if c == 0:
-        hit(plane_fits(cols, planes, 0, 0, 0))
-    else:
-        walk(0, 0, None, 0, cols, planes)
-    return hits
 
 
 def _subset_masks(mask: int, k: int):

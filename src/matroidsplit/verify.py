@@ -79,22 +79,49 @@ def _profile_want(name: str):
     return _kernel.profile(rep.rows, rep.n_cols)
 
 
+def _coset(reduced: tuple[int, ...], vec: int) -> int:
+    """The representative of ``vec`` modulo the row space of the rref rows
+    ``reduced``: ``vec`` with every pivot bit cleared.  Each pivot column
+    holds a 1 in its own row only, so one pass in any order clears them,
+    and two vectors get the same representative iff their sum lies in the
+    row space.
+
+    Why a decision may be keyed by it: appending rows to a matroid M, each
+    a part u on M's columns plus bits in new columns that are 0 in M's
+    rows, gives the same row space when w in M's row space is added to u,
+    since that adds w to the appended row.  A binary matroid is fixed by
+    the row space of its representation (Oxley, Matroid Theory, 2nd ed.,
+    Ch. 6), so the result is the same matroid with the same rref, and any
+    decision on it depends only on the representatives of the parts u.
+    The splitting on Y appends the mask of Y alone (:func:`_split_extend`).
+    """
+    for row in reduced:
+        if vec & row & -row:
+            vec ^= row
+    return vec
+
+
 def splitting_minor_set(s: BinaryMatroid, k: int):
     """The first k-subset Y, in label order, whose splitting has an F minor
     anywhere, as a frozenset; None when there is none.
 
-    Decided on rows with one ``_kernel.split_profile_first`` call for all
-    the Ys of ``s`` and k: each splitting's rows are ``s``'s plus the mask
-    of Y (as :func:`ops.splitting` builds them), and F has rank 2, so no
-    splitting, minor or witness is built.
+    Decided on rows, with no splitting, minor or witness built: the
+    splitting on Y appends the mask of Y as a row (as :func:`ops.splitting`
+    builds it), so it depends only on that mask's coset modulo the row
+    space of ``s`` (see :func:`_coset`), and F has rank 2.  Each coset met
+    is decided once, by one ``_kernel.profile_present`` call on the rows
+    of ``s`` plus its representative.
     """
-    ys = list(_k_subsets(s, k))
-    # The masks of the k-subsets, in the order of ``ys``.
-    bits = [1 << s.labels.index(lab) for lab in sorted(s.labels)]
-    masks = [sum(y) for y in combinations(bits, k)]
-    first = _kernel.split_profile_first(s.rep.rows, s.rep.n_cols, masks,
-                                        _profile_want("F"))
-    return None if first < 0 else frozenset(ys[first])
+    want = (_profile_want("F"),)
+    decided = {}
+    for y in _k_subsets(s, k):
+        key = _coset(s._rref, s._label_mask(y))
+        if key not in decided:
+            rows = s.rep.rows + (key,)
+            decided[key] = _kernel.profile_present(rows, s.rep.n_cols, want)[0]
+        if decided[key]:
+            return frozenset(y)
+    return None
 
 
 def pinned_splitting_minor(s: BinaryMatroid, y) -> MinorWitness | None:
@@ -191,10 +218,10 @@ def check_split_minor_empty(c: Corpus, k: int) -> VerificationReport:
     non-gammoids, since the claim is only made for gammoids.
 
     Every question here is whether an F minor exists, and F has rank 2, so
-    each is decided on rows: every Y of a member at once, with one
-    ``_kernel.split_profile_first`` call per member and k through
-    :func:`splitting_minor_set`, and one ``_kernel.profile_present`` call
-    per witness host for the counts.  No witness is built.
+    each is decided on rows with ``_kernel.profile_present``: the Ys of a
+    member through :func:`splitting_minor_set`, one call per row-space
+    coset of their masks, and one call per witness host for the counts.
+    No witness is built.
     """
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
@@ -271,11 +298,11 @@ def _fi_wants():
 def check_split_minor_characterization(c: Corpus, k: int = 3) -> VerificationReport:
     """Assert: some k-element splitting has an F minor iff some F_i minor exists.
 
-    F and F_1..F_4 have rank <= 2, so both sides are decided on rows, with
-    no witness built: the left with one ``_kernel.split_profile_first``
-    call per member and k through :func:`splitting_minor_set`, the right
-    with one ``_kernel.profile_present`` call holding all four wants, so
-    F_2..F_4 share one pass over the rank-1 contractions.
+    F and F_1..F_4 have rank <= 2, so both sides are decided on rows with
+    ``_kernel.profile_present``, with no witness built: the left through
+    :func:`splitting_minor_set`, one call per row-space coset of the Ys'
+    masks, the right with one call holding all four wants, so F_2..F_4
+    share one pass over the rank-1 contractions.
     """
     if k < 3:
         raise ValueError("the characterization is asserted for k >= 3")
@@ -442,18 +469,6 @@ class _Law:
     min_elements: int
 
 
-def _coset(reduced: tuple[int, ...], vec: int) -> int:
-    """The representative of ``vec`` modulo the row space of the rref rows
-    ``reduced``: ``vec`` with every pivot bit cleared.  Each pivot column
-    holds a 1 in its own row only, so one pass in any order clears them,
-    and two vectors get the same representative iff their sum lies in the
-    row space."""
-    for row in reduced:
-        if vec & row & -row:
-            vec ^= row
-    return vec
-
-
 def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict | None = None
                  ) -> str:
     """Whether the operation of ``law`` on ``case`` keeps ``m`` a binary
@@ -465,15 +480,10 @@ def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict | None = None
     ``_label_mask`` rejects unknown labels, so nothing is left to check.
 
     ``memo`` holds the decisions already made for ``m``, keyed by the
-    coset representatives v(u) modulo ``m``'s row space of the parts u of
-    the appended rows on ``m``'s columns.  The new columns are 0 in
-    ``m``'s rows, so adding w in that row space to u adds w to the appended
-    row, and the rows span the same space.  A binary matroid is fixed by
-    the row space of its representation (Oxley, Matroid Theory, 2nd ed.,
-    Ch. 6), so the rref, the only input of :func:`series_parallel_reduces`
-    besides the column count, is the same, and the memo returns exactly
-    what the computation would.  The sweep shares one memo among the cases
-    of a member; without one, the outcome is computed.
+    coset representatives (:func:`_coset`, which proves the key sound) of
+    the parts of the appended rows on ``m``'s columns, so it returns
+    exactly what the computation would.  The sweep shares one memo among
+    the cases of a member; without one, the outcome is computed.
     """
     rows, n_cols = law.extend(m, case)
     low = (1 << m.rep.n_cols) - 1
@@ -806,17 +816,21 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
     """Recompute the recorded outcome string of a single check case.
 
     Each branch calls the per-case function that the check's sweep calls.
+    A ``gf-empty-k{k}`` or ``gf-collection-k{k}`` case must carry the k of
+    its name, and a ``gf-minors`` case k >= 3, as their sweeps do.
     """
-    if check_name.startswith("gf-empty"):
-        return _split_minor_outcome(from_compact(matroid_token),
-                                    int(params["k"]), splitting_minor_set)
-    if check_name.startswith("gf-collection"):
-        return _split_minor_outcome(from_compact(matroid_token),
-                                    int(params["k"]),
-                                    pinned_splitting_minor_set)
+    family = check_name.rpartition("-k")[0]
+    if family in ("gf-empty", "gf-collection"):
+        k = int(params["k"])
+        if check_name != f"{family}-k{k}":
+            raise ValueError(f"k={params['k']} is not the k that {check_name} sweeps")
+        search = splitting_minor_set if family == "gf-empty" else pinned_splitting_minor_set
+        return _split_minor_outcome(from_compact(matroid_token), k, search)
     if check_name == "gf-minors":
-        return _gf_member_worker(from_compact(matroid_token), int(params["k"]),
-                                 _fi_wants())
+        k = int(params["k"])
+        if k < 3:
+            raise ValueError(f"k={k}: gf-minors sweeps k >= 3 only")
+        return _gf_member_worker(from_compact(matroid_token), k, _fi_wants())
     if check_name == "main" and "case" in params:
         return _case_outcome(_g4_known_instance(), params["case"])[1]
     if check_name in _LAWS:

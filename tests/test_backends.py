@@ -14,8 +14,6 @@ import shutil
 import subprocess
 import sys
 import sysconfig
-import time
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -74,11 +72,10 @@ def outcome(fn, *args, **kwargs):
 
 def test_compiled_module_defines_exactly_the_hot_subset(compiled):
     names = {n for n in pure.__all__ if hasattr(compiled, n)}
-    assert names == {"BACKEND", "rank", "rank_masked", "cols_rank", "rref",
-                     "rref_pivots", "nullspace_basis", "space_min_supports",
-                     "delete_rows", "contract_rows", "profile_present",
-                     "split_profile_first", "find_minors", "canon_key_cols",
-                     "is_canonical"}
+    assert names == {"BACKEND", "rank", "rank_masked", "rref", "rref_pivots",
+                     "nullspace_basis", "space_min_supports", "delete_rows",
+                     "contract_rows", "profile_present", "find_minors",
+                     "canon_key_cols", "is_canonical"}
     assert compiled.BACKEND == "compiled"
 
 
@@ -92,7 +89,6 @@ def test_elementwise_functions_agree(compiled):
         cmask = rng.getrandbits(n_cols) if n_cols else 0
         dmask = (rng.getrandbits(n_cols) & ~cmask) if n_cols else 0
         assert pure.rank(rows) == compiled.rank(rows)
-        assert pure.cols_rank(rows) == compiled.cols_rank(rows)
         assert pure.rref(rows) == compiled.rref(rows)
         assert pure.rref_pivots(rows) == compiled.rref_pivots(rows)
         assert pure.rank_masked(rows, mask) == compiled.rank_masked(rows, mask)
@@ -247,9 +243,8 @@ EDGE = settings(max_examples=60, deadline=None, derandomize=True,
 def test_row_functions_agree_on_edge_shapes(compiled, matrix, mask, cmask):
     rows, n_cols = matrix
     dmask = mask & ~cmask | TOP
-    for name, args in (("rank", (rows,)), ("cols_rank", (rows,)),
-                       ("rank_masked", (rows, mask)), ("rref", (rows,)),
-                       ("rref_pivots", (rows,)),
+    for name, args in (("rank", (rows,)), ("rank_masked", (rows, mask)),
+                       ("rref", (rows,)), ("rref_pivots", (rows,)),
                        ("nullspace_basis", (rows, n_cols)),
                        ("delete_rows", (rows, n_cols, dmask)),
                        ("contract_rows", (rows, n_cols, cmask))):
@@ -348,61 +343,6 @@ def test_profile_present_agrees_on_edge_shapes(compiled, matrix):
                 call(rows, n_cols, wants[:1] + [bad])
 
 
-def test_split_profile_first_agrees(compiled, corpus6):
-    # Every k-subset of corpus members, also behind 64 and 100 empty Ys
-    # (cocycles), so that the compiled blocks of 64 Ys meet a boundary; then
-    # random matrices with bits at or above n_cols and up to 150 masks.
-    rng = random.Random(1984)
-    wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2]
-    firsts = []
-    for m in corpus6.members:
-        n_cols = m.rep.n_cols
-        for k in (1, 2, 3):
-            ys = [sum(1 << j for j in y) for y in combinations(range(n_cols), k)]
-            for want in wants:
-                for masks in (ys, [0] * 64 + ys, [0] * 100 + ys[::-1]):
-                    got = pure.split_profile_first(m.rep.rows, n_cols, masks, want)
-                    assert got == compiled.split_profile_first(m.rep.rows, n_cols, masks, want)
-                    firsts.append(got)
-    for _ in range(300):
-        n_cols = rng.randint(0, 10)
-        rows = random_rows(rng, n_cols + 2, rng.randint(0, 5))
-        ys = [rng.getrandbits(n_cols + 2) for _ in range(rng.choice((0, 1, 63, 64, 65, 150)))]
-        for want in rng.sample(wants, 3):
-            got = pure.split_profile_first(rows, n_cols, ys, want)
-            assert got == compiled.split_profile_first(rows, n_cols, ys, want)
-            firsts.append(got)
-    assert min(firsts) == -1 and 0 in firsts and max(firsts) > 100
-
-
-def test_split_profile_first_agrees_on_edge_shapes(compiled):
-    # 0 rows, more than 64 rows and exactly 64 columns, with every want of
-    # rank <= 2 and masks past the first block; a want of rank 3, HUGE or
-    # -HUGE raises on both.  The examples of test_profile_present_agrees_on_edge_shapes,
-    # 30 coloops and a 20-element circuit among 64 columns, hold most wants
-    # for no Y, so the walk over their column subsets runs to the end.
-    rng = random.Random(64)
-    matrices = [((), 0), ((), 5), ((), 64),
-                (random_rows(rng, 9, 70), 9), (random_rows(rng, 64, 66), 64),
-                (tuple(1 << i for i in range(30)), 64),
-                (tuple(1 << i | 1 << 19 for i in range(19)), 64)]
-    for rows, n_cols in matrices:
-        ys = [0, WORD, (1 << n_cols) & WORD] + [rng.getrandbits(64) for _ in range(70)]
-        wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2] + [
-            (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2))),
-            (1, HUGE, (1,))]
-        for want in wants:
-            for masks in (ys, ys[:1]):
-                start = time.perf_counter()
-                got = pure.split_profile_first(rows, n_cols, masks, want)
-                assert time.perf_counter() - start < 1, (rows, want)
-                assert got == compiled.split_profile_first(rows, n_cols, masks, want)
-        for call in (pure.split_profile_first, compiled.split_profile_first):
-            for bad in ((3, 0, (1, 1, 1)), (HUGE, 0, (1,)), (-HUGE, 0, (1,))):
-                with pytest.raises(ValueError):
-                    call(rows, n_cols, ys, bad)
-
-
 @EDGE
 @given(st.integers(0, 3), st.integers(0, 80), st.data())
 def test_canonical_forms_agree_on_edge_shapes(compiled, r, k, data):
@@ -417,7 +357,6 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
     for bad in (1 << 64, (1 << 64) + 1, 1 << 70, -1):
         calls = [
             lambda: compiled.rank((1, bad)),
-            lambda: compiled.cols_rank((bad,)),
             lambda: compiled.rank_masked((1,), bad),
             lambda: compiled.rref((bad,)),
             lambda: compiled.rref_pivots((bad,)),
@@ -428,8 +367,6 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
             lambda: compiled.find_minors((1,), 3, 0, 1, pure.KIND_PROFILE,
                                          (1, 0, (1, 1)), avoid=bad),
             lambda: compiled.profile_present((1, bad), 3, [(1, 0, (1,))]),
-            lambda: compiled.split_profile_first((1, bad), 3, [1], (1, 0, (1,))),
-            lambda: compiled.split_profile_first((1,), 3, [1, bad], (1, 0, (1,))),
             lambda: compiled.canon_key_cols((bad,), 0),
             lambda: compiled.is_canonical((bad,), 2),
         ]
@@ -442,8 +379,6 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
         compiled.find_minors((1,), 65, 0, 0, pure.KIND_SIMPLE_RANK3, None)
     with pytest.raises(ValueError):
         compiled.profile_present((1,), 65, [(1, 0, (1,))])
-    with pytest.raises(ValueError):
-        compiled.split_profile_first((1,), 65, [1], (1, 0, (1,)))
 
 
 def test_backend_name_reported():
@@ -501,15 +436,17 @@ _MINORS = (
 
 def test_full_check_agrees_across_backends(build_lib):
     # Same corpus file, verdicts, >64-row structure and minor witnesses from
-    # both kernels.
+    # both kernels; the gf-empty reports name each witness Y, and both fail.
     code = (
         "import json\n"
         "from matroidsplit import _kernel, corpus, verify\n"
         + _REPRO + _MINORS +
-        "c = corpus.enumerate_binary_matroids(5, 3)\n"
-        "r = verify.check_split_minor_characterization(c, 3)\n"
-        "d = r.to_json_dict(); d.pop('wall_time')\n"
-        "print(json.dumps([_kernel.BACKEND, repro, minors, corpus.to_file_text(c), d],"
+        "c = corpus.enumerate_binary_matroids(6, 4)\n"
+        "rs = [verify.check_split_minor_characterization(c, 3),\n"
+        "      verify.check_split_minor_empty(c, 1), verify.check_split_minor_empty(c, 2)]\n"
+        "ds = [r.to_json_dict() for r in rs]\n"
+        "for d in ds: d.pop('wall_time')\n"
+        "print(json.dumps([_kernel.BACKEND, repro, minors, corpus.to_file_text(c), ds],"
         " sort_keys=True))\n"
     )
     outs = {}
@@ -527,4 +464,6 @@ def test_full_check_agrees_across_backends(build_lib):
     assert [rank for rank, *_ in outs["pure"][2]] == [5, 6, 7, 1]
     assert outs["pure"][2][2][1:3] == [[], ["h0"]]
     assert dict(outs["pure"][2][3][3])["x"] == "h9"
+    assert [(d["check"], d["verdict"]) for d in outs["pure"][4]] == [
+        ("gf-minors", "pass"), ("gf-empty-k1", "fail"), ("gf-empty-k2", "fail")]
     assert outs["compiled"][1:] == outs["pure"][1:]

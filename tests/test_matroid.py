@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidsplit import catalog, matroid
+from matroidsplit import _kernel, catalog, matroid, verify
 from matroidsplit._kernel import pure
 from matroidsplit.formats import parse_matroid
 from matroidsplit.gf2 import Gf2Matrix
@@ -479,52 +479,74 @@ def test_profile_minors_match_brute_force_on_random_matrices():
         _assert_profile_minors_match_oracle(rows, n_cols, rng)
 
 
-# Wants of rank 0, 1 and 2, with and without loops, F's among them.
-SPLIT_WANTS = [(0, 0, ()), (0, 2, ()), (1, 0, (1,)), (1, 1, (2,)), (1, 2, (1,)),
-               (2, 0, (1, 1)), (2, 1, (1, 2)), (2, 0, (1, 1, 1)), (2, 0, (1, 2, 2)),
+def _label_masks(m, k):
+    """(Y, mask of Y) for every k-subset Y of ``m``, in label order."""
+    return [(frozenset(y), sum(1 << m.labels.index(lab) for lab in y))
+            for y in combinations(sorted(m.labels), k)]
+
+
+# F's profile, then wants of rank 0, 1 and 2, with and without loops, that
+# stand in for it, so that first hits fall on many Ys.
+SPLIT_WANTS = [(2, 0, (1, 2, 2)), (0, 0, ()), (0, 2, ()), (1, 0, (1,)), (1, 1, (2,)),
+               (1, 2, (1,)), (2, 0, (1, 1)), (2, 1, (1, 2)), (2, 0, (1, 1, 1)),
                (2, 1, (2, 2))]
 
 
-def _split_masks(rows, n_cols, rng):
-    """Y = {} (0), cocycles (row-space vectors, some with bits at or above
-    n_cols), singletons and random masks with such bits, shuffled."""
-    cocycles = [rows[0] ^ rows[-1], rng.choice(rows) | 1 << n_cols] if rows else []
-    ys = [0, 1 << n_cols] + cocycles + [1 << j for j in range(n_cols)]
-    ys += [rng.getrandbits(n_cols + 2) for _ in range(6)]
-    rng.shuffle(ys)
-    return ys
-
-
-def _assert_split_first_matches_oracle(rows, n_cols, rng):
-    ys = _split_masks(rows, n_cols, rng)
+def _assert_splitting_minor_set_matches_oracle(m, monkeypatch):
+    # The first Y whose splitting rows + (mask,) has a minor with the
+    # wanted profile, found by the brute-force oracle on each Y in turn.
+    rows, n_cols = m.rep.rows, m.rep.n_cols
     for want in SPLIT_WANTS:
         rho, loops, sizes = want
-        present = []
-        for y in ys:
-            split = tuple(rows) + (y,)
-            c_size = pure.rank_masked(split, (1 << n_cols) - 1) - rho
-            d_size = n_cols - loops - sum(sizes) - c_size
-            present.append(bool(profile_minors(split, n_cols, c_size, d_size, want)))
-        expected = present.index(True) if True in present else -1
-        assert pure.split_profile_first(rows, n_cols, ys, want) == expected, \
-            (rows, n_cols, ys, want)
-    with pytest.raises(ValueError):
-        pure.split_profile_first(rows, n_cols, ys, (3, 0, (1, 1, 1)))
+        with monkeypatch.context() as mp:
+            mp.setattr(verify, "_profile_want", lambda name: want)
+            for k in range(1, min(3, n_cols) + 1):
+                first = None
+                for y, mask in _label_masks(m, k):
+                    split = rows + (mask,)
+                    c_size = pure.rank(split) - rho
+                    d_size = n_cols - loops - sum(sizes) - c_size
+                    if profile_minors(split, n_cols, c_size, d_size, want):
+                        first = y
+                        break
+                assert verify.splitting_minor_set(m, k) == first, (m, k, want)
 
 
-def test_split_profile_first_matches_brute_force_on_corpus(corpus6):
+def test_splitting_minor_set_matches_brute_force_on_corpus(corpus6, monkeypatch):
     # Members and their splittings, so that hosts hold loops and coloops.
-    rng = random.Random(1998)
+    assert verify._profile_want("F") == SPLIT_WANTS[0]
     for m in corpus6.restrict(5).members:
         for h in (m, splitting(m, m.labels[:2])):
-            _assert_split_first_matches_oracle(h.rep.rows, h.rep.n_cols, rng)
+            _assert_splitting_minor_set_matches_oracle(h, monkeypatch)
 
 
-def test_split_profile_first_matches_brute_force_on_random_matrices():
+def test_splitting_minor_set_matches_brute_force_on_random_matrices(monkeypatch):
+    # Labels in shuffled order, so label order and column order differ.
     rng = random.Random(1997)
     for n_cols in [n for n in range(9) for _ in range(6 if n < 7 else 2)]:
-        rows = tuple(rng.getrandbits(n_cols + 2) for _ in range(rng.randint(0, 4)))
-        _assert_split_first_matches_oracle(rows, n_cols, rng)
+        rows = tuple(rng.getrandbits(n_cols + 2) & ((1 << n_cols) - 1)
+                     for _ in range(rng.randint(0, 4)))
+        labels = rng.sample("abcdefghij", n_cols)
+        _assert_splitting_minor_set_matches_oracle(
+            BinaryMatroid(labels, Gf2Matrix(rows, n_cols)), monkeypatch)
+
+
+def test_splitting_decided_per_coset_matches_each_y(corpus6, monkeypatch):
+    # The decision made once for a row-space coset is the one profile_present
+    # gives on the splitting rows of every Y in it.
+    for want in SPLIT_WANTS:
+        monkeypatch.setattr(verify, "_profile_want", lambda name: want)
+        for m in corpus6.members:
+            rows, n_cols = m.rep.rows, m.rep.n_cols
+            for k in range(1, min(3, n_cols) + 1):
+                first = None
+                for y, mask in _label_masks(m, k):
+                    hit = _kernel.profile_present(rows + (mask,), n_cols, (want,))[0]
+                    key = verify._coset(m._rref, mask)
+                    assert _kernel.profile_present(rows + (key,), n_cols, (want,)) == (hit,)
+                    if hit and first is None:
+                        first = y
+                assert verify.splitting_minor_set(m, k) == first, (m, k, want)
 
 
 # Every catalog pattern of rank <= 2 (G_1 has a marked loop, F_3 and F_4

@@ -359,6 +359,20 @@ def test_rerun_reproduces_synthetic_failure():
     assert verify.rerun_case("gf-collection-k3", pinned)
 
 
+def test_gf_replays_refuse_a_k_their_sweep_never_takes():
+    # gf-empty-k1 once replayed k = 2 (witness Y={b,bottom} on G_1), and
+    # gf-minors k = 1, though check_split_minor_characterization refuses it.
+    token = verify.compact(catalog.get("G_1").matroid)
+    for name, k in (("gf-empty-k1", "2"), ("gf-empty-k2", "1"),
+                    ("gf-collection-k1", "2"), ("gf-collection-k3", "1"),
+                    ("gf-minors", "1"), ("gf-minors", "2")):
+        with pytest.raises(ValueError, match="k"):
+            verify.evaluate_case(name, token, {"k": k})
+    assert verify.evaluate_case("gf-empty-k1", token, {"k": "1"}) == "witness Y={b}"
+    assert verify.evaluate_case("gf-empty-k2", token, {"k": "2"}) == "witness Y={b,bottom}"
+    assert verify.evaluate_case("gf-minors", token, {"k": "3"}).endswith("agree=True")
+
+
 def test_rerun_known_instance_cases():
     for case, got in (
         ("known-instance-rows", "111000/110101/100011"),
@@ -381,25 +395,22 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     # instance can fail there: the asserted direction over admissible pairs
     # has no cases (see check_three_fold_excluded_minor), so main's patch
     # covers both names.  The esplit identities compare the kernel's delete
-    # and contract rows, gf-minors decides both sides with the kernel's
-    # profile_present, and gf-empty decides every Y of a member with one
-    # split_profile_first call.  A kernel patch that returns its input rows
-    # leaves the new element in place; the profile_present patch reads a want
-    # as present when the last row is odd, so the F test on the split rows
-    # and the F_i test on the host's rows disagree on some members; the
-    # split_profile_first patch names the last Y of members whose rows sum to
-    # an odd number.
+    # and contract rows, and gf-minors and gf-empty decide with the kernel's
+    # profile_present, gf-empty once per row-space coset of its Ys' masks.
+    # A kernel patch that returns its input rows leaves the new element in
+    # place; the profile_present patch reads a want as present when the last
+    # row is odd, so the F test on the split rows and the F_i test on the
+    # host's rows disagree on some members.
+    odd_last_row = (_kernel, "profile_present",
+                    lambda rows, n, wants: (bool(rows) and rows[-1] % 2 == 1,) * len(wants))
     patches = {
         "split-gammoid": [(verify, "series_parallel_reduces", lambda rows, n: False)],
         "main": [(verify, "series_parallel_reduces", lambda rows, n: True),
                  (matroid, "series_parallel_reduces", lambda rows, n: True)],
         "esplit-identities": [(_kernel, "delete_rows", lambda rows, n, mask: rows),
                               (_kernel, "contract_rows", lambda rows, n, mask: rows)],
-        "gf-minors": [(_kernel, "profile_present",
-                       lambda rows, n, wants: (bool(rows) and rows[-1] % 2 == 1,)
-                       * len(wants))],
-        "gf-empty": [(_kernel, "split_profile_first",
-                      lambda rows, n, ymasks, want: len(ymasks) - 1 if sum(rows) % 2 else -1)],
+        "gf-minors": [odd_last_row],
+        "gf-empty": [odd_last_row],
         "quotients": [(verify, "canonical_key",
                        lambda m: CanonicalKey(len(m.labels), m.rep.rows))],
     }
