@@ -7,11 +7,12 @@ rebinds the per-candidate functions it compiles: ``rank``, ``rank_masked``,
 ``delete_rows``, ``contract_rows``, ``profile_present``, ``find_minors``,
 ``canon_key_cols`` and ``is_canonical``.  The rest (``cols_rank``,
 ``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
-``profile_images``) is served by ``pure.py`` on both backends.  ``BACKEND`` names the module that
-loaded last ("compiled" or "pure").  Callers look these names up here at
-call time, so wrapping a module attribute traces every call, except the
-minor searches for patterns above rank 6: the compiled canonical forms stop
-there, so ``matroid`` takes those from ``pure`` directly.
+``profile_images``) is served by ``pure.py`` on both backends.
+``BACKEND`` names the module that loaded last ("compiled" or "pure").
+Callers look these names up here at call time, so wrapping a module
+attribute traces every call, except the minor searches for patterns above
+rank 6: the compiled canonical forms stop there, so ``matroid`` takes those
+from ``pure`` directly.
 """
 
 from __future__ import annotations
