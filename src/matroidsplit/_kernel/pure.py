@@ -31,6 +31,7 @@ Conventions:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 __all__ = [
@@ -160,15 +161,11 @@ def rows_from_columns(cols, n_rows: int):
     return tuple(rows)
 
 
-def delete_rows(rows, n_cols: int, dmask: int):
-    """Drop the columns in ``dmask`` and compact the survivors in order.
-
-    Bits at or above ``n_cols`` are dropped too, whatever ``dmask`` says
-    there.  Each run of consecutive kept columns moves with one mask and one
-    shift.  Nothing is checked: callers pass kernel or validated rows.
-    """
+@lru_cache(maxsize=4096)
+def _column_runs(keep: int):
+    """(span, shift) for each run of consecutive set bits of ``keep``, in
+    order: the run moves down by ``shift`` to follow the runs before it."""
     runs = []
-    keep = ((1 << n_cols) - 1) & ~dmask
     width = 0
     while keep:
         low = (keep & -keep).bit_length() - 1
@@ -178,6 +175,18 @@ def delete_rows(rows, n_cols: int, dmask: int):
         runs.append((span, low - width))
         width += length
         keep ^= span
+    return tuple(runs)
+
+
+def delete_rows(rows, n_cols: int, dmask: int):
+    """Drop the columns in ``dmask`` and compact the survivors in order.
+
+    Bits at or above ``n_cols`` are dropped too, whatever ``dmask`` says
+    there.  Each run of consecutive kept columns moves with one mask and one
+    shift; the runs of a kept-column mask are computed once and cached.
+    Nothing is checked: callers pass kernel or validated rows.
+    """
+    runs = _column_runs(((1 << n_cols) - 1) & ~dmask)
     out = []
     for row in rows:
         packed = 0
@@ -190,24 +199,21 @@ def delete_rows(rows, n_cols: int, dmask: int):
 def _pivot_out(rows, n_cols: int, cmask: int):
     """Eliminate the columns in ``cmask`` by pivoting; no column compaction.
 
-    For each nonzero column in ``cmask`` the pivot row is removed after
-    clearing the column elsewhere; zero columns (loops) are left to the
-    subsequent deletion.  Rows that become zero are retained.
+    For each nonzero column in ``cmask`` below ``n_cols``, in increasing
+    order, the pivot row is removed after clearing the column elsewhere;
+    zero columns (loops) are left to the subsequent deletion.  Rows that
+    become zero are retained.
     """
     work = list(rows)
-    for c in range(n_cols):
-        if not (cmask >> c) & 1:
-            continue
-        pivot = -1
-        for i, row in enumerate(work):
-            if (row >> c) & 1:
-                pivot = i
-                break
+    cmask &= (1 << n_cols) - 1
+    while cmask:
+        bit = cmask & -cmask
+        cmask ^= bit
+        pivot = next((i for i, row in enumerate(work) if row & bit), -1)
         if pivot < 0:
             continue
-        pv = work[pivot]
-        work = [row ^ pv if (row >> c) & 1 else row for row in work]
-        del work[pivot]
+        pv = work.pop(pivot)
+        work = [row ^ pv if row & bit else row for row in work]
     return tuple(work)
 
 

@@ -188,14 +188,18 @@ class BinaryMatroid:
     def _cocircuit_masks(self) -> tuple[int, ...]:
         return _kernel.space_min_supports(self._rref)
 
+    @cached_property
+    def _label_bits(self) -> dict[str, int]:
+        return {lab: 1 << j for j, lab in enumerate(self.labels)}
+
     def _label_mask(self, subset) -> int:
+        bits = self._label_bits
         mask = 0
         for lab in subset:
             try:
-                j = self.labels.index(lab)
-            except ValueError:
+                mask |= bits[lab]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
                 raise ValueError(f"unknown element label {lab!r}") from None
-            mask |= 1 << j
         return mask
 
     # -- structure queries ---------------------------------------------------

@@ -14,7 +14,11 @@ decision, :func:`_law_outcome`.  A law's replay refuses any case, read as
 a set, that its sweep never takes on the recorded matroid.
 
 Only :func:`run_checks` opens a process pool, one per call, shared by all
-of its sweeps; a check function called on its own runs serially.
+of its sweeps; a check function called on its own runs serially.  A pooled
+sweep goes out in chunks of ceil(members / (4 * jobs)), about four tasks
+per worker (:func:`_map_members`).  Each call also keeps one run memo of F
+decisions, which the gf sweeps share across k (:func:`_f_decisions`); a
+check function or replay called on its own starts with none.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, MAX_COLS
@@ -62,6 +66,36 @@ def from_compact(token: str) -> BinaryMatroid:
     else:
         rep = Gf2Matrix((), len(labels))
     return BinaryMatroid(labels, rep)
+
+
+# The process pool that one run_checks call shares among all of its sweeps,
+# with the number of workers it was opened with.
+_SHARED_POOL: ContextVar[tuple[ProcessPoolExecutor, int] | None] = ContextVar(
+    "_SHARED_POOL", default=None)
+# The F decisions of one run_checks call, shared by its gf sweeps:
+# (rref, n_cols) of a member -> coset representative -> F minor present.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("_RUN_MEMO", default=None)
+
+
+def _map_members(fn, members):
+    """``fn`` over ``members`` in order, on the pool that run_checks opened,
+    or serially when there is none.
+
+    A pooled map sends ceil(len(members) / (4 * jobs)) members per task,
+    ``multiprocessing.Pool.map``'s default: about four tasks per worker,
+    so the per-task cost of the executor stays small beside the work, and
+    a worker that finishes early still finds tasks left to take.
+
+    Workers forked by the pool inherit the run memo as it stands when the
+    pool starts and keep their own copy until it shuts down; spawned ones
+    would start with none.  Either way the decisions are the same.
+    """
+    shared = _SHARED_POOL.get()
+    if shared is None:
+        return [fn(m) for m in members]
+    pool, jobs = shared
+    chunksize = max(1, ceil(len(members) / (4 * jobs)))
+    return list(pool.map(fn, members, chunksize=chunksize))
 
 
 def _k_subsets(s: BinaryMatroid, k: int):
@@ -110,18 +144,36 @@ def splitting_minor_set(s: BinaryMatroid, k: int):
     builds it), so it depends only on that mask's coset modulo the row
     space of ``s`` (see :func:`_coset`), and F has rank 2.  Each coset met
     is decided once, by one ``_kernel.profile_present`` call on the rows
-    of ``s`` plus its representative.
+    of ``s`` plus its representative, and remembered in
+    :func:`_f_decisions`.
     """
-    want = (_profile_want("F"),)
-    decided = {}
-    for y in _k_subsets(s, k):
-        key = _coset(s._rref, s._label_mask(y))
-        if key not in decided:
-            rows = s.rep.rows + (key,)
-            decided[key] = _kernel.profile_present(rows, s.rep.n_cols, want)[0]
-        if decided[key]:
-            return frozenset(y)
-    return None
+    decided = _f_decisions(s)
+    return next((frozenset(y) for y in _k_subsets(s, k)
+                 if _f_decision(s, _coset(s._rref, s._label_mask(y)), decided)),
+                None)
+
+
+def _f_decisions(s: BinaryMatroid) -> dict:
+    """The F decisions already made for ``s``, by coset representative.
+
+    Within one :func:`run_checks` call they are kept for the whole run,
+    keyed by the rref and column count of ``s``, which fix its row space,
+    so every gf sweep and k reads the same decisions; otherwise each call
+    starts with none."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return {}
+    return memo.setdefault((s._rref, s.rep.n_cols), {})
+
+
+def _f_decision(s: BinaryMatroid, key: int, decided: dict) -> bool:
+    """Whether ``s`` with the row ``key`` appended has an F minor, a coset
+    representative modulo the row space of ``s`` (0 asks about ``s``
+    itself); ``decided`` is :func:`_f_decisions` of ``s``."""
+    if key not in decided:
+        decided[key] = _kernel.profile_present(
+            s.rep.rows + (key,), s.rep.n_cols, (_profile_want("F"),))[0]
+    return decided[key]
 
 
 def pinned_splitting_minor(s: BinaryMatroid, y) -> MinorWitness | None:
@@ -143,20 +195,6 @@ def pinned_splitting_minor_set(s: BinaryMatroid, k: int):
     when there is none."""
     return next((frozenset(y) for y in _k_subsets(s, k)
                  if pinned_splitting_minor(s, y) is not None), None)
-
-
-# The process pool that one run_checks call shares among all of its sweeps.
-_SHARED_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar(
-    "_SHARED_POOL", default=None)
-
-
-def _map_members(fn, members):
-    """``fn`` over ``members`` in order, on the pool that run_checks opened,
-    or serially when there is none."""
-    pool = _SHARED_POOL.get()
-    if pool is None:
-        return [fn(m) for m in members]
-    return list(pool.map(fn, members, chunksize=4))
 
 
 def _universe(c: Corpus, quantifier: str, gammoids_only: bool = True) -> str:
@@ -220,16 +258,14 @@ def check_split_minor_empty(c: Corpus, k: int) -> VerificationReport:
     Every question here is whether an F minor exists, and F has rank 2, so
     each is decided on rows with ``_kernel.profile_present``: the Ys of a
     member through :func:`splitting_minor_set`, one call per row-space
-    coset of their masks, and one call per witness host for the counts.
-    No witness is built.
+    coset of their masks, and for the counts the zero coset of each witness
+    host, which is the host itself.  No witness is built.
     """
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
     hosts, failures, n_other, hits = _split_minor_sweep(c, k, splitting_minor_set)
-    f_want = _profile_want("F")
-    free = [m for m in hosts
-            if not _kernel.profile_present(m.rep.rows, m.rep.n_cols, (f_want,))[0]]
+    free = [m for m in hosts if not _f_decision(m, 0, _f_decisions(m))]
     smallest = min(free, key=lambda m: m.n_elements(), default=None)
     return VerificationReport.from_failures(
         f"gf-empty-k{k}",
@@ -766,7 +802,8 @@ def run_checks(names, c: Corpus | None, jobs: int | None = None
     With ``jobs > 1`` one process pool of ``jobs`` workers serves every
     sweep of the call.  This is the only place that opens a pool: the
     check functions take no worker count and map on this pool, or run
-    serially without one.
+    serially without one.  The call's run memo of F decisions
+    (:func:`_f_decisions`) lives as long as the call.
     """
     wanted = check_names(names)
     needs_corpus = set(wanted) - {"catalog", "quotients"}
@@ -775,12 +812,14 @@ def run_checks(names, c: Corpus | None, jobs: int | None = None
     # Only the corpus checks sweep members.
     pooled = needs_corpus and jobs and jobs > 1
     with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
-        token = _SHARED_POOL.set(pool)
+        pool_token = _SHARED_POOL.set((pool, jobs) if pooled else None)
+        memo_token = _RUN_MEMO.set({})
         try:
             return [report for name in wanted
                     for report in _named_check(name, c)]
         finally:
-            _SHARED_POOL.reset(token)
+            _RUN_MEMO.reset(memo_token)
+            _SHARED_POOL.reset(pool_token)
 
 
 def _named_check(name: str, c: Corpus | None) -> list[VerificationReport]:
@@ -817,13 +856,16 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
 
     Each branch calls the per-case function that the check's sweep calls.
     A ``gf-empty-k{k}`` or ``gf-collection-k{k}`` case must carry the k of
-    its name, and a ``gf-minors`` case k >= 3, as their sweeps do.
+    its name, a ``gf-empty`` case k = 1 or 2, and a ``gf-minors`` case
+    k >= 3, as their sweeps do.
     """
     family = check_name.rpartition("-k")[0]
     if family in ("gf-empty", "gf-collection"):
         k = int(params["k"])
         if check_name != f"{family}-k{k}":
             raise ValueError(f"k={params['k']} is not the k that {check_name} sweeps")
+        if family == "gf-empty" and k not in (1, 2):
+            raise ValueError(f"k={k}: gf-empty sweeps k = 1, 2 only")
         search = splitting_minor_set if family == "gf-empty" else pinned_splitting_minor_set
         return _split_minor_outcome(from_compact(matroid_token), k, search)
     if check_name == "gf-minors":

@@ -67,6 +67,23 @@ def delete_rows(rows, n_cols: int, dmask: int):
                  for row in rows)
 
 
+def contract_rows(rows, n_cols: int, cmask: int):
+    """Pivot out each column below ``n_cols`` in ``cmask``, in increasing
+    order, on bit lists: the first row with a 1 there is added to every
+    other such row and dropped.  Then delete the ``cmask`` columns."""
+    work = [[(row >> j) & 1 for j in range(n_cols)] for row in rows]
+    for c in range(n_cols):
+        hits = [i for i, row in enumerate(work) if row[c]]
+        if not (cmask >> c) & 1 or not hits:
+            continue
+        pivot = work[hits[0]]
+        for i in hits[1:]:
+            work[i] = [a ^ b for a, b in zip(work[i], pivot)]
+        del work[hits[0]]
+    packed = [sum(bit << j for j, bit in enumerate(row)) for row in work]
+    return delete_rows(packed, n_cols, cmask)
+
+
 def _columns(rows, n_cols: int):
     """Packed columns of ``rows``; bits at or above ``n_cols`` are dropped."""
     return [sum(((row >> j) & 1) << i for i, row in enumerate(rows))

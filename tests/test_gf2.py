@@ -141,6 +141,17 @@ def test_pure_delete_rows_matches_bit_by_bit_oracle():
             oracles.delete_rows(rows, n_cols, dmask), (rows, n_cols, dmask)
 
 
+def test_pure_contract_rows_matches_bit_by_bit_oracle():
+    rng = random.Random(12)
+    for n_cols in [0, 1, 2, 7, 20, 63, 64] * 300:
+        # Bits up to 3 above n_cols, in rows and in cmask alike.
+        rows = tuple(rng.getrandbits(n_cols + 3) for _ in range(rng.randrange(5)))
+        cmask = rng.getrandbits(n_cols + 3) & rng.choice(
+            (0, -1, rng.getrandbits(n_cols + 3)))
+        assert pure.contract_rows(rows, n_cols, cmask) == \
+            oracles.contract_rows(rows, n_cols, cmask), (rows, n_cols, cmask)
+
+
 def test_zero_by_n_and_m_by_zero_are_valid():
     assert rank(Gf2Matrix((), 5)) == 0
     assert rank(Gf2Matrix((0, 0), 0)) == 0

@@ -127,8 +127,10 @@ def test_subset_rank_examples():
 
 
 def test_subset_rank_unknown_label():
-    with pytest.raises(ValueError, match="unknown element label"):
-        g4().subset_rank({"w"})
+    # A label of another type, hashable or not, is unknown too.
+    for subset in ({"w"}, ("x", 1), [["x"]]):
+        with pytest.raises(ValueError, match="unknown element label"):
+            g4().subset_rank(subset)
 
 
 def test_subset_rank_monotone_and_submodular_on_catalog():

@@ -1,6 +1,7 @@
 """Verification harness: witnesses, reports, re-runs, and check outcomes."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -363,7 +364,7 @@ def test_gf_replays_refuse_a_k_their_sweep_never_takes():
     # gf-empty-k1 once replayed k = 2 (witness Y={b,bottom} on G_1), and
     # gf-minors k = 1, though check_split_minor_characterization refuses it.
     token = verify.compact(catalog.get("G_1").matroid)
-    for name, k in (("gf-empty-k1", "2"), ("gf-empty-k2", "1"),
+    for name, k in (("gf-empty-k1", "2"), ("gf-empty-k2", "1"), ("gf-empty-k3", "3"),
                     ("gf-collection-k1", "2"), ("gf-collection-k3", "1"),
                     ("gf-minors", "1"), ("gf-minors", "2")):
         with pytest.raises(ValueError, match="k"):
@@ -470,31 +471,76 @@ def test_parallel_jobs_give_identical_reports(corpus6):
 
 
 def test_run_checks_shares_one_pool(corpus6, monkeypatch):
-    small = corpus6.restrict(5)
-    starts = []
+    starts, maps = [], []
 
     class CountedPool(verify.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
+        def map(self, fn, members, chunksize=1):
+            maps.append((len(members), chunksize))
+            return super().map(fn, members, chunksize=chunksize)
+
     monkeypatch.setattr(verify, "ProcessPoolExecutor", CountedPool)
     names = ["catalog", "gf-empty", "gf-minors", "split-gammoid", "main",
              "esplit-identities"]
-    pooled = verify.run_checks(names, small, jobs=2)
-    assert starts == [2]
-    serial = verify.run_checks(names, small, jobs=1)
-    assert starts == [2]
-    for a, b in zip(serial, pooled):
+    lengths = {}
+    for n, jobs in ((5, 2), (5, 3), (2, 2)):
+        small = corpus6.restrict(n)
+        del maps[:]
+        pooled = verify.run_checks(names, small, jobs=jobs)
+        assert starts[-1] == jobs
+        # gf-empty k = 1, 2, gf-minors, split-gammoid, main, esplit-identities.
+        assert len(maps) == 6
+        for length, chunksize in maps:
+            assert chunksize == max(1, math.ceil(length / (4 * jobs)))
+        lengths[n] = sorted(length for length, _ in maps)
+        serial = verify.run_checks(names, small, jobs=1)
+        for a, b in zip(serial, pooled, strict=True):
+            a, b = a.to_json_dict(), b.to_json_dict()
+            a.pop("wall_time")
+            b.pop("wall_time")
+            assert a == b
+    # n <= 5: every sweep is longer than 4 * jobs.  n <= 2: six members,
+    # fewer than 4 * jobs, and none with the 3 elements split-gammoid needs.
+    assert lengths == {5: [52] + [58] * 5, 2: [0] + [6] * 5}
+    # A check called on its own opens no pool.
+    verify.check_split_minor_characterization(corpus6.restrict(5), 3)
+    verify.run_checks(["catalog", "quotients"], None, jobs=2)
+    assert starts == [2, 3, 2]
+
+
+def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
+    # Every F decision of the gf sweeps is a profile_present call on a
+    # member's rows plus one coset representative.  One run_checks call
+    # decides each (member row space, coset) once, across k and sweeps.
+    f_want = (verify._profile_want("F"),)
+    decided = []
+    present = _kernel.profile_present
+
+    def counted(rows, n_cols, wants):
+        if wants == f_want:
+            decided.append((_kernel.rref(rows[:-1]), n_cols, rows[-1]))
+        return present(rows, n_cols, wants)
+
+    separate = [verify.check_split_minor_empty(corpus6, 1),
+                verify.check_split_minor_empty(corpus6, 2),
+                verify.check_split_minor_characterization(corpus6, 3)]
+    monkeypatch.setattr(_kernel, "profile_present", counted)
+    together = verify.run_checks(["gf-empty", "gf-minors"], corpus6, jobs=1)
+    assert decided and len(set(decided)) == len(decided)
+    for a, b in zip(separate, together, strict=True):
         a, b = a.to_json_dict(), b.to_json_dict()
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b
-    # A check called on its own opens no pool.
-    verify.check_split_minor_characterization(small, 3)
-    assert starts == [2]
-    verify.run_checks(["catalog", "quotients"], None, jobs=2)
-    assert starts == [2]
+    # Called on its own, a check starts with no decisions.
+    del decided[:]
+    verify.check_split_minor_empty(corpus6, 2)
+    alone = len(decided)
+    verify.check_split_minor_empty(corpus6, 2)
+    assert len(decided) == 2 * alone
 
 
 # -- the traced bench run ------------------------------------------------------------
