@@ -192,6 +192,13 @@ class BinaryMatroid:
     def _label_bits(self) -> dict[str, int]:
         return {lab: 1 << j for j, lab in enumerate(self.labels)}
 
+    @cached_property
+    def _label_cosets(self) -> dict[str, int]:
+        """Each label's bit modulo the row space: the bit plus the rref row
+        whose pivot (lowest bit) it is, if any; ``verify._coset`` of it."""
+        pivot_rows = {row & -row: row for row in self._rref}
+        return {lab: bit ^ pivot_rows.get(bit, 0) for lab, bit in self._label_bits.items()}
+
     def _label_mask(self, subset) -> int:
         bits = self._label_bits
         mask = 0

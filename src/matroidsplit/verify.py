@@ -13,12 +13,11 @@ law sweep, :func:`_law_sweep`: one worker, one tally and one memoized row
 decision, :func:`_law_outcome`.  A law's replay refuses any case, read as
 a set, that its sweep never takes on the recorded matroid.
 
-Only :func:`run_checks` opens a process pool, one per call, shared by all
-of its sweeps; a check function called on its own runs serially.  A pooled
-sweep goes out in chunks of ceil(members / (4 * jobs)), about four tasks
-per worker (:func:`_map_members`).  Each call also keeps one run memo of F
-decisions, which the gf sweeps share across k (:func:`_f_decisions`); a
-check function or replay called on its own starts with none.
+:func:`run_checks` runs every sweep it selects (``_SWEEPS``) in one pass,
+one call and one memo per member, pooled as one map (:func:`_map_members`);
+the check functions then tally, or evaluate serially when called alone.  A
+report's ``wall_time`` is the seconds its evaluator spent on the members,
+as timed where it ran, plus its own tally.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ from .ops import element_splitting, three_fold_ghafari  # noqa: F401
 from .corpus import Corpus, canonical_key
 from .verifyreport import CaseFailure, VerificationReport, make_failure
 
-CHECK_NAMES = ("catalog", "quotients", "gf-empty", "gf-minors",
-               "split-gammoid", "main", "esplit-identities")
-
 
 def compact(m: BinaryMatroid) -> str:
     """One-token serialization 'labels;rows' used in failure records; a label
@@ -61,41 +57,53 @@ def from_compact(token: str) -> BinaryMatroid:
     label_part, _, row_part = token.partition(";")
     labels = tuple(label_part.split(",")) if label_part else ()
     rows = [r for r in row_part.split(",") if r]
-    if rows:
-        rep = Gf2Matrix.from_bits(rows)
-    else:
-        rep = Gf2Matrix((), len(labels))
+    rep = Gf2Matrix.from_bits(rows) if rows else Gf2Matrix((), len(labels))
     return BinaryMatroid(labels, rep)
 
 
-# The process pool that one run_checks call shares among all of its sweeps,
-# with the number of workers it was opened with.
-_SHARED_POOL: ContextVar[tuple[ProcessPoolExecutor, int] | None] = ContextVar(
-    "_SHARED_POOL", default=None)
-# The F decisions of one run_checks call, shared by its gf sweeps:
-# (rref, n_cols) of a member -> coset representative -> F minor present.
-_RUN_MEMO: ContextVar[dict | None] = ContextVar("_RUN_MEMO", default=None)
+# The pass of the running run_checks call: its corpus and _map_members's table.
+_RUN: ContextVar[tuple] = ContextVar("_RUN", default=(None, {}))
 
 
-def _map_members(fn, members):
-    """``fn`` over ``members`` in order, on the pool that run_checks opened,
-    or serially when there is none.
+def _member_outcomes(item, evaluators) -> tuple:
+    """(outcome, seconds) of each of ``evaluators`` on one (member, gammoid
+    flag), all sharing one memo for the member."""
+    m, gammoid = item
+    memo: dict = {}
+    timed = []
+    for evaluate in evaluators:
+        start = time.perf_counter()
+        timed.append((evaluate(m, gammoid, memo), time.perf_counter() - start))
+    return tuple(timed)
 
-    A pooled map sends ceil(len(members) / (4 * jobs)) members per task,
+
+def _map_members(evaluators, c: Corpus, pool=None, jobs: int = 1) -> dict:
+    """evaluator -> (its outcome on each member of ``c`` in corpus order,
+    the seconds it spent), from one :func:`_member_outcomes` call per
+    member: on ``pool`` with ``jobs`` workers, or serially without one.
+
+    Members go out largest first (stable by element count), so the last
+    tasks to finish are small, in chunks of ceil(members / (4 * jobs)),
     ``multiprocessing.Pool.map``'s default: about four tasks per worker,
-    so the per-task cost of the executor stays small beside the work, and
-    a worker that finishes early still finds tasks left to take.
+    cheap beside the work, and tasks are left for a worker that finishes
+    early."""
+    items = tuple(zip(c.members, c.gammoid_flags))
+    order = sorted(range(len(items)), key=lambda i: -items[i][0].n_elements())
+    fn, sent = partial(_member_outcomes, evaluators=evaluators), [items[i] for i in order]
+    got = (pool.map(fn, sent, chunksize=max(1, ceil(len(sent) / (4 * jobs))))
+           if pool else map(fn, sent))
+    results = [r for _, r in sorted(zip(order, got), key=lambda pair: pair[0])]
+    return {evaluate: ([r[i][0] for r in results], sum(r[i][1] for r in results))
+            for i, evaluate in enumerate(evaluators)}
 
-    Workers forked by the pool inherit the run memo as it stands when the
-    pool starts and keep their own copy until it shuts down; spawned ones
-    would start with none.  Either way the decisions are the same.
-    """
-    shared = _SHARED_POOL.get()
-    if shared is None:
-        return [fn(m) for m in members]
-    pool, jobs = shared
-    chunksize = max(1, ceil(len(members) / (4 * jobs)))
-    return list(pool.map(fn, members, chunksize=chunksize))
+
+def _swept(c: Corpus, evaluate) -> tuple:
+    """``evaluate``'s outcome on each member of ``c`` in corpus order and its
+    seconds outside the caller: the :func:`run_checks` pass's, or 0 here."""
+    corpus, table = _RUN.get()
+    if corpus is c and evaluate in table:
+        return table[evaluate]
+    return _map_members((evaluate,), c)[evaluate][0], 0.0
 
 
 def _k_subsets(s: BinaryMatroid, k: int):
@@ -135,41 +143,26 @@ def _coset(reduced: tuple[int, ...], vec: int) -> int:
     return vec
 
 
-def splitting_minor_set(s: BinaryMatroid, k: int):
+def splitting_minor_set(s: BinaryMatroid, k: int, memo: dict | None = None):
     """The first k-subset Y, in label order, whose splitting has an F minor
     anywhere, as a frozenset; None when there is none.
 
-    Decided on rows, with no splitting, minor or witness built: the
-    splitting on Y appends the mask of Y as a row (as :func:`ops.splitting`
-    builds it), so it depends only on that mask's coset modulo the row
-    space of ``s`` (see :func:`_coset`), and F has rank 2.  Each coset met
-    is decided once, by one ``_kernel.profile_present`` call on the rows
-    of ``s`` plus its representative, and remembered in
-    :func:`_f_decisions`.
+    Decided on rows, with nothing built: the splitting on Y appends the
+    mask of Y as a row, so it depends only on that mask's coset (see
+    :func:`_coset`), and F has rank 2.  Each coset met is decided once, by
+    :func:`_f_decision`, and kept in ``memo``.
     """
-    decided = _f_decisions(s)
+    decided = {} if memo is None else memo
     return next((frozenset(y) for y in _k_subsets(s, k)
                  if _f_decision(s, _coset(s._rref, s._label_mask(y)), decided)),
                 None)
 
 
-def _f_decisions(s: BinaryMatroid) -> dict:
-    """The F decisions already made for ``s``, by coset representative.
-
-    Within one :func:`run_checks` call they are kept for the whole run,
-    keyed by the rref and column count of ``s``, which fix its row space,
-    so every gf sweep and k reads the same decisions; otherwise each call
-    starts with none."""
-    memo = _RUN_MEMO.get()
-    if memo is None:
-        return {}
-    return memo.setdefault((s._rref, s.rep.n_cols), {})
-
-
 def _f_decision(s: BinaryMatroid, key: int, decided: dict) -> bool:
     """Whether ``s`` with the row ``key`` appended has an F minor, a coset
     representative modulo the row space of ``s`` (0 asks about ``s``
-    itself); ``decided`` is :func:`_f_decisions` of ``s``."""
+    itself), decided by one ``_kernel.profile_present`` call on the rows;
+    ``decided`` holds the decisions already made for ``s``, by key."""
     if key not in decided:
         decided[key] = _kernel.profile_present(
             s.rep.rows + (key,), s.rep.n_cols, (_profile_want("F"),))[0]
@@ -208,34 +201,35 @@ def _universe(c: Corpus, quantifier: str, gammoids_only: bool = True) -> str:
 
 def _split_minor_outcome(m: BinaryMatroid, k: int, search) -> str:
     """``search(m, k)`` returns the Y found, or None."""
-    if k > m.n_elements():
-        return "absent"
-    y = search(m, k)
-    if y is None:
-        return "absent"
-    return f"witness Y={{{','.join(sorted(y))}}}"
+    y = search(m, k) if k <= m.n_elements() else None
+    return "absent" if y is None else f"witness Y={{{','.join(sorted(y))}}}"
 
 
-def _split_minor_sweep(c: Corpus, k: int, search):
-    """Run ``search`` at k over the corpus.
+def _gf_empty_member(m: BinaryMatroid, gammoid: bool, memo: dict, k: int) -> tuple:
+    """The gf-empty-k{k} outcome of ``m`` and, for a gammoid with a witness,
+    whether ``m`` itself has an F minor: coset 0 of its F decisions."""
+    f = memo.setdefault("F", {})
+    got = _split_minor_outcome(m, k, partial(splitting_minor_set, memo=f))
+    return got, gammoid and got != "absent" and _f_decision(m, 0, f)
 
-    Returns the gammoids whose outcome is a witness, their failure records,
-    the number of non-gammoids, and the compact tokens of the non-gammoids
-    that have a witness.
-    """
-    outcomes = _map_members(partial(_split_minor_outcome, k=k, search=search),
-                            c.members)
-    hosts, failures, hits = [], [], []
-    for m, gammoid, got in zip(c.members, c.gammoid_flags, outcomes):
-        if got == "absent":
-            continue
-        if gammoid:
-            hosts.append(m)
-            failures.append(make_failure(compact(m), {"k": k},
-                                         expected="absent", got=got))
-        else:
-            hits.append(compact(m))
-    return hosts, failures, c.gammoid_flags.count(False), hits
+
+def _split_minor_sweep(c: Corpus, k: int, evaluate):
+    """Sweep ``evaluate``, a gf-empty or gf-collection evaluator at k:
+    (gammoid, F decision) for the gammoids whose outcome is a witness,
+    their failure records, the observations on the non-gammoids, and
+    :func:`_swept`'s seconds."""
+    outcomes, spent = _swept(c, evaluate)
+    found = [(m, gammoid, got, has_f) for m, gammoid, (got, has_f)
+             in zip(c.members, c.gammoid_flags, outcomes) if got != "absent"]
+    hosts = [(m, has_f) for m, gammoid, _, has_f in found if gammoid]
+    failures = [make_failure(compact(m), {"k": k}, expected="absent", got=got)
+                for m, gammoid, got, _ in found if gammoid]
+    hits = [compact(m) for m, gammoid, _, _ in found if not gammoid]
+    return hosts, failures, {
+        "all_binary_reading_members": c.gammoid_flags.count(False),
+        "all_binary_reading_witnesses": len(hits),
+        "all_binary_reading_examples": hits[:5],
+    }, spent
 
 
 def check_split_minor_empty(c: Corpus, k: int) -> VerificationReport:
@@ -255,30 +249,26 @@ def check_split_minor_empty(c: Corpus, k: int) -> VerificationReport:
     elements, first in corpus order); and the same sweep over the
     non-gammoids, since the claim is only made for gammoids.
 
-    Every question here is whether an F minor exists, and F has rank 2, so
-    each is decided on rows with ``_kernel.profile_present``: the Ys of a
-    member through :func:`splitting_minor_set`, one call per row-space
-    coset of their masks, and for the counts the zero coset of each witness
-    host, which is the host itself.  No witness is built.
+    Each F question is decided on rows, one ``_kernel.profile_present``
+    call per row-space coset (:func:`splitting_minor_set`); the counts read
+    coset 0 of each witness host, the host itself.  No witness is built.
     """
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
-    hosts, failures, n_other, hits = _split_minor_sweep(c, k, splitting_minor_set)
-    free = [m for m in hosts if not _f_decision(m, 0, _f_decisions(m))]
+    hosts, failures, observations, spent = _split_minor_sweep(
+        c, k, _SWEEPS[f"gf-empty-k{k}"])
+    free = [m for m, has_f in hosts if not has_f]
     smallest = min(free, key=lambda m: m.n_elements(), default=None)
     return VerificationReport.from_failures(
         f"gf-empty-k{k}",
         _universe(c, f"for every member and every Y with |Y| = {k}"),
-        len(c.gammoids()), failures, start, {
+        len(c.gammoids()), failures, start - spent, {
             "witness_hosts_with_f_minor": len(hosts) - len(free),
             "witness_hosts_f_minor_free": len(free),
             "smallest_f_minor_free_host":
                 compact(smallest) if smallest is not None else None,
-            "all_binary_reading_members": n_other,
-            "all_binary_reading_witnesses": len(hits),
-            "all_binary_reading_examples": hits[:5],
-        })
+            **observations})
 
 
 def check_split_minor_collection_empty(c: Corpus, k: int) -> VerificationReport:
@@ -301,34 +291,34 @@ def check_split_minor_collection_empty(c: Corpus, k: int) -> VerificationReport:
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
-    _, failures, n_other, hits = _split_minor_sweep(c, k, pinned_splitting_minor_set)
+    _, failures, observations, spent = _split_minor_sweep(c, k, lambda m, g, memo: (
+        _split_minor_outcome(m, k, pinned_splitting_minor_set), None))
     return VerificationReport.from_failures(
         f"gf-collection-k{k}",
         _universe(c, f"for every member and every Y with |Y| = {k}, "
                      "F minors of the splitting that keep Y"),
-        len(c.gammoids()), failures, start, {
-            "all_binary_reading_members": n_other,
-            "all_binary_reading_witnesses": len(hits),
-            "all_binary_reading_examples": hits[:5],
-        })
+        len(c.gammoids()), failures, start - spent, observations)
 
 
 # -- k >= 3: splitting-minor membership vs the F_i excluded minors --------------
 
 
-def _gf_member_worker(m: BinaryMatroid, k: int, fi_wants) -> str:
-    """The gf-minors outcome of ``m``; ``fi_wants`` is :func:`_fi_wants`."""
-    lhs = k <= m.n_elements() and splitting_minor_set(m, k) is not None
+def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict, k: int):
+    """The gf-minors outcome of ``m``, None for a non-gammoid; the left side
+    reads and adds to the member's F decisions in ``memo``."""
+    if not gammoid:
+        return None
+    lhs = k <= m.n_elements() and splitting_minor_set(
+        m, k, memo.setdefault("F", {})) is not None
     present = _kernel.profile_present(m.rep.rows, m.rep.n_cols,
-                                      tuple(want for _, want in fi_wants))
-    found = [name for (name, _), hit in zip(fi_wants, present) if hit]
-    rhs = bool(found)
-    return f"splitting_minor={lhs} f_minors={','.join(found) if found else 'none'} agree={lhs == rhs}"
+                                      tuple(map(_profile_want, _FI)))
+    found = [name for name, hit in zip(_FI, present) if hit]
+    return (f"splitting_minor={lhs} f_minors={','.join(found) or 'none'} "
+            f"agree={lhs == bool(found)}")
 
 
-def _fi_wants():
-    """(name, profile) for F_1..F_4, all of rank <= 2."""
-    return tuple((name, _profile_want(name)) for name in ("F_1", "F_2", "F_3", "F_4"))
+# The excluded minors of the characterization, all of rank <= 2.
+_FI = ("F_1", "F_2", "F_3", "F_4")
 
 
 def check_split_minor_characterization(c: Corpus, k: int = 3) -> VerificationReport:
@@ -343,22 +333,16 @@ def check_split_minor_characterization(c: Corpus, k: int = 3) -> VerificationRep
     if k < 3:
         raise ValueError("the characterization is asserted for k >= 3")
     start = time.perf_counter()
-    gammoids = c.gammoids()
-    results = _map_members(partial(_gf_member_worker, k=k, fi_wants=_fi_wants()),
-                           gammoids)
-    failures = []
-    in_collection = 0
-    for m, got in zip(gammoids, results):
-        if "agree=False" in got:
-            failures.append(make_failure(compact(m), {"k": k},
-                                         expected="agree=True", got=got))
-        if "splitting_minor=True" in got:
-            in_collection += 1
+    outcomes, spent = _swept(c, _SWEEPS["gf-minors"] if k == 3
+                             else partial(_gf_member_worker, k=k))
+    failures = [make_failure(compact(m), {"k": k}, expected="agree=True", got=got)
+                for m, got in zip(c.members, outcomes) if got and "agree=False" in got]
+    in_collection = sum("splitting_minor=True" in got for got in outcomes if got)
     return VerificationReport.from_failures(
         "gf-minors",
         _universe(c, f"both directions of: exists Y, |Y| = {k}, with an F "
                      f"minor in the splitting <=> exists an F_i minor, i = 1..4"),
-        len(gammoids), failures, start,
+        len(c.gammoids()), failures, start - spent,
         {"members_with_splitting_minor": in_collection})
 
 
@@ -490,7 +474,9 @@ class _Law:
     nonempty marks) stays a gammoid under the operation, read as ``ok``,
     on each case of ``cases(m)``: sorted label tuples, in sweep order.
     ``extend(m, case)`` gives (rows, n_cols) of the result: ``m``'s rows
-    plus appended rows, each a label mask u plus bits in new columns.
+    plus appended rows, each a label mask u plus bits in new columns;
+    ``key(cosets, case)`` gives the row-space cosets of the masks u from
+    ``m._label_cosets``, since :func:`_coset` is linear.
     A failure names its case under ``param``; ``some_bad_key`` counts the
     members with an excluded minor where some case goes non-gammoid.  The
     sweep reads the gammoids of at least ``min_elements`` elements."""
@@ -499,6 +485,7 @@ class _Law:
     patterns: tuple[str, ...]
     cases: Callable
     extend: Callable
+    key: Callable
     ok: str
     param: str
     some_bad_key: str
@@ -510,22 +497,18 @@ def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict | None = None
     """Whether the operation of ``law`` on ``case`` keeps ``m`` a binary
     gammoid: ``law.ok`` or "non-gammoid".
 
-    Decided on rows, without building the result: the rows that
+    Decided on rows, without building the result: for a ``law.key`` not
+    yet in ``memo``, the decisions already made for ``m``, the rows that
     ``law.extend`` gives are reduced and handed to
-    :func:`series_parallel_reduces`.  ``m`` was validated and
-    ``_label_mask`` rejects unknown labels, so nothing is left to check.
-
-    ``memo`` holds the decisions already made for ``m``, keyed by the
-    coset representatives (:func:`_coset`, which proves the key sound) of
-    the parts of the appended rows on ``m``'s columns, so it returns
-    exactly what the computation would.  The sweep shares one memo among
-    the cases of a member; without one, the outcome is computed.
+    :func:`series_parallel_reduces`.  The key is the coset representatives
+    of the masks u (:func:`_coset` proves it sound), so the outcome is
+    exactly what the computation would give.  ``m`` was validated and its
+    labels make up ``case``, so nothing is left to check.
     """
-    rows, n_cols = law.extend(m, case)
-    low = (1 << m.rep.n_cols) - 1
-    key = tuple(_coset(m._rref, row & low) for row in rows[len(m.rep.rows):])
+    key = law.key(m._label_cosets, case)
     memo = {} if memo is None else memo
     if key not in memo:
+        rows, n_cols = law.extend(m, case)
         memo[key] = series_parallel_reduces(_kernel.rref(rows), n_cols)
     return law.ok if memo[key] else "non-gammoid"
 
@@ -549,52 +532,60 @@ def _fold_extend(m: BinaryMatroid, pair) -> tuple:
 _LAWS = {law.name: law for law in (
     _Law(name="split-gammoid", patterns=("G_1", "G_2", "G_3"),
          cases=lambda m: tuple(combinations(sorted(m.labels), 3)),
-         extend=_split_extend, ok=_SPLIT_OK, param="T",
+         extend=_split_extend, key=lambda cos, t: cos[t[0]] ^ cos[t[1]] ^ cos[t[2]],
+         ok=_SPLIT_OK, param="T",
          some_bad_key="members_where_some_splitting_non_gammoid", min_elements=3),
     _Law(name="main", patterns=("G_4",),
          cases=lambda m: tuple(sorted(tuple(sorted(p)) for p in admissible_pairs(m))),
-         extend=_fold_extend, ok=_FOLD_OK, param="pair",
+         extend=_fold_extend, key=lambda cos, p: (cos[p[0]] ^ cos[p[1]], cos[p[0]]),
+         ok=_FOLD_OK, param="pair",
          some_bad_key="members_where_some_fold_non_gammoid", min_elements=0),
 )}
 
 
-def _law_worker(m: BinaryMatroid, name: str, patterns) -> tuple:
+# (matroid, marked) of each pattern of a law, each read once: G_2 is G_1
+# with its loop b at another vertex, the same labels, rows and marks.
+@cache
+def _law_patterns(name: str) -> tuple:
+    return tuple({(e.matroid.labels, e.matroid.rep, e.marked): (e.matroid, e.marked)
+                  for e in map(catalog.get, _LAWS[name].patterns)}.values())
+
+
+def _law_worker(m: BinaryMatroid, gammoid: bool, memo: dict, name: str):
     """(whether ``m`` has an excluded minor, its number of cases, the cases
-    that go non-gammoid, the cases where the pinned reading agrees)."""
+    that go non-gammoid, the cases where the pinned reading agrees); None
+    for a member that the sweep of law ``name`` does not read."""
     law = _LAWS[name]
+    if not gammoid or m.n_elements() < law.min_elements:
+        return None
     # Every marked set is nonempty, so m has an excluded minor iff some
     # marked image exists.
     pinned: set[frozenset[str]] = set()
-    for pattern, marked in patterns:
+    for pattern, marked in _law_patterns(name):
         pinned |= m.minor_marked_images(pattern, marked)
     cases = law.cases(m)
-    memo: dict = {}
+    decided = memo.setdefault(name, {})
     bad = tuple(case for case in cases
-                if _law_outcome(law, m, case, memo) != law.ok)
+                if _law_outcome(law, m, case, decided) != law.ok)
     bad_set = set(bad)
     agree = sum((frozenset(case) in pinned) == (case in bad_set) for case in cases)
     return bool(pinned), len(cases), bad, agree
 
 
 def _law_sweep(name: str, c: Corpus) -> tuple:
-    """Sweep law ``name`` over the gammoids of ``c``: (members, failures,
-    observations, number of cases of the members without an excluded
-    minor).  Those members carry the asserted direction, and each of
-    their cases that goes non-gammoid is a failure; the members with an
-    excluded minor record the converse under the unlabeled reading (some
-    case goes non-gammoid) and the pinned reading (a case goes
-    non-gammoid iff it is the image of a marked set)."""
+    """Sweep law ``name`` over the gammoids of ``c``: ((member, outcome)
+    pairs, failures, observations, cases of the members without an
+    excluded minor, :func:`_swept`'s seconds).  Those members carry the
+    asserted direction: each case that goes non-gammoid is a failure.  The
+    others record the converse under the unlabeled reading (some case goes
+    non-gammoid) and the pinned reading (a case goes non-gammoid iff it is
+    the image of a marked set)."""
     law = _LAWS[name]
-    members = [m for m in c.gammoids() if m.n_elements() >= law.min_elements]
-    # Patterns equal bit for bit (labels, rows and marks) are read once:
-    # G_2 is G_1 with its loop b at another vertex, the same matrix.
-    patterns = {(e.matroid.labels, e.matroid.rep, e.marked): (e.matroid, e.marked)
-                for e in map(catalog.get, law.patterns)}
-    results = _map_members(partial(_law_worker, name=name,
-                                   patterns=tuple(patterns.values())), members)
+    outcomes, spent = _swept(c, _SWEEPS[name])
+    members = [(m, got) for m, got in zip(c.members, outcomes) if got]
     failures = []
     asserted = with_minor = with_minor_and_bad = pinned_checked = pinned_agree = 0
-    for m, (has_excluded, n_cases, bad, agree) in zip(members, results):
+    for m, (has_excluded, n_cases, bad, agree) in members:
         if not has_excluded:
             asserted += n_cases
             failures += [make_failure(compact(m), {law.param: ",".join(case)},
@@ -609,7 +600,7 @@ def _law_sweep(name: str, c: Corpus) -> tuple:
         law.some_bad_key: with_minor_and_bad,
         "pinned_reading_pairs_checked": pinned_checked,
         "pinned_reading_agreements": pinned_agree,
-    }, asserted
+    }, asserted, spent
 
 
 def check_splitting_excluded_minors(c: Corpus) -> VerificationReport:
@@ -625,13 +616,13 @@ def check_splitting_excluded_minors(c: Corpus) -> VerificationReport:
     per row-space coset of T's mask.
     """
     start = time.perf_counter()
-    members, failures, observations, _ = _law_sweep("split-gammoid", c)
+    members, failures, observations, _, spent = _law_sweep("split-gammoid", c)
     return VerificationReport.from_failures(
         "split-gammoid",
         _universe(c, "members without a G_1/G_2/G_3 minor: every splitting on "
                      "|T| = 3 stays a gammoid (asserted); members with such a "
                      "minor: converse recorded observationally"),
-        len(members), failures, start, observations)
+        len(members), failures, start - spent, observations)
 
 
 def _g4_known_instance() -> dict:
@@ -702,7 +693,7 @@ def check_three_fold_excluded_minor(c: Corpus) -> VerificationReport:
     the n <= 6 corpus.
     """
     start = time.perf_counter()
-    members, failures, observations, asserted = _law_sweep("main", c)
+    members, failures, observations, asserted, spent = _law_sweep("main", c)
     for case, (expected, got) in _g4_known_instance().items():
         if got != expected:
             failures.append(make_failure(compact(catalog.get("G_4").matroid),
@@ -717,7 +708,7 @@ def check_three_fold_excluded_minor(c: Corpus) -> VerificationReport:
                      "stays a gammoid (asserted); the G_4 instance itself "
                      "(asserted); members with a G_4 minor: converse "
                      "recorded observationally"),
-        len(members) + 3, failures, start, observations)
+        len(members) + 3, failures, start - spent, observations)
 
 
 # -- element-splitting delete/contract identities ---------------------------------
@@ -752,7 +743,8 @@ def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
 _ESPLIT_SIZES = (1, 2, 3)
 
 
-def _esplit_worker(m: BinaryMatroid) -> tuple:
+def _esplit_worker(m: BinaryMatroid, gammoid: bool, memo: dict) -> tuple:
+    """The (T, identity) pairs that fail on ``m``, gammoid or not."""
     labels = sorted(m.labels)
     return tuple((t, which)
                  for size in _ESPLIT_SIZES
@@ -765,18 +757,16 @@ def check_element_splitting_identities(c: Corpus) -> VerificationReport:
     back the original matroid.  Swept over every member of ``c`` and every T
     with 1 <= |T| <= 3."""
     start = time.perf_counter()
-    failures = []
-    cases = 0
-    for m, bad in zip(c.members, _map_members(_esplit_worker, c.members)):
-        cases += sum(comb(m.n_elements(), size) for size in _ESPLIT_SIZES)
-        for t, which in bad:
-            failures.append(make_failure(
-                compact(m), {"T": ",".join(t)},
-                expected=f"{which} holds", got="violated"))
+    outcomes, spent = _swept(c, _SWEEPS["esplit-identities"])
+    failures = [make_failure(compact(m), {"T": ",".join(t)},
+                             expected=f"{which} holds", got="violated")
+                for m, bad in zip(c.members, outcomes) for t, which in bad]
+    cases = sum(comb(m.n_elements(), size)
+                for m in c.members for size in _ESPLIT_SIZES)
     return VerificationReport.from_failures(
         "esplit-identities",
         _universe(c, "all T with |T| <= 3", gammoids_only=False),
-        cases, failures, start)
+        cases, failures, start - spent)
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -795,48 +785,58 @@ def check_names(names) -> list[str]:
     return wanted
 
 
+# One evaluator per report that sweeps members: (member, gammoid flag, the
+# member's memo) -> the outcome its sweep tallies, None for a member it
+# does not read.  They are sent to workers by reference, never as lambdas.
+_SWEEPS = {
+    "gf-empty-k1": partial(_gf_empty_member, k=1),
+    "gf-empty-k2": partial(_gf_empty_member, k=2),
+    "gf-minors": partial(_gf_member_worker, k=3),
+    "split-gammoid": partial(_law_worker, name="split-gammoid"),
+    "main": partial(_law_worker, name="main"),
+    "esplit-identities": _esplit_worker,
+}
+
+
 def run_checks(names, c: Corpus | None, jobs: int | None = None
                ) -> list[VerificationReport]:
     """Run the named checks (or all of them) and return their reports.
 
-    With ``jobs > 1`` one process pool of ``jobs`` workers serves every
-    sweep of the call.  This is the only place that opens a pool: the
-    check functions take no worker count and map on this pool, or run
-    serially without one.  The call's run memo of F decisions
-    (:func:`_f_decisions`) lives as long as the call.
+    First every sweep they select runs in one pass over ``c``, one call and
+    one memo per member (:func:`_map_members`), so gf-empty k = 1, 2, their
+    witness hosts and gf-minors decide each F coset of a member once.  With
+    ``jobs > 1`` it is the one map of a pool that closes when it ends.
     """
     wanted = check_names(names)
     needs_corpus = set(wanted) - {"catalog", "quotients"}
     if needs_corpus and c is None:
         raise ValueError("these checks need a corpus: " + ", ".join(sorted(needs_corpus)))
-    # Only the corpus checks sweep members.
-    pooled = needs_corpus and jobs and jobs > 1
+    evaluators = tuple(dict.fromkeys(
+        evaluate for name in wanted for report, evaluate in _SWEEPS.items()
+        if report.partition("-k")[0] == name))
+    pooled = evaluators and jobs and jobs > 1
     with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
-        pool_token = _SHARED_POOL.set((pool, jobs) if pooled else None)
-        memo_token = _RUN_MEMO.set({})
-        try:
-            return [report for name in wanted
-                    for report in _named_check(name, c)]
-        finally:
-            _RUN_MEMO.reset(memo_token)
-            _SHARED_POOL.reset(pool_token)
+        table = _map_members(evaluators, c, pool, jobs) if evaluators else {}
+    token = _RUN.set((c, table))
+    try:
+        return [report for name in wanted for report in _CHECKS[name](c)]
+    finally:
+        _RUN.reset(token)
 
 
-def _named_check(name: str, c: Corpus | None) -> list[VerificationReport]:
-    # k stays positional: bench/run.py's tracer names gf-empty spans by args[1].
-    if name == "catalog":
-        return [catalog.validate_all()]
-    if name == "quotients":
-        return [check_quotients_of_f()]
-    if name == "gf-empty":
-        return [check_split_minor_empty(c, 1), check_split_minor_empty(c, 2)]
-    if name == "gf-minors":
-        return [check_split_minor_characterization(c, 3)]
-    if name == "split-gammoid":
-        return [check_splitting_excluded_minors(c)]
-    if name == "main":
-        return [check_three_fold_excluded_minor(c)]
-    return [check_element_splitting_identities(c)]
+# The reports of each check.  The check functions are looked up when a
+# check runs, as bench/run.py's tracer wraps them in this module; k stays
+# positional, as the tracer names gf-empty spans by args[1].
+_CHECKS = {
+    "catalog": lambda c: [catalog.validate_all()],
+    "quotients": lambda c: [check_quotients_of_f()],
+    "gf-empty": lambda c: [check_split_minor_empty(c, 1), check_split_minor_empty(c, 2)],
+    "gf-minors": lambda c: [check_split_minor_characterization(c, 3)],
+    "split-gammoid": lambda c: [check_splitting_excluded_minors(c)],
+    "main": lambda c: [check_three_fold_excluded_minor(c)],
+    "esplit-identities": lambda c: [check_element_splitting_identities(c)],
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 # -- single-case re-runs ------------------------------------------------------------
@@ -872,7 +872,7 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
         k = int(params["k"])
         if k < 3:
             raise ValueError(f"k={k}: gf-minors sweeps k >= 3 only")
-        return _gf_member_worker(from_compact(matroid_token), k, _fi_wants())
+        return _gf_member_worker(from_compact(matroid_token), True, {}, k)
     if check_name == "main" and "case" in params:
         return _case_outcome(_g4_known_instance(), params["case"])[1]
     if check_name in _LAWS:

@@ -50,7 +50,12 @@ class VerificationReport:
                       start: float, observations: dict | None = None
                       ) -> "VerificationReport":
         """A gating report: verdict "pass" iff ``failures`` is empty, wall
-        time measured from ``start``, a :func:`time.perf_counter` reading."""
+        time measured from ``start``, a :func:`time.perf_counter` reading.
+
+        A sweep whose members were evaluated before its check ran (in the
+        one pass of ``verify.run_checks``) passes ``start`` moved back by
+        the seconds its evaluator spent on them, as timed where it ran, so
+        the wall time is that work plus the check's own tally."""
         failures = tuple(failures)
         return cls(name=name, universe=universe, cases=cases, failures=failures,
                    wall_time=time.perf_counter() - start,

@@ -2,9 +2,11 @@
 
 import json
 import math
+import multiprocessing
 import shutil
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -478,37 +480,65 @@ def test_run_checks_shares_one_pool(corpus6, monkeypatch):
             starts.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-        def map(self, fn, members, chunksize=1):
-            maps.append((len(members), chunksize))
-            return super().map(fn, members, chunksize=chunksize)
+        def map(self, fn, items, chunksize=1):
+            maps.append(([m.n_elements() for m, _ in items], chunksize))
+            return super().map(fn, items, chunksize=chunksize)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", CountedPool)
     names = ["catalog", "gf-empty", "gf-minors", "split-gammoid", "main",
              "esplit-identities"]
-    lengths = {}
-    for n, jobs in ((5, 2), (5, 3), (2, 2)):
+    for n, jobs, length in ((5, 2, 58), (5, 3, 58), (2, 2, 6)):
         small = corpus6.restrict(n)
         del maps[:]
         pooled = verify.run_checks(names, small, jobs=jobs)
         assert starts[-1] == jobs
-        # gf-empty k = 1, 2, gf-minors, split-gammoid, main, esplit-identities.
-        assert len(maps) == 6
-        for length, chunksize in maps:
-            assert chunksize == max(1, math.ceil(length / (4 * jobs)))
-        lengths[n] = sorted(length for length, _ in maps)
+        # Every sweep of the call in one map over all the members, largest
+        # first.  n <= 5: more members than 4 * jobs; n <= 2: fewer.
+        [(sizes, chunksize)] = maps
+        assert len(sizes) == len(small.members) == length
+        assert sizes == sorted((m.n_elements() for m in small.members), reverse=True)
+        assert chunksize == max(1, math.ceil(length / (4 * jobs)))
         serial = verify.run_checks(names, small, jobs=1)
         for a, b in zip(serial, pooled, strict=True):
             a, b = a.to_json_dict(), b.to_json_dict()
             a.pop("wall_time")
             b.pop("wall_time")
             assert a == b
-    # n <= 5: every sweep is longer than 4 * jobs.  n <= 2: six members,
-    # fewer than 4 * jobs, and none with the 3 elements split-gammoid needs.
-    assert lengths == {5: [52] + [58] * 5, 2: [0] + [6] * 5}
     # A check called on its own opens no pool.
     verify.check_split_minor_characterization(corpus6.restrict(5), 3)
     verify.run_checks(["catalog", "quotients"], None, jobs=2)
     assert starts == [2, 3, 2]
+
+
+def test_no_worker_outlives_run_checks(corpus6, monkeypatch):
+    # The pool closes with its pass, also when a sweep raises in a worker.
+    small = corpus6.restrict(5)
+    verify.run_checks(["split-gammoid"], small, jobs=2)
+    assert multiprocessing.active_children() == []
+
+    def fails(rows, n_cols):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(verify, "series_parallel_reduces", fails)
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        verify.run_checks(["split-gammoid"], small, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_wall_time_counts_the_evaluator_seconds(corpus6, monkeypatch):
+    # A report's wall_time is the seconds its evaluator spent on the
+    # members, summed over the workers, plus its tally; with two workers
+    # the clock sees about half of that pass.
+    small = corpus6.restrict(4)
+    violations = verify._esplit_violations
+
+    def slow(m, t):
+        time.sleep(0.001)
+        return violations(m, t)
+
+    monkeypatch.setattr(verify, "_esplit_violations", slow)
+    [report] = verify.run_checks(["esplit-identities"], small, jobs=2)
+    assert report.wall_time >= report.cases * 0.001
 
 
 def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
@@ -546,7 +576,7 @@ def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
 # -- the traced bench run ------------------------------------------------------------
 
 
-def test_traced_bench_run_of_verify_n8_is_correct(tmp_path):
+def _traced_bench_run(tmp_path, workload):
     # bench/run.py wraps names at verify and ops and gates each pass on the
     # report fields; a short traced run in a copy of bench/ and src/ must
     # still find every name and pass every gate.
@@ -554,10 +584,19 @@ def test_traced_bench_run_of_verify_n8_is_correct(tmp_path):
         shutil.copytree(REPO / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__", "runs"))
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "verify-n8", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_traced_bench_run_of_verify_n8_is_correct(tmp_path):
+    _traced_bench_run(tmp_path, "verify-n8")
+
+
+def test_traced_bench_run_of_verify_n7_jobs2_is_correct(tmp_path):
+    # The pooled pass, under the tracer's pool wrapper and fork guard.
+    _traced_bench_run(tmp_path, "verify-n7-jobs2")
