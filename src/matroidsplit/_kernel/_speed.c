@@ -1,27 +1,18 @@
 /* Compiled GF(2) kernel: the per-candidate half of matroidsplit._kernel.pure.
  *
- * rank, rank_masked, rref, rref_pivots, nullspace_basis,
- * space_min_supports, delete_rows, contract_rows, profile_present,
- * find_minors, canon_key_cols and is_canonical return exactly what their
- * namesakes in pure.py return; pure.py documents them and stays the
- * reference.  Rows, masks and vectors are ints in [0, 2^64): others raise
- * OverflowError or TypeError, never wrap, except canonical-form columns,
- * which raise ValueError as pure does, and the ranks, loop counts and class
- * sizes of wants: a want with a size outside [0, 2^64) or a loop count of
- * any size that fits no minor reads as absent, as in pure, and a rank of
- * any size outside 0..2 raises ValueError in the profile decisions, as in
- * pure.  Where pure would go past a word (n_cols > 64 in nullspace_basis,
- * profile_present and find_minors) or take canonical forms for r > 6,
- * ValueError is raised.  Distinct low bits bound a reduced basis by 64
- * rows, so only bases and column lists use 64-entry arrays; buffers that a
- * caller's row count indexes are allocated to size.
- *
- * profile_present decides one want at a time with profile_absent, which
- * reads every contraction M/C.  find_minors decides first with it, as
- * pure.find_minors does: a profile want of rank rho <= 2 with avoid 0 and
- * c_size = rank - rho returns [] at once when no contraction M/C can hold
- * the pattern.  Otherwise the scan runs unchanged, so witnesses and their
- * order are the same.
+ * The functions compiled here are listed in matroidsplit._kernel's
+ * docstring; each returns exactly what its namesake in pure.py returns, and
+ * pure.py documents them and stays the reference.  Rows, masks and vectors
+ * are ints in [0, 2^64): others raise OverflowError or TypeError, never
+ * wrap, except canonical-form columns, which raise ValueError as pure does,
+ * and the ranks, loop counts and class sizes of wants: a want with a size
+ * outside [0, 2^64) or a loop count of any size that fits no minor reads as
+ * absent, as in pure, and a rank of any size outside 0..2 raises ValueError
+ * in the profile decisions, as in pure.  Where pure would go past a word
+ * (n_cols > 64 in nullspace_basis, profile_present and find_minors) or take
+ * canonical forms for r > 6, ValueError is raised.  Distinct low bits bound
+ * a reduced basis by 64 rows, so only bases and column lists use 64-entry
+ * arrays; buffers that a caller's row count indexes are allocated to size.
  *
  * Build: python setup.py build_ext --inplace
  */
@@ -503,33 +494,8 @@ static int profile_absent(const matcher *m, const u64 *basis, int nb, int nc, in
 
 /* -- module functions ---------------------------------------------------------- */
 
-static PyObject *py_rank(PyObject *self, PyObject *rows)
-{
-    Py_ssize_t n;
-    u64 *buf = load(rows, &n);
-    if (buf == NULL)
-        return NULL;
-    int r = rank_c(buf, n, ~(u64)0);
-    PyMem_Free(buf);
-    return PyLong_FromLong(r);
-}
-
-static PyObject *py_rank_masked(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 mask;
-    Py_ssize_t n;
-    if (check_nargs(nargs, 2, "rank_masked") < 0 || to_u64(args[1], &mask) < 0)
-        return NULL;
-    u64 *buf = load(args[0], &n);
-    if (buf == NULL)
-        return NULL;
-    int r = rank_c(buf, n, mask);
-    PyMem_Free(buf);
-    return PyLong_FromLong(r);
-}
-
-/* Two functions share each *_common body; with_pivots, contract and test
- * select the second. */
+/* Two functions share each *_common body; contract and test select the
+ * second. */
 #define VARIANT(name, common, flag)                                            \
     static PyObject *py_##name(PyObject *self, PyObject *const *args,          \
                                Py_ssize_t nargs)                               \
@@ -537,27 +503,17 @@ static PyObject *py_rank_masked(PyObject *self, PyObject *const *args, Py_ssize_
         return common(args, nargs, #name, flag);                               \
     }
 
-static PyObject *rref_common(PyObject *const *args, Py_ssize_t nargs,
-                             const char *name, int with_pivots)
+static PyObject *py_rref(PyObject *self, PyObject *rows)
 {
     Py_ssize_t n;
-    u64 red[64], piv[64];
-    u64 *buf = check_nargs(nargs, 1, name) < 0 ? NULL : load(args[0], &n);
+    u64 red[64];
+    u64 *buf = load(rows, &n);
     if (buf == NULL)
         return NULL;
     int nb = rref_c(buf, n, red);
     PyMem_Free(buf);
-    if (!with_pivots)
-        return tuple_u64(red, nb);
-    for (int i = 0; i < nb; i++)
-        piv[i] = __builtin_ctzll(red[i]);
-    PyObject *reduced = tuple_u64(red, nb);
-    /* On a NULL second item, "N" still releases the first. */
-    return reduced ? Py_BuildValue("(NN)", reduced, tuple_u64(piv, nb)) : NULL;
+    return tuple_u64(red, nb);
 }
-
-VARIANT(rref, rref_common, 0)
-VARIANT(rref_pivots, rref_common, 1)
 
 static PyObject *py_nullspace_basis(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -751,10 +707,6 @@ static PyObject *py_find_minors(PyObject *self, PyObject *args, PyObject *kwargs
             freecol[nfree++] = j;
     if (cs < 0 || ds < 0 || cs > nfree - ds)
         goto done;
-    if (m.kind == KIND_PROFILE && !avoid && m.rank >= 0 && m.rank <= 2 &&
-        cs == rank_c(basis, nb, nc == 64 ? ~(u64)0 : BIT(nc) - 1) - m.rank &&
-        profile_absent(&m, basis, nb, nc, cs))
-        goto done;
     for (int i = 0; i < ds; i++)
         dpos[i] = i;
     do {
@@ -841,10 +793,7 @@ VARIANT(is_canonical, canon_common, 1)
 #define ONE(name, fn) {#name, (PyCFunction)fn, METH_O, "See pure." #name "."}
 
 static PyMethodDef methods[] = {
-    ONE(rank, py_rank),
-    FAST(rank_masked),
-    FAST(rref),
-    FAST(rref_pivots),
+    ONE(rref, py_rref),
     FAST(nullspace_basis),
     ONE(space_min_supports, py_space_min_supports),
     FAST(delete_rows),

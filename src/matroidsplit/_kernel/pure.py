@@ -1,14 +1,9 @@
 """Pure-Python GF(2) kernel: bit-packed rows, minor search, canonical forms.
 
 Reference implementation of the kernel API (``__all__``).  The hand-written
-C extension ``_speed.c`` compiles the per-candidate subset: ``rank``,
-``rank_masked``, ``rref``, ``rref_pivots``, ``nullspace_basis``,
-``space_min_supports``, ``delete_rows``, ``contract_rows``,
-``profile_present``, ``find_minors``, ``canon_key_cols`` and
-``is_canonical``, returning the same values for ints in [0, 2^64).
-The rest (``cols_rank``, ``in_rowspace``, ``columns``,
-``rows_from_columns``, ``profile``, ``profile_images``) is served from here
-alone; see ``_kernel.__init__``.
+C extension ``_speed.c`` compiles the per-candidate subset named in
+``_kernel.__init__``, returning the same values for ints in [0, 2^64); the
+rest is served from here alone.
 
 Canonical forms minimise over ordered bases of the columns, not over all
 of GL(r, 2), and reach the same least image (``_images_below``).
@@ -16,12 +11,8 @@ of GL(r, 2), and reach the same least image (``_images_below``).
 Rank <= 2 patterns are read off the contractions M/C, one per flat of the
 right rank (``_contractions``).  ``profile_present`` decides from them
 whether a minor with a given profile exists, and is the one rank <= 2
-decision: ``find_minors`` decides with it before it scans, for a profile
-with no avoided columns and a contract size of rank - rho, and returns
-``[]`` when no candidate can match.  Otherwise, and whenever a match
-exists, the scan runs unchanged, so every witness and its order stay the
-same.  ``profile_images`` reads the marked images of such a pattern from
-the same contractions.
+decision; ``find_minors`` only scans.  ``profile_images`` reads the marked
+images of such a pattern from the same contractions.
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -449,18 +440,9 @@ def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,
     index order; contract sets are restricted to independent sets.  Columns
     in ``avoid`` are excluded from both sets.  Returns up to ``limit``
     (cmask, dmask) pairs (all matches when ``limit`` is 0).
-
-    Decide first: for a profile of rank <= 2 with ``avoid`` 0 and
-    ``c_size == rank - rho``, it returns ``[]`` when ``profile_present``
-    finds no such minor; otherwise the scan runs as always, so the
-    witnesses and their order do not change.
     """
     free = [j for j in range(n_cols) if not (avoid >> j) & 1]
     if c_size + d_size > len(free) or c_size < 0 or d_size < 0:
-        return []
-    if (kind == KIND_PROFILE and not avoid and 0 <= want[0] <= 2
-            and c_size == rank_masked(rows, (1 << n_cols) - 1) - want[0]
-            and not profile_present(rows, n_cols, (want,))[0]):
         return []
     out = []
     for d_idx in combinations(free, d_size):

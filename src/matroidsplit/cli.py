@@ -224,19 +224,9 @@ def iso(file_a, file_b):
     _emit(record, None, None)
 
 
-def _worker_count(jobs: int | None) -> int:
-    """Worker processes from --jobs, else MATROIDSPLIT_JOBS, else 1.
-
-    Values that are not positive integers are usage errors; values above
-    the CPU count are lowered to it.
-    """
-    if jobs is None:
-        raw = os.environ.get("MATROIDSPLIT_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise click.UsageError(
-                f"MATROIDSPLIT_JOBS must be a positive integer, got {raw!r}")
+def _worker_count(jobs: int) -> int:
+    """Worker processes from --jobs: a value that is not positive is a
+    usage error, and one above the CPU count is lowered to it."""
     if jobs <= 0:
         raise click.UsageError(f"worker count must be positive, got {jobs}")
     return min(jobs, os.cpu_count() or 1)
@@ -250,9 +240,8 @@ def _worker_count(jobs: int | None) -> int:
 @click.option("--max-rank", default=4, show_default=True)
 @click.option("--corpus", "corpus_file", type=click.Path(exists=True, dir_okay=False),
               help="reuse a saved corpus file instead of enumerating")
-@click.option("--jobs", default=None, type=int,
-              help="worker processes, at most the CPU count "
-                   "(default: MATROIDSPLIT_JOBS or 1)")
+@click.option("--jobs", default=1, show_default=True, type=int,
+              help="worker processes, at most the CPU count")
 @click.option("--report-dir", default="reports", show_default=True,
               type=click.Path(file_okay=False))
 def verify_cmd(checks, max_elements, max_rank, corpus_file, jobs, report_dir):
@@ -261,12 +250,7 @@ def verify_cmd(checks, max_elements, max_rank, corpus_file, jobs, report_dir):
     try:
         checks = verify.check_names(checks)
         if corpus_file:
-            c = corpus_mod.Corpus.load(corpus_file)
-            if c.max_elements < max_elements:
-                raise click.UsageError(
-                    f"corpus file covers <= {c.max_elements} elements, "
-                    f"but --max-elements {max_elements} was requested")
-            c = c.restrict(max_elements)
+            c = corpus_mod.Corpus.load(corpus_file).restrict(max_elements, max_rank)
         else:
             c = corpus_mod.enumerate_binary_matroids(max_elements, max_rank)
     except ValueError as exc:

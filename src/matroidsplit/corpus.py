@@ -66,13 +66,18 @@ class Corpus:
     def gammoids(self) -> tuple[BinaryMatroid, ...]:
         return tuple(m for m, g in zip(self.members, self.gammoid_flags) if g)
 
-    def restrict(self, max_elements: int) -> "Corpus":
-        """Sub-corpus of members with at most ``max_elements`` elements."""
-        if max_elements > self.max_elements:
-            raise ValueError("cannot restrict to a larger bound")
+    def restrict(self, max_elements: int, max_rank: int | None = None) -> "Corpus":
+        """Sub-corpus of members with at most ``max_elements`` elements and
+        rank at most ``max_rank`` (default: the corpus's own rank bound)."""
+        max_rank = self.max_rank if max_rank is None else max_rank
+        if max_elements > self.max_elements or max_rank > self.max_rank:
+            raise ValueError(
+                f"cannot restrict a corpus of <= {self.max_elements} elements, "
+                f"rank <= {self.max_rank} to <= {max_elements} elements, "
+                f"rank <= {max_rank}")
         kept = [(m, g) for m, g in zip(self.members, self.gammoid_flags)
-                if m.n_elements() <= max_elements]
-        return Corpus(max_elements, self.max_rank,
+                if m.n_elements() <= max_elements and m.rank() <= max_rank]
+        return Corpus(max_elements, max_rank,
                       tuple(m for m, _ in kept), tuple(g for _, g in kept))
 
     def save(self, path) -> None:
@@ -152,8 +157,12 @@ def from_file_text(text: str) -> Corpus:
             raise ValueError(f"line {lineno}: malformed corpus entry") from None
         if tokens[1] not in ("g", "-"):
             raise ValueError(f"line {lineno}: gammoid flag must be 'g' or '-'")
-        members.append(matroid_from_columns(r, cols))
-        flags.append(tokens[1] == "g")
+        m, gammoid = matroid_from_columns(r, cols), tokens[1] == "g"
+        if m.is_binary_gammoid() != gammoid:
+            raise ValueError(f"line {lineno}: gammoid flag {tokens[1]!r} is wrong "
+                             "for this matroid")
+        members.append(m)
+        flags.append(gammoid)
     if max_elements is None or max_rank is None:
         max_elements = max((m.n_elements() for m in members), default=1)
         max_rank = max((m.rank() for m in members), default=0)

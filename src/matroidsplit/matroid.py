@@ -195,7 +195,19 @@ class BinaryMatroid:
     @cached_property
     def _label_cosets(self) -> dict[str, int]:
         """Each label's bit modulo the row space: the bit plus the rref row
-        whose pivot (lowest bit) it is, if any; ``verify._coset`` of it."""
+        whose pivot (lowest bit) it is, if any, so no pivot bit is left.
+        The XOR of the cosets of a set's labels is then the representative
+        of its mask: the one vector with no pivot bit whose sum with the
+        mask lies in the row space.
+
+        Why a decision may be keyed by it: appending rows, each a part u
+        on these columns plus bits in new columns that are 0 in the
+        matroid's rows, gives the same row space when w in the row space is
+        added to u, since that adds w to the appended row.  A binary
+        matroid is fixed by the row space of its representation (Oxley,
+        Matroid Theory, 2nd ed., Ch. 6), so the result is the same matroid
+        with the same rref, and any decision on it depends only on the
+        representatives of the parts u."""
         pivot_rows = {row & -row: row for row in self._rref}
         return {lab: bit ^ pivot_rows.get(bit, 0) for lab, bit in self._label_bits.items()}
 
@@ -354,10 +366,10 @@ class BinaryMatroid:
         The kernel's ``find_minors`` scans the candidates with a complete
         matcher (:func:`_fast_pattern_kind`), so each hit is a minor
         isomorphic to the pattern; it stops after ``limit`` hits (0: no
-        limit).  For a pattern of rank <= 2 with ``avoid`` 0 the kernel first
-        decides, from each contraction M/C, whether any occurrence exists,
-        and scans only if one does; the occurrences and their order do not
-        change.
+        limit).  For a pattern of rank <= 2 with ``avoid`` 0 one
+        ``profile_present`` call first decides, from each contraction M/C,
+        whether any occurrence exists, and the scan runs only if one does;
+        the occurrences and their order do not change.
         """
         n = len(self.labels)
         c_size = self.rank() - pattern.rank()
@@ -365,6 +377,9 @@ class BinaryMatroid:
         if c_size < 0 or d_size < 0:
             return
         kernel, kind, want = _fast_pattern_kind(pattern)
+        if (kind == _kernel.KIND_PROFILE and not avoid and
+                not _kernel.profile_present(self.rep.rows, n, (want,))[0]):
+            return
         for cmask, dmask in kernel.find_minors(self.rep.rows, n, c_size, d_size,
                                                kind, want, limit=limit, avoid=avoid):
             deleted = _mask_to_labels(dmask, self.labels)

@@ -28,9 +28,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import combinations
 from math import ceil, comb
+from operator import xor
 
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, MAX_COLS
@@ -121,40 +122,20 @@ def _profile_want(name: str):
     return _kernel.profile(rep.rows, rep.n_cols)
 
 
-def _coset(reduced: tuple[int, ...], vec: int) -> int:
-    """The representative of ``vec`` modulo the row space of the rref rows
-    ``reduced``: ``vec`` with every pivot bit cleared.  Each pivot column
-    holds a 1 in its own row only, so one pass in any order clears them,
-    and two vectors get the same representative iff their sum lies in the
-    row space.
-
-    Why a decision may be keyed by it: appending rows to a matroid M, each
-    a part u on M's columns plus bits in new columns that are 0 in M's
-    rows, gives the same row space when w in M's row space is added to u,
-    since that adds w to the appended row.  A binary matroid is fixed by
-    the row space of its representation (Oxley, Matroid Theory, 2nd ed.,
-    Ch. 6), so the result is the same matroid with the same rref, and any
-    decision on it depends only on the representatives of the parts u.
-    The splitting on Y appends the mask of Y alone (:func:`_split_extend`).
-    """
-    for row in reduced:
-        if vec & row & -row:
-            vec ^= row
-    return vec
-
-
 def splitting_minor_set(s: BinaryMatroid, k: int, memo: dict | None = None):
     """The first k-subset Y, in label order, whose splitting has an F minor
     anywhere, as a frozenset; None when there is none.
 
     Decided on rows, with nothing built: the splitting on Y appends the
-    mask of Y as a row, so it depends only on that mask's coset (see
-    :func:`_coset`), and F has rank 2.  Each coset met is decided once, by
+    mask of Y as a row (:func:`_split_extend`), so it depends only on that
+    mask's coset, the XOR of the labels' ``s._label_cosets`` (see there),
+    and F has rank 2.  Each coset met is decided once, by
     :func:`_f_decision`, and kept in ``memo``.
     """
     decided = {} if memo is None else memo
+    cosets = s._label_cosets
     return next((frozenset(y) for y in _k_subsets(s, k)
-                 if _f_decision(s, _coset(s._rref, s._label_mask(y)), decided)),
+                 if _f_decision(s, reduce(xor, map(cosets.get, y)), decided)),
                 None)
 
 
@@ -300,16 +281,16 @@ def check_split_minor_collection_empty(c: Corpus, k: int) -> VerificationReport:
         len(c.gammoids()), failures, start - spent, observations)
 
 
-# -- k >= 3: splitting-minor membership vs the F_i excluded minors --------------
+# -- k = 3: splitting-minor membership vs the F_i excluded minors ---------------
 
 
-def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict, k: int):
+def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict):
     """The gf-minors outcome of ``m``, None for a non-gammoid; the left side
     reads and adds to the member's F decisions in ``memo``."""
     if not gammoid:
         return None
-    lhs = k <= m.n_elements() and splitting_minor_set(
-        m, k, memo.setdefault("F", {})) is not None
+    lhs = m.n_elements() >= 3 and splitting_minor_set(
+        m, 3, memo.setdefault("F", {})) is not None
     present = _kernel.profile_present(m.rep.rows, m.rep.n_cols,
                                       tuple(map(_profile_want, _FI)))
     found = [name for name, hit in zip(_FI, present) if hit]
@@ -321,8 +302,8 @@ def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict, k: int):
 _FI = ("F_1", "F_2", "F_3", "F_4")
 
 
-def check_split_minor_characterization(c: Corpus, k: int = 3) -> VerificationReport:
-    """Assert: some k-element splitting has an F minor iff some F_i minor exists.
+def check_split_minor_characterization(c: Corpus) -> VerificationReport:
+    """Assert: some 3-element splitting has an F minor iff some F_i minor exists.
 
     F and F_1..F_4 have rank <= 2, so both sides are decided on rows with
     ``_kernel.profile_present``, with no witness built: the left through
@@ -330,18 +311,15 @@ def check_split_minor_characterization(c: Corpus, k: int = 3) -> VerificationRep
     masks, the right with one call holding all four wants, so F_2..F_4
     share one pass over the rank-1 contractions.
     """
-    if k < 3:
-        raise ValueError("the characterization is asserted for k >= 3")
     start = time.perf_counter()
-    outcomes, spent = _swept(c, _SWEEPS["gf-minors"] if k == 3
-                             else partial(_gf_member_worker, k=k))
-    failures = [make_failure(compact(m), {"k": k}, expected="agree=True", got=got)
+    outcomes, spent = _swept(c, _SWEEPS["gf-minors"])
+    failures = [make_failure(compact(m), {"k": 3}, expected="agree=True", got=got)
                 for m, got in zip(c.members, outcomes) if got and "agree=False" in got]
     in_collection = sum("splitting_minor=True" in got for got in outcomes if got)
     return VerificationReport.from_failures(
         "gf-minors",
-        _universe(c, f"both directions of: exists Y, |Y| = {k}, with an F "
-                     f"minor in the splitting <=> exists an F_i minor, i = 1..4"),
+        _universe(c, "both directions of: exists Y, |Y| = 3, with an F "
+                     "minor in the splitting <=> exists an F_i minor, i = 1..4"),
         len(c.gammoids()), failures, start - spent,
         {"members_with_splitting_minor": in_collection})
 
@@ -475,8 +453,8 @@ class _Law:
     on each case of ``cases(m)``: sorted label tuples, in sweep order.
     ``extend(m, case)`` gives (rows, n_cols) of the result: ``m``'s rows
     plus appended rows, each a label mask u plus bits in new columns;
-    ``key(cosets, case)`` gives the row-space cosets of the masks u from
-    ``m._label_cosets``, since :func:`_coset` is linear.
+    ``key(cosets, case)`` gives the row-space cosets of the masks u, each
+    the XOR of its labels' ``m._label_cosets``.
     A failure names its case under ``param``; ``some_bad_key`` counts the
     members with an excluded minor where some case goes non-gammoid.  The
     sweep reads the gammoids of at least ``min_elements`` elements."""
@@ -501,9 +479,9 @@ def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict | None = None
     yet in ``memo``, the decisions already made for ``m``, the rows that
     ``law.extend`` gives are reduced and handed to
     :func:`series_parallel_reduces`.  The key is the coset representatives
-    of the masks u (:func:`_coset` proves it sound), so the outcome is
-    exactly what the computation would give.  ``m`` was validated and its
-    labels make up ``case``, so nothing is left to check.
+    of the masks u (``BinaryMatroid._label_cosets`` proves it sound), so
+    the outcome is exactly what the computation would give.  ``m`` was
+    validated and its labels make up ``case``, so nothing is left to check.
     """
     key = law.key(m._label_cosets, case)
     memo = {} if memo is None else memo
@@ -791,7 +769,7 @@ def check_names(names) -> list[str]:
 _SWEEPS = {
     "gf-empty-k1": partial(_gf_empty_member, k=1),
     "gf-empty-k2": partial(_gf_empty_member, k=2),
-    "gf-minors": partial(_gf_member_worker, k=3),
+    "gf-minors": _gf_member_worker,
     "split-gammoid": partial(_law_worker, name="split-gammoid"),
     "main": partial(_law_worker, name="main"),
     "esplit-identities": _esplit_worker,
@@ -831,7 +809,7 @@ _CHECKS = {
     "catalog": lambda c: [catalog.validate_all()],
     "quotients": lambda c: [check_quotients_of_f()],
     "gf-empty": lambda c: [check_split_minor_empty(c, 1), check_split_minor_empty(c, 2)],
-    "gf-minors": lambda c: [check_split_minor_characterization(c, 3)],
+    "gf-minors": lambda c: [check_split_minor_characterization(c)],
     "split-gammoid": lambda c: [check_splitting_excluded_minors(c)],
     "main": lambda c: [check_three_fold_excluded_minor(c)],
     "esplit-identities": lambda c: [check_element_splitting_identities(c)],
@@ -857,7 +835,8 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
     Each branch calls the per-case function that the check's sweep calls.
     A ``gf-empty-k{k}`` or ``gf-collection-k{k}`` case must carry the k of
     its name, a ``gf-empty`` case k = 1 or 2, and a ``gf-minors`` case
-    k >= 3, as their sweeps do.
+    k = 3, as their sweeps do; an ``esplit-identities`` case a sorted T of
+    1 to 3 distinct labels.
     """
     family = check_name.rpartition("-k")[0]
     if family in ("gf-empty", "gf-collection"):
@@ -869,10 +848,9 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
         search = splitting_minor_set if family == "gf-empty" else pinned_splitting_minor_set
         return _split_minor_outcome(from_compact(matroid_token), k, search)
     if check_name == "gf-minors":
-        k = int(params["k"])
-        if k < 3:
-            raise ValueError(f"k={k}: gf-minors sweeps k >= 3 only")
-        return _gf_member_worker(from_compact(matroid_token), True, {}, k)
+        if int(params["k"]) != 3:
+            raise ValueError(f"k={params['k']}: gf-minors sweeps k = 3 only")
+        return _gf_member_worker(from_compact(matroid_token), True, {})
     if check_name == "main" and "case" in params:
         return _case_outcome(_g4_known_instance(), params["case"])[1]
     if check_name in _LAWS:
@@ -884,8 +862,11 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
                              f"that {check_name} sweeps on this matroid")
         return _law_outcome(law, m, case)
     if check_name == "esplit-identities":
-        bad = _esplit_violations(from_compact(matroid_token),
-                                 tuple(params["T"].split(",")))
+        t = tuple(params["T"].split(","))
+        if len(t) not in _ESPLIT_SIZES or list(t) != sorted(set(t)):
+            raise ValueError(f"T={params['T']} is not a case that "
+                             "esplit-identities sweeps")
+        bad = _esplit_violations(from_compact(matroid_token), t)
         return "violated" if bad else "identities hold"
     if check_name == "quotients" and "check" in params:
         return _case_outcome(_quotient_facts(*_quotient_sweep()),

@@ -32,9 +32,8 @@ class CaseFailure:
 class VerificationReport:
     """Outcome of one check over a stated universe.
 
-    ``verdict`` is "pass" iff no failures were recorded; checks that only
-    gather data carry verdict "observational" and never gate anything.
-    Observational findings live in ``observations`` regardless of verdict.
+    ``verdict`` is "pass" iff no failures were recorded, else "fail".
+    Findings that gate nothing live in ``observations`` under either verdict.
     """
 
     name: str

@@ -104,7 +104,7 @@ def test_criterion_4_splitting_minor_collections_empty_for_k1_k2(corpus7):
 
 def test_criterion_5_characterization_for_k3(corpus7):
     start = time.perf_counter()
-    rep = verify.check_split_minor_characterization(corpus7, 3)
+    rep = verify.check_split_minor_characterization(corpus7)
     ok = rep.verdict == "pass"
     elapsed = time.perf_counter() - start
     assert report(5, ok and elapsed < 300.0, elapsed, 300,

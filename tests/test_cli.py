@@ -222,6 +222,46 @@ def test_verify_corpus_bound_mismatch(runner, tmp_path, corpus6):
     assert result.exit_code == 2
 
 
+def test_verify_corpus_file_honours_max_rank(runner, tmp_path, corpus6):
+    # The file's members above --max-rank are left out, as enumeration
+    # leaves them out, and the reports state the asked-for bound.
+    corpus_path = tmp_path / "corpus.txt"
+    corpus6.save(corpus_path)
+    reports = {}
+    for source in ("file", "enumerated"):
+        extra = ("--corpus", str(corpus_path)) if source == "file" else ()
+        result = invoke(runner, "verify", "--check", "gf-minors",
+                        "--max-elements", "6", "--max-rank", "3", *extra,
+                        "--report-dir", str(tmp_path / source))
+        assert result.exit_code == 0, result.output
+        reports[source] = json.loads((tmp_path / source / "gf-minors.json").read_text())
+        reports[source].pop("wall_time")
+    assert reports["file"] == reports["enumerated"]
+    assert "rank <= 3" in reports["file"]["universe"]
+    # A file that covers a lower rank than asked for is a usage error.
+    rank3_path = tmp_path / "rank3.txt"
+    corpus6.restrict(6, 3).save(rank3_path)
+    result = invoke(runner, "verify", "--check", "gf-minors", "--max-elements", "6",
+                    "--max-rank", "4", "--corpus", str(rank3_path))
+    assert result.exit_code == 2
+    assert "rank <= 3" in result.output
+
+
+def test_verify_corpus_file_with_a_wrong_gammoid_flag_exits_two(runner, tmp_path,
+                                                                 corpus6):
+    # At n <= 6 the one non-gammoid is K4; flagged as a gammoid, the sweeps
+    # would read it as one.
+    lines = corpus_mod.to_file_text(corpus6).splitlines()
+    [i] = [i for i, line in enumerate(lines) if line.split()[1] == "-"]
+    lines[i] = lines[i].replace(" - ", " g ", 1)
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text("\n".join(lines) + "\n")
+    result = invoke(runner, "verify", "--check", "gf-minors", "--max-elements", "6",
+                    "--corpus", str(corpus_path))
+    assert result.exit_code == 2
+    assert f"line {i + 1}: gammoid flag" in result.output
+
+
 def test_verify_unknown_check(runner, monkeypatch):
     # The name is rejected before any corpus is built.
     def no_corpus(*args):
@@ -273,25 +313,20 @@ def test_gammoid_true_for_large_series_parallel_graph(runner, tmp_path):
     assert rec["witness"] is None
 
 
-def test_verify_rejects_nonpositive_jobs(runner, monkeypatch):
+def test_verify_rejects_nonpositive_jobs(runner):
     for bad in ("0", "-3"):
         result = invoke(runner, "verify", "--check", "quotients", "--jobs", bad)
         assert result.exit_code == 2
         assert "positive" in result.output
     result = invoke(runner, "verify", "--check", "quotients", "--jobs", "two")
     assert result.exit_code == 2
-    for bad in ("0", "-1", "two", "1.5"):
-        monkeypatch.setenv("MATROIDSPLIT_JOBS", bad)
-        result = invoke(runner, "verify", "--check", "quotients")
-        assert result.exit_code == 2
-        assert "positive" in result.output
 
 
-def test_worker_count_is_clamped_to_cpu_count(monkeypatch):
+def test_worker_count_is_clamped_to_cpu_count():
     cpus = os.cpu_count() or 1
     assert _worker_count(1) == 1
     assert _worker_count(cpus + 5) == cpus
-    monkeypatch.setenv("MATROIDSPLIT_JOBS", str(10 * cpus))
-    assert _worker_count(None) == cpus
-    monkeypatch.delenv("MATROIDSPLIT_JOBS")
-    assert _worker_count(None) == 1
+    # --jobs is the one way to ask for workers, and its default shows.
+    result = invoke(CliRunner(), "verify", "--help")
+    assert "--jobs INTEGER" in result.output
+    assert "[default: 1]" in result.output.split("--jobs", 1)[1].split("--", 1)[0]

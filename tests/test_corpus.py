@@ -179,6 +179,17 @@ def test_restrict_equals_direct_enumeration(corpus8, corpus7):
     assert corpus7.gammoid_flags == direct.gammoid_flags
 
 
+def test_restrict_by_rank_equals_direct_enumeration(corpus6):
+    for max_elements, max_rank in ((6, 3), (5, 2), (6, 0)):
+        small = corpus6.restrict(max_elements, max_rank)
+        direct = enumerate_binary_matroids(max_elements, max_rank)
+        assert (small.max_elements, small.max_rank) == (max_elements, max_rank)
+        assert corpus_mod.to_file_text(small) == corpus_mod.to_file_text(direct)
+    for max_elements, max_rank in ((7, 4), (6, 5)):
+        with pytest.raises(ValueError, match="cannot restrict"):
+            corpus6.restrict(max_elements, max_rank)
+
+
 def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         enumerate_binary_matroids(10, 4)
@@ -249,6 +260,19 @@ def test_save_load_round_trip(tmp_path, corpus6):
         [m.rep.rows for m in corpus6.members]
     assert loaded.gammoid_flags == corpus6.gammoid_flags
     assert corpus_mod.to_file_text(loaded) == corpus_mod.to_file_text(corpus6)
+
+
+def test_load_checks_every_gammoid_flag(corpus6):
+    # A wrong flag would make the sweeps read a member as what it is not.
+    lines = corpus_mod.to_file_text(corpus6).splitlines()
+    members = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    k4 = next(i for i in members if lines[i].split()[1] == "-")
+    for i, flipped in ((k4, " g "), (members[0], " - "), (members[-1], " - ")):
+        wrong = list(lines)
+        wrong[i] = wrong[i].replace(" g " if flipped == " - " else " - ", flipped, 1)
+        assert wrong[i] != lines[i]
+        with pytest.raises(ValueError, match=f"line {i + 1}: gammoid flag"):
+            corpus_mod.from_file_text("\n".join(wrong) + "\n")
 
 
 def test_malformed_corpus_lines():

@@ -373,6 +373,38 @@ def test_minor_pins_repeating_a_host_label_error():
         k4_matroid().has_minor(g4(), pins={"x": "e12", "y": "e12"})
 
 
+def test_unpinned_rank_2_search_decides_before_it_scans(monkeypatch):
+    # An unpinned search for a pattern of rank <= 2 asks profile_present
+    # once and scans only when it says yes.  Pins and keep avoid columns,
+    # so those searches skip the decision and scan.
+    calls = []
+
+    def spy(name):
+        real = getattr(_kernel, name)
+
+        def called(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(_kernel, name, called)
+
+    spy("profile_present")
+    spy("find_minors")
+    f = catalog.get("F").matroid
+    # Two points, one of them five parallel copies: no F minor.
+    two_points = BinaryMatroid.from_matrix(
+        tuple("abcdef"), Gf2Matrix.from_bits(["100000", "011111"]))
+    for host, search, expected, scans in (
+            (two_points, {}, None, ["profile_present"]),
+            (two_points, {"keep": {"a"}}, None, ["find_minors"]),
+            (two_points, {"pins": {"bottom": "b"}}, None, ["find_minors"]),
+            (k4_matroid(), {}, first_minor(k4_matroid(), f, None),
+             ["profile_present", "find_minors"])):
+        del calls[:]
+        w = host.has_minor(f, **search)
+        assert _deleted_contracted(w) == expected, search
+        assert calls == scans, search
+
+
 def test_minor_witness_invariants():
     with pytest.raises(ValueError):
         MinorWitness(deleted=frozenset({"a"}), contracted=frozenset({"a"}),
@@ -439,8 +471,8 @@ def _assert_profile_minors_match_oracle(rows, n_cols, rng):
     for want in PROFILE_WANTS:
         rho, loops, sizes = want
         c0 = full - rho
-        # c_size = rank - rho is the decided case; the others always scan,
-        # and a limit only cuts the scan short.
+        # c_size = rank - rho is the case profile_present decides; every
+        # size scans, and a limit only cuts the scan short.
         for c_size, limits in ((c0, (0, 1, 2)), (c0 - 1, (0,)), (c0 + 1, (0,))):
             d_size = n_cols - loops - sum(sizes) - c_size
             expected = profile_minors(rows, n_cols, c_size, d_size, want)
@@ -544,7 +576,9 @@ def test_splitting_decided_per_coset_matches_each_y(corpus6, monkeypatch):
                 first = None
                 for y, mask in _label_masks(m, k):
                     hit = _kernel.profile_present(rows + (mask,), n_cols, (want,))[0]
-                    key = verify._coset(m._rref, mask)
+                    key = 0
+                    for lab in y:
+                        key ^= m._label_cosets[lab]
                     assert _kernel.profile_present(rows + (key,), n_cols, (want,)) == (hit,)
                     if hit and first is None:
                         first = y

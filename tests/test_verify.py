@@ -159,19 +159,14 @@ def test_split_minor_empty_rejects_large_k(corpus6):
         verify.check_split_minor_collection_empty(corpus6, 3)
 
 
-# -- the k >= 3 characterization --------------------------------------------------------
+# -- the k = 3 characterization ---------------------------------------------------------
 
 
 def test_characterization_holds_exhaustively(corpus7):
-    report = verify.check_split_minor_characterization(corpus7, 3)
+    report = verify.check_split_minor_characterization(corpus7)
     assert report.verdict == "pass"
     assert report.cases == len(corpus7.gammoids())
     assert report.observations["members_with_splitting_minor"] == 76
-
-
-def test_characterization_requires_k_at_least_three(corpus6):
-    with pytest.raises(ValueError):
-        verify.check_split_minor_characterization(corpus6, 2)
 
 
 # -- quotient enumeration -----------------------------------------------------------------
@@ -284,6 +279,18 @@ def test_esplit_identities(corpus6):
     assert report.failures == ()
 
 
+def test_esplit_replay_refuses_sets_the_sweep_never_takes():
+    # The sweep writes T as 1 to 3 distinct labels in sorted order; any
+    # other T once replayed as "identities hold".
+    k4 = verify.compact(catalog.get("K4").matroid)
+    for t in ("e12", "e12,e13", "e12,e13,e14"):
+        assert verify.evaluate_case("esplit-identities", k4, {"T": t}) == "identities hold"
+    for t in ("e12,e13,e14,e23", "e12,e12", "e23,e12", "e12,e99"):
+        failure = make_failure(k4, {"T": t}, "delete identity holds", "violated")
+        with pytest.raises(ValueError):
+            verify.rerun_case("esplit-identities", failure)
+
+
 def test_esplit_identities_on_a_member_labelled_like_a_new_element():
     # The identities adjoin an unlabelled element, so a member may hold any
     # label; the check once named its new element "a*" and raised here.
@@ -364,11 +371,11 @@ def test_rerun_reproduces_synthetic_failure():
 
 def test_gf_replays_refuse_a_k_their_sweep_never_takes():
     # gf-empty-k1 once replayed k = 2 (witness Y={b,bottom} on G_1), and
-    # gf-minors k = 1, though check_split_minor_characterization refuses it.
+    # gf-minors any k, though its sweep takes k = 3 only.
     token = verify.compact(catalog.get("G_1").matroid)
     for name, k in (("gf-empty-k1", "2"), ("gf-empty-k2", "1"), ("gf-empty-k3", "3"),
                     ("gf-collection-k1", "2"), ("gf-collection-k3", "1"),
-                    ("gf-minors", "1"), ("gf-minors", "2")):
+                    ("gf-minors", "1"), ("gf-minors", "2"), ("gf-minors", "4")):
         with pytest.raises(ValueError, match="k"):
             verify.evaluate_case(name, token, {"k": k})
     assert verify.evaluate_case("gf-empty-k1", token, {"k": "1"}) == "witness Y={b}"
@@ -464,7 +471,7 @@ def test_evaluate_case_covers_every_check(corpus6):
 
 
 def test_parallel_jobs_give_identical_reports(corpus6):
-    serial = verify.check_split_minor_characterization(corpus6, 3)
+    serial = verify.check_split_minor_characterization(corpus6)
     [parallel] = verify.run_checks(["gf-minors"], corpus6, jobs=2)
     a, b = serial.to_json_dict(), parallel.to_json_dict()
     a.pop("wall_time")
@@ -505,7 +512,7 @@ def test_run_checks_shares_one_pool(corpus6, monkeypatch):
             b.pop("wall_time")
             assert a == b
     # A check called on its own opens no pool.
-    verify.check_split_minor_characterization(corpus6.restrict(5), 3)
+    verify.check_split_minor_characterization(corpus6.restrict(5))
     verify.run_checks(["catalog", "quotients"], None, jobs=2)
     assert starts == [2, 3, 2]
 
@@ -556,7 +563,7 @@ def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
 
     separate = [verify.check_split_minor_empty(corpus6, 1),
                 verify.check_split_minor_empty(corpus6, 2),
-                verify.check_split_minor_characterization(corpus6, 3)]
+                verify.check_split_minor_characterization(corpus6)]
     monkeypatch.setattr(_kernel, "profile_present", counted)
     together = verify.run_checks(["gf-empty", "gf-minors"], corpus6, jobs=1)
     assert decided and len(set(decided)) == len(decided)
