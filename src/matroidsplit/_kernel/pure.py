@@ -524,7 +524,11 @@ def canon_key_cols(cols, r: int):
 
 def is_canonical(cols_sorted, r: int) -> bool:
     """True iff the sorted multiset is the least member of its GL(r,2) orbit:
-    the walk of ``_images_below`` stops at the first image below it."""
+    the walk of ``_images_below`` stops at the first image below it.
+
+    The walk reads only the columns, so r serves to validate them and
+    nothing else: columns of rank s below 2^s get the same answer for
+    every r >= s."""
     if r == 0:
         return True
     cols = _checked_columns(cols_sorted, r)

@@ -2,20 +2,25 @@
 
 A rank-r binary matroid on k elements is a size-k multiset of vectors from
 GF(2)^r (zero vectors encode loops) of full rank r.  One representative per
-isomorphism class is kept by accepting exactly the multisets that are
-lexicographically least within their GL(r,2) orbit (``is_canonical``).
-Such a multiset contains the unit vectors 1, 2, ..., 2^(r-1), so only
-multisets that hold them are generated: the other k - r columns run over
-multisets of GF(2)^r.  Ranks are capped at 4 and loops at multiplicity 3,
-which covers everything the verification harness quantifies over.  The
-rank cap is the harness's bound, not the canonical forms': the compiled
-kernel takes them up to rank 6, the pure one at any rank.
+isomorphism class is kept: the multiset that is lexicographically least
+when sorted within its GL(r,2) orbit (``is_canonical``).  Such a multiset
+holds the unit vectors 1, 2, ..., 2^(r-1) and lies in their span, so its
+rank is the bit length of its largest column.
+
+The canonical multisets are generated orderly (R. C. Read, "Every one a
+winner", Ann. Discrete Math. 2, 1978; B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998): each is reached once, as
+a canonical parent plus one column, and only those one-column children are
+tested (see ``enumerate_binary_matroids``).  Ranks are capped at 4 and
+loops at multiplicity 3, which covers everything the verification harness
+quantifies over.  The rank cap is the harness's bound, not the canonical
+forms': the compiled kernel takes them up to rank 6, the pure one at any
+rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from pathlib import Path
 
 from . import _kernel
@@ -90,28 +95,54 @@ class Corpus:
 
 def enumerate_binary_matroids(max_elements: int, max_rank: int) -> Corpus:
     """All binary matroids with 1..max_elements elements and rank <= max_rank,
-    one canonical representative per isomorphism class, deterministic order.
+    one canonical representative per isomorphism class, ordered by rank,
+    then size, then sorted columns.
+
+    Level k holds the canonical sorted multisets of size k in
+    GF(2)^max_rank, level 0 the empty one.  The children of a multiset S
+    are S plus one column v >= max(S), a zero only while S has fewer than
+    ``MAX_LOOPS`` zeros; a child joins level k + 1 iff ``is_canonical``
+    accepts it.  Every canonical multiset is reached exactly once:
+
+    Lemma.  If T = S + {m} is canonical and m = max(T), S is canonical.
+    Else some GL map g has sorted(g(S)) < sorted(S); let i be the first
+    index where they differ.  Adding g(m) to g(S) lowers no order
+    statistic, so the j-th least of g(T) is at most sorted(g(S))[j] =
+    sorted(S)[j] for j < i, and the i-th is below sorted(S)[i].  As
+    sorted(T) is sorted(S) followed by m, sorted(g(T)) < sorted(T): T is
+    not canonical.
+
+    So each canonical multiset has one parent, itself minus its largest
+    column, and by induction on k every level holds exactly the canonical
+    multisets of its size.  ``is_canonical`` uses r only to validate the
+    columns, so a rank-s multiset with columns below 2^s is canonical in
+    GF(2)^max_rank iff it is canonical in GF(2)^s, its own rank.
     """
     if not 1 <= max_elements <= MAX_ELEMENTS:
         raise ValueError(f"max_elements must be in 1..{MAX_ELEMENTS}")
     if not 0 <= max_rank <= MAX_RANK:
         raise ValueError(f"max_rank must be in 0..{MAX_RANK}")
+    found = []
+    level = [()]
+    for _ in range(max_elements):
+        children = []
+        for parent in level:
+            low = parent[-1] if parent else 0
+            if low == 0 and parent.count(0) >= MAX_LOOPS:
+                low = 1
+            for v in range(low, 1 << max_rank):
+                child = parent + (v,)
+                if _kernel.is_canonical(child, max_rank):
+                    children.append(child)
+        found.extend(children)
+        level = children
+    found.sort(key=lambda cols: (cols[-1].bit_length(), len(cols), cols))
     members = []
     flags = []
-    for r in range(max_rank + 1):
-        units = tuple(1 << i for i in range(r))
-        for k in range(max(r, 1), max_elements + 1):
-            block = []
-            for extras in combinations_with_replacement(range(1 << r), k - r):
-                if extras.count(0) > MAX_LOOPS:
-                    continue
-                cols = tuple(sorted(units + extras))
-                if _kernel.is_canonical(cols, r):
-                    block.append(cols)
-            for cols in sorted(block):
-                m = matroid_from_columns(r, cols)
-                members.append(m)
-                flags.append(m.is_binary_gammoid())
+    for cols in found:
+        m = matroid_from_columns(cols[-1].bit_length(), cols)
+        members.append(m)
+        flags.append(m.is_binary_gammoid())
     return Corpus(max_elements, max_rank, tuple(members), tuple(flags))
 
 
@@ -133,9 +164,13 @@ def to_file_text(c: Corpus) -> str:
 
 
 def from_file_text(text: str) -> Corpus:
+    """Parse a corpus file.  Every gammoid flag is checked, and so is every
+    member against the header's bounds and ``MAX_LOOPS``; a file with no
+    header takes its bounds from its members."""
     max_elements = max_rank = None
     members = []
     flags = []
+    linenos = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -163,7 +198,15 @@ def from_file_text(text: str) -> Corpus:
                              "for this matroid")
         members.append(m)
         flags.append(gammoid)
+        linenos.append(lineno)
     if max_elements is None or max_rank is None:
         max_elements = max((m.n_elements() for m in members), default=1)
         max_rank = max((m.rank() for m in members), default=0)
+    for lineno, m in zip(linenos, members):
+        n, r, loops = m.n_elements(), m.rank(), len(m.loops())
+        if n > max_elements or r > max_rank or loops > MAX_LOOPS:
+            raise ValueError(
+                f"line {lineno}: a member of {n} elements, rank {r} and {loops} "
+                f"loops is outside max_elements={max_elements} "
+                f"max_rank={max_rank} with at most {MAX_LOOPS} loops")
     return Corpus(max_elements, max_rank, tuple(members), tuple(flags))

@@ -62,6 +62,8 @@ class VerificationReport:
                    observations=observations or {})
 
     def __post_init__(self):
+        if self.verdict not in ("pass", "fail"):
+            raise ValueError(f"verdict must be 'pass' or 'fail', not {self.verdict!r}")
         if self.verdict == "pass" and self.failures:
             raise ValueError("a passing report cannot carry failures")
         if self.verdict == "fail" and not self.failures:

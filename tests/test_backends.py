@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from matroidsplit import _kernel, corpus
 from matroidsplit._kernel import pure
 
 REPO = Path(__file__).resolve().parents[1]
@@ -119,6 +120,25 @@ def test_canonical_forms_agree(compiled):
             cols = tuple(sorted(rng.randrange(1 << r) for _ in range(k)))
             assert pure.canon_key_cols(cols, r) == compiled.canon_key_cols(cols, r)
             assert pure.is_canonical(cols, r) == compiled.is_canonical(cols, r)
+
+
+def test_is_canonical_agrees_on_every_child_the_generator_tests(compiled, monkeypatch):
+    # Orderly generation asks is_canonical(child, max_rank) of children whose
+    # own rank is often lower; neither kernel may read r beyond validation.
+    calls = []
+
+    def recorded(cols, r):
+        calls.append((cols, r))
+        return pure.is_canonical(cols, r)
+
+    monkeypatch.setattr(_kernel, "is_canonical", recorded)
+    corpus.enumerate_binary_matroids(8, 4)
+    assert len(calls) == 2384
+    for cols, r in calls:
+        assert r == 4
+        own = max(cols).bit_length()
+        assert pure.is_canonical(cols, r) == compiled.is_canonical(cols, r) \
+            == compiled.is_canonical(cols, own) == pure.is_canonical(cols, own), cols
 
 
 def test_find_minors_agree_in_order_and_content(compiled):

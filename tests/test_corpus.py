@@ -15,7 +15,7 @@ from matroidsplit.corpus import (
     matroid_from_columns,
 )
 from matroidsplit.gf2 import Gf2Matrix
-from matroidsplit.matroid import BinaryMatroid
+from matroidsplit.matroid import BinaryMatroid, reduced_columns
 
 from oracles import classify_matroids, gl_least_image
 
@@ -160,10 +160,30 @@ def test_loop_multiplicity_capped_at_three(corpus8):
 CORPUS8_SHA256 = "e6a85ae773b5b3297a9a48d7ab1379049f562d919045a537fa2f71bb52eaa084"
 
 
+# sha256 of the corpus text at n <= 9, rank <= 4 (825 classes).
+CORPUS9_SHA256 = "99cf3aa256d70727ee9232ca792b4c0580ed450c1a7c722a0825e5c43852807a"
+
+
 def test_corpus8_text_is_pinned(corpus8):
     text = corpus_mod.to_file_text(corpus8)
     assert len(corpus8) == 432
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS8_SHA256
+
+
+def test_corpus9_text_is_pinned():
+    c = enumerate_binary_matroids(9, 4)
+    text = corpus_mod.to_file_text(c)
+    assert len(c) == 825
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS9_SHA256
+
+
+def test_dropping_the_largest_column_keeps_a_member_canonical(corpus8):
+    # The lemma that makes orderly generation reach every class: each
+    # member's parent, itself less its largest column, is canonical too.
+    for m in corpus8.members:
+        r, cols = reduced_columns(m)
+        assert list(cols) == sorted(cols) and _kernel.is_canonical(cols, r)
+        assert _kernel.is_canonical(cols[:-1], r), cols
 
 
 def test_determinism_byte_for_byte():
@@ -273,6 +293,18 @@ def test_load_checks_every_gammoid_flag(corpus6):
         assert wrong[i] != lines[i]
         with pytest.raises(ValueError, match=f"line {i + 1}: gammoid flag"):
             corpus_mod.from_file_text("\n".join(wrong) + "\n")
+
+
+@pytest.mark.parametrize("text,line", [
+    # 4 elements of rank 3 under a header of 2 elements, rank 1.
+    ("# binary matroid corpus: max_elements=2 max_rank=1\n3 g 1 2 4 0\n", 2),
+    ("# max_elements=4 max_rank=2\n1 g 1\n3 g 1 2 4 0\n", 3),
+    ("# max_elements=5 max_rank=4\n1 g 1\n1 g 0 0 0 0 1\n", 3),
+    ("1 g 1\n0 g 0 0 0 0\n", 2),
+])
+def test_load_rejects_members_outside_the_header_bounds(text, line):
+    with pytest.raises(ValueError, match=f"line {line}: a member of"):
+        corpus_mod.from_file_text(text)
 
 
 def test_malformed_corpus_lines():

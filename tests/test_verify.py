@@ -335,6 +335,8 @@ def test_report_invariants():
                            0.0, "pass")
     with pytest.raises(ValueError):
         VerificationReport("x", "u", 1, (), 0.0, "fail")
+    with pytest.raises(ValueError, match="verdict must be"):
+        VerificationReport("x", "u", 0, (), 0.0, "observational")
 
 
 def test_compact_round_trip(corpus6):
