@@ -6,7 +6,8 @@ definitions are guarded by ``validate_all``: the catalog refuses to serve
 entries until every validation fact below has been checked once.
 
 Entries:
-  K4        complete graph on 4 vertices
+  K4        complete graph on 4 vertices (``matroid.K4_GRAPH`` and
+            ``matroid.k4_matroid()``, the same objects)
   G_4       two vertices joined by parallel edges x, y, z; marked (x, y)
   F         triangle with the left and right sides doubled (5 edges, rank 2)
   G_1..G_3  excluded minors for 3-element splittings of gammoids:
@@ -22,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .matroid import BinaryMatroid, Graph
+from .matroid import K4_GRAPH, BinaryMatroid, Graph, k4_matroid
 from .ops import splitting
 from .verifyreport import VerificationReport, make_failure
 
@@ -42,8 +43,7 @@ def _entry(name: str, n_vertices: int, edges, marked=()) -> CatalogEntry:
 
 def _build() -> dict[str, CatalogEntry]:
     entries = [
-        _entry("K4", 4, ((1, 2, "e12"), (1, 3, "e13"), (1, 4, "e14"),
-                         (2, 3, "e23"), (2, 4, "e24"), (3, 4, "e34"))),
+        CatalogEntry("K4", K4_GRAPH, k4_matroid(), ()),
         _entry("G_4", 2, ((1, 2, "x"), (1, 2, "y"), (1, 2, "z")), ("x", "y")),
         # Triangle on vertices 1 (apex), 2, 3 with both slanted sides doubled.
         _entry("F", 3, ((2, 3, "bottom"), (1, 2, "left1"), (1, 2, "left2"),

@@ -4,7 +4,7 @@ gammoid tests, catalog access, and the verification harness.
 Every command prints one machine-readable JSON record; commands producing a
 matroid can also write it as a matroid file via --out.  Exit codes: 0 on
 success, 1 when an asserted verification check fails, 2 on usage or parse
-errors.
+errors, which include every ``ValueError`` the library raises (``_Command``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,22 @@ def _split_labels(raw: str) -> tuple[str, ...]:
     return labels
 
 
-@click.group()
+class _Command(click.Command):
+    """The CLI's one error boundary: a ``ValueError`` raised while the
+    command runs is a usage error (exit 2), shown with its usage line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class, group_class = _Command, type  # subgroups are _Group too
+
+
+@click.group(cls=_Group)
 @click.version_option(package_name="matroidsplit")
 def main():
     """Binary matroid splitting operations and verification tools."""
@@ -84,10 +99,7 @@ def info(file):
 def split(file, t_raw, out):
     """Append a row with 1s exactly on the given elements."""
     _, m, _ = _load(file)
-    try:
-        result = splitting(m, _split_labels(t_raw))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    result = splitting(m, _split_labels(t_raw))
     record = formats.result_record(
         "split", {"file": _input_digest(file)}, {"t": list(_split_labels(t_raw))},
         matroid=result)
@@ -102,10 +114,7 @@ def split(file, t_raw, out):
 def esplit(file, t_raw, new_label, out):
     """Element splitting: the splitting row plus a new indicator element."""
     _, m, _ = _load(file)
-    try:
-        result = element_splitting(m, _split_labels(t_raw), new_label)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    result = element_splitting(m, _split_labels(t_raw), new_label)
     record = formats.result_record(
         "esplit", {"file": _input_digest(file)},
         {"t": list(_split_labels(t_raw)), "new": new_label}, matroid=result)
@@ -137,10 +146,7 @@ def threefold(file, x_label, y_label, labels_raw, out):
     """3-fold: adjoin loops p,q,r then split on {x,y,p,r} and {x,q,r}."""
     _, m, _ = _load(file)
     new_labels = _fresh_fold_labels(m, labels_raw)
-    try:
-        result = three_fold(m, x_label, y_label, new_labels=new_labels)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    result = three_fold(m, x_label, y_label, new_labels=new_labels)
     record = formats.result_record(
         "threefold", {"file": _input_digest(file)},
         {"x": x_label, "y": y_label, "new_labels": list(new_labels)},
@@ -182,10 +188,7 @@ def minor(file, pattern, pins):
             raise click.UsageError(f"--pin expects PAT=HOST, got {raw!r}")
         key, _, value = raw.partition("=")
         pin_map[key] = value
-    try:
-        witness = m.has_minor(pat, pins=pin_map or None)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    witness = m.has_minor(pat, pins=pin_map or None)
     record = formats.result_record(
         "minor", {"file": _input_digest(file), **pattern_info},
         {"pins": pin_map},
@@ -247,18 +250,12 @@ def _worker_count(jobs: int) -> int:
 def verify_cmd(checks, max_elements, max_rank, corpus_file, jobs, report_dir):
     """Run verification checks; nonzero exit iff an asserted check fails."""
     jobs = _worker_count(jobs)
-    try:
-        checks = verify.check_names(checks)
-        if corpus_file:
-            c = corpus_mod.Corpus.load(corpus_file).restrict(max_elements, max_rank)
-        else:
-            c = corpus_mod.enumerate_binary_matroids(max_elements, max_rank)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        reports = verify.run_checks(checks, c, jobs=jobs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    checks = verify.check_names(checks)
+    if corpus_file:
+        c = corpus_mod.Corpus.load(corpus_file).restrict(max_elements, max_rank)
+    else:
+        c = corpus_mod.enumerate_binary_matroids(max_elements, max_rank)
+    reports = verify.run_checks(checks, c, jobs=jobs)
     out_dir = Path(report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     any_failed = False

@@ -101,8 +101,11 @@ def enumerate_binary_matroids(max_elements: int, max_rank: int) -> Corpus:
     Level k holds the canonical sorted multisets of size k in
     GF(2)^max_rank, level 0 the empty one.  The children of a multiset S
     are S plus one column v >= max(S), a zero only while S has fewer than
-    ``MAX_LOOPS`` zeros; a child joins level k + 1 iff ``is_canonical``
-    accepts it.  Every canonical multiset is reached exactly once:
+    ``MAX_LOOPS`` zeros, and v < 2^(s+1), s the bit length of max(S) (0 if
+    S is empty): a longer v makes a rank-(s+1) child whose largest column
+    is longer than its rank, never canonical.  A child joins level k + 1
+    iff ``is_canonical`` accepts it.  Each canonical multiset is reached
+    exactly once:
 
     Lemma.  If T = S + {m} is canonical and m = max(T), S is canonical.
     Else some GL map g has sorted(g(S)) < sorted(S); let i be the first
@@ -128,9 +131,10 @@ def enumerate_binary_matroids(max_elements: int, max_rank: int) -> Corpus:
         children = []
         for parent in level:
             low = parent[-1] if parent else 0
+            top = min(2 << low.bit_length(), 1 << max_rank)
             if low == 0 and parent.count(0) >= MAX_LOOPS:
                 low = 1
-            for v in range(low, 1 << max_rank):
+            for v in range(low, top):
                 child = parent + (v,)
                 if _kernel.is_canonical(child, max_rank):
                     children.append(child)

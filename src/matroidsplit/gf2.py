@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import _kernel
 
 MAX_COLS = 64
-# null_space_min_supports enumerates the whole null space (2^(n-rank)
+# Circuit enumeration (circuit_masks) walks the whole null space (2^(n-rank)
 # vectors), so it carries its own tighter column bound.
 MAX_SUPPORT_COLS = 20
 
@@ -68,8 +68,7 @@ class Gf2Matrix:
 
     def append_column(self, col: int) -> "Gf2Matrix":
         """Append one column; bit ``i`` of ``col`` is the entry in row ``i``."""
-        if self.n_cols + 1 > MAX_COLS:
-            raise ValueError("column limit exceeded")
+        check_room(self.n_cols)
         rows = tuple(r | (((col >> i) & 1) << self.n_cols)
                      for i, r in enumerate(self.rows))
         return Gf2Matrix(rows, self.n_cols + 1)
@@ -81,6 +80,12 @@ class Gf2Matrix:
 
     def columns(self) -> tuple[int, ...]:
         return _kernel.columns(self.rows, self.n_cols)
+
+
+def check_room(n_cols: int, added: int = 1) -> None:
+    """Raise ValueError unless ``added`` more columns fit beside ``n_cols``."""
+    if n_cols + added > MAX_COLS:
+        raise ValueError("column limit exceeded")
 
 
 def _entry(b) -> int:
@@ -122,19 +127,15 @@ def null_space_min_supports(m: Gf2Matrix) -> frozenset[frozenset[int]]:
     Supports are 0-based column index sets.  For a binary matroid these are
     exactly the circuits of the column matroid.
     """
-    if m.n_cols > MAX_SUPPORT_COLS:
+    return frozenset(frozenset(j for j in range(m.n_cols) if v >> j & 1)
+                     for v in circuit_masks(m.rows, m.n_cols))
+
+
+def circuit_masks(rows, n_cols: int) -> tuple[int, ...]:
+    """Column masks of the inclusion-minimal nonempty null-space supports of
+    ``rows``, the circuits; refuses more than ``MAX_SUPPORT_COLS`` columns."""
+    if n_cols > MAX_SUPPORT_COLS:
         raise ValueError(
-            f"column count {m.n_cols} exceeds support-enumeration limit "
+            f"column count {n_cols} exceeds support-enumeration limit "
             f"{MAX_SUPPORT_COLS}")
-    basis = _kernel.nullspace_basis(m.rows, m.n_cols)
-    masks = _kernel.space_min_supports(basis)
-    return frozenset(_mask_to_set(v) for v in masks)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return _kernel.space_min_supports(_kernel.nullspace_basis(rows, n_cols))

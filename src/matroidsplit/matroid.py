@@ -9,10 +9,10 @@ search with self-verifying witnesses all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import _kernel
-from .gf2 import Gf2Matrix, MAX_SUPPORT_COLS
+from .gf2 import Gf2Matrix, circuit_masks
 
 Label = str
 
@@ -115,7 +115,9 @@ class BinaryMatroid:
         :func:`_check_label`, taken from a validated matroid (with any new
         label checked by the caller), and ``rows`` a tuple of ints below
         ``1 << n_cols``, with ``len(labels) == n_cols <= MAX_COLS``: rows from
-        a kernel function of validated rows, or validated rows plus a
+        a kernel function of validated rows (``delete_rows`` in
+        :meth:`delete`, ``contract_rows`` in :meth:`contract`,
+        ``nullspace_basis`` in :meth:`dual`), or validated rows plus a
         label mask.  That is what the public constructor would check, so
         skipping it changes nothing; every public entry point validates.
         """
@@ -179,10 +181,7 @@ class BinaryMatroid:
 
     @cached_property
     def _circuit_masks(self) -> tuple[int, ...]:
-        if self.rep.n_cols > MAX_SUPPORT_COLS:
-            raise ValueError("too many elements for circuit enumeration")
-        basis = _kernel.nullspace_basis(self.rep.rows, self.rep.n_cols)
-        return _kernel.space_min_supports(basis)
+        return circuit_masks(self.rep.rows, self.rep.n_cols)
 
     @cached_property
     def _cocircuit_masks(self) -> tuple[int, ...]:
@@ -245,12 +244,12 @@ class BinaryMatroid:
         return frozenset(lab for lab, c in zip(self.labels, self._columns) if c == 0)
 
     def coloops(self) -> frozenset[str]:
-        """Elements lying in no circuit (loops sit in singleton circuits)."""
-        covered = 0
-        for m in self._circuit_masks:
-            covered |= m
-        return frozenset(lab for j, lab in enumerate(self.labels)
-                         if not (covered >> j) & 1)
+        """Elements lying in no circuit: those whose unit vector is in the
+        row space, each a row of the rref.  A combination of rref rows holds
+        the pivot bit of every row it uses, which no other row has, so a
+        weight-one vector in the row space is a single rref row."""
+        return _mask_to_labels(sum(row for row in self._rref if not row & (row - 1)),
+                               self.labels)
 
     def parallel_classes(self) -> tuple[frozenset[str], ...]:
         """Partition of the non-loop elements by column equality."""
@@ -282,18 +281,13 @@ class BinaryMatroid:
         return self.contract(contracted).delete(deleted)
 
     def dual(self) -> "BinaryMatroid":
-        """Standard binary dual: [I | P] becomes [P^T | I] on the same labels."""
-        reduced, pivots = _kernel.rref_pivots(self.rep.rows)
-        pivot_set = set(pivots)
-        nonpivots = [j for j in range(self.rep.n_cols) if j not in pivot_set]
-        rows = []
-        for q in nonpivots:
-            row = 1 << q
-            for i, p in enumerate(pivots):
-                if (reduced[i] >> q) & 1:
-                    row |= 1 << p
-            rows.append(row)
-        return BinaryMatroid._derived(self.labels, tuple(rows), self.rep.n_cols)
+        """Binary dual on the same labels, represented by the orthogonal
+        complement of the row space (Oxley, *Matroid Theory*, 2nd ed.,
+        Section 2.2): the kernel's null-space basis, one row per non-pivot
+        column, so [I | P] becomes [P^T | I]."""
+        n = self.rep.n_cols
+        return BinaryMatroid._derived(self.labels,
+                                      _kernel.nullspace_basis(self.rep.rows, n), n)
 
     # -- isomorphism -----------------------------------------------------------
 
@@ -462,16 +456,15 @@ def _fast_pattern_kind(pattern: BinaryMatroid):
     return kernel, _kernel.KIND_CANONICAL, (rk, kernel.canon_key_cols(cols, rk))
 
 
-_K4_CACHE: list[BinaryMatroid] = []
-
-
-def k4_matroid() -> BinaryMatroid:
-    """Cycle matroid of the complete graph on four vertices."""
-    if not _K4_CACHE:
-        g = Graph(4, ((1, 2, "e12"), (1, 3, "e13"), (1, 4, "e14"),
+K4_GRAPH = Graph(4, ((1, 2, "e12"), (1, 3, "e13"), (1, 4, "e14"),
                       (2, 3, "e23"), (2, 4, "e24"), (3, 4, "e34")))
-        _K4_CACHE.append(BinaryMatroid.from_graph(g))
-    return _K4_CACHE[0]
+
+
+@cache
+def k4_matroid() -> BinaryMatroid:
+    """Cycle matroid of ``K4_GRAPH``, the complete graph on four vertices:
+    one object per process, which the catalog's ``K4`` entry also holds."""
+    return BinaryMatroid.from_graph(K4_GRAPH)
 
 
 # -- circuit-based isomorphism search ------------------------------------------

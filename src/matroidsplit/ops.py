@@ -15,7 +15,7 @@ the 3-fold sweep on the core's rows without building a matroid.
 
 from __future__ import annotations
 
-from .gf2 import MAX_COLS
+from .gf2 import check_room
 from .matroid import BinaryMatroid, _check_label
 
 # Every construction here builds its result with BinaryMatroid._derived:
@@ -27,11 +27,6 @@ def _check_new_label(labels, label: str) -> None:
     _check_label(label)
     if label in labels:
         raise ValueError(f"new element label {label!r} already in the ground set")
-
-
-def _check_room(n_cols: int) -> None:
-    if n_cols >= MAX_COLS:
-        raise ValueError("column limit exceeded")
 
 
 def _inside_cocircuit(m: BinaryMatroid, subset) -> bool:
@@ -63,7 +58,7 @@ def element_splitting(m: BinaryMatroid, t, new_label: str) -> BinaryMatroid:
         raise ValueError("splitting set must be nonempty")
     mask = m._label_mask(t)
     n = m.rep.n_cols
-    _check_room(n)
+    check_room(n)
     return BinaryMatroid._derived(m.labels + (new_label,),
                                   m.rep.rows + (mask | 1 << n,), n + 1)
 
@@ -73,7 +68,7 @@ def add_loops(m: BinaryMatroid, new_labels) -> BinaryMatroid:
     labels = m.labels
     for lab in new_labels:
         _check_new_label(labels, lab)
-        _check_room(len(labels))
+        check_room(len(labels))
         labels = labels + (lab,)
     return BinaryMatroid._derived(labels, m.rep.rows, len(labels))
 
@@ -84,11 +79,11 @@ def three_fold_rows(rows, n_cols: int, xy: int, x: int) -> tuple[int, ...]:
 
     Three zero columns p, q, r (bits ``n_cols`` to ``n_cols + 2``) are
     adjoined, then the splittings on {x, y, p, r} and on {x, q, r} append
-    one row each.  Raises ValueError when r, the last new column, does not
-    fit under ``MAX_COLS``; every 3-fold, built or decided on rows, gets
-    its rows here.
+    one row each.  Raises ValueError when the three new columns do not fit
+    under ``MAX_COLS``; every 3-fold, built or decided on rows, gets its
+    rows here.
     """
-    _check_room(n_cols + 2)
+    check_room(n_cols, 3)
     p, q, r = 1 << n_cols, 1 << n_cols + 1, 1 << n_cols + 2
     return tuple(rows) + (xy | p | r, x | q | r)
 

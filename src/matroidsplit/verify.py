@@ -34,7 +34,7 @@ from math import ceil, comb
 from operator import xor
 
 from . import _kernel, catalog
-from .gf2 import Gf2Matrix, MAX_COLS
+from .gf2 import Gf2Matrix, check_room
 from .matroid import BinaryMatroid, MinorWitness, series_parallel_reduces
 from .ops import admissible_pairs, splitting, three_fold, three_fold_rows
 # bench/run.py's install_tracer wraps splitting, element_splitting,
@@ -702,11 +702,10 @@ def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
     ``m``'s rows, since e's only 1 is in the appended row, so the pivot on e
     removes that row and touches no other.  ``m`` was validated, ``t`` goes
     through ``_label_mask`` and e needs no label, so no matroid is built.
+    The callers check once per member that e fits (``check_room``).
     """
     mask = m._label_mask(t)
     n = m.rep.n_cols
-    if n >= MAX_COLS:
-        raise ValueError("column limit exceeded")
     rows = m.rep.rows
     ext = rows + (mask | 1 << n,)
     bad = []
@@ -723,6 +722,7 @@ _ESPLIT_SIZES = (1, 2, 3)
 
 def _esplit_worker(m: BinaryMatroid, gammoid: bool, memo: dict) -> tuple:
     """The (T, identity) pairs that fail on ``m``, gammoid or not."""
+    check_room(m.rep.n_cols)
     labels = sorted(m.labels)
     return tuple((t, which)
                  for size in _ESPLIT_SIZES
@@ -866,7 +866,9 @@ def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
         if len(t) not in _ESPLIT_SIZES or list(t) != sorted(set(t)):
             raise ValueError(f"T={params['T']} is not a case that "
                              "esplit-identities sweeps")
-        bad = _esplit_violations(from_compact(matroid_token), t)
+        m = from_compact(matroid_token)
+        check_room(m.rep.n_cols)
+        bad = _esplit_violations(m, t)
         return "violated" if bad else "identities hold"
     if check_name == "quotients" and "check" in params:
         return _case_outcome(_quotient_facts(*_quotient_sweep()),

@@ -45,6 +45,16 @@ def brute_cocircuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
     return frozenset(cocircuits)
 
 
+def standard_dual_rows(m: BinaryMatroid) -> tuple[int, ...]:
+    """[P^T | I] from the rref [I | P]: for each non-pivot column q, in
+    column order, q's bit plus the pivot bit of every rref row with a 1 in
+    column q."""
+    reduced = m._rref
+    pivots = [(row & -row).bit_length() - 1 for row in reduced]
+    return tuple((1 << q) | sum(1 << p for p, row in zip(pivots, reduced) if row >> q & 1)
+                 for q in range(m.n_elements()) if q not in pivots)
+
+
 def brute_isomorphism(a: BinaryMatroid, b: BinaryMatroid):
     """Permutation search comparing brute-force circuit sets."""
     if a.n_elements() != b.n_elements():

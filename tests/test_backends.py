@@ -125,6 +125,8 @@ def test_canonical_forms_agree(compiled):
 def test_is_canonical_agrees_on_every_child_the_generator_tests(compiled, monkeypatch):
     # Orderly generation asks is_canonical(child, max_rank) of children whose
     # own rank is often lower; neither kernel may read r beyond validation.
+    # A child's new column is below 2^(s+1), s the bit length of its
+    # parent's largest column, so 1,624 children are asked at (8, 4).
     calls = []
 
     def recorded(cols, r):
@@ -133,7 +135,7 @@ def test_is_canonical_agrees_on_every_child_the_generator_tests(compiled, monkey
 
     monkeypatch.setattr(_kernel, "is_canonical", recorded)
     corpus.enumerate_binary_matroids(8, 4)
-    assert len(calls) == 2384
+    assert len(calls) == 1624
     for cols, r in calls:
         assert r == 4
         own = max(cols).bit_length()
@@ -406,7 +408,8 @@ def test_env_var_forces_pure_backend():
     assert out.stdout.strip() == "pure"
 
 
-# More than 64 rows: the old compiled transpose kept only 64 of them.
+# More than 64 rows: the old compiled transpose kept only 64 of them.  The
+# coloops and the dual's rows are read from the kernels' rref and null space.
 _REPRO = (
     "from matroidsplit.formats import parse_matroid\n"
     "from matroidsplit.ops import splitting\n"
@@ -416,7 +419,8 @@ _REPRO = (
     "assert m.rep.n_rows == 71\n"
     "w = m.k4_minor()\n"
     "repro = [sorted(sorted(c) for c in m.parallel_classes()), sorted(m.loops()),\n"
-    "         None if w is None else sorted(w.deleted)]\n"
+    "         None if w is None else sorted(w.deleted), sorted(m.coloops()),\n"
+    "         list(m.dual().rep.rows)]\n"
 )
 
 
@@ -471,7 +475,7 @@ def test_full_check_agrees_across_backends(build_lib):
         assert run.returncode == 0, run.stderr
         outs[backend] = json.loads(run.stdout)
         assert outs[backend][0] == backend
-    assert outs["pure"][1] == [[["a"], ["b"], ["c"]], [], None]
+    assert outs["pure"][1] == [[["a"], ["b"], ["c"]], [], None, [], [7]]
     assert [rank for rank, *_ in outs["pure"][2]] == [5, 6, 7, 1]
     assert outs["pure"][2][2][1:3] == [[], ["h0"]]
     assert dict(outs["pure"][2][3][3])["x"] == "h9"

@@ -3,6 +3,7 @@
 import pytest
 
 from matroidsplit import catalog
+from matroidsplit.matroid import K4_GRAPH, k4_matroid
 from matroidsplit.ops import splitting
 
 
@@ -42,6 +43,12 @@ def test_f_shape():
     assert f.n_elements() == 5
     assert sorted(len(c) for c in f.parallel_classes()) == [1, 2, 2]
     assert not f.loops()
+
+
+def test_k4_is_one_graph_and_one_matroid():
+    entry = catalog.get("K4")
+    assert entry.matroid is k4_matroid()
+    assert entry.graph is K4_GRAPH
 
 
 def test_g4_has_single_cocircuit():

@@ -164,6 +164,22 @@ def test_iso_of_quotient_shapes(runner, tmp_path):
     assert set(rec["mapping"]) == set(catalog.get("Q_3").matroid.labels)
 
 
+def test_info_and_iso_past_the_support_limit_exit_two(runner, tmp_path):
+    # 21 coloops: the circuits cannot be enumerated, so both commands refuse
+    # the input as a usage error (exit 2, with the command's usage line);
+    # exit 1 is kept for a failed verification check.
+    path = tmp_path / "free21.matroid"
+    labels = [f"e{j}" for j in range(21)]
+    path.write_text("elements " + " ".join(labels) + "\n" + "".join(
+        "row " + "0" * j + "1" + "0" * (20 - j) + "\n" for j in range(21)))
+    for args in (("info", str(path)), ("iso", str(path), str(path))):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.output
+        assert "support-enumeration limit 20" in result.output
+        assert f"{args[0]} [OPTIONS]" in result.output
+        assert "Traceback" not in result.output
+
+
 def test_catalog_list_and_show(runner):
     result = invoke(runner, "catalog", "list")
     assert result.exit_code == 0

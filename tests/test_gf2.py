@@ -14,6 +14,7 @@ from matroidsplit.gf2 import (
     row_space_contains,
     rref,
 )
+from matroidsplit.matroid import BinaryMatroid
 
 
 def bits(*rows):
@@ -107,8 +108,12 @@ def test_min_supports_zero_column_is_singleton():
 
 
 def test_min_supports_column_limit():
-    with pytest.raises(ValueError):
+    # One limit, stated by circuit_masks, for matrices and matroids alike.
+    with pytest.raises(ValueError, match="support-enumeration limit 20"):
         null_space_min_supports(Gf2Matrix((), 21))
+    wide = BinaryMatroid(tuple(f"e{j}" for j in range(21)), Gf2Matrix((), 21))
+    with pytest.raises(ValueError, match="support-enumeration limit 20"):
+        wide.circuits()
 
 
 def test_column_count_limit():

@@ -23,6 +23,7 @@ from oracles import (
     marked_images,
     profile_minors,
     series_parallel_graph,
+    standard_dual_rows,
     subsets,
 )
 
@@ -194,6 +195,36 @@ def test_loops_sit_in_singleton_circuits():
     assert m.coloops() == {"a"}
 
 
+def test_coloops_answer_past_the_support_limit():
+    # Circuits stop at 20 elements; coloops are read off the rref, so they
+    # answer at 21 and at 30, where deleting each element is the oracle: an
+    # element is a coloop iff deleting it lowers the rank.
+    free = BinaryMatroid(tuple(f"e{j}" for j in range(21)),
+                         Gf2Matrix(tuple(1 << j for j in range(21)), 21))
+    assert free.coloops() == set(free.labels)
+    with pytest.raises(ValueError, match="support-enumeration limit 20"):
+        free.circuits()
+    # Over 16 rows: 3 loops, 7 coloops (rows 0-5 and 15), parallel
+    # classes, a triangle through a parallel class and a 4-circuit.
+    cols = ([0] * 3 + [1 << i for i in range(6)] + [1 << 15] + [1 << 6] * 2
+            + [1 << 7 | 1 << 8] * 3 + [1 << 7, 1 << 8]
+            + [1 << 9, 1 << 10, 1 << 11, 7 << 9] + [1 << 12] * 3
+            + [1 << 13] * 2 + [1 << 14] * 2 + [1 << 12 | 1 << 13] * 2)
+    assert len(cols) == 30
+    m = BinaryMatroid(tuple(f"e{j}" for j in range(30)),
+                      Gf2Matrix(_kernel.rows_from_columns(tuple(cols), 16), 30))
+    want = {lab for lab in m.labels if m.delete({lab}).rank() < m.rank()}
+    assert want == {f"e{j}" for j in range(3, 10)}
+    assert m.coloops() == want
+    assert len(m.loops()) == 3
+
+
+def test_coloops_are_the_elements_no_circuit_covers(corpus8):
+    for m in corpus8.members:
+        covered = set().union(*m.circuits())
+        assert m.coloops() == set(m.labels) - covered, m
+
+
 # -- delete / contract / dual ----------------------------------------------------------
 
 
@@ -224,6 +255,14 @@ def test_contract_dependent_set_allowed():
     m = g4().contract({"x", "y"})
     assert m.labels == ("z",)
     assert m.loops() == {"z"}
+
+
+def test_dual_rows_are_the_standard_form(corpus8):
+    # dual() returns the kernel's null-space basis; it must be [P^T | I]
+    # built from the rref, bit for bit and in order.
+    for m in corpus8.members:
+        assert m.dual().rep.rows == standard_dual_rows(m), m
+        assert m.dual().labels == m.labels
 
 
 def test_dual_is_involution():

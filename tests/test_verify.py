@@ -244,6 +244,20 @@ def test_fold_outcome_keeps_the_64_column_limit():
         verify.evaluate_case("main", verify.compact(wide), {"pair": "e0,e1"})
 
 
+def test_esplit_keeps_the_64_column_limit():
+    # The extension adds one column, so a 64-column member is refused once,
+    # before any T, by the sweep's worker and by the replay.
+    labels = tuple(f"e{j}" for j in range(64))
+    wide = BinaryMatroid(labels, Gf2Matrix(((1 << 64) - 1,), 64))
+    with pytest.raises(ValueError, match="column limit"):
+        verify._esplit_worker(wide, False, {})
+    with pytest.raises(ValueError, match="column limit"):
+        verify.evaluate_case("esplit-identities", verify.compact(wide), {"T": "e0"})
+    narrow = verify.compact(wide.delete({"e63"}))
+    assert verify.evaluate_case("esplit-identities", narrow, {"T": "e0"}) == \
+        "identities hold"
+
+
 def test_fold_replay_refuses_pairs_the_sweep_never_takes():
     # A record of main is replayed only for an admissible pair, as the sweep
     # takes its pairs from admissible_pairs; e0 and e1 are coloops here.
