@@ -28,6 +28,7 @@ typedef uint64_t u64;
 #define BIT(j) ((u64)1 << (j))
 /* A span bitmap over GF(2)^r has 2^r bits and must fit in one word. */
 #define GL_MAX_RANK 6
+#define SPAN_LIMIT 20 /* space_min_supports spans at most 2^SPAN_LIMIT vectors */
 
 enum { KIND_SIMPLE_RANK3 = 1, KIND_PROFILE = 2, KIND_CANONICAL = 3 };
 
@@ -565,10 +566,9 @@ static PyObject *py_space_min_supports(PyObject *self, PyObject *basis)
     u64 *b = load(basis, &k);
     if (b == NULL)
         return NULL;
-    if (k > 24) {
+    if (k > SPAN_LIMIT) {
         PyMem_Free(b);
-        PyErr_SetString(PyExc_ValueError, "span enumeration limited to 24 basis vectors");
-        return NULL;
+        return PyErr_Format(PyExc_ValueError, "span enumeration limited to %d basis vectors", SPAN_LIMIT);
     }
     Py_ssize_t count = (Py_ssize_t)1 << k;
     u64 *span = PyMem_Malloc(count * sizeof(u64));

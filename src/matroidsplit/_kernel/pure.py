@@ -27,7 +27,7 @@ from itertools import combinations, permutations, product
 
 __all__ = [
     "BACKEND", "KIND_SIMPLE_RANK3", "KIND_PROFILE", "KIND_CANONICAL",
-    "rank", "rank_masked", "cols_rank", "rref", "rref_pivots", "in_rowspace",
+    "rank", "rank_masked", "cols_rank", "rref", "in_rowspace",
     "nullspace_basis", "space_min_supports", "columns", "rows_from_columns",
     "delete_rows", "contract_rows", "profile", "profile_images",
     "profile_present", "find_minors", "canon_key_cols", "is_canonical",
@@ -39,6 +39,8 @@ BACKEND = "pure"
 KIND_SIMPLE_RANK3 = 1
 KIND_PROFILE = 2
 KIND_CANONICAL = 3
+
+_MAX_SPAN = 20  # space_min_supports' basis limit; SPAN_LIMIT in _speed.c
 
 
 def rank(rows) -> int:
@@ -61,11 +63,11 @@ def rank_masked(rows, mask: int) -> int:
 
 def rref(rows):
     """Reduced row-echelon form; zero rows dropped, rows ordered by pivot."""
-    reduced, _ = rref_pivots(rows)
+    reduced, _ = _rref_pivots(rows)
     return reduced
 
 
-def rref_pivots(rows):
+def _rref_pivots(rows):
     """Return (rref rows, pivot column indices), both pivot-ordered."""
     work = []
     for row in rows:
@@ -96,7 +98,7 @@ def in_rowspace(rows, vec: int) -> bool:
 
 def nullspace_basis(rows, n_cols: int):
     """Basis of the right null space, one vector per non-pivot column."""
-    reduced, pivots = rref_pivots(rows)
+    reduced, pivots = _rref_pivots(rows)
     pivot_set = set(pivots)
     basis = []
     for j in range(n_cols):
@@ -113,11 +115,12 @@ def nullspace_basis(rows, n_cols: int):
 def space_min_supports(basis):
     """Inclusion-minimal nonzero vectors of the span of ``basis``.
 
-    Enumerates all 2^len(basis) combinations; callers bound the basis size.
+    Enumerates all 2^len(basis) combinations, so a basis of more than
+    ``_MAX_SPAN`` vectors raises ValueError.
     """
     basis = tuple(basis)
-    if len(basis) > 24:
-        raise ValueError("span enumeration limited to 24 basis vectors")
+    if len(basis) > _MAX_SPAN:
+        raise ValueError(f"span enumeration limited to {_MAX_SPAN} basis vectors")
     vectors = [0]
     for b in basis:
         vectors.extend(v ^ b for v in list(vectors))
@@ -211,11 +214,6 @@ def _pivot_out(rows, n_cols: int, cmask: int):
 def contract_rows(rows, n_cols: int, cmask: int):
     """Contract the columns in ``cmask``: pivot, eliminate, drop row+column."""
     return delete_rows(_pivot_out(rows, n_cols, cmask), n_cols, cmask)
-
-
-def minor_rows(rows, n_cols: int, cmask: int, dmask: int):
-    """Representation of the minor: contract ``cmask`` then delete ``dmask``."""
-    return delete_rows(_pivot_out(rows, n_cols, cmask), n_cols, cmask | dmask)
 
 
 def profile(rows, n_cols: int):
@@ -456,7 +454,7 @@ def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,
                 cmask |= 1 << j
             if rank_masked(rows, cmask) != c_size:
                 continue
-            mrows = minor_rows(rows, n_cols, cmask, dmask)
+            mrows = delete_rows(_pivot_out(rows, n_cols, cmask), n_cols, cmask | dmask)
             if _match(mrows, n_cols - c_size - d_size, kind, want):
                 out.append((cmask, dmask))
                 if limit and len(out) >= limit:

@@ -1,9 +1,10 @@
 """Named graphs and matroids used throughout the toolkit.
 
 Every entry is a small labeled multigraph together with its cycle matroid
-and an ordered tuple of distinguished ("marked") edge labels.  The decoded
-definitions are guarded by ``validate_all``: the catalog refuses to serve
-entries until every validation fact below has been checked once.
+and an ordered tuple of distinguished ("marked") edge labels.  The entries
+are built once per process, and ``get`` and ``list_entries`` serve them
+only after ``validate_all`` has passed once (both under ``functools.cache``;
+a failed validation raises on every call).
 
 Entries:
   K4        complete graph on 4 vertices (``matroid.K4_GRAPH`` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .matroid import K4_GRAPH, BinaryMatroid, Graph, k4_matroid
 from .ops import splitting
@@ -41,7 +43,9 @@ def _entry(name: str, n_vertices: int, edges, marked=()) -> CatalogEntry:
     return CatalogEntry(name, g, BinaryMatroid.from_graph(g), tuple(marked))
 
 
-def _build() -> dict[str, CatalogEntry]:
+@cache
+def _entries() -> dict[str, CatalogEntry]:
+    """The entries, built once per process."""
     entries = [
         CatalogEntry("K4", K4_GRAPH, k4_matroid(), ()),
         _entry("G_4", 2, ((1, 2, "x"), (1, 2, "y"), (1, 2, "z")), ("x", "y")),
@@ -75,10 +79,6 @@ def _build() -> dict[str, CatalogEntry]:
                           (1, 2, "p3"), (2, 2, "z")), ("x", "y", "z")),
     ]
     return {e.name: e for e in entries}
-
-
-_ENTRIES: dict[str, CatalogEntry] | None = None
-_VALIDATED = False
 
 
 def _checks(entries: dict[str, CatalogEntry]):
@@ -156,22 +156,14 @@ def validate_all() -> VerificationReport:
         cases, failures, start, observations)
 
 
-def _entries() -> dict[str, CatalogEntry]:
-    """The entries, built once per process."""
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build()
-    return _ENTRIES
-
-
-def _ensure_loaded() -> dict[str, CatalogEntry]:
-    global _VALIDATED
-    if not _VALIDATED:
-        report = validate_all()
-        if report.verdict != "pass":
-            raise RuntimeError("catalog validation failed: "
-                               + "; ".join(f.describe() for f in report.failures))
-        _VALIDATED = True
+@cache
+def _validated() -> dict[str, CatalogEntry]:
+    """The entries, once ``validate_all`` has passed in this process; a
+    failed validation is not cached, so every call raises it again."""
+    report = validate_all()
+    if report.verdict != "pass":
+        raise RuntimeError("catalog validation failed: "
+                           + "; ".join(f.describe() for f in report.failures))
     return _entries()
 
 
@@ -180,7 +172,7 @@ _ALIASES = {"K_4": "K4"}
 
 def get(name: str) -> CatalogEntry:
     """Look up a catalog entry by name (case-insensitive, K_4 == K4)."""
-    entries = _ensure_loaded()
+    entries = _validated()
     key = _ALIASES.get(name, name)
     if key not in entries:
         lowered = {n.lower(): n for n in entries}
@@ -196,5 +188,5 @@ def names() -> tuple[str, ...]:
 
 
 def list_entries() -> tuple[CatalogEntry, ...]:
-    entries = _ensure_loaded()
+    entries = _validated()
     return tuple(entries.values())

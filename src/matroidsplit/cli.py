@@ -154,14 +154,19 @@ def threefold(file, x_label, y_label, labels_raw, out):
     _emit(record, out, result)
 
 
+def _catalog_entry(name: str) -> catalog_mod.CatalogEntry:
+    """The catalog entry ``name``; an unknown name is a usage error."""
+    try:
+        return catalog_mod.get(name)
+    except KeyError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _resolve_pattern(spec: str) -> tuple[BinaryMatroid, dict]:
     if os.path.exists(spec):
         _, pat, _ = _load(spec)
         return pat, {"pattern_file": _input_digest(spec)}
-    try:
-        entry = catalog_mod.get(spec)
-    except KeyError as exc:
-        raise click.UsageError(str(exc))
+    entry = _catalog_entry(spec)
     return entry.matroid, {"pattern_catalog": entry.name}
 
 
@@ -290,10 +295,7 @@ def catalog_list():
 @catalog.command(name="show")
 @click.argument("name")
 def catalog_show(name):
-    try:
-        entry = catalog_mod.get(name)
-    except KeyError as exc:
-        raise click.UsageError(str(exc))
+    entry = _catalog_entry(name)
     record = formats.result_record(
         "catalog-show", {}, {"name": entry.name},
         matroid=entry.matroid,
@@ -309,10 +311,7 @@ def catalog_show(name):
 @click.option("--as", "as_kind", type=click.Choice(["matroid", "graph"]),
               default="matroid", show_default=True)
 def catalog_export(name, file, as_kind):
-    try:
-        entry = catalog_mod.get(name)
-    except KeyError as exc:
-        raise click.UsageError(str(exc))
+    entry = _catalog_entry(name)
     if as_kind == "graph":
         Path(file).write_text(formats.write_graph(entry.graph))
     else:

@@ -4,6 +4,11 @@ A matrix is stored as one machine integer per row, bit ``j`` holding the
 entry of column ``j``.  Column counts are capped at 64 so every row fits a
 single word and row operations are single XORs.  The 0xN and Mx0 matrices
 are valid.
+
+Circuits are the minimal supports of the null space, found among all
+2^(n - rank) of its vectors by ``_kernel.space_min_supports``.  That
+function owns the span limit, so circuit enumeration is bounded by nullity,
+not by column count, and raises ValueError past it.
 """
 
 from __future__ import annotations
@@ -13,9 +18,6 @@ from dataclasses import dataclass
 from . import _kernel
 
 MAX_COLS = 64
-# Circuit enumeration (circuit_masks) walks the whole null space (2^(n-rank)
-# vectors), so it carries its own tighter column bound.
-MAX_SUPPORT_COLS = 20
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,5 @@ def null_space_min_supports(m: Gf2Matrix) -> frozenset[frozenset[int]]:
 
 def circuit_masks(rows, n_cols: int) -> tuple[int, ...]:
     """Column masks of the inclusion-minimal nonempty null-space supports of
-    ``rows``, the circuits; refuses more than ``MAX_SUPPORT_COLS`` columns."""
-    if n_cols > MAX_SUPPORT_COLS:
-        raise ValueError(
-            f"column count {n_cols} exceeds support-enumeration limit "
-            f"{MAX_SUPPORT_COLS}")
+    ``rows``, the circuits, within the kernel's span limit."""
     return _kernel.space_min_supports(_kernel.nullspace_basis(rows, n_cols))

@@ -31,8 +31,6 @@ def _check_new_label(labels, label: str) -> None:
 
 def _inside_cocircuit(m: BinaryMatroid, subset) -> bool:
     """True iff ``subset`` is a proper subset of some cocircuit of ``m``."""
-    if not set(subset) <= set(m.labels):
-        return False
     mask = m._label_mask(subset)
     return any(mask & c == mask != c for c in m._cocircuit_masks)
 

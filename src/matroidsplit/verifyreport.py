@@ -34,6 +34,9 @@ class VerificationReport:
 
     ``verdict`` is "pass" iff no failures were recorded, else "fail".
     Findings that gate nothing live in ``observations`` under either verdict.
+    Observations must be JSON-native (str keys; str, int, bool, None, lists
+    and dicts of those): ``to_json`` writes them as they are, and a value
+    that ``json`` cannot write, such as a set, raises TypeError.
     """
 
     name: str
@@ -98,24 +101,11 @@ class VerificationReport:
                  "expected": f.expected, "got": f.got}
                 for f in self.failures
             ],
-            "observations": _jsonable(self.observations),
+            "observations": dict(self.observations),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [_jsonable(v) for v in value]
-        if isinstance(value, (set, frozenset)):
-            items.sort(key=repr)
-        return items
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
 
 
 def make_failure(matroid: str, params: dict, expected, got) -> CaseFailure:

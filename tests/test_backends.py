@@ -99,6 +99,20 @@ def test_elementwise_functions_agree(compiled):
             compiled.contract_rows(rows, n_cols, cmask)
 
 
+def test_space_min_supports_share_the_span_limit(compiled):
+    # Both kernels enumerate a span of 20 basis vectors and refuse 21 with
+    # the one message that names the limit.
+    units = tuple(1 << j for j in range(21))
+    assert pure.space_min_supports(units[:20]) == \
+        compiled.space_min_supports(units[:20]) == units[:20]
+    messages = set()
+    for kernel in (pure, compiled):
+        with pytest.raises(ValueError) as exc:
+            kernel.space_min_supports(units)
+        messages.add(str(exc.value))
+    assert messages == {"span enumeration limited to 20 basis vectors"}
+
+
 def test_contracting_an_appended_unit_column_gives_back_the_rows(compiled):
     # The contract identity of esplit-identities: a new last column whose
     # only 1 lies in an appended row pivots that row away and nothing else.
@@ -266,8 +280,8 @@ def test_row_functions_agree_on_edge_shapes(compiled, matrix, mask, cmask):
         assert outcome(getattr(pure, name), *args) == \
             outcome(getattr(compiled, name), *args), name
     for basis in (pure.rref(rows), pure.nullspace_basis(rows, n_cols)):
-        # Spans of 13..24 vectors are legal but too slow for the pure side.
-        if len(basis) <= 12 or len(basis) > 24:
+        # Spans of 13..20 vectors are legal but too slow for the pure side.
+        if len(basis) <= 12 or len(basis) > 20:
             assert outcome(pure.space_min_supports, basis) == \
                 outcome(compiled.space_min_supports, basis)
 

@@ -91,6 +91,17 @@ def test_threefold_label_collision_suffixes_digits(runner, tmp_path):
     assert rec["params"]["new_labels"] == ["p1", "q1", "r1"]
 
 
+def test_threefold_takes_three_labels(runner, g4_file):
+    rec = record_of(invoke(runner, "threefold", g4_file, "--x", "x", "--y", "y",
+                           "--labels", "a,b,c"))
+    assert rec["params"]["new_labels"] == ["a", "b", "c"]
+    assert rec["matroid"][0] == "elements x y z a b c"
+    result = invoke(runner, "threefold", g4_file, "--x", "x", "--y", "y",
+                    "--labels", "a,b")
+    assert result.exit_code == 2
+    assert "--labels needs exactly three labels" in result.output
+
+
 def test_threefold_precondition_message(runner, tmp_path):
     path = tmp_path / "free.matroid"
     path.write_text("elements a b\nrow 10\nrow 01\n")
@@ -136,6 +147,10 @@ def test_minor_with_pattern_file_and_pins(runner, g4_file, tmp_path):
     bad = invoke(runner, "minor", str(fold), "--pattern", str(patt),
                  "--pin", "zz=x")
     assert bad.exit_code == 2
+    no_equals = invoke(runner, "minor", str(fold), "--pattern", str(patt),
+                       "--pin", "x")
+    assert no_equals.exit_code == 2
+    assert "--pin expects PAT=HOST, got 'x'" in no_equals.output
     repeated = invoke(runner, "minor", str(fold), "--pattern", str(patt),
                       "--pin", "e12=x", "--pin", "e13=x")
     assert repeated.exit_code == 2
@@ -165,19 +180,36 @@ def test_iso_of_quotient_shapes(runner, tmp_path):
 
 
 def test_info_and_iso_past_the_support_limit_exit_two(runner, tmp_path):
-    # 21 coloops: the circuits cannot be enumerated, so both commands refuse
-    # the input as a usage error (exit 2, with the command's usage line);
+    # The span limit counts basis vectors: 21 coloops (rank 21) have no
+    # circuits but too many cocircuit vectors, so info refuses them while
+    # iso answers; a parallel class of 22 (nullity 21) is refused by iso.
+    # A refusal is a usage error (exit 2, with the command's usage line);
     # exit 1 is kept for a failed verification check.
-    path = tmp_path / "free21.matroid"
-    labels = [f"e{j}" for j in range(21)]
-    path.write_text("elements " + " ".join(labels) + "\n" + "".join(
-        "row " + "0" * j + "1" + "0" * (20 - j) + "\n" for j in range(21)))
-    for args in (("info", str(path)), ("iso", str(path), str(path))):
+    free = tmp_path / "free21.matroid"
+    free.write_text("elements " + " ".join(f"e{j}" for j in range(21)) + "\n"
+                    + "".join("row " + "0" * j + "1" + "0" * (20 - j) + "\n"
+                              for j in range(21)))
+    parallel = tmp_path / "parallel22.matroid"
+    parallel.write_text("elements " + " ".join(f"e{j}" for j in range(22))
+                        + "\nrow " + "1" * 22 + "\n")
+    for args in (("info", str(free)), ("iso", str(parallel), str(parallel))):
         result = invoke(runner, *args)
         assert result.exit_code == 2, result.output
-        assert "support-enumeration limit 20" in result.output
+        assert "span enumeration limited to 20 basis vectors" in result.output
         assert f"{args[0]} [OPTIONS]" in result.output
         assert "Traceback" not in result.output
+    assert record_of(invoke(runner, "iso", str(free), str(free)))["verdict"] \
+        == "isomorphic"
+
+
+def test_catalog_commands_refuse_unknown_names(runner, tmp_path):
+    for args in (("catalog", "show", "NOPE"),
+                 ("catalog", "export", "NOPE", str(tmp_path / "f"))):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.output
+        assert "unknown catalog name 'NOPE'" in result.output
+        assert "known: " + ", ".join(catalog.names()) in result.output
+    assert not (tmp_path / "f").exists()
 
 
 def test_catalog_list_and_show(runner):

@@ -41,16 +41,18 @@ def test_row_strings_put_first_label_leftmost():
 
 
 def test_matroid_parse_errors_carry_line_numbers():
-    with pytest.raises(FileFormatError, match="line 2"):
-        parse_matroid("elements x y\nrow 111\n")
-    with pytest.raises(FileFormatError, match="line 1"):
-        parse_matroid("row 11\nelements x y\n")
-    with pytest.raises(FileFormatError, match="line 3"):
-        parse_matroid("# c\nelements x y\nrow ab\n")
-    with pytest.raises(FileFormatError, match="missing 'elements'"):
-        parse_matroid("# nothing\n")
-    with pytest.raises(FileFormatError, match="duplicate"):
-        parse_matroid("elements x\nelements y\n")
+    # Duplicate labels are found after parsing, so no line is named there.
+    for text, match in (
+            ("elements x y\nrow 111\n", "line 2: row has 3 entries"),
+            ("row 11\nelements x y\n", "line 1: row before elements"),
+            ("# c\nelements x y\nrow ab\n", "line 3: row entries must be 0/1"),
+            ("# nothing\n", "missing 'elements'"),
+            ("elements x\nelements y\n", "line 2: duplicate elements header"),
+            ("elements x\ncol 1\n", "line 2: unknown directive 'col'"),
+            ("elements x\nrow\n", "line 2: expected 'row <bits>'"),
+            ("elements x y x\n", "duplicate element labels")):
+        with pytest.raises(FileFormatError, match=match):
+            parse_matroid(text)
 
 
 def test_graph_round_trip():
@@ -61,14 +63,18 @@ def test_graph_round_trip():
 
 
 def test_graph_parse_errors():
-    with pytest.raises(FileFormatError, match="line 1"):
-        parse_graph("vertices x\n")
-    with pytest.raises(FileFormatError, match="line 2"):
-        parse_graph("vertices 2\nedge 1 3 a\n")
-    with pytest.raises(FileFormatError, match="line 2"):
-        parse_graph("vertices 2\nedge 1 two a\n")
-    with pytest.raises(FileFormatError, match="missing 'vertices'"):
-        parse_graph("# nothing\n")
+    for text, match in (
+            ("vertices x\n", "line 1: expected 'vertices <n>'"),
+            ("vertices 2\nedge 1 3 a\n", "line 2: endpoint outside 1..2"),
+            ("vertices 2\nedge 1 two a\n", "line 2: endpoints must be integers"),
+            ("# nothing\n", "missing 'vertices'"),
+            ("vertices 2\narc 1 2 a\n", "line 2: unknown directive 'arc'"),
+            ("vertices 2\nvertices 3\n", "line 2: duplicate vertices header"),
+            ("edge 1 2 a\nvertices 2\n", "line 1: edge before vertices header"),
+            ("vertices 2\nedge 1 2\n", "line 2: expected 'edge <u> <v> <label>'"),
+            ("vertices 2\nedge 1 2 a\nedge 2 1 a\n", "duplicate edge label 'a'")):
+        with pytest.raises(FileFormatError, match=match):
+            parse_graph(text)
 
 
 def test_load_any_detects_kind(tmp_path):

@@ -108,11 +108,15 @@ def test_min_supports_zero_column_is_singleton():
 
 
 def test_min_supports_column_limit():
-    # One limit, stated by circuit_masks, for matrices and matroids alike.
-    with pytest.raises(ValueError, match="support-enumeration limit 20"):
+    # No column limit: the kernel's span limit bounds the null space's
+    # dimension, so 21 columns of nullity 1 answer and of nullity 21 raise,
+    # for matrices and matroids alike.
+    doubled = Gf2Matrix((1 | 1 << 20,) + tuple(1 << j for j in range(1, 20)), 21)
+    assert supports(doubled) == {frozenset({0, 20})}
+    with pytest.raises(ValueError, match="span enumeration limited to 20 basis vectors"):
         null_space_min_supports(Gf2Matrix((), 21))
     wide = BinaryMatroid(tuple(f"e{j}" for j in range(21)), Gf2Matrix((), 21))
-    with pytest.raises(ValueError, match="support-enumeration limit 20"):
+    with pytest.raises(ValueError, match="span enumeration limited to 20 basis vectors"):
         wide.circuits()
 
 
@@ -123,13 +127,24 @@ def test_column_count_limit():
         Gf2Matrix((1 << 3,), 3)
 
 
+def test_gf2_refuses_out_of_range_arguments():
+    with pytest.raises(ValueError, match="cannot infer column count from zero rows"):
+        Gf2Matrix.from_bits([])
+    for j in (3, -1):
+        with pytest.raises(IndexError, match=f"column {j} out of range"):
+            bits("101").column(j)
+    with pytest.raises(ValueError, match="bits outside the column range"):
+        row_space_contains(bits("101"), 0b1000)
+
+
 def test_from_bits_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Gf2Matrix.from_bits(["110", "1101"])
 
 
 def test_from_bits_rejects_non_binary_characters():
-    for rows in (["\u0661\u0660"], ["1\u0660"], ["1 "], [[" 1", "0"]], ["12"]):
+    for rows in (["\u0661\u0660"], ["1\u0660"], ["1 "], [[" 1", "0"]], ["12"],
+                 [[1, 2]]):
         with pytest.raises(ValueError, match="0 or 1"):
             Gf2Matrix.from_bits(rows)
     assert Gf2Matrix.from_bits(["10", [0, 1], (True, False)]).rows == (1, 2, 1)

@@ -195,15 +195,20 @@ def test_loops_sit_in_singleton_circuits():
     assert m.coloops() == {"a"}
 
 
+def free_matroid(n: int) -> BinaryMatroid:
+    """``n`` coloops: the identity matrix, rank ``n`` and nullity 0."""
+    return BinaryMatroid(tuple(f"e{j}" for j in range(n)),
+                         Gf2Matrix(tuple(1 << j for j in range(n)), n))
+
+
 def test_coloops_answer_past_the_support_limit():
-    # Circuits stop at 20 elements; coloops are read off the rref, so they
-    # answer at 21 and at 30, where deleting each element is the oracle: an
-    # element is a coloop iff deleting it lowers the rank.
-    free = BinaryMatroid(tuple(f"e{j}" for j in range(21)),
-                         Gf2Matrix(tuple(1 << j for j in range(21)), 21))
+    # Coloops are read off the rref, so they answer on 21 coloops, whose
+    # cocircuits the span limit refuses, and at 30, where deleting each
+    # element is the oracle: an element is a coloop iff deleting it lowers
+    # the rank.
+    free = free_matroid(21)
     assert free.coloops() == set(free.labels)
-    with pytest.raises(ValueError, match="support-enumeration limit 20"):
-        free.circuits()
+    assert free.circuits() == frozenset()
     # Over 16 rows: 3 loops, 7 coloops (rows 0-5 and 15), parallel
     # classes, a triangle through a parallel class and a 4-circuit.
     cols = ([0] * 3 + [1 << i for i in range(6)] + [1 << 15] + [1 << 6] * 2
@@ -217,6 +222,24 @@ def test_coloops_answer_past_the_support_limit():
     assert want == {f"e{j}" for j in range(3, 10)}
     assert m.coloops() == want
     assert len(m.loops()) == 3
+
+
+def test_span_limit_counts_basis_vectors():
+    # Circuits span the null space and cocircuits the row space, so the
+    # kernel's limit of 20 basis vectors bounds nullity and rank, not width.
+    free = free_matroid(21)
+    relabelled = BinaryMatroid(tuple(f"f{j}" for j in range(21)), free.rep)
+    phi = free.is_isomorphic(relabelled)
+    assert phi is not None and sorted(phi.values()) == sorted(relabelled.labels)
+    with_loop = BinaryMatroid(free.labels, Gf2Matrix(free.rep.rows[:20], 21))
+    assert free.is_isomorphic(with_loop) is None
+    with pytest.raises(ValueError, match="span enumeration limited to 20 basis vectors"):
+        free.cocircuits()
+    parallel = BinaryMatroid(tuple(f"e{j}" for j in range(22)),
+                             Gf2Matrix(((1 << 22) - 1,), 22))
+    assert len(parallel.cocircuits()) == 1
+    with pytest.raises(ValueError, match="span enumeration limited to 20 basis vectors"):
+        parallel.circuits()
 
 
 def test_coloops_are_the_elements_no_circuit_covers(corpus8):

@@ -185,6 +185,9 @@ def test_ghafari_validations():
         three_fold_ghafari(
             BinaryMatroid.from_matrix(("a", "b"), Gf2Matrix.from_bits(["10", "01"])),
             ("a", "b"), ("a",))
+    # An unknown label is named, not read as lying outside every cocircuit.
+    with pytest.raises(ValueError, match="unknown element label 'zz'"):
+        three_fold_ghafari(g4(), ("zz", "x"), ("zz",))
 
 
 # -- the row core -------------------------------------------------------------------------------

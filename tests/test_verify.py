@@ -408,6 +408,12 @@ def test_rerun_known_instance_cases():
         failure = make_failure("catalog:G_4", {"case": case},
                                expected="whatever", got=got)
         assert verify.rerun_case("main", failure)
+    unknown = make_failure("catalog:G_4", {"case": "known-instance-nope"},
+                           expected="whatever", got="whatever")
+    with pytest.raises(ValueError, match="unknown case 'known-instance-nope'; "
+                       "known: known-instance-rows, known-instance-iso, "
+                       "known-instance-gammoid"):
+        verify.rerun_case("main", unknown)
 
 
 def test_every_forced_failure_replays(corpus6, monkeypatch):
@@ -439,6 +445,8 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
         "gf-empty": [odd_last_row],
         "quotients": [(verify, "canonical_key",
                        lambda m: CanonicalKey(len(m.labels), m.rep.rows))],
+        # The catalog was validated above, so get() still serves it.
+        "catalog": [(BinaryMatroid, "is_isomorphic", lambda self, other: None)],
     }
     for name, patch in patches.items():
         with monkeypatch.context() as mp:
@@ -457,6 +465,18 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
                         == len(report.failures)
                     assert "class-set" in {dict(f.params).get("check")
                                            for f in report.failures}
+
+
+def test_report_observations_are_json_native(corpus6):
+    # to_json writes observations as they are, so each check must store
+    # values that json writes and reads back unchanged.
+    for report in verify.run_checks(["all"], corpus6, jobs=1):
+        json.dumps(report.observations)
+        assert json.loads(report.to_json())["observations"] == report.observations
+    odd = VerificationReport.from_failures("odd", "none", 0, (), time.perf_counter(),
+                                           {"members": {"a"}})
+    with pytest.raises(TypeError):
+        odd.to_json()
 
 
 def test_every_forced_gf_collection_failure_replays(corpus6, monkeypatch):
