@@ -6,10 +6,10 @@ rebinds the per-candidate functions it compiles, the compiled subset:
 ``rref``, ``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
 ``contract_rows``, ``profile_present``, ``find_minors``, ``canon_key_cols``
 and ``is_canonical``.  The rest (``rank``, ``rank_masked``, ``cols_rank``,
-``in_rowspace``, ``columns``, ``rows_from_columns``, ``profile``,
-``profile_images``) is served by ``pure.py`` on both backends.  Both
-``space_min_supports`` refuse a span of more than 20 basis vectors, the one
-bound on circuit and cocircuit enumeration.
+``in_rowspace``, ``columns``, ``profile``, ``profile_images``) is served by
+``pure.py`` on both backends.  Both ``space_min_supports`` refuse a span of
+more than 20 basis vectors, the one bound on circuit and cocircuit
+enumeration.
 ``BACKEND`` names the module that loaded last ("compiled" or "pure").
 Callers look these names up here at call time, so wrapping a module
 attribute traces every call, except the minor searches for patterns above

@@ -28,9 +28,9 @@ from itertools import combinations, permutations, product
 __all__ = [
     "BACKEND", "KIND_SIMPLE_RANK3", "KIND_PROFILE", "KIND_CANONICAL",
     "rank", "rank_masked", "cols_rank", "rref", "in_rowspace",
-    "nullspace_basis", "space_min_supports", "columns", "rows_from_columns",
-    "delete_rows", "contract_rows", "profile", "profile_images",
-    "profile_present", "find_minors", "canon_key_cols", "is_canonical",
+    "nullspace_basis", "space_min_supports", "columns", "delete_rows",
+    "contract_rows", "profile", "profile_images", "profile_present",
+    "find_minors", "canon_key_cols", "is_canonical",
 ]
 
 BACKEND = "pure"
@@ -124,17 +124,21 @@ def space_min_supports(basis):
     vectors = [0]
     for b in basis:
         vectors.extend(v ^ b for v in list(vectors))
-    nonzero = sorted((v for v in vectors if v), key=lambda v: (bin(v).count("1"), v))
+    # Taken in order of weight, every vector strictly inside v comes before
+    # it, so v is minimal iff no minimal vector kept so far lies inside it.
+    # The span is sorted in place, with no key tuples: 2^20 ints at the limit.
+    vectors.sort(key=int.bit_count)
     minimal = []
-    for v in nonzero:
-        if not any(u & v == u for u in minimal):
+    for v in vectors:
+        if v and not any(u & v == u for u in minimal):
             minimal.append(v)
     minimal.sort()
     return tuple(minimal)
 
 
 def columns(rows, n_cols: int):
-    """Transpose packed rows into packed columns."""
+    """Transpose packed rows into packed columns; given packed columns and
+    the number of rows, it gives the rows back."""
     cols = [0] * n_cols
     for i, row in enumerate(rows):
         while row:
@@ -142,17 +146,6 @@ def columns(rows, n_cols: int):
             cols[low.bit_length() - 1] |= 1 << i
             row ^= low
     return tuple(cols)
-
-
-def rows_from_columns(cols, n_rows: int):
-    """Transpose packed columns back into packed rows."""
-    rows = [0] * n_rows
-    for j, col in enumerate(cols):
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= 1 << j
-            col ^= low
-    return tuple(rows)
 
 
 @lru_cache(maxsize=4096)

@@ -51,7 +51,7 @@ def canonical_key(m: BinaryMatroid) -> CanonicalKey:
 
 def matroid_from_columns(rank: int, cols) -> BinaryMatroid:
     """Rebuild a matroid from rank-bit packed columns, labels e1, e2, ..."""
-    rows = _kernel.rows_from_columns(tuple(cols), rank)
+    rows = _kernel.columns(tuple(cols), rank)
     labels = tuple(f"e{i + 1}" for i in range(len(cols)))
     return BinaryMatroid(labels, Gf2Matrix(rows, len(cols)))
 

@@ -3,15 +3,14 @@
 Each check quantifies over a corpus of small binary matroids (usually the
 gammoid sub-corpus) and asserts exactly the implications that are proved
 constructively; converse and existential directions are gathered as
-observations and never fail a report.  Failures serialize their inputs so
-any single case can be re-run via :func:`rerun_case`, which computes its
-outcome with the same per-case function the sweep used.
+observations and never fail a report.  Failures serialize their inputs,
+and :func:`rerun_case` replays one by running its report, the same sweep,
+on the recorded matroid alone.
 
 The paper's excluded-minor laws, ``split-gammoid`` (3-element splittings,
 G_1..G_3) and ``main`` (3-folds, G_4), are ``_Law`` constants run by one
 law sweep, :func:`_law_sweep`: one worker, one tally and one memoized row
-decision, :func:`_law_outcome`.  A law's replay refuses any case, read as
-a set, that its sweep never takes on the recorded matroid.
+decision, :func:`_law_outcome`.
 
 :func:`run_checks` runs every sweep it selects (``_SWEEPS``) in one pass,
 one call and one memo per member, pooled as one map (:func:`_map_members`);
@@ -365,77 +364,51 @@ def _f_extensions():
 _Q_CLASSES = ("Q_1", "Q_2", "Q_3")
 
 
-def _quotient_keys() -> dict:
-    return {name: canonical_key(catalog.get(name).matroid)
-            for name in _Q_CLASSES + ("Q_4",)}
-
-
-def _quotient_outcome(q: BinaryMatroid, keys: dict) -> tuple:
-    """Classify the quotient Q/a of one extension Q of F.
-
-    Returns (canonical key of Q/a, the Q_i it matches or "unexpected",
-    failure), where failure is None or the (expected, got) pair of the
-    one record this extension fails with.  The class is tested first; the
-    bounds apply to proper quotients only (a neither a loop nor a coloop).
-    """
-    quotient = q.contract({"a"})
-    key = canonical_key(quotient)
-    match = next((n for n in _Q_CLASSES if keys[n] == key), None)
-    if match is None:
-        return key, "unexpected", (
-            "quotient isomorphic to one of Q_1, Q_2, Q_3", f"key {key}")
-    proper = "a" not in q.loops() and "a" not in q.coloops()
-    problems = _quotient_bounds(quotient) if proper else []
-    return key, match, (("proper quotient of rank 1 on 5 elements within the "
-                         "loop/cocircuit/parallel bounds", "; ".join(problems))
-                        if problems else None)
-
-
-def _quotient_sweep() -> tuple:
-    """The Q_i keys and, for every extension of F, (family, column, Q)
-    followed by its :func:`_quotient_outcome`."""
-    keys = _quotient_keys()
-    return keys, [(family, col, q) + _quotient_outcome(q, keys)
-                  for family, col, q in _f_extensions()]
-
-
-def _quotient_facts(keys: dict, results) -> dict:
-    """The sweep-wide facts: check name -> (failure token, expected, got)."""
-    seen = {key for _, _, _, key, _, _ in results}
-    classes = "quotient classes exactly {Q_1, Q_2, Q_3}"
-    q4 = "Q_4 isomorphic to Q_3"
-    return {
-        "class-set": ("F-extension-sweep", classes,
-                      classes if seen == {keys[n] for n in _Q_CLASSES}
-                      else f"{len(seen)} classes"),
-        "Q_4-vs-Q_3": ("catalog", q4,
-                       q4 if keys["Q_4"] == keys["Q_3"] else "distinct keys"),
-    }
-
-
 def check_quotients_of_f() -> VerificationReport:
     """Enumerate all single-element extensions Q of F and classify Q/a.
 
     Asserts the quotient classes are exactly {Q_1, Q_2, Q_3} (with
     Q_4 isomorphic to Q_3), that proper quotients have rank 1 on five
     elements, and that they satisfy the loop/cocircuit/parallel bounds.
+    The class of Q/a is tested first; the bounds apply to proper quotients
+    only (a neither a loop nor a coloop).
     """
     start = time.perf_counter()
-    keys, results = _quotient_sweep()
+    keys = {name: canonical_key(catalog.get(name).matroid)
+            for name in _Q_CLASSES + ("Q_4",)}
+    extensions = _f_extensions()
     failures = []
     class_counts: dict[str, int] = {}
-    for family, col, q, _, label, failure in results:
+    seen = set()
+    for family, col, q in extensions:
+        quotient = q.contract({"a"})
+        key = canonical_key(quotient)
+        seen.add(key)
+        label = next((n for n in _Q_CLASSES if keys[n] == key), "unexpected")
         class_counts[label] = class_counts.get(label, 0) + 1
-        if failure is not None:
+        case = {"family": family, "column": col}
+        if label == "unexpected":
             failures.append(make_failure(
-                compact(q), {"family": family, "column": col}, *failure))
-    for check, (token, expected, got) in _quotient_facts(keys, results).items():
-        if got != expected:
-            failures.append(make_failure(token, {"check": check}, expected, got))
+                compact(q), case, "quotient isomorphic to one of Q_1, Q_2, Q_3",
+                f"key {key}"))
+            continue
+        proper = "a" not in q.loops() and "a" not in q.coloops()
+        problems = _quotient_bounds(quotient) if proper else []
+        if problems:
+            failures.append(make_failure(
+                compact(q), case, "proper quotient of rank 1 on 5 elements within "
+                "the loop/cocircuit/parallel bounds", "; ".join(problems)))
+    classes = "quotient classes exactly {Q_1, Q_2, Q_3}"
+    if seen != {keys[n] for n in _Q_CLASSES}:
+        failures.append(make_failure("F-extension-sweep", {"check": "class-set"},
+                                     classes, f"{len(seen)} classes"))
+    if keys["Q_4"] != keys["Q_3"]:
+        failures.append(make_failure("catalog", {"check": "Q_4-vs-Q_3"},
+                                     "Q_4 isomorphic to Q_3", "distinct keys"))
     return VerificationReport.from_failures(
         "quotients", "all single-element extensions of F (4 rank-preserving "
                      "columns and 8 rank-3-lift columns)",
-        len(results) + 2, failures, start,
+        len(extensions) + 2, failures, start,
         {"quotient_class_counts": class_counts})
 
 
@@ -470,8 +443,7 @@ class _Law:
     min_elements: int
 
 
-def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict | None = None
-                 ) -> str:
+def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict) -> str:
     """Whether the operation of ``law`` on ``case`` keeps ``m`` a binary
     gammoid: ``law.ok`` or "non-gammoid".
 
@@ -484,7 +456,6 @@ def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict | None = None
     validated and its labels make up ``case``, so nothing is left to check.
     """
     key = law.key(m._label_cosets, case)
-    memo = {} if memo is None else memo
     if key not in memo:
         rows, n_cols = law.extend(m, case)
         memo[key] = series_parallel_reduces(_kernel.rref(rows), n_cols)
@@ -702,7 +673,7 @@ def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
     ``m``'s rows, since e's only 1 is in the appended row, so the pivot on e
     removes that row and touches no other.  ``m`` was validated, ``t`` goes
     through ``_label_mask`` and e needs no label, so no matroid is built.
-    The callers check once per member that e fits (``check_room``).
+    The worker checks once per member that e fits (``check_room``).
     """
     mask = m._label_mask(t)
     n = m.rep.n_cols
@@ -791,100 +762,50 @@ def run_checks(names, c: Corpus | None, jobs: int | None = None
         raise ValueError("these checks need a corpus: " + ", ".join(sorted(needs_corpus)))
     evaluators = tuple(dict.fromkeys(
         evaluate for name in wanted for report, evaluate in _SWEEPS.items()
-        if report.partition("-k")[0] == name))
+        if _REPORTS[report][0] == name))
     pooled = evaluators and jobs and jobs > 1
     with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
         table = _map_members(evaluators, c, pool, jobs) if evaluators else {}
     token = _RUN.set((c, table))
     try:
-        return [report for name in wanted for report in _CHECKS[name](c)]
+        return [run(c) for name in wanted
+                for check, run in _REPORTS.values() if check == name]
     finally:
         _RUN.reset(token)
 
 
-# The reports of each check.  The check functions are looked up when a
-# check runs, as bench/run.py's tracer wraps them in this module; k stays
-# positional, as the tracer names gf-empty spans by args[1].
-_CHECKS = {
-    "catalog": lambda c: [catalog.validate_all()],
-    "quotients": lambda c: [check_quotients_of_f()],
-    "gf-empty": lambda c: [check_split_minor_empty(c, 1), check_split_minor_empty(c, 2)],
-    "gf-minors": lambda c: [check_split_minor_characterization(c)],
-    "split-gammoid": lambda c: [check_splitting_excluded_minors(c)],
-    "main": lambda c: [check_three_fold_excluded_minor(c)],
-    "esplit-identities": lambda c: [check_element_splitting_identities(c)],
+# Each report by name: the run_checks name that selects it (None: none does;
+# it runs alone or in a replay) and its run on a corpus.  The check functions
+# are looked up when a report runs, as bench/run.py's tracer wraps them in
+# this module; k stays positional, as the tracer names gf-empty spans by
+# args[1].
+_REPORTS = {
+    "catalog": ("catalog", lambda c: catalog.validate_all()),
+    "quotients": ("quotients", lambda c: check_quotients_of_f()),
+    "gf-empty-k1": ("gf-empty", lambda c: check_split_minor_empty(c, 1)),
+    "gf-empty-k2": ("gf-empty", lambda c: check_split_minor_empty(c, 2)),
+    "gf-minors": ("gf-minors", lambda c: check_split_minor_characterization(c)),
+    "split-gammoid": ("split-gammoid", lambda c: check_splitting_excluded_minors(c)),
+    "main": ("main", lambda c: check_three_fold_excluded_minor(c)),
+    "esplit-identities": ("esplit-identities",
+                          lambda c: check_element_splitting_identities(c)),
+    "gf-collection-k1": (None, lambda c: check_split_minor_collection_empty(c, 1)),
+    "gf-collection-k2": (None, lambda c: check_split_minor_collection_empty(c, 2)),
 }
-CHECK_NAMES = tuple(_CHECKS)
+CHECK_NAMES = tuple(dict.fromkeys(check for check, _ in _REPORTS.values() if check))
 
 
-# -- single-case re-runs ------------------------------------------------------------
+def rerun_case(report_name: str, failure: CaseFailure) -> bool:
+    """Replay one failure record of report ``report_name``: run that report,
+    the same sweep, on a corpus of the recorded matroid alone, its gammoid
+    flag recomputed.
 
-
-def rerun_case(check_name: str, failure: CaseFailure) -> bool:
-    """Re-run one failing case from its serialized inputs.
-
-    Returns True when the recomputed outcome reproduces the recorded one.
+    Returns True when the report records an equal failure.  A case that the
+    sweep never takes is never recorded, so it does not reproduce.
     """
-    got = evaluate_case(check_name, failure.matroid, dict(failure.params))
-    return got == failure.got
-
-
-def evaluate_case(check_name: str, matroid_token: str, params: dict) -> str:
-    """Recompute the recorded outcome string of a single check case.
-
-    Each branch calls the per-case function that the check's sweep calls.
-    A ``gf-empty-k{k}`` or ``gf-collection-k{k}`` case must carry the k of
-    its name, a ``gf-empty`` case k = 1 or 2, and a ``gf-minors`` case
-    k = 3, as their sweeps do; an ``esplit-identities`` case a sorted T of
-    1 to 3 distinct labels.
-    """
-    family = check_name.rpartition("-k")[0]
-    if family in ("gf-empty", "gf-collection"):
-        k = int(params["k"])
-        if check_name != f"{family}-k{k}":
-            raise ValueError(f"k={params['k']} is not the k that {check_name} sweeps")
-        if family == "gf-empty" and k not in (1, 2):
-            raise ValueError(f"k={k}: gf-empty sweeps k = 1, 2 only")
-        search = splitting_minor_set if family == "gf-empty" else pinned_splitting_minor_set
-        return _split_minor_outcome(from_compact(matroid_token), k, search)
-    if check_name == "gf-minors":
-        if int(params["k"]) != 3:
-            raise ValueError(f"k={params['k']}: gf-minors sweeps k = 3 only")
-        return _gf_member_worker(from_compact(matroid_token), True, {})
-    if check_name == "main" and "case" in params:
-        return _case_outcome(_g4_known_instance(), params["case"])[1]
-    if check_name in _LAWS:
-        law = _LAWS[check_name]
-        m = from_compact(matroid_token)
-        case = tuple(sorted(params[law.param].split(",")))
-        if case not in law.cases(m):
-            raise ValueError(f"{law.param}={params[law.param]} is not a case "
-                             f"that {check_name} sweeps on this matroid")
-        return _law_outcome(law, m, case)
-    if check_name == "esplit-identities":
-        t = tuple(params["T"].split(","))
-        if len(t) not in _ESPLIT_SIZES or list(t) != sorted(set(t)):
-            raise ValueError(f"T={params['T']} is not a case that "
-                             "esplit-identities sweeps")
-        m = from_compact(matroid_token)
-        check_room(m.rep.n_cols)
-        bad = _esplit_violations(m, t)
-        return "violated" if bad else "identities hold"
-    if check_name == "quotients" and "check" in params:
-        return _case_outcome(_quotient_facts(*_quotient_sweep()),
-                             params["check"])[2]
-    if check_name == "quotients":
-        _, label, failure = _quotient_outcome(from_compact(matroid_token),
-                                              _quotient_keys())
-        return failure[1] if failure else label
-    if check_name == "catalog":
-        report = catalog.validate_all()
-        failed = any(f.param("fact") == params["fact"] for f in report.failures)
-        return "False" if failed else "True"
-    raise ValueError(f"no single-case evaluator for check {check_name!r}")
-
-
-def _case_outcome(cases: dict, case: str):
-    if case not in cases:
-        raise ValueError(f"unknown case {case!r}; known: {', '.join(cases)}")
-    return cases[case]
+    if report_name not in _REPORTS:
+        raise ValueError(f"unknown report {report_name!r}; "
+                         f"known: {', '.join(_REPORTS)}")
+    m = from_compact(failure.matroid)
+    alone = Corpus(m.n_elements(), m.rank(), (m,), (m.is_binary_gammoid(),))
+    return failure in _REPORTS[report_name][1](alone).failures

@@ -217,7 +217,7 @@ def test_coloops_answer_past_the_support_limit():
             + [1 << 13] * 2 + [1 << 14] * 2 + [1 << 12 | 1 << 13] * 2)
     assert len(cols) == 30
     m = BinaryMatroid(tuple(f"e{j}" for j in range(30)),
-                      Gf2Matrix(_kernel.rows_from_columns(tuple(cols), 16), 30))
+                      Gf2Matrix(_kernel.columns(tuple(cols), 16), 30))
     want = {lab for lab in m.labels if m.delete({lab}).rank() < m.rank()}
     assert want == {f"e{j}" for j in range(3, 10)}
     assert m.coloops() == want

@@ -236,52 +236,62 @@ def test_fold_outcomes_shared_per_coset_match_the_3_folds(corpus6):
 
 
 def test_fold_outcome_keeps_the_64_column_limit():
-    # The 3-fold adds three columns, so a 62-column member is refused, as
-    # ops.three_fold refuses it, on both kernels.
+    # The 3-fold adds three columns, so the replay of a 62-column member is
+    # refused, as ops.three_fold refuses it, on both kernels.
     labels = tuple(f"e{j}" for j in range(62))
     wide = BinaryMatroid(labels, Gf2Matrix(((1 << 62) - 1,), 62))
+    failure = make_failure(verify.compact(wide), {"pair": "e0,e1"},
+                           verify._FOLD_OK, "non-gammoid")
     with pytest.raises(ValueError, match="column limit"):
-        verify.evaluate_case("main", verify.compact(wide), {"pair": "e0,e1"})
+        verify.rerun_case("main", failure)
 
 
 def test_esplit_keeps_the_64_column_limit():
     # The extension adds one column, so a 64-column member is refused once,
-    # before any T, by the sweep's worker and by the replay.
+    # before any T, by the sweep's worker and so by the replay.
     labels = tuple(f"e{j}" for j in range(64))
     wide = BinaryMatroid(labels, Gf2Matrix(((1 << 64) - 1,), 64))
     with pytest.raises(ValueError, match="column limit"):
         verify._esplit_worker(wide, False, {})
+    record = make_failure(verify.compact(wide), {"T": "e0"},
+                          "delete identity holds", "violated")
     with pytest.raises(ValueError, match="column limit"):
-        verify.evaluate_case("esplit-identities", verify.compact(wide), {"T": "e0"})
-    narrow = verify.compact(wide.delete({"e63"}))
-    assert verify.evaluate_case("esplit-identities", narrow, {"T": "e0"}) == \
-        "identities hold"
+        verify.rerun_case("esplit-identities", record)
+    narrow = make_failure(verify.compact(wide.delete({"e63"})), {"T": "e0"},
+                          "delete identity holds", "violated")
+    assert not verify.rerun_case("esplit-identities", narrow)
 
 
-def test_fold_replay_refuses_pairs_the_sweep_never_takes():
-    # A record of main is replayed only for an admissible pair, as the sweep
-    # takes its pairs from admissible_pairs; e0 and e1 are coloops here.
-    coloops = verify.compact(BinaryMatroid(("e0", "e1", "e2"),
-                                           Gf2Matrix((0b001, 0b010, 0b100), 3)))
-    m = verify.compact(catalog.get("G_4").matroid)
-    assert verify.evaluate_case("main", m, {"pair": "x,y"}) == "non-gammoid"
-    for token, pair in ((m, "x,x"), (coloops, "e0,e1"), (m, "x,w")):
-        failure = make_failure(token, {"pair": pair}, verify._FOLD_OK, "non-gammoid")
-        with pytest.raises(ValueError):
-            verify.rerun_case("main", failure)
+# Records of cases that no sweep takes, which once replayed as outcomes of
+# their own: (report, host, params, expected, got).  main takes admissible
+# pairs, split-gammoid 3-subsets of the ground set, esplit-identities 1 to 3
+# distinct labels in sorted order, and each gf report its own k.
+_NEVER_TAKEN = [
+    *(("main", host, {"pair": pair}, verify._FOLD_OK, "non-gammoid")
+      for host, pair in (("G_4", "x,x"), ("coloops", "e0,e1"), ("G_4", "x,w"))),
+    *(("split-gammoid", "G_1", {"T": t}, verify._SPLIT_OK, "non-gammoid")
+      for t in ("x,x,b", "x,b", "x,b,c,bottom", "x,b,w")),
+    *(("esplit-identities", "K4", {"T": t}, "delete identity holds", "violated")
+      for t in ("e12,e13,e14,e23", "e12,e12", "e23,e12", "e12,e99")),
+    ("gf-empty-k1", "G_1", {"k": 2}, "absent", "witness Y={b,bottom}"),
+    ("gf-empty-k2", "G_1", {"k": 1}, "absent", "witness Y={b}"),
+    ("gf-collection-k1", "G_1", {"k": 2}, "absent", "witness Y={b,bottom}"),
+    *(("gf-minors", "G_1", {"k": k}, "agree=True",
+       "splitting_minor=True f_minors=none agree=False") for k in (1, 2, 4)),
+]
 
 
-def test_split_replay_refuses_triples_the_sweep_never_takes():
-    # A record of split-gammoid is replayed only for a 3-subset of the
-    # ground set, as the sweep takes its triples; the labels of a record
-    # may come in any order.
-    g1 = verify.compact(catalog.get("G_1").matroid)
-    for t in ("b,c,x", "x,b,c", "c,x,b"):
-        assert verify.evaluate_case("split-gammoid", g1, {"T": t}) == "non-gammoid"
-    for t in ("x,x,b", "x,b", "x,b,c,bottom", "x,b,w"):
-        failure = make_failure(g1, {"T": t}, verify._SPLIT_OK, "non-gammoid")
-        with pytest.raises(ValueError):
-            verify.rerun_case("split-gammoid", failure)
+@pytest.mark.parametrize(
+    "report,host,params,expected,got", _NEVER_TAKEN,
+    ids=[f"{r}-{h}-{next(iter(p.values()))}" for r, h, p, _, _ in _NEVER_TAKEN])
+def test_replays_of_cases_no_sweep_takes_do_not_reproduce(report, host, params,
+                                                          expected, got):
+    # The replay runs the report's sweep on the recorded matroid alone, so a
+    # record reproduces only if the sweep itself makes it.
+    m = (BinaryMatroid(("e0", "e1", "e2"), Gf2Matrix((0b001, 0b010, 0b100), 3))
+         if host == "coloops" else catalog.get(host).matroid)
+    failure = make_failure(verify.compact(m), params, expected, got)
+    assert verify.rerun_case(report, failure) is False
 
 
 # -- element-splitting identities ----------------------------------------------------------
@@ -291,18 +301,6 @@ def test_esplit_identities(corpus6):
     report = verify.check_element_splitting_identities(corpus6)
     assert report.verdict == "pass"
     assert report.failures == ()
-
-
-def test_esplit_replay_refuses_sets_the_sweep_never_takes():
-    # The sweep writes T as 1 to 3 distinct labels in sorted order; any
-    # other T once replayed as "identities hold".
-    k4 = verify.compact(catalog.get("K4").matroid)
-    for t in ("e12", "e12,e13", "e12,e13,e14"):
-        assert verify.evaluate_case("esplit-identities", k4, {"T": t}) == "identities hold"
-    for t in ("e12,e13,e14,e23", "e12,e12", "e23,e12", "e12,e99"):
-        failure = make_failure(k4, {"T": t}, "delete identity holds", "violated")
-        with pytest.raises(ValueError):
-            verify.rerun_case("esplit-identities", failure)
 
 
 def test_esplit_identities_on_a_member_labelled_like_a_new_element():
@@ -369,51 +367,37 @@ def test_compact_rejects_labels_holding_separators():
 
 
 def test_rerun_reproduces_synthetic_failure():
-    host = f_plus_loop()
-    failure = make_failure(verify.compact(host), {"k": 1},
-                           expected="absent", got="witness Y={l}")
+    host = verify.compact(f_plus_loop())
+    failure = make_failure(host, {"k": 1}, expected="absent", got="witness Y={l}")
     assert verify.rerun_case("gf-empty-k1", failure)
-    wrong = make_failure(verify.compact(host), {"k": 1},
-                         expected="absent", got="witness Y={left1}")
+    wrong = make_failure(host, {"k": 1}, expected="absent", got="witness Y={left1}")
     assert not verify.rerun_case("gf-empty-k1", wrong)
-    # The collection check replays with the pinned search, not the unpinned.
-    assert verify.evaluate_case("gf-collection-k1", verify.compact(host),
-                                {"k": "1"}) == "absent"
-    f2 = catalog.get("F_2").matroid
-    pinned = make_failure(verify.compact(f2), {"k": 3},
-                          expected="absent", got="witness Y={p3,p4,z}")
-    assert verify.rerun_case("gf-collection-k3", pinned)
+    # The collection report replays with the pinned search, which finds no
+    # Y here: the loop is a coloop of its splitting.
+    assert not verify.rerun_case("gf-collection-k1", failure)
+    # Each gf-empty report records the witness at its own k.
+    g1 = verify.compact(catalog.get("G_1").matroid)
+    for k, got in ((1, "witness Y={b}"), (2, "witness Y={b,bottom}")):
+        record = make_failure(g1, {"k": k}, "absent", got)
+        assert verify.rerun_case(f"gf-empty-k{k}", record)
 
 
-def test_gf_replays_refuse_a_k_their_sweep_never_takes():
-    # gf-empty-k1 once replayed k = 2 (witness Y={b,bottom} on G_1), and
-    # gf-minors any k, though its sweep takes k = 3 only.
-    token = verify.compact(catalog.get("G_1").matroid)
-    for name, k in (("gf-empty-k1", "2"), ("gf-empty-k2", "1"), ("gf-empty-k3", "3"),
-                    ("gf-collection-k1", "2"), ("gf-collection-k3", "1"),
-                    ("gf-minors", "1"), ("gf-minors", "2"), ("gf-minors", "4")):
-        with pytest.raises(ValueError, match="k"):
-            verify.evaluate_case(name, token, {"k": k})
-    assert verify.evaluate_case("gf-empty-k1", token, {"k": "1"}) == "witness Y={b}"
-    assert verify.evaluate_case("gf-empty-k2", token, {"k": "2"}) == "witness Y={b,bottom}"
-    assert verify.evaluate_case("gf-minors", token, {"k": "3"}).endswith("agree=True")
-
-
-def test_rerun_known_instance_cases():
-    for case, got in (
-        ("known-instance-rows", "111000/110101/100011"),
-        ("known-instance-iso", "3-fold of G_4 isomorphic to K4"),
-        ("known-instance-gammoid", "3-fold of G_4 is not a gammoid"),
-    ):
-        failure = make_failure("catalog:G_4", {"case": case},
-                               expected="whatever", got=got)
-        assert verify.rerun_case("main", failure)
-    unknown = make_failure("catalog:G_4", {"case": "known-instance-nope"},
-                           expected="whatever", got="whatever")
-    with pytest.raises(ValueError, match="unknown case 'known-instance-nope'; "
-                       "known: known-instance-rows, known-instance-iso, "
-                       "known-instance-gammoid"):
-        verify.rerun_case("main", unknown)
+def test_rerun_known_instance_cases(monkeypatch):
+    # A known-instance record names G_4 itself, and it reproduces only while
+    # the check fails on it, as with a 3-fold that returns its host.
+    token = verify.compact(catalog.get("G_4").matroid)
+    cases = {
+        "known-instance-rows": ("111000/110101/100011", "111"),
+        "known-instance-iso": ("3-fold of G_4 isomorphic to K4", "not isomorphic"),
+        "known-instance-gammoid": ("3-fold of G_4 is not a gammoid", "gammoid"),
+    }
+    records = [make_failure(token, {"case": case}, expected, got)
+               for case, (expected, got) in cases.items()]
+    unknown = make_failure(token, {"case": "known-instance-nope"}, "111", "111")
+    assert not any(verify.rerun_case("main", f) for f in records + [unknown])
+    monkeypatch.setattr(verify, "three_fold", lambda m, x, y: m)
+    assert all(verify.rerun_case("main", f) for f in records)
+    assert not verify.rerun_case("main", unknown)
 
 
 def test_every_forced_failure_replays(corpus6, monkeypatch):
@@ -497,13 +481,17 @@ def test_every_forced_gf_collection_failure_replays(corpus6, monkeypatch):
         assert all(replayed), (report.name, replayed)
 
 
-def test_evaluate_case_covers_every_check(corpus6):
-    m = corpus6.members[0]
-    token = verify.compact(m)
-    assert verify.evaluate_case("gf-minors", token, {"k": "3"})
-    assert verify.evaluate_case("esplit-identities", token, {"T": m.labels[0]})
-    with pytest.raises(ValueError, match="no single-case evaluator"):
-        verify.evaluate_case("mystery", token, {})
+def test_rerun_case_covers_every_report(corpus6):
+    # Every report replays by name, the two gf-collection reports too,
+    # though no run_checks name selects them; a name of no report raises.
+    assert verify.CHECK_NAMES == ("catalog", "quotients", "gf-empty", "gf-minors",
+                                  "split-gammoid", "main", "esplit-identities")
+    record = make_failure(verify.compact(corpus6.members[0]), {}, "expected", "got")
+    for name in verify._REPORTS:
+        assert verify.rerun_case(name, record) is False
+    for name in ("mystery", "gf-empty", "gf-empty-k3", "gf-collection-k3"):
+        with pytest.raises(ValueError, match=f"unknown report '{name}'; known: "):
+            verify.rerun_case(name, record)
 
 
 def test_parallel_jobs_give_identical_reports(corpus6):
@@ -634,6 +622,10 @@ def _traced_bench_run(tmp_path, workload):
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    # Every report's check function was looked up, and so traced, at run time.
+    assert all(result["metrics"][f"verify.{r}.s"]["value"] > 0 for r in (
+        "catalog", "quotients", "gf-empty-k1", "gf-empty-k2", "gf-minors",
+        "split-gammoid", "main", "esplit-identities"))
 
 
 def test_traced_bench_run_of_verify_n8_is_correct(tmp_path):
