@@ -211,10 +211,15 @@ static Py_ssize_t pivot_out_c(u64 *rows, Py_ssize_t n, int n_cols, u64 cmask)
  * chosen among the columns, to 1, 2, 4, ...; pure._images_below proves it.
  * gl_dfs picks basis vector i among the distinct columns outside the span
  * so far (span is a bitmap), and tab[v] is the image of every v in that
- * span.  Once the span holds every column, the sorted image of cols[0..k)
- * goes to img.  A walk either keeps the least image in best, or stops at
- * the first image sorting below ref and notes whether some image equals
- * ref.  Columns must lie below 2^r, r <= GL_MAX_RANK.
+ * span.  img[0..h) holds the sorted images of the columns in the span, all
+ * below 2^i; those of the columns the next vector brings in lie in
+ * [2^i, 2^(i+1)), so they are sorted onto the end of img.  Every image
+ * below a node starts with img[0..h) followed by an entry of at least 2^i,
+ * so the node is cut when those sort strictly above the bound (ref, or
+ * best once it is kept); equal prefixes go on.  At a full leaf, h = k, a
+ * walk either keeps the image in best when it sorts lower, or stops at the
+ * first image sorting below ref and notes whether some image equals ref;
+ * equal is set only there.  Columns must lie below 2^r, r <= GL_MAX_RANK.
  */
 
 typedef struct {
@@ -244,27 +249,24 @@ static void sort_small(u64 *v, Py_ssize_t k)
     }
 }
 
-static int gl_leaf(glwalk *w)
+static int gl_dfs(glwalk *w, int i, u64 span, Py_ssize_t h)
 {
     u64 *img = w->img;
-    Py_ssize_t k = w->k;
-    for (Py_ssize_t i = 0; i < k; i++)
-        img[i] = w->tab[w->cols[i]];
-    sort_small(img, k);
-    if (w->best != NULL) {
-        if (cmp_u64s(img, w->best, k) < 0)
-            memcpy(w->best, img, k * sizeof(u64));
-        return 0;
+    const u64 *bound = w->best != NULL ? w->best : w->ref;
+    int c = cmp_u64s(img, bound, h);
+    if (h == w->k) {
+        if (w->best != NULL) {
+            if (c < 0)
+                memcpy(w->best, img, h * sizeof(u64));
+            return 0;
+        }
+        w->equal |= c == 0;
+        return c < 0;
     }
-    int c = cmp_u64s(img, w->ref, k);
-    w->equal |= c == 0;
-    return c < 0;
-}
-
-static int gl_dfs(glwalk *w, int i, u64 span)
-{
+    if (c > 0 || (c == 0 && bound[h] < BIT(i)))
+        return 0;
     u64 tried = span;
-    for (Py_ssize_t j = 0; j < w->k && i < GL_MAX_RANK; j++) {
+    for (Py_ssize_t j = 0; j < w->k; j++) {
         int cand = (int)w->cols[j];
         if (tried >> cand & 1)
             continue;
@@ -275,10 +277,25 @@ static int gl_dfs(glwalk *w, int i, u64 span)
             w->tab[v ^ cand] = w->tab[v] | 1 << i;
             grown |= BIT(v ^ cand);
         }
-        if (gl_dfs(w, i + 1, grown))
+        Py_ssize_t m = h;
+        for (Py_ssize_t q = 0; q < w->k; q++)
+            if ((grown & ~span) >> w->cols[q] & 1)
+                img[m++] = w->tab[w->cols[q]];
+        sort_small(img + h, m - h);
+        if (gl_dfs(w, i + 1, grown, m))
             return 1;
     }
-    return tried == span ? gl_leaf(w) : 0;
+    return 0;
+}
+
+/* gl_dfs from the empty basis: the span is {0}, the zero columns' image. */
+static int gl_walk(glwalk *w)
+{
+    Py_ssize_t h = 0;
+    for (Py_ssize_t j = 0; j < w->k; j++)
+        if (w->cols[j] == 0)
+            w->img[h++] = 0;
+    return gl_dfs(w, 0, 1, h);
 }
 
 static int gl_rank_ok(long long r)
@@ -332,7 +349,7 @@ static int match(const matcher *m, const u64 *basis, int nb, int n_cols,
     if (m->kind == KIND_CANONICAL) {
         u64 img[64];
         glwalk w = {.k = mc, .cols = cols, .ref = m->want, .img = img};
-        return mn == m->rank && mc == m->len && !gl_dfs(&w, 0, 1) && w.equal;
+        return mn == m->rank && mc == m->len && !gl_walk(&w) && w.equal;
     }
     int loops = 0, ns = 0;
     for (int j = 0; j < mc; j++) {
@@ -772,12 +789,12 @@ static PyObject *canon_common(PyObject *const *args, Py_ssize_t nargs,
     glwalk w = {.k = k, .cols = cols, .ref = cols, .img = buf,
                 .best = test ? NULL : buf + k};
     if (test) {
-        out = PyBool_FromLong(!gl_dfs(&w, 0, 1));
+        out = PyBool_FromLong(!gl_walk(&w));
     } else {
         memcpy(w.best, cols, k * sizeof(u64));
         sort_small(w.best, k);
         if (r)
-            gl_dfs(&w, 0, 1);
+            gl_walk(&w);
         out = tuple_u64(w.best, k);
     }
 done:

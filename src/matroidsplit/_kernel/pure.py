@@ -6,7 +6,10 @@ C extension ``_speed.c`` compiles the per-candidate subset named in
 rest is served from here alone.
 
 Canonical forms minimise over ordered bases of the columns, not over all
-of GL(r, 2), and reach the same least image (``_images_below``).
+of GL(r, 2), and reach the same least image (``_images_below``).  The walk
+over those bases grows each branch's sorted images incrementally and cuts
+the branch once they, followed by the least image still to come, sort
+above the bound; the compiled walk makes the same cut.
 
 Rank <= 2 patterns are read off the contractions M/C, one per flat of the
 right rank (``_contractions``).  ``profile_present`` decides from them
@@ -469,28 +472,72 @@ def _images_below(cols, bound):
     and sends no other element there.  Its sorted image keeps them and puts
     2^(k-1) < w next, so it sorts below T*: a contradiction.
 
-    With i basis vectors chosen, the columns in their span have images
-    below 2^i and all others at least 2^i.  A branch is cut when the
-    former, sorted and followed by 2^i, sort above ``bound``.
+    A node with i basis vectors chosen carries its span as a map from each
+    of its size = 2^i vectors to an image below size, its head (the sorted
+    images of the columns in the span) and the sorted columns still
+    outside.  Every column outside has an image of at least size, so every
+    image below the node starts with its head, followed by an entry of at
+    least size.  Choosing p next sends c ^ p to span[c ^ p] | size, so a
+    child's new images are read from the parent's map before it is copied,
+    and they all lie in [size, 2 size): the child's head is the parent's
+    followed by the new images sorted.  A child is cut when its head
+    followed by 2 size sorts above ``best``; then so does every image below
+    it.  While the parent's head sorts below ``best``'s prefix, no child is
+    cut; once it equals that prefix, comparing the new images, then
+    2 size, with the next entries of ``best`` decides the cut alone.
+    ``best`` falls only to an image yielded below the current node, which
+    starts with the node's head, so a node's head never sorts above it, and
+    a node that yields is level with ``best`` from then on.
     """
-    points = sorted(set(cols) - {0})
     best = list(bound)
+    outside = sorted(c for c in cols if c)
+    head = [0] * (len(cols) - len(outside))
 
-    def walk(coords):
-        head = sorted([coords[c] for c in cols if c in coords])
-        head.append(len(coords))
-        if head > best[:len(head)]:
-            return
-        if len(head) > len(cols):
-            best[:] = head[:-1]
-            yield tuple(best)
-        for p in points:
-            if p not in coords:
-                grown = dict(coords)
-                grown.update((v ^ p, c | len(coords)) for v, c in coords.items())
-                yield from walk(grown)
+    def walk(span, head, outside, level):
+        # level: head equals best's prefix, as it does from the first yield
+        # below on.  Returns level.
+        size = len(span)
+        at = len(head)
+        last = None
+        get = span.get
+        for p in outside:
+            if p == last:
+                continue
+            last = p
+            new, rest = [], []
+            for c in outside:
+                q = get(c ^ p)
+                if q is None:
+                    rest.append(c)
+                else:
+                    new.append(q | size)
+            new.sort()
+            end = at + len(new)
+            child_level = level
+            if level:
+                part = best[at:end]
+                if new > part:
+                    continue
+                child_level = new == part
+                if child_level and (not rest or best[end] < 2 * size):
+                    continue
+            if not rest:
+                best[:] = head + new
+                yield tuple(best)
+                level = True
+                continue
+            grown = {v ^ p: q | size for v, q in span.items()}
+            grown.update(span)
+            if (yield from walk(grown, head + new, rest, child_level)):
+                level = True
+        return level
 
-    yield from walk({0: 0})
+    if head + [1] > best[:len(head) + 1]:
+        return
+    if outside:
+        yield from walk({0: 0}, head, outside, head == best[:len(head)])
+    else:
+        yield tuple(head)
 
 
 def _checked_columns(cols, r: int):

@@ -40,7 +40,7 @@ from .ops import admissible_pairs, splitting, three_fold, three_fold_rows
 # three_fold, three_fold_ghafari and admissible_pairs here and at ops, and
 # requires each name to be the same function at both.
 from .ops import element_splitting, three_fold_ghafari  # noqa: F401
-from .corpus import Corpus, canonical_key
+from .corpus import MAX_LOOPS, Corpus, canonical_key
 from .verifyreport import CaseFailure, VerificationReport, make_failure
 
 
@@ -172,8 +172,8 @@ def pinned_splitting_minor_set(s: BinaryMatroid, k: int):
 
 def _universe(c: Corpus, quantifier: str, gammoids_only: bool = True) -> str:
     scope = "binary gammoids" if gammoids_only else "binary matroids"
-    return (f"{scope} with <= {c.max_elements} elements, rank <= {c.max_rank}; "
-            f"{quantifier}")
+    return (f"{scope} with <= {c.max_elements} elements, rank <= {c.max_rank}, "
+            f"at most {MAX_LOOPS} loops; {quantifier}")
 
 
 # -- emptiness of the k-element splitting collections ---------------------------

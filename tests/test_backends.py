@@ -383,6 +383,22 @@ def test_canonical_forms_agree_on_edge_shapes(compiled, r, k, data):
     assert pure.is_canonical(tuple(cols), r) == compiled.is_canonical(tuple(cols), r)
 
 
+def test_canonical_forms_agree_on_wide_multisets(compiled):
+    # Both walks cut a branch on the sorted prefix of its images, which the
+    # compiled walk keeps in a buffer sized by the column count: 64 columns
+    # fill a word, 65 and 80 pass it.  Each multiset has zeros and repeats.
+    rng = random.Random(26)
+    for r in (4, 5, 6):
+        for k in (63, 64, 65, 80):
+            cols = [0, 0] + [1 << r - 1] * 3 + [rng.randrange(1 << r) for _ in range(k - 5)]
+            rng.shuffle(cols)
+            key = pure.canon_key_cols(cols, r)
+            assert compiled.canon_key_cols(cols, r) == key, (r, k)
+            for asked in (tuple(sorted(cols)), tuple(cols), key):
+                assert pure.is_canonical(asked, r) == compiled.is_canonical(asked, r), (r, k)
+            assert compiled.is_canonical(key, r)
+
+
 def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
     for bad in (1 << 64, (1 << 64) + 1, 1 << 70, -1):
         calls = [

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from matroidsplit import _kernel, catalog, matroid, verify
-from matroidsplit.corpus import CanonicalKey, Corpus
+from matroidsplit.corpus import MAX_LOOPS, CanonicalKey, Corpus
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid
 from matroidsplit.ops import admissible_pairs, splitting, three_fold
@@ -492,6 +492,16 @@ def test_rerun_case_covers_every_report(corpus6):
     for name in ("mystery", "gf-empty", "gf-empty-k3", "gf-collection-k3"):
         with pytest.raises(ValueError, match=f"unknown report '{name}'; known: "):
             verify.rerun_case(name, record)
+
+
+def test_every_corpus_universe_names_the_loop_cap(corpus6):
+    # The generator and Corpus.load keep at most MAX_LOOPS loops, so a
+    # universe that named only the element and rank bounds would claim more
+    # than was checked.  The catalog and quotient reports read no corpus.
+    bounds = f"with <= 6 elements, rank <= 4, at most {MAX_LOOPS} loops; "
+    for name, (_, run) in verify._REPORTS.items():
+        universe = run(corpus6).universe
+        assert (bounds in universe) == (name not in ("catalog", "quotients")), name
 
 
 def test_parallel_jobs_give_identical_reports(corpus6):
