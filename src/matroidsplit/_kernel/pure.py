@@ -14,8 +14,12 @@ above the bound; the compiled walk makes the same cut.
 Rank <= 2 patterns are read off the contractions M/C, one per flat of the
 right rank (``_contractions``).  ``profile_present`` decides from them
 whether a minor with a given profile exists, and is the one rank <= 2
-decision; ``find_minors`` only scans.  ``profile_images`` reads the marked
-images of such a pattern from the same contractions.
+decision; ``find_minors`` only scans.  F's profile (2, 0, (1, 2, 2)), the
+splitting question, is decided apart (``_f_present``): with loops and
+coloops dropped, on M or on the dual M*, whichever walk has fewer candidate
+sets, and on M* as a contraction to rank 3 with 5 distinct points.  The
+compiled ``profile_present`` walks M alone.  ``profile_images`` reads the
+marked images of such a pattern from the same contractions.
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -25,8 +29,10 @@ Conventions:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+from math import comb
+from operator import or_
 
 __all__ = [
     "BACKEND", "KIND_SIMPLE_RANK3", "KIND_PROFILE", "KIND_CANONICAL",
@@ -252,10 +258,10 @@ def _match(mrows, m_cols: int, kind: int, want) -> bool:
     raise ValueError(f"unknown minor matcher kind {kind}")
 
 
-def _contractions(rows, n: int, c_size: int):
+def _contractions(cols, c_size: int):
     """Yield (flat, classes) once for each flat of rank ``c_size`` of the
-    ``n`` columns: the flat's column mask and, for C any basis of it, the
-    parallel classes of M/C, each a column mask under a key of its own.
+    columns ``cols``: the flat's column mask and, for C any basis of it,
+    the parallel classes of M/C, each a column mask under a key of its own.
 
     The flat is C plus the loops of M/C.  The classes map a column vector
     reduced modulo span(C) to the mask of the columns that reduce to it;
@@ -264,7 +270,7 @@ def _contractions(rows, n: int, c_size: int):
     distinct nonzero column vectors, and a flat already read is skipped.
     """
     points = {}
-    for j, v in enumerate(columns(rows, n)):
+    for j, v in enumerate(cols):
         points[v] = points.get(v, 0) | 1 << j
     loops = points.pop(0, 0)
     points = tuple(points.items())
@@ -318,6 +324,50 @@ def _dominates(have, need) -> bool:
     return len(have) >= len(need) and all(h >= w for h, w in zip(have, need))
 
 
+def _f_present(rows, n_cols: int) -> bool:
+    """Whether the matroid M of ``rows`` (no bits at or above ``n_cols``)
+    has a minor with F's profile (2, 0, (1, 2, 2)), walked on M or on M*,
+    whichever has fewer candidate sets.
+
+    Loops and coloops are dropped first: F has neither, and a loop or
+    coloop of M is one in every minor that keeps it, so no F minor keeps
+    one; deleting it gives the same matroid as contracting it.  On what is
+    left, of rank r on n elements with p distinct nonzero points,
+    ``_contractions`` chooses C of r - 2 points, and F is there iff some
+    M/C has classes dominating (2, 2, 1).  By the lemma in
+    ``profile_present`` it is equally there iff some M*/D, D of n - r - 3
+    of the p* points of M*, has at least 5 distinct nonzero points.  M* is
+    read only when it chooses fewer points, and walked only when
+    C(p*, n - r - 3) < C(p, r - 2): fewer points chosen among more can
+    still be the larger walk, as on 32 parallel pairs.
+    """
+    reduced, _ = _rref_pivots(rows)
+    # A coloop's rref row is its pivot bit alone; a loop is in no row.
+    coloops = sum(row for row in reduced if not row & (row - 1))
+    strip = ((1 << n_cols) - 1) & ~reduce(or_, reduced, 0) | coloops
+    if strip:
+        reduced = delete_rows([row for row in reduced if row & (row - 1)], n_cols, strip)
+        n_cols -= strip.bit_count()
+    c_size, d_size = len(reduced) - 2, n_cols - len(reduced) - 3
+    if c_size < 0 or d_size < 0:
+        return False
+    cols = columns(reduced, n_cols)
+    if d_size < c_size:
+        # The rref is [I | A] up to column order, and [A^T | I] represents
+        # M*: a pivot column's vector in M* is its row without the pivot
+        # columns, and the others are the unit vectors.  The walk reads
+        # classes, not positions, so the order of the columns is free.
+        pivots = reduce(or_, (row & -row for row in reduced))
+        dual = delete_rows(reduced, n_cols, pivots) + tuple(
+            1 << t for t in range(n_cols - len(reduced)))
+        # With loops and coloops gone, no column of M or M* is zero.
+        if comb(len(set(dual)), d_size) < comb(len(set(cols)), c_size):
+            return any(len(classes) >= 5 for _, classes in _contractions(dual, d_size))
+    return any(_dominates(sorted(map(int.bit_count, classes.values()), reverse=True),
+                          (2, 2, 1))
+               for _, classes in _contractions(cols, c_size))
+
+
 def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
     """For each profile ``(rho, loops, sizes)`` in ``wants``, 0 <= rho <= 2,
     whether some minor of the ``n_cols``-column matroid has that profile.
@@ -336,6 +386,24 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
     ``n_cols`` are ignored.  Equal to ``bool(find_minors(...))`` for the
     profile with ``c_size = rank - rho`` and the matching ``d_size``,
     without the scan.
+
+    F's profile (2, 0, (1, 2, 2)), the splitting question, is decided
+    apart, on M or on its dual M*, whichever walk is cheaper
+    (``_f_present``), by this lemma: M has an F minor iff M* has an
+    independent set D with |D| = n - r - 3 such that M*/D has at least 5
+    distinct nonzero points.
+    Proof: F has rank 2 and corank 3, and its cocircuits, the complements
+    of its parallel classes, have 3 or 4 elements, so F* is simple of
+    rank 3 on 5 elements: 5 distinct nonzero points of PG(2, 2).  GL(3, 2)
+    is 2-transitive on the 7 points, so it sends the 2 points that one
+    such set leaves out onto those that any other leaves out: any 5
+    distinct points of PG(2, 2) give F*.  They span GF(2)^3, since a plane
+    holds only 3.  M has an F minor iff M* has an F* minor, M*/D \\ X with
+    D independent in M* and |D| = r(M*) - 3 = n - r - 3, so that M*/D has
+    rank 3; it keeps 5 elements on distinct nonzero points iff it has at
+    least 5 such points.  ``_contractions`` on the columns of M* reads
+    them as the classes of M*/D.  A corank below 3 leaves no F minor, as
+    ``_profile_need`` says for every want.
     """
     rows = [row & ((1 << n_cols) - 1) for row in rows]
     full = rank(rows)
@@ -344,13 +412,17 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
     open_wants = {}
     for i, want in enumerate(wants):
         need = _profile_need(want, full, n_cols)
-        if need is not None:
+        if need is None:
+            continue
+        if need == [2, 2, 1] and want[0] == 2 and want[1] == 0:
+            found[i] = _f_present(rows, n_cols)
+        else:
             open_wants.setdefault(want[0], []).append((i, want[1], need))
     for rho, pending in open_wants.items():
         c_size = full - rho
         # A flat with fewer classes than each open want needs dominates none.
         fewest = min(len(need) for _, _, need in pending)
-        for flat, classes in _contractions(rows, n_cols, c_size):
+        for flat, classes in _contractions(columns(rows, n_cols), c_size):
             if len(classes) < fewest:
                 continue
             loops_here = flat.bit_count() - c_size
@@ -410,7 +482,7 @@ def profile_images(rows, n_cols: int, pattern_rows, pattern_n_cols: int,
     images = set()
     if c_size < 0:
         return images
-    for flat, classes in _contractions(rows, n_cols, c_size):
+    for flat, classes in _contractions(columns(rows, n_cols), c_size):
         if flat.bit_count() - c_size < loops:
             continue
         loop_picks = [x for x in _subset_masks(flat, marked_loops)

@@ -396,9 +396,11 @@ class BinaryMatroid:
 
 
 def series_parallel_reduces(reduced: tuple[int, ...], n_cols: int) -> bool:
-    """True iff the binary matroid with reduced rows ``reduced`` (the rref
-    rows, no zero row, of an ``n_cols``-column representation) has no M(K4)
-    minor, decided by series-parallel reduction.
+    """True iff the binary matroid with rows ``reduced``, a standard form
+    of an ``n_cols``-column representation, has no M(K4) minor, decided by
+    series-parallel reduction.  A standard form is any set of rows in which
+    each row has a column where it alone is 1, such as the rref: up to the
+    order of rows and columns it is [I | A], and no row is zero.
 
     A binary matroid has no M(K4) minor iff deleting loops and parallel
     copies and contracting coloops and series copies empties it: every
@@ -407,11 +409,16 @@ def series_parallel_reduces(reduced: tuple[int, ...], n_cols: int) -> bool:
     Section 5.4).  In standard form [I | A] the rows of A are the basis
     elements and its columns the others, so a zero, weight-one or repeated
     column is a loop or parallel copy, and the same in a row is a coloop or
-    series copy.  Once rank or corank drops below 3, the rank and corank of
-    M(K4), no minor can be M(K4).  Labels play no part, so callers may pass
-    rows that no ``BinaryMatroid`` holds: ``verify`` passes the rref of a
-    splitting's or a 3-fold's rows, built from a validated matroid's rows
-    and label masks, so they are not checked again.
+    series copy.  Only the columns are read, and the unit columns of I go
+    in the first pass with A's own zero, weight-one and repeated ones, so
+    nothing depends on which columns make up I or on the order of rows and
+    columns; the answer, a property of the matroid, is the same for every
+    basis.  Once rank or corank drops below 3, the
+    rank and corank of M(K4), no minor can be M(K4).  Labels play no part,
+    so callers may pass rows that no ``BinaryMatroid`` holds: ``verify``
+    passes standard forms of a splitting or a 3-fold, built from a
+    validated matroid's rref and row-space cosets, so they are not checked
+    again.
     """
     vecs = _kernel.columns(reduced, n_cols)
     width = len(reduced)

@@ -35,7 +35,7 @@ from operator import xor
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, check_room
 from .matroid import BinaryMatroid, MinorWitness, series_parallel_reduces
-from .ops import admissible_pairs, splitting, three_fold, three_fold_rows
+from .ops import admissible_pairs, splitting, three_fold
 # bench/run.py's install_tracer wraps splitting, element_splitting,
 # three_fold, three_fold_ghafari and admissible_pairs here and at ops, and
 # requires each name to be the same function at both.
@@ -126,7 +126,7 @@ def splitting_minor_set(s: BinaryMatroid, k: int, memo: dict | None = None):
     anywhere, as a frozenset; None when there is none.
 
     Decided on rows, with nothing built: the splitting on Y appends the
-    mask of Y as a row (:func:`_split_extend`), so it depends only on that
+    mask of Y as a row (:func:`ops.splitting`), so it depends only on that
     mask's coset, the XOR of the labels' ``s._label_cosets`` (see there),
     and F has rank 2.  Each coset met is decided once, by
     :func:`_f_decision`, and kept in ``memo``.
@@ -424,10 +424,10 @@ class _Law:
     """A gammoid with no minor among ``patterns`` (catalog names with
     nonempty marks) stays a gammoid under the operation, read as ``ok``,
     on each case of ``cases(m)``: sorted label tuples, in sweep order.
-    ``extend(m, case)`` gives (rows, n_cols) of the result: ``m``'s rows
-    plus appended rows, each a label mask u plus bits in new columns;
-    ``key(cosets, case)`` gives the row-space cosets of the masks u, each
-    the XOR of its labels' ``m._label_cosets``.
+    The operation appends rows to ``m``'s, each a label mask u plus bits
+    in new columns; ``key(cosets, case)`` gives the row-space cosets of
+    the masks u, each the XOR of its labels' ``m._label_cosets``, and
+    ``rows(m, key)`` gives (rows in standard form, n_cols) of the result.
     A failure names its case under ``param``; ``some_bad_key`` counts the
     members with an excluded minor where some case goes non-gammoid.  The
     sweep reads the gammoids of at least ``min_elements`` elements."""
@@ -435,8 +435,8 @@ class _Law:
     name: str
     patterns: tuple[str, ...]
     cases: Callable
-    extend: Callable
     key: Callable
+    rows: Callable
     ok: str
     param: str
     some_bad_key: str
@@ -447,46 +447,60 @@ def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict) -> str:
     """Whether the operation of ``law`` on ``case`` keeps ``m`` a binary
     gammoid: ``law.ok`` or "non-gammoid".
 
-    Decided on rows, without building the result: for a ``law.key`` not
-    yet in ``memo``, the decisions already made for ``m``, the rows that
-    ``law.extend`` gives are reduced and handed to
-    :func:`series_parallel_reduces`.  The key is the coset representatives
-    of the masks u (``BinaryMatroid._label_cosets`` proves it sound), so
-    the outcome is exactly what the computation would give.  ``m`` was
+    Decided on rows, without building the result or reducing any rows:
+    for a ``law.key`` not yet in ``memo``, the decisions already made for
+    ``m``, ``law.rows`` builds the result's rows in standard form from
+    ``m._rref`` and the key, and :func:`series_parallel_reduces` decides
+    them.  The key is the coset representatives of the masks u
+    (``BinaryMatroid._label_cosets`` proves it sound), so the outcome is
+    exactly what the computation on the result would give.  ``m`` was
     validated and its labels make up ``case``, so nothing is left to check.
     """
     key = law.key(m._label_cosets, case)
     if key not in memo:
-        rows, n_cols = law.extend(m, case)
-        memo[key] = series_parallel_reduces(_kernel.rref(rows), n_cols)
+        memo[key] = series_parallel_reduces(*law.rows(m, key))
     return law.ok if memo[key] else "non-gammoid"
 
 
-def _split_extend(m: BinaryMatroid, t) -> tuple:
-    """The splitting on ``t`` appends the mask of ``t`` as a row
-    (Raghunathan, Shikare, Waphare, "Splitting in a binary matroid",
-    Discrete Math. 184, 1998), as :func:`ops.splitting` builds it."""
-    return m.rep.rows + (m._label_mask(t),), m.rep.n_cols
+def _split_rows(m: BinaryMatroid, key: int) -> tuple:
+    """The splitting on T appends the mask of T as a row (Raghunathan,
+    Shikare, Waphare, "Splitting in a binary matroid", Discrete Math. 184,
+    1998).  For ``key`` its coset, the splitting in standard form is
+    ``m._rref`` plus the row ``key``: the key has no pivot bit of
+    ``m._rref``, so each rref row keeps its pivot alone, and each row
+    holding the key's lowest bit is XORed with the key, which leaves that
+    bit to the key's row alone.  Key 0 leaves the rows of ``m``."""
+    if not key:
+        return m._rref, m.rep.n_cols
+    low = key & -key
+    return (tuple(row ^ key if row & low else row for row in m._rref) + (key,),
+            m.rep.n_cols)
 
 
-def _fold_extend(m: BinaryMatroid, pair) -> tuple:
-    """The 3-fold on (x, y) appends xy|p|r and x|q|r on three new columns,
-    :func:`ops.three_fold_rows` of the masks of {x, y} and {x}."""
+def _fold_rows(m: BinaryMatroid, key: tuple) -> tuple:
+    """The 3-fold on (x, y) appends xy|p|r and x|q|r on three new columns
+    p, q, r (:func:`ops.three_fold_rows`).  For ``key`` the cosets (v(xy),
+    v(x)), the 3-fold in standard form is ``m._rref`` plus (v(xy)|p|r,
+    v(x)|q|r): p and q are each 1 in one row alone.  Raises ValueError
+    when the three columns do not fit under ``MAX_COLS``, as the 3-fold
+    does."""
     n = m.rep.n_cols
-    return three_fold_rows(m.rep.rows, n, m._label_mask(pair),
-                           m._label_mask(pair[:1])), n + 3
+    check_room(n, 3)
+    xy, x = key
+    p, q, r = 1 << n, 1 << n + 1, 1 << n + 2
+    return m._rref + (xy | p | r, x | q | r), n + 3
 
 
 # Workers look a law up here by name, so no lambda is pickled.
 _LAWS = {law.name: law for law in (
     _Law(name="split-gammoid", patterns=("G_1", "G_2", "G_3"),
          cases=lambda m: tuple(combinations(sorted(m.labels), 3)),
-         extend=_split_extend, key=lambda cos, t: cos[t[0]] ^ cos[t[1]] ^ cos[t[2]],
+         key=lambda cos, t: cos[t[0]] ^ cos[t[1]] ^ cos[t[2]], rows=_split_rows,
          ok=_SPLIT_OK, param="T",
          some_bad_key="members_where_some_splitting_non_gammoid", min_elements=3),
     _Law(name="main", patterns=("G_4",),
          cases=lambda m: tuple(sorted(tuple(sorted(p)) for p in admissible_pairs(m))),
-         extend=_fold_extend, key=lambda cos, p: (cos[p[0]] ^ cos[p[1]], cos[p[0]]),
+         key=lambda cos, p: (cos[p[0]] ^ cos[p[1]], cos[p[0]]), rows=_fold_rows,
          ok=_FOLD_OK, param="pair",
          some_bad_key="members_where_some_fold_non_gammoid", min_elements=0),
 )}

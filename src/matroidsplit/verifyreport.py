@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseFailure:
-    """One failing case: enough serialized input to re-run it in isolation."""
+    """One failing case: enough serialized input to re-run it in isolation.
+
+    A pass records hundreds of these (624 at n <= 9), so they carry no
+    ``__dict__``."""
 
     matroid: str
     params: tuple[tuple[str, str], ...]
@@ -108,10 +112,18 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+@lru_cache(maxsize=1024)
+def _shared(params: tuple) -> tuple:
+    """The first params tuple equal to ``params``: a sweep's failures
+    repeat a few, such as (("k", "1"),) on every gf-empty-k1 record, and
+    hold one copy of each."""
+    return params
+
+
 def make_failure(matroid: str, params: dict, expected, got) -> CaseFailure:
     return CaseFailure(
         matroid=matroid,
-        params=tuple(sorted((str(k), str(v)) for k, v in params.items())),
+        params=_shared(tuple(sorted((str(k), str(v)) for k, v in params.items()))),
         expected=str(expected),
         got=str(got),
     )

@@ -354,13 +354,20 @@ def test_find_minors_agrees_on_the_decision_path(compiled, n_rows, n_cols, want,
                                             .map(tuple), st.integers(0, 64))))
 @example(matrix=(tuple(1 << i for i in range(30)), 64))
 @example(matrix=(tuple(1 << i | 1 << 19 for i in range(19)), 64))
+@example(matrix=(tuple(1 << i | a << 5 for i, a in enumerate((1, 2, 3, 4, 5))) + (1 << 8,), 8))
+@example(matrix=(tuple(1 << i | a << 5 for i, a in enumerate((1, 2, 3, 1, 4))), 8))
+@example(matrix=(tuple(1 << i | (i % 7 + 1) << 61 for i in range(61)), 64))
 def test_profile_present_agrees_on_edge_shapes(compiled, matrix):
     # 0 rows, exactly 64 columns and row bits at or above n_cols, with every
     # want of rank <= 2 in one call, and a want of rank 3, HUGE or -HUGE
     # in another.  The
     # examples, 30 coloops and a 20-element circuit among 64 columns, have
     # wants that no contraction holds: the contract sets must run over the
-    # distinct nonzero columns, not over all 64.
+    # distinct nonzero columns, not over all 64.  The standard forms
+    # [I | A], rank 5 on 8 columns (one with F and a row with bits above
+    # n_cols only, one without F) and rank 61 on 64, have corank 3 and no
+    # loops or coloops, so pure decides F's want on the dual, where D is
+    # empty, and the compiled kernel on the matroid itself.
     rows, n_cols = matrix
     wants = [w for w in PROFILE_WANT_LIST if w[0] <= 2] + [
         (0, n_cols, ()), (1, 0, (n_cols,)), (2, 0, (1, 1, max(1, n_cols - 2))),

@@ -575,6 +575,100 @@ def test_profile_minors_match_brute_force_on_random_matrices():
         _assert_profile_minors_match_oracle(rows, n_cols, rng)
 
 
+F_WANT = (2, 0, (1, 2, 2))
+
+
+def _walk_sizes(monkeypatch):
+    """The sizes of the sets that pure ``_contractions`` chooses, call by
+    call: r - 2 on M, n - r - 3 on M*."""
+    sizes = []
+    contractions = pure._contractions
+
+    def spy(cols, size):
+        sizes.append(size)
+        return contractions(cols, size)
+
+    monkeypatch.setattr(pure, "_contractions", spy)
+    return sizes
+
+
+def _standard_rows(rng, n_cols, r):
+    """Random rows [I | A] of rank r, columns shuffled, with no loop (a
+    zero column of A) and no coloop (a zero row of A), and bits above
+    ``n_cols``."""
+    while True:
+        a = [rng.getrandbits(n_cols - r) for _ in range(r)]
+        if all(a) and all(any(row >> t & 1 for row in a) for t in range(n_cols - r)):
+            break
+    order = rng.sample(range(n_cols), n_cols)
+    cols = [1 << i for i in range(r)] + [
+        sum((row >> t & 1) << i for i, row in enumerate(a)) for t in range(n_cols - r)]
+    rows = pure.columns([cols[j] for j in order], r)
+    return tuple(row | rng.getrandbits(2) << n_cols for row in rows)
+
+
+@pytest.mark.parametrize("n_cols,r,side", [
+    (8, 5, "dual"),     # D of n - r - 3 = 0 points against C of 3
+    (9, 5, "dual"),     # D of 1 of at most 9 points against C of 3 of 5 or more
+    (10, 6, "dual"),    # D of 1 of at most 10 points against C of 4 of 6 or more
+    (8, 3, "primal"),   # D of 2 points against C of 1
+    (7, 2, "primal"),   # D of 2 points against C of 0
+    (6, 4, "none"),     # corank 2: no F minor, and no walk at all
+])
+def test_f_profile_on_either_side_matches_brute_force(monkeypatch, n_cols, r, side):
+    # Pure profile_present decides F's profile on the dual M* when that
+    # walk is cheaper.  Random standard forms of rank r with no loops or
+    # coloops, against the brute-force oracle: each row of the table must
+    # see both answers where F fits, and walk on the side it names.
+    sizes = _walk_sizes(monkeypatch)
+    rng = random.Random(n_cols * 10 + r)
+    answers = set()
+    for _ in range(40):
+        rows = _standard_rows(rng, n_cols, r)
+        got = pure.profile_present(rows, n_cols, (F_WANT,))[0]
+        assert got == bool(profile_minors(rows, n_cols, r - 2, n_cols - r - 3, F_WANT)), rows
+        answers.add(got)
+    walked = {"dual": n_cols - r - 3, "primal": r - 2}
+    assert set(sizes) == ({walked[side]} if side in walked else set())
+    assert answers == ({False} if side == "none" else {False, True})
+
+
+def test_f_profile_drops_loops_and_coloops_and_takes_the_cheaper_walk(monkeypatch):
+    sizes = _walk_sizes(monkeypatch)
+
+    def matroid(classes, coloops=0, loops=0):
+        """Rows of parallel classes of the given sizes, then coloops and
+        loops, and the column count."""
+        cols = [1 << i for i, size in enumerate(classes) for _ in range(size)]
+        cols += [1 << i for i in range(len(classes), len(classes) + coloops)] + [0] * loops
+        return pure.columns(cols, len(classes) + coloops), len(cols)
+
+    # 32 parallel pairs: D would take 29 of 32 points of M*, C takes 30
+    # of 32: fewer points chosen, but C(32, 29) > C(32, 30) sets.
+    assert pure.profile_present(*matroid([2] * 32), (F_WANT,)) == (False,)
+    assert sizes == [30]
+    # 15 triples, a pair and 17 coloops, 64 columns: rank 33, corank 31.
+    # With the coloops kept, M* would take D of 28 among 46 points (a
+    # triple's dual is a triangle); without them C takes 14 of 16.
+    sizes.clear()
+    assert pure.profile_present(*matroid([3] * 15 + [2], coloops=17), (F_WANT,)) == (False,)
+    assert sizes == [14]
+    # F, with its coloops and loops dropped, is read on M: C is empty.
+    f_rows = pure.columns([1, 2, 2, 3, 3], 2)
+    for coloops, loops in ((0, 0), (3, 0), (0, 4), (59, 0), (20, 30)):
+        rows = f_rows + tuple(1 << (5 + i) for i in range(coloops))
+        sizes.clear()
+        assert pure.profile_present(rows, 5 + coloops + loops, (F_WANT,)) == (True,)
+        assert sizes == [0]
+    # [I | A] of rank 5 on 8 columns is read on M*, where D is empty; with
+    # 4 loops kept, D would take 4 points against C of 3.
+    rows = tuple(1 << i | a << 5 for i, a in enumerate((1, 2, 3, 4, 5)))
+    for loops in (0, 4):
+        sizes.clear()
+        assert pure.profile_present(rows, 8 + loops, (F_WANT,)) == (True,)
+        assert sizes == [0]
+
+
 def _label_masks(m, k):
     """(Y, mask of Y) for every k-subset Y of ``m``, in label order."""
     return [(frozenset(y), sum(1 << m.labels.index(lab) for lab in y))

@@ -3,11 +3,14 @@
 import json
 import math
 import multiprocessing
+import pickle
 import shutil
 import subprocess
 import sys
 import time
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ import pytest
 from matroidsplit import _kernel, catalog, matroid, verify
 from matroidsplit.corpus import MAX_LOOPS, CanonicalKey, Corpus
 from matroidsplit.gf2 import Gf2Matrix
-from matroidsplit.matroid import BinaryMatroid
+from matroidsplit.matroid import BinaryMatroid, series_parallel_reduces
 from matroidsplit.ops import admissible_pairs, splitting, three_fold
 from matroidsplit.verifyreport import VerificationReport, make_failure
 
@@ -246,6 +249,51 @@ def test_fold_outcome_keeps_the_64_column_limit():
         verify.rerun_case("main", failure)
 
 
+def _alone_on_some_column(rows) -> bool:
+    """True iff each row has a column where it alone is 1: a standard form."""
+    return all(row & ~reduce(or_, rows[:i] + rows[i + 1:], 0)
+               for i, row in enumerate(rows))
+
+
+def test_law_rows_are_standard_forms_of_the_built_results(corpus7):
+    # Each case's rows come from the member's rref and the coset key, with
+    # no elimination.  On every case of the n <= 7 corpus, gammoid or not,
+    # they are a standard form with the row space of the splitting or
+    # 3-fold that ops builds, and series_parallel_reduces reads them as it
+    # reads the rref of the built rows, and as the built matroid's own test.
+    built = {"split-gammoid": lambda m, t: splitting(m, t),
+             "main": lambda m, pair: three_fold(m, *pair)}
+    counts = dict.fromkeys(built, 0)
+    for name, build in built.items():
+        law = verify._LAWS[name]
+        for m in corpus7.members:
+            for case in law.cases(m):
+                rows, n_cols = law.rows(m, law.key(m._label_cosets, case))
+                result = build(m, case)
+                assert n_cols == result.rep.n_cols
+                assert _kernel.rref(rows) == result._rref, (m, case)
+                assert _alone_on_some_column(rows), (m, case)
+                assert series_parallel_reduces(rows, n_cols) == \
+                    series_parallel_reduces(_kernel.rref(result.rep.rows), n_cols) == \
+                    result.is_binary_gammoid(), (m, case)
+                counts[name] += 1
+    assert all(counts.values()), counts
+
+
+def test_fold_rows_keep_the_64_column_limit():
+    # The 3-fold's rows add three columns: 61 columns fit, 62 raise.
+    for n, fits in ((61, True), (62, False)):
+        wide = BinaryMatroid(tuple(f"e{j}" for j in range(n)),
+                             Gf2Matrix(((1 << n) - 1,), n))
+        key = (wide._label_cosets["e0"] ^ wide._label_cosets["e1"],
+               wide._label_cosets["e0"])
+        if fits:
+            assert verify._LAWS["main"].rows(wide, key)[1] == 64
+        else:
+            with pytest.raises(ValueError, match="column limit"):
+                verify._LAWS["main"].rows(wide, key)
+
+
 def test_esplit_keeps_the_64_column_limit():
     # The extension adds one column, so a 64-column member is refused once,
     # before any T, by the sweep's worker and so by the replay.
@@ -349,6 +397,18 @@ def test_report_invariants():
         VerificationReport("x", "u", 1, (), 0.0, "fail")
     with pytest.raises(ValueError, match="verdict must be"):
         VerificationReport("x", "u", 0, (), 0.0, "observational")
+
+
+def test_case_failures_pickle_and_share_their_params():
+    # Failures carry no __dict__, survive pickling equal, and equal params
+    # are one tuple however many failures hold them.
+    a = make_failure("e0;1", {"k": 1}, "absent", "witness Y={e0}")
+    b = make_failure("e1;1", {"k": 1}, "absent", "witness Y={e1}")
+    assert not hasattr(a, "__dict__")
+    assert a.params is b.params == (("k", "1"),)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
+    assert back.describe() == a.describe()
 
 
 def test_compact_round_trip(corpus6):
