@@ -6,13 +6,17 @@ rebinds the per-candidate functions it compiles, the compiled subset:
 ``rref``, ``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
 ``contract_rows``, ``profile_present``, ``find_minors``, ``canon_key_cols``
 and ``is_canonical``.  The rest (``rank``, ``rank_masked``, ``cols_rank``,
-``in_rowspace``, ``columns``, ``profile``, ``profile_images``) is served by
-``pure.py`` on both backends.  Both ``space_min_supports`` refuse a span of
-more than 20 basis vectors, the one bound on circuit and cocircuit
-enumeration.  Pure ``profile_present`` decides F's profile (2, 0, (1, 2, 2))
-with loops and coloops dropped, on the dual when that walk has fewer
-candidate sets; the compiled one walks the matroid itself, which in C costs
-less than the dual walk in Python.
+``columns``, ``profile``, ``profile_images``) is served by ``pure.py`` on
+both backends.  Each kernel has one canonical-form walk (``pure._gl_walk``,
+``gl_dfs``) with three answers: the least image (``canon_key_cols``),
+whether some image sorts below a bound (``is_canonical``), and whether none
+does while one equals it (a ``KIND_CANONICAL`` match in ``find_minors``).
+Both ``space_min_supports`` refuse a span of more than 20 basis vectors,
+the one bound on circuit and cocircuit enumeration.  Pure
+``profile_present`` decides F's profile (2, 0, (1, 2, 2)) with loops and
+coloops dropped, on the dual when that walk has fewer candidate sets; the
+compiled one walks the matroid itself, which in C costs less than the dual
+walk in Python.
 ``BACKEND`` names the module that loaded last ("compiled" or "pure").
 Callers look these names up here at call time, so wrapping a module
 attribute traces every call, except the minor searches for patterns above

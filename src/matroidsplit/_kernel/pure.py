@@ -6,10 +6,14 @@ C extension ``_speed.c`` compiles the per-candidate subset named in
 rest is served from here alone.
 
 Canonical forms minimise over ordered bases of the columns, not over all
-of GL(r, 2), and reach the same least image (``_images_below``).  The walk
-over those bases grows each branch's sorted images incrementally and cuts
-the branch once they, followed by the least image still to come, sort
-above the bound; the compiled walk makes the same cut.
+of GL(r, 2), and reach the same least image.  One walk over those bases,
+``_gl_walk``, shaped like ``gl_dfs`` in ``_speed.c``, grows each branch's
+sorted images incrementally and cuts the branch once they, followed by the
+least image still to come, sort above its bound.  It gives three answers:
+the least image (``canon_key_cols``), whether an image sorts below the
+bound (``is_canonical`` stops at the first), and whether one equals it
+(``find_minors`` for ``KIND_CANONICAL`` matches a candidate iff none is
+below the wanted key and one equals it, so no candidate's key is built).
 
 Rank <= 2 patterns are read off the contractions M/C, one per flat of the
 right rank (``_contractions``).  ``profile_present`` decides from them
@@ -36,10 +40,10 @@ from operator import or_
 
 __all__ = [
     "BACKEND", "KIND_SIMPLE_RANK3", "KIND_PROFILE", "KIND_CANONICAL",
-    "rank", "rank_masked", "cols_rank", "rref", "in_rowspace",
-    "nullspace_basis", "space_min_supports", "columns", "delete_rows",
-    "contract_rows", "profile", "profile_images", "profile_present",
-    "find_minors", "canon_key_cols", "is_canonical",
+    "rank", "rank_masked", "cols_rank", "rref", "nullspace_basis",
+    "space_min_supports", "columns", "delete_rows", "contract_rows",
+    "profile", "profile_images", "profile_present", "find_minors",
+    "canon_key_cols", "is_canonical",
 ]
 
 BACKEND = "pure"
@@ -94,15 +98,6 @@ def _rref_pivots(rows):
     work.sort(key=lambda r: r & -r)
     pivots = tuple((r & -r).bit_length() - 1 for r in work)
     return tuple(work), pivots
-
-
-def in_rowspace(rows, vec: int) -> bool:
-    """True iff ``vec`` is an XOR combination of ``rows``."""
-    for b in rref(rows):
-        low = b & -b
-        if vec & low:
-            vec ^= b
-    return vec == 0
 
 
 def nullspace_basis(rows, n_cols: int):
@@ -249,12 +244,12 @@ def _match(mrows, m_cols: int, kind: int, want) -> bool:
     if kind == KIND_PROFILE:
         return profile(mrows, m_cols) == want
     if kind == KIND_CANONICAL:
+        # The walk compares the images with a bound of their own length.
         reduced = rref(mrows)
-        r = len(reduced)
-        if r != want[0]:
+        if len(reduced) != want[0] or len(want[1]) != m_cols:
             return False
-        cols = columns(reduced, m_cols)
-        return canon_key_cols(cols, r) == want[1]
+        _, below, equal = _gl_walk(columns(reduced, m_cols), want[1], False)
+        return equal and not below
     raise ValueError(f"unknown minor matcher kind {kind}")
 
 
@@ -530,10 +525,14 @@ def find_minors(rows, n_cols: int, c_size: int, d_size: int, kind: int, want,
     return out
 
 
-def _images_below(cols, bound):
-    """Yield the images of ``cols`` that sort below ``bound``, each below
-    the one before, over the maps sending an ordered basis of span(cols),
-    chosen among the columns, to 1, 2, 4, ...; depth first.
+def _gl_walk(cols, bound, keep: bool):
+    """Walk the sorted images of ``cols`` under the maps sending an ordered
+    basis of span(cols), chosen among the columns, to 1, 2, 4, ..., depth
+    first, against ``bound`` of the same length, as ``gl_dfs`` in
+    ``_speed.c`` does.  Return (least, below, equal): the least image found,
+    else ``bound``; whether one sorts below ``bound``, where the walk stops;
+    and whether one equals it.  With ``keep`` it goes on instead, with each
+    image below as its bound, and only ``least`` answers.
 
     The least of them is the least image T* over GL(r, 2), since T* holds
     1, 2, ..., 2^(s-1) for s = rank(cols), and their preimages form such a
@@ -544,32 +543,32 @@ def _images_below(cols, bound):
     and sends no other element there.  Its sorted image keeps them and puts
     2^(k-1) < w next, so it sorts below T*: a contradiction.
 
-    A node with i basis vectors chosen carries its span as a map from each
-    of its size = 2^i vectors to an image below size, its head (the sorted
-    images of the columns in the span) and the sorted columns still
-    outside.  Every column outside has an image of at least size, so every
-    image below the node starts with its head, followed by an entry of at
-    least size.  Choosing p next sends c ^ p to span[c ^ p] | size, so a
-    child's new images are read from the parent's map before it is copied,
-    and they all lie in [size, 2 size): the child's head is the parent's
-    followed by the new images sorted.  A child is cut when its head
-    followed by 2 size sorts above ``best``; then so does every image below
-    it.  While the parent's head sorts below ``best``'s prefix, no child is
-    cut; once it equals that prefix, comparing the new images, then
-    2 size, with the next entries of ``best`` decides the cut alone.
-    ``best`` falls only to an image yielded below the current node, which
-    starts with the node's head, so a node's head never sorts above it, and
-    a node that yields is level with ``best`` from then on.
+    A node with i basis vectors chosen carries its span as a map from its
+    size = 2^i vectors to images below size, and the sorted columns still
+    outside; the images of those inside, its head, are the first entries
+    of ``best``.  Choosing p next sends c ^ p to span[c ^ p] | size, so a
+    child's new images, read from the parent's map, lie in [size, 2 size)
+    and follow the head sorted; every image below the child starts so,
+    then an entry of at least 2 size.  New images above the next entries
+    of ``best`` cut the child; below them, the walk stops, or lowers
+    ``best`` to them followed by ``top``, above every image, and goes down;
+    equal, the child equals ``best`` when full, and is cut when the next
+    entry of ``best`` is below 2 size.
     """
     best = list(bound)
+    top = 1 << len(cols)
+    equal = False
     outside = sorted(c for c in cols if c)
-    head = [0] * (len(cols) - len(outside))
+    # Every image starts with the images of the zero columns, 0 each.
+    zeros = [0] * (len(cols) - len(outside))
+    if zeros != best[:len(zeros)] or not outside:
+        return tuple(best), zeros < best[:len(zeros)], zeros == best
 
-    def walk(span, head, outside, level):
-        # level: head equals best's prefix, as it does from the first yield
-        # below on.  Returns level.
+    def dfs(span, at, outside):
+        # The head is best[:at].  True: an image sorts below best, and the
+        # walk stops.
+        nonlocal equal
         size = len(span)
-        at = len(head)
         last = None
         get = span.get
         for p in outside:
@@ -585,31 +584,26 @@ def _images_below(cols, bound):
                     new.append(q | size)
             new.sort()
             end = at + len(new)
-            child_level = level
-            if level:
-                part = best[at:end]
-                if new > part:
-                    continue
-                child_level = new == part
-                if child_level and (not rest or best[end] < 2 * size):
-                    continue
-            if not rest:
-                best[:] = head + new
-                yield tuple(best)
-                level = True
+            part = best[at:end]
+            if new > part:
                 continue
-            grown = {v ^ p: q | size for v, q in span.items()}
-            grown.update(span)
-            if (yield from walk(grown, head + new, rest, child_level)):
-                level = True
-        return level
+            if new < part:
+                if not keep:
+                    return True
+                best[at:] = new + [top] * len(rest)
+            elif not rest:
+                equal = True
+            elif best[end] < 2 * size:
+                continue
+            if rest:
+                grown = {v ^ p: q | size for v, q in span.items()}
+                grown.update(span)
+                if dfs(grown, end, rest):
+                    return True
+        return False
 
-    if head + [1] > best[:len(head) + 1]:
-        return
-    if outside:
-        yield from walk({0: 0}, head, outside, head == best[:len(head)])
-    else:
-        yield tuple(head)
+    below = dfs({0: 0}, len(zeros), outside)
+    return tuple(best), below, equal
 
 
 def _checked_columns(cols, r: int):
@@ -623,18 +617,16 @@ def _checked_columns(cols, r: int):
 
 def canon_key_cols(cols, r: int):
     """Lexicographically least sorted column multiset over all GL(r,2) maps:
-    the last image that ``_images_below`` yields."""
+    the least image of a ``_gl_walk`` that keeps going."""
     cols = _checked_columns(cols, r)
-    best = sorted(cols)
-    if r:
-        for best in _images_below(cols, best):
-            pass
-    return tuple(best)
+    if not r:
+        return tuple(sorted(cols))
+    return _gl_walk(cols, sorted(cols), True)[0]
 
 
 def is_canonical(cols_sorted, r: int) -> bool:
     """True iff the sorted multiset is the least member of its GL(r,2) orbit:
-    the walk of ``_images_below`` stops at the first image below it.
+    ``_gl_walk`` stops at the first image below it.
 
     The walk reads only the columns, so r serves to validate them and
     nothing else: columns of rank s below 2^s get the same answer for
@@ -642,4 +634,4 @@ def is_canonical(cols_sorted, r: int) -> bool:
     if r == 0:
         return True
     cols = _checked_columns(cols_sorted, r)
-    return next(_images_below(cols, cols), None) is None
+    return not _gl_walk(cols, cols, False)[1]

@@ -40,6 +40,15 @@ def _emit(record: dict, out: str | None, matroid: BinaryMatroid | None) -> None:
     click.echo(formats.record_to_json(record))
 
 
+def _supports(enumerate_supports):
+    """The sorted supports, or None when their span passes the limit of
+    ``space_min_supports``, the only ValueError of a validated matroid."""
+    try:
+        return sorted(sorted(s) for s in enumerate_supports())
+    except ValueError:
+        return None
+
+
 def _structure(m: BinaryMatroid) -> dict:
     return {
         "elements": list(m.labels),
@@ -48,8 +57,8 @@ def _structure(m: BinaryMatroid) -> dict:
         "loops": sorted(m.loops()),
         "coloops": sorted(m.coloops()),
         "parallel_classes": [sorted(c) for c in m.parallel_classes()],
-        "circuits": sorted([sorted(c) for c in m.circuits()]),
-        "cocircuits": sorted([sorted(c) for c in m.cocircuits()]),
+        "circuits": _supports(m.circuits),
+        "cocircuits": _supports(m.cocircuits),
     }
 
 
@@ -84,7 +93,8 @@ def main():
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def info(file):
-    """Print rank, loops, coloops, parallel classes, circuits, cocircuits."""
+    """Print rank, loops, coloops, parallel classes, circuits, cocircuits
+    (null past the span limit)."""
     kind, m, _ = _load(file)
     record = formats.result_record(
         "info", {"file": _input_digest(file)}, {}, matroid=m,

@@ -111,7 +111,8 @@ def rref(m: Gf2Matrix) -> Gf2Matrix:
 
 
 def row_space_contains(m: Gf2Matrix, v: int | str) -> bool:
-    """True iff ``v`` (packed int or 0/1 string) is a combination of rows."""
+    """True iff ``v`` (packed int or 0/1 string) is a combination of rows:
+    appending it leaves the rank unchanged."""
     if isinstance(v, str):
         if len(v) != m.n_cols:
             raise ValueError(f"vector length {len(v)} != column count {m.n_cols}")
@@ -120,7 +121,7 @@ def row_space_contains(m: Gf2Matrix, v: int | str) -> bool:
         v = sum(int(ch) << j for j, ch in enumerate(v))
     if not 0 <= v < (1 << m.n_cols):
         raise ValueError("vector has bits outside the column range")
-    return _kernel.in_rowspace(m.rows, v)
+    return _kernel.rank(m.rows + (v,)) == _kernel.rank(m.rows)
 
 
 def null_space_min_supports(m: Gf2Matrix) -> frozenset[frozenset[int]]:

@@ -35,7 +35,7 @@ from operator import xor
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, check_room
 from .matroid import BinaryMatroid, MinorWitness, series_parallel_reduces
-from .ops import admissible_pairs, splitting, three_fold
+from .ops import admissible_pairs, splitting, three_fold, three_fold_rows
 # bench/run.py's install_tracer wraps splitting, element_splitting,
 # three_fold, three_fold_ghafari and admissible_pairs here and at ops, and
 # requires each name to be the same function at both.
@@ -477,20 +477,6 @@ def _split_rows(m: BinaryMatroid, key: int) -> tuple:
             m.rep.n_cols)
 
 
-def _fold_rows(m: BinaryMatroid, key: tuple) -> tuple:
-    """The 3-fold on (x, y) appends xy|p|r and x|q|r on three new columns
-    p, q, r (:func:`ops.three_fold_rows`).  For ``key`` the cosets (v(xy),
-    v(x)), the 3-fold in standard form is ``m._rref`` plus (v(xy)|p|r,
-    v(x)|q|r): p and q are each 1 in one row alone.  Raises ValueError
-    when the three columns do not fit under ``MAX_COLS``, as the 3-fold
-    does."""
-    n = m.rep.n_cols
-    check_room(n, 3)
-    xy, x = key
-    p, q, r = 1 << n, 1 << n + 1, 1 << n + 2
-    return m._rref + (xy | p | r, x | q | r), n + 3
-
-
 # Workers look a law up here by name, so no lambda is pickled.
 _LAWS = {law.name: law for law in (
     _Law(name="split-gammoid", patterns=("G_1", "G_2", "G_3"),
@@ -500,7 +486,11 @@ _LAWS = {law.name: law for law in (
          some_bad_key="members_where_some_splitting_non_gammoid", min_elements=3),
     _Law(name="main", patterns=("G_4",),
          cases=lambda m: tuple(sorted(tuple(sorted(p)) for p in admissible_pairs(m))),
-         key=lambda cos, p: (cos[p[0]] ^ cos[p[1]], cos[p[0]]), rows=_fold_rows,
+         key=lambda cos, p: (cos[p[0]] ^ cos[p[1]], cos[p[0]]),
+         # For the cosets (v(xy), v(x)) the 3-fold's rows on m._rref are a
+         # standard form: its new columns p and q are each 1 in one row alone.
+         rows=lambda m, key: (three_fold_rows(m._rref, m.rep.n_cols, *key),
+                              m.rep.n_cols + 3),
          ok=_FOLD_OK, param="pair",
          some_bad_key="members_where_some_fold_non_gammoid", min_elements=0),
 )}

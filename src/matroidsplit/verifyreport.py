@@ -20,12 +20,6 @@ class CaseFailure:
     expected: str
     got: str
 
-    def param(self, key: str) -> str:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def describe(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.params)
         return (f"matroid[{self.matroid}] {params}: "

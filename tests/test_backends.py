@@ -217,11 +217,49 @@ def test_find_minors_canonical_kind_agrees(compiled):
                                                pure.KIND_CANONICAL, want, limit=0)
             found += bool(got)
     assert found
+    # Circuits of 6 and 7 elements have symmetric keys, where many bases
+    # keep their images level with the want.  (1, 2, 4, 8, 17, 30) is the
+    # 6-circuit too, but not its least image, so neither kernel matches it.
+    wants = [(5, (1, 2, 4, 8, 16, 31)), (6, (1, 2, 4, 8, 16, 32, 63)),
+             (5, (1, 2, 4, 8, 17, 30))]
+    assert [pure.is_canonical(key, r) for r, key in wants] == [True, True, False]
+    rng = random.Random(2828)
+    found = dict.fromkeys(range(len(wants)), 0)
+    for _ in range(40):
+        n_rows = rng.randint(5, 7)
+        n_cols = rng.randint(7, 9)
+        rows = random_rows(rng, n_cols, n_rows)
+        for i, (r, key) in enumerate(wants):
+            c_size = pure.rank(rows) - r
+            d_size = n_cols - len(key) - c_size
+            if c_size < 0 or d_size < 0:
+                continue
+            got = pure.find_minors(rows, n_cols, c_size, d_size,
+                                   pure.KIND_CANONICAL, (r, key), limit=0)
+            assert got == compiled.find_minors(rows, n_cols, c_size, d_size,
+                                               pure.KIND_CANONICAL, (r, key),
+                                               limit=0), (rows, n_cols, key)
+            found[i] += len(got)
+    assert found[0] and found[1] and not found[2], found
     # The compiled canonical forms stop at rank 6: a want above it raises
     # ValueError there, by design, also when no C int holds its rank.
     for r in (7, HUGE):
         with pytest.raises(ValueError):
             compiled.find_minors((1,), 3, 0, 0, pure.KIND_CANONICAL, (r, (1,)))
+
+
+def test_pure_canonical_match_builds_no_candidate_key(monkeypatch):
+    # A KIND_CANONICAL candidate is walked only up to the wanted key, as the
+    # compiled match does: no candidate's own canonical key is computed.
+    want = (4, pure.canon_key_cols((1, 2, 4, 8, 3, 3, 13), 4))
+    rows = pure.columns((1, 2, 4, 8, 3, 3, 13, 5), 4)
+    keys = []
+    real = pure.canon_key_cols
+    monkeypatch.setattr(pure, "canon_key_cols",
+                        lambda *args: keys.append(args) or real(*args))
+    got = pure.find_minors(rows, 8, 0, 1, pure.KIND_CANONICAL, want, limit=0)
+    assert (0, 1 << 7) in got
+    assert keys == []
 
 
 @pytest.mark.parametrize("name", ["canon_key_cols", "is_canonical"])

@@ -179,12 +179,13 @@ def test_iso_of_quotient_shapes(runner, tmp_path):
     assert set(rec["mapping"]) == set(catalog.get("Q_3").matroid.labels)
 
 
-def test_info_and_iso_past_the_support_limit_exit_two(runner, tmp_path):
+def test_info_answers_and_iso_exits_two_past_the_support_limit(runner, tmp_path):
     # The span limit counts basis vectors: 21 coloops (rank 21) have no
-    # circuits but too many cocircuit vectors, so info refuses them while
-    # iso answers; a parallel class of 22 (nullity 21) is refused by iso.
-    # A refusal is a usage error (exit 2, with the command's usage line);
-    # exit 1 is kept for a failed verification check.
+    # circuits but too many cocircuit vectors, so info answers everything
+    # else and writes null for the cocircuits, and iso answers; a parallel
+    # class of 22 (nullity 21) is refused by iso.  A refusal is a usage
+    # error (exit 2, with the command's usage line); exit 1 is kept for a
+    # failed verification check.
     free = tmp_path / "free21.matroid"
     free.write_text("elements " + " ".join(f"e{j}" for j in range(21)) + "\n"
                     + "".join("row " + "0" * j + "1" + "0" * (20 - j) + "\n"
@@ -192,12 +193,23 @@ def test_info_and_iso_past_the_support_limit_exit_two(runner, tmp_path):
     parallel = tmp_path / "parallel22.matroid"
     parallel.write_text("elements " + " ".join(f"e{j}" for j in range(22))
                         + "\nrow " + "1" * 22 + "\n")
-    for args in (("info", str(free)), ("iso", str(parallel), str(parallel))):
-        result = invoke(runner, *args)
-        assert result.exit_code == 2, result.output
-        assert "span enumeration limited to 20 basis vectors" in result.output
-        assert f"{args[0]} [OPTIONS]" in result.output
-        assert "Traceback" not in result.output
+    result = invoke(runner, "info", str(free))
+    assert result.exit_code == 0, result.output
+    structure = record_of(result)["structure"]
+    assert structure["rank"] == 21
+    assert structure["coloops"] == sorted(f"e{j}" for j in range(21))
+    assert structure["loops"] == []
+    assert structure["parallel_classes"] == [[f"e{j}"] for j in range(21)]
+    assert structure["circuits"] == []
+    assert structure["cocircuits"] is None
+    result = invoke(runner, "info", str(parallel))
+    assert result.exit_code == 0, result.output
+    assert record_of(result)["structure"]["circuits"] is None
+    result = invoke(runner, "iso", str(parallel), str(parallel))
+    assert result.exit_code == 2, result.output
+    assert "span enumeration limited to 20 basis vectors" in result.output
+    assert "iso [OPTIONS]" in result.output
+    assert "Traceback" not in result.output
     assert record_of(invoke(runner, "iso", str(free), str(free)))["verdict"] \
         == "isomorphic"
 

@@ -513,6 +513,32 @@ def test_minor_search_matches_brute_force(corpus6):
     assert all(found.values()), found
 
 
+def test_rank_seven_pattern_finds_the_brute_force_minor():
+    # Patterns above rank 6 take pure.find_minors on both backends
+    # (_fast_pattern_kind), matched by the pure canonical walk: a 4-circuit
+    # and four coloops, against hosts of rank 7 and 8 on 9 and 10 elements
+    # and random ones of rank 7 or less on 9.
+    def named(prefix, cols, r):
+        return BinaryMatroid([f"{prefix}{i}" for i in range(len(cols))],
+                             Gf2Matrix(pure.columns(cols, r), len(cols)))
+
+    pattern = named("p", (1, 2, 4, 8, 16, 32, 64, 7), 7)
+    assert matroid._fast_pattern_kind(pattern)[0] is pure
+    rng = random.Random(77)
+    hosts = [named("h", (1, 2, 4, 8, 16, 32, 64, 7, 99), 7),
+             named("h", (1, 2, 4, 8, 16, 32, 64, 128, 7, 129), 8)]
+    hosts += [named("h", tuple(rng.randrange(1, 1 << 7) for _ in range(9)), 7)
+              for _ in range(6)]
+    found = 0
+    for host in hosts:
+        w = host.has_minor(pattern)
+        assert _deleted_contracted(w) == first_minor(host, pattern), host
+        if w is not None:
+            assert w.verify(host, pattern)
+            found += 1
+    assert 2 <= found < len(hosts), found
+
+
 def _deleted_contracted(w):
     return None if w is None else (w.deleted, w.contracted)
 
