@@ -208,7 +208,8 @@ static Py_ssize_t pivot_out_c(u64 *rows, Py_ssize_t n, int n_cols, u64 cmask)
 /* -- canonical forms ---------------------------------------------------------
  * The least sorted image of a column multiset under GL(r, 2) is the least
  * image under the maps that send an ordered basis of the columns' span,
- * chosen among the columns, to 1, 2, 4, ...; pure._images_below proves it.
+ * chosen among the columns, to 1, 2, 4, ...; the docstring of pure._gl_walk
+ * proves it.
  * gl_dfs picks basis vector i among the distinct columns outside the span
  * so far (span is a bitmap), and tab[v] is the image of every v in that
  * span.  img[0..h) holds the sorted images of the columns in the span, all

@@ -174,10 +174,14 @@ def delete_rows(rows, n_cols: int, dmask: int):
 
     Bits at or above ``n_cols`` are dropped too, whatever ``dmask`` says
     there.  Each run of consecutive kept columns moves with one mask and one
-    shift; the runs of a kept-column mask are computed once and cached.
-    Nothing is checked: callers pass kernel or validated rows.
+    shift, one comprehension when there is a single run; the runs of a
+    kept-column mask are computed once and cached.  Nothing is checked:
+    callers pass kernel or validated rows.
     """
     runs = _column_runs(((1 << n_cols) - 1) & ~dmask)
+    if len(runs) == 1:
+        [(span, shift)] = runs
+        return tuple([(row & span) >> shift for row in rows])
     out = []
     for row in rows:
         packed = 0
@@ -200,11 +204,11 @@ def _pivot_out(rows, n_cols: int, cmask: int):
     while cmask:
         bit = cmask & -cmask
         cmask ^= bit
-        pivot = next((i for i, row in enumerate(work) if row & bit), -1)
-        if pivot < 0:
-            continue
-        pv = work.pop(pivot)
-        work = [row ^ pv if row & bit else row for row in work]
+        for i, pv in enumerate(work):
+            if pv & bit:
+                del work[i]
+                work = [row ^ pv if row & bit else row for row in work]
+                break
     return tuple(work)
 
 
@@ -358,8 +362,9 @@ def _f_present(rows, n_cols: int) -> bool:
         # With loops and coloops gone, no column of M or M* is zero.
         if comb(len(set(dual)), d_size) < comb(len(set(cols)), c_size):
             return any(len(classes) >= 5 for _, classes in _contractions(dual, d_size))
-    return any(_dominates(sorted(map(int.bit_count, classes.values()), reverse=True),
-                          (2, 2, 1))
+    # Classes dominate (2, 2, 1) iff there are at least 3 of them and at
+    # least 2 hold more than one column.
+    return any(len(classes) >= 3 and sum(m & (m - 1) > 0 for m in classes.values()) >= 2
                for _, classes in _contractions(cols, c_size))
 
 
@@ -453,8 +458,12 @@ def profile_images(rows, n_cols: int, pattern_rows, pattern_n_cols: int,
     |P_sigma(j)| >= s_j, every union of m_0 elements of F - C and m_j of
     P_sigma(j) is an image: deleting the rest of M/C leaves the pattern.
     An m_0-set X of F lies outside some basis C iff F - X has rank
-    rank - rho.  Bits of either matrix at or above its column count are
-    ignored.
+    rank - rho; with no marked loop X is empty and F itself has that rank,
+    so nothing is tested.  Two pattern classes with equal (s_j, m_j) give
+    the same images when sigma swaps their classes, so each unordered
+    choice of classes for them is read once, and each class's m_j-subsets
+    are built once per flat.  Bits of either matrix at or above its column
+    count are ignored.
     """
     pattern_rows = [row & ((1 << pattern_n_cols) - 1) for row in pattern_rows]
     rho = rank(pattern_rows)
@@ -470,8 +479,10 @@ def profile_images(rows, n_cols: int, pattern_rows, pattern_n_cols: int,
         else:
             loops += 1
             marked_loops += marked
-    # (s_j, m_j) for each pattern class j.
-    shape = list(by_vector.values())
+    # (s_j, m_j) for each pattern class j, equal entries side by side; sigma
+    # gives equal entries classes in increasing mask order, once each.
+    shape = sorted(by_vector.values())
+    ties = [j for j in range(1, len(shape)) if shape[j] == shape[j - 1]]
     rows = [row & ((1 << n_cols) - 1) for row in rows]
     c_size = rank(rows) - rho
     images = set()
@@ -480,15 +491,20 @@ def profile_images(rows, n_cols: int, pattern_rows, pattern_n_cols: int,
     for flat, classes in _contractions(columns(rows, n_cols), c_size):
         if flat.bit_count() - c_size < loops:
             continue
-        loop_picks = [x for x in _subset_masks(flat, marked_loops)
-                      if rank_masked(rows, flat & ~x) == c_size]
-        parts = list(classes.values())
-        for sigma in permutations(parts, len(shape)):
-            if any(part.bit_count() < size
-                   for part, (size, _) in zip(sigma, shape)):
+        loop_picks = ([x for x in _subset_masks(flat, marked_loops)
+                       if rank_masked(rows, flat & ~x) == c_size]
+                      if marked_loops else [0])
+        picks = {}
+        for sigma in permutations(classes.values(), len(shape)):
+            if (any(sigma[j - 1] > sigma[j] for j in ties)
+                    or any(part.bit_count() < size
+                           for part, (size, _) in zip(sigma, shape))):
                 continue
-            choices = [loop_picks] + [_subset_masks(part, count)
-                                      for part, (_, count) in zip(sigma, shape)]
+            choices = [loop_picks]
+            for part, (_, count) in zip(sigma, shape):
+                if (part, count) not in picks:
+                    picks[part, count] = _subset_masks(part, count)
+                choices.append(picks[part, count])
             images.update(sum(pick) for pick in product(*choices))
     return images
 

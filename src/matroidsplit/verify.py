@@ -421,19 +421,22 @@ _FOLD_OK = "3-fold is a binary gammoid"
 
 @dataclass(frozen=True)
 class _Law:
-    """A gammoid with no minor among ``patterns`` (catalog names with
-    nonempty marks) stays a gammoid under the operation, read as ``ok``,
-    on each case of ``cases(m)``: sorted label tuples, in sweep order.
-    The operation appends rows to ``m``'s, each a label mask u plus bits
-    in new columns; ``key(cosets, case)`` gives the row-space cosets of
-    the masks u, each the XOR of its labels' ``m._label_cosets``, and
+    """A gammoid with no excluded minor (catalog patterns with nonempty
+    marks) stays a gammoid under the operation, read as ``ok``, on each
+    case of ``cases(m)``: sorted label tuples, in sweep order.
+    ``images(m, cases)`` gives the pinned reading, the label sets that the
+    marks of some excluded minor occupy, as frozensets; every mark set is
+    nonempty, so ``m`` has an excluded minor iff some image exists.  The
+    operation appends rows to ``m``'s, each a label mask u plus bits in
+    new columns; ``key(cosets, case)`` gives the row-space cosets of the
+    masks u, each the XOR of its labels' ``m._label_cosets``, and
     ``rows(m, key)`` gives (rows in standard form, n_cols) of the result.
     A failure names its case under ``param``; ``some_bad_key`` counts the
     members with an excluded minor where some case goes non-gammoid.  The
     sweep reads the gammoids of at least ``min_elements`` elements."""
 
     name: str
-    patterns: tuple[str, ...]
+    images: Callable
     cases: Callable
     key: Callable
     rows: Callable
@@ -477,14 +480,31 @@ def _split_rows(m: BinaryMatroid, key: int) -> tuple:
             m.rep.n_cols)
 
 
+# (matroid, marked) of G_1..G_3, each read once: G_2 is G_1 with its loop b
+# at another vertex, the same labels, rows and marks.
+@cache
+def _split_patterns() -> tuple:
+    return tuple({(e.matroid.labels, e.matroid.rep, e.marked): (e.matroid, e.marked)
+                  for e in map(catalog.get, ("G_1", "G_2", "G_3"))}.values())
+
+
+def _split_images(m: BinaryMatroid, cases) -> set[frozenset[str]]:
+    """The triples that the marks of G_1, G_2 or G_3 occupy in ``m``, read
+    by ``minor_marked_images``; every triple is a case of the law."""
+    return set().union(*(m.minor_marked_images(pattern, marked)
+                         for pattern, marked in _split_patterns()))
+
+
 # Workers look a law up here by name, so no lambda is pickled.
 _LAWS = {law.name: law for law in (
-    _Law(name="split-gammoid", patterns=("G_1", "G_2", "G_3"),
+    _Law(name="split-gammoid", images=_split_images,
          cases=lambda m: tuple(combinations(sorted(m.labels), 3)),
          key=lambda cos, t: cos[t[0]] ^ cos[t[1]] ^ cos[t[2]], rows=_split_rows,
          ok=_SPLIT_OK, param="T",
          some_bad_key="members_where_some_splitting_non_gammoid", min_elements=3),
-    _Law(name="main", patterns=("G_4",),
+    # The marks (x, y) of G_4 occupy exactly the admissible pairs, the cases
+    # (see check_three_fold_excluded_minor), so no image is searched.
+    _Law(name="main", images=lambda m, cases: set(map(frozenset, cases)),
          cases=lambda m: tuple(sorted(tuple(sorted(p)) for p in admissible_pairs(m))),
          key=lambda cos, p: (cos[p[0]] ^ cos[p[1]], cos[p[0]]),
          # For the cosets (v(xy), v(x)) the 3-fold's rows on m._rref are a
@@ -496,14 +516,6 @@ _LAWS = {law.name: law for law in (
 )}
 
 
-# (matroid, marked) of each pattern of a law, each read once: G_2 is G_1
-# with its loop b at another vertex, the same labels, rows and marks.
-@cache
-def _law_patterns(name: str) -> tuple:
-    return tuple({(e.matroid.labels, e.matroid.rep, e.marked): (e.matroid, e.marked)
-                  for e in map(catalog.get, _LAWS[name].patterns)}.values())
-
-
 def _law_worker(m: BinaryMatroid, gammoid: bool, memo: dict, name: str):
     """(whether ``m`` has an excluded minor, its number of cases, the cases
     that go non-gammoid, the cases where the pinned reading agrees); None
@@ -511,12 +523,8 @@ def _law_worker(m: BinaryMatroid, gammoid: bool, memo: dict, name: str):
     law = _LAWS[name]
     if not gammoid or m.n_elements() < law.min_elements:
         return None
-    # Every marked set is nonempty, so m has an excluded minor iff some
-    # marked image exists.
-    pinned: set[frozenset[str]] = set()
-    for pattern, marked in _law_patterns(name):
-        pinned |= m.minor_marked_images(pattern, marked)
     cases = law.cases(m)
+    pinned = law.images(m, cases)
     decided = memo.setdefault(name, {})
     bad = tuple(case for case in cases
                 if _law_outcome(law, m, case, decided) != law.ok)
@@ -618,6 +626,17 @@ def check_three_fold_excluded_minor(c: Corpus) -> VerificationReport:
     observation ``direction_a_admissible_pairs`` is therefore 0, and a
     pass rests on the three known-instance cases.
 
+    The pinned reading needs no search either: the images of G_4's marked
+    pair (x, y) in M are exactly the admissible pairs.  Every automorphism
+    of U_{1,3} is a permutation, so the images are the 2-subsets of the
+    ground sets of U_{1,3} minors.  One direction is the construction in
+    the proof below.  Conversely, let N = M \\ D / C be U_{1,3} on
+    {x, y, z}.  Its one cocircuit is {x, y, z}, and the cocircuits of
+    M \\ D / C are the minimal nonempty sets C* - D with C* a cocircuit
+    of M and C* disjoint from C (Oxley, *Matroid Theory*, 2nd ed.,
+    Ch. 2-3).  So some cocircuit C* of M holds x, y and z, and {x, y}
+    lies properly inside it.
+
     More holds: for every binary matroid M and every admissible pair
     {x, y}, the 3-fold has an M(K4) minor, so it is never a gammoid.
     Proof sketch: {x, y} lies properly inside a cocircuit C*; pick
@@ -675,18 +694,22 @@ def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
     ``t`` with e's bit set.  Deleting e must leave exactly the splitting's
     rows, ``m``'s plus the mask; contracting e must give back exactly
     ``m``'s rows, since e's only 1 is in the appended row, so the pivot on e
-    removes that row and touches no other.  ``m`` was validated, ``t`` goes
-    through ``_label_mask`` and e needs no label, so no matroid is built.
-    The worker checks once per member that e fits (``check_room``).
+    removes that row and touches no other.  ``m`` was validated and its
+    labels make up ``t``, so the mask is read off ``m._label_bits`` with no
+    check, and e needs no label, so no matroid is built.  The worker checks
+    once per member that e fits (``check_room``).
     """
-    mask = m._label_mask(t)
-    n = m.rep.n_cols
-    rows = m.rep.rows
-    ext = rows + (mask | 1 << n,)
+    bits = m._label_bits
+    mask = 0
+    for lab in t:
+        mask |= bits[lab]
+    rows, n = m.rep.rows, m.rep.n_cols
+    e = 1 << n
+    ext = rows + (mask | e,)
     bad = []
-    if _kernel.delete_rows(ext, n + 1, 1 << n) != rows + (mask,):
+    if _kernel.delete_rows(ext, n + 1, e) != rows + (mask,):
         bad.append("delete identity")
-    if _kernel.contract_rows(ext, n + 1, 1 << n) != rows:
+    if _kernel.contract_rows(ext, n + 1, e) != rows:
         bad.append("contract identity")
     return bad
 

@@ -150,13 +150,26 @@ def test_from_bits_rejects_non_binary_characters():
     assert Gf2Matrix.from_bits(["10", [0, 1], (True, False)]).rows == (1, 2, 1)
 
 
+def _oracle_mask(rng, n_cols: int) -> int:
+    """A column mask with bits up to 3 above ``n_cols``: empty, random or
+    sparse random, or one run of columns below ``n_cols``: a prefix, a
+    suffix (with the bits above), the top column alone, as the
+    element-splitting identities pass it, or one interior column."""
+    width = n_cols + 3
+    cut = rng.randrange(n_cols + 1)
+    return rng.choice((
+        0, rng.getrandbits(width), rng.getrandbits(width) & rng.getrandbits(width),
+        (1 << cut) - 1, (1 << width) - (1 << cut),
+        1 << (n_cols - 1) if n_cols else 0,
+        1 << rng.randrange(1, n_cols - 1) if n_cols > 2 else 0))
+
+
 def test_pure_delete_rows_matches_bit_by_bit_oracle():
     rng = random.Random(11)
     for n_cols in [0, 1, 2, 7, 20, 63, 64] * 300:
         # Bits up to 3 above n_cols, in rows and in dmask alike.
         rows = tuple(rng.getrandbits(n_cols + 3) for _ in range(rng.randrange(5)))
-        dmask = rng.getrandbits(n_cols + 3) & rng.choice(
-            (0, -1, rng.getrandbits(n_cols + 3)))
+        dmask = _oracle_mask(rng, n_cols)
         assert pure.delete_rows(rows, n_cols, dmask) == \
             oracles.delete_rows(rows, n_cols, dmask), (rows, n_cols, dmask)
 
@@ -166,8 +179,7 @@ def test_pure_contract_rows_matches_bit_by_bit_oracle():
     for n_cols in [0, 1, 2, 7, 20, 63, 64] * 300:
         # Bits up to 3 above n_cols, in rows and in cmask alike.
         rows = tuple(rng.getrandbits(n_cols + 3) for _ in range(rng.randrange(5)))
-        cmask = rng.getrandbits(n_cols + 3) & rng.choice(
-            (0, -1, rng.getrandbits(n_cols + 3)))
+        cmask = _oracle_mask(rng, n_cols)
         assert pure.contract_rows(rows, n_cols, cmask) == \
             oracles.contract_rows(rows, n_cols, cmask), (rows, n_cols, cmask)
 

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import random
 import shutil
 import subprocess
 import sys
@@ -206,6 +207,55 @@ def test_three_fold_check(corpus6):
     assert obs["members_where_some_fold_non_gammoid"] == 55
     assert obs["ghafari_construction_identical"] == \
         obs["ghafari_construction_compared"]
+
+
+def _random_host(rng):
+    """A random binary matroid on up to 10 elements with up to two loops
+    and up to two coloops, in shuffled column order."""
+    r = rng.randrange(5)
+    coloops = rng.randrange(3)
+    cols = [rng.getrandbits(r) for _ in range(rng.randrange(7))]
+    cols += [0] * rng.randrange(3) + [1 << (r + i) for i in range(coloops)]
+    rng.shuffle(cols)
+    rows = _kernel.columns(cols, r + coloops)
+    return BinaryMatroid(tuple(f"e{j}" for j in range(len(cols))),
+                         Gf2Matrix(rows, len(cols)))
+
+
+def test_g4_images_are_the_admissible_pairs(corpus7):
+    # main takes G_4's pinned images on (x, y) to be its own cases, the
+    # admissible pairs, as check_three_fold_excluded_minor proves.  Here the
+    # search confirms it on every member of the corpus, gammoid or not, and
+    # on random hosts with loops and coloops.
+    entry = catalog.get("G_4")
+    rng = random.Random(29)
+    hosts = list(corpus7.members) + [_random_host(rng) for _ in range(1000)]
+    with_pairs = 0
+    for m in hosts:
+        pairs = {frozenset(p) for p in admissible_pairs(m)}
+        assert m.minor_marked_images(entry.matroid, entry.marked) == pairs, \
+            verify.compact(m)
+        with_pairs += bool(pairs)
+    assert 0 < with_pairs < len(hosts)
+
+
+def test_main_reads_no_marked_images(corpus7, monkeypatch):
+    # main's pinned reading comes from its admissible pairs, so its pass
+    # makes no profile_images call; split-gammoid's still searches.
+    calls = []
+    images = _kernel.profile_images
+
+    def spy(*args):
+        calls.append(args)
+        return images(*args)
+
+    monkeypatch.setattr(_kernel, "profile_images", spy)
+    [report] = verify.run_checks(["main"], corpus7)
+    assert report.verdict == "pass"
+    assert report.observations["pinned_reading_agreements"] > 0
+    assert not calls
+    verify.run_checks(["split-gammoid"], corpus7.restrict(5))
+    assert calls
 
 
 # -- one decision per row-space coset -------------------------------------------------------
