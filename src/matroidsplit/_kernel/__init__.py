@@ -19,9 +19,9 @@ compiled one walks the matroid itself, which in C costs less than the dual
 walk in Python.
 ``BACKEND`` names the module that loaded last ("compiled" or "pure").
 Callers look these names up here at call time, so wrapping a module
-attribute traces every call, except the minor searches for patterns above
-rank 6: the compiled canonical forms stop there, so ``matroid`` takes those
-from ``pure`` directly.
+attribute traces every call, except canonical forms above rank 6: the
+compiled ones stop there, so ``matroid._canon_kernel`` takes ``pure`` for
+the one isomorphism key, ``matroid.canonical_key``, and its scans.
 """
 
 from __future__ import annotations

@@ -202,6 +202,8 @@ def minor(file, pattern, pins):
         if "=" not in raw:
             raise click.UsageError(f"--pin expects PAT=HOST, got {raw!r}")
         key, _, value = raw.partition("=")
+        if key in pin_map:
+            raise click.UsageError(f"--pin repeats the pattern label {key!r}")
         pin_map[key] = value
     witness = m.has_minor(pat, pins=pin_map or None)
     record = formats.result_record(

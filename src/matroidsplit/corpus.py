@@ -14,8 +14,8 @@ a canonical parent plus one column, and only those one-column children are
 tested (see ``enumerate_binary_matroids``).  Ranks are capped at 4 and
 loops at multiplicity 3, which covers everything the verification harness
 quantifies over.  The rank cap is the harness's bound, not the canonical
-forms': the compiled kernel takes them up to rank 6, the pure one at any
-rank.
+forms': the one isomorphism key, ``matroid.canonical_key``, is taken at
+every rank, by the compiled kernel up to rank 6 and by the pure one above.
 """
 
 from __future__ import annotations
@@ -30,23 +30,6 @@ from .matroid import BinaryMatroid, reduced_columns
 MAX_ELEMENTS = 9
 MAX_RANK = 4
 MAX_LOOPS = 3
-
-
-@dataclass(frozen=True)
-class CanonicalKey:
-    """Isomorphism-class key: rank plus the GL-minimized column multiset."""
-
-    rank: int
-    columns: tuple[int, ...]
-
-
-def canonical_key(m: BinaryMatroid) -> CanonicalKey:
-    """Key equality coincides with matroid isomorphism.  Keys are taken up
-    to rank ``MAX_RANK``, the corpus bound."""
-    r, cols = reduced_columns(m)
-    if r > MAX_RANK:
-        raise ValueError(f"rank {r} exceeds canonical-form limit {MAX_RANK}")
-    return CanonicalKey(r, _kernel.canon_key_cols(cols, r))
 
 
 def matroid_from_columns(rank: int, cols) -> BinaryMatroid:
@@ -181,10 +164,14 @@ def from_file_text(text: str) -> Corpus:
             continue
         if line.startswith("#"):
             for token in line[1:].split():
-                if token.startswith("max_elements="):
-                    max_elements = int(token.split("=", 1)[1])
-                elif token.startswith("max_rank="):
-                    max_rank = int(token.split("=", 1)[1])
+                try:
+                    if token.startswith("max_elements="):
+                        max_elements = int(token.split("=", 1)[1])
+                    elif token.startswith("max_rank="):
+                        max_rank = int(token.split("=", 1)[1])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: header bound {token!r} is "
+                                     "not an integer") from None
             continue
         tokens = line.split()
         if len(tokens) < 2:

@@ -440,16 +440,26 @@ def reduced_columns(m: BinaryMatroid) -> tuple[int, tuple[int, ...]]:
     return len(reduced), _kernel.columns(reduced, m.rep.n_cols)
 
 
+def _canon_kernel(rank: int):
+    """Compiled canonical forms stop at rank 6 (``GL_MAX_RANK``); pure go on."""
+    return _kernel if rank <= 6 else _kernel.pure
+
+
+def canonical_key(m: BinaryMatroid) -> tuple[int, tuple[int, ...]]:
+    """(rank, least GL(rank, 2) image of the columns over the rref rows):
+    binary matroids share it exactly when they are isomorphic."""
+    r, cols = reduced_columns(m)
+    return r, _canon_kernel(r).canon_key_cols(cols, r)
+
+
 def _fast_pattern_kind(pattern: BinaryMatroid):
     """(kernel, kind, want): a complete matcher for the pattern and the
     kernel whose ``find_minors`` runs it.
 
     Rank <= 2 binary matroids are determined by (rank, loops, parallel-class
     sizes), and a simple rank-3 matroid on 6 elements is M(K4).  Any other
-    pattern is matched by its canonical key, which binary matroids share
-    exactly when they are isomorphic.  The compiled canonical forms stop at
-    rank 6 (``GL_MAX_RANK`` in ``_speed.c``), so a pattern of higher rank
-    takes its key and its scan from ``_kernel.pure``.
+    pattern is matched by its :func:`canonical_key`, scanned by the kernel
+    that computes the key (:func:`_canon_kernel`).
     """
     prof = _kernel.profile(pattern.rep.rows, pattern.rep.n_cols)
     r, loops, sizes = prof
@@ -458,9 +468,7 @@ def _fast_pattern_kind(pattern: BinaryMatroid):
         return _kernel, _kernel.KIND_PROFILE, prof
     if r == 3 and loops == 0 and all(s == 1 for s in sizes) and n == 6:
         return _kernel, _kernel.KIND_SIMPLE_RANK3, None
-    kernel = _kernel if r <= 6 else _kernel.pure
-    rk, cols = reduced_columns(pattern)
-    return kernel, _kernel.KIND_CANONICAL, (rk, kernel.canon_key_cols(cols, rk))
+    return _canon_kernel(r), _kernel.KIND_CANONICAL, canonical_key(pattern)
 
 
 K4_GRAPH = Graph(4, ((1, 2, "e12"), (1, 3, "e13"), (1, 4, "e14"),
@@ -486,7 +494,12 @@ def _element_signatures(circuit_masks, n):
 
 
 def _isomorphisms(a: BinaryMatroid, b: BinaryMatroid, pins):
-    """Yield every circuit-preserving bijection from a's labels to b's."""
+    """Yield every circuit-preserving bijection from a's labels to b's.
+
+    Only circuits of ``a`` are checked, each onto one of ``b``: with
+    ``len(ca) == len(cb)``, checked first, an injective map doing that is a
+    bijection of circuits, and a matroid is fixed by its circuits (Oxley,
+    *Matroid Theory*, 2nd ed., Ch. 1).  So the leaves are the isomorphisms."""
     na, nb = len(a.labels), len(b.labels)
     if na != nb:
         return
@@ -504,14 +517,11 @@ def _isomorphisms(a: BinaryMatroid, b: BinaryMatroid, pins):
         return
 
     cb_set = set(cb)
-    ca_set = set(ca)
     circuits_at_a = [[m for m in ca if (m >> j) & 1] for j in range(na)]
-    circuits_at_b = [[m for m in cb if (m >> j) & 1] for j in range(nb)]
 
     mapping = [-1] * na
     inverse = [-1] * nb
     assigned_mask = 0
-    image_mask = 0
 
     fixed = {}
     if pins:
@@ -528,7 +538,7 @@ def _isomorphisms(a: BinaryMatroid, b: BinaryMatroid, pins):
         by_sig.setdefault(sig_b[j], []).append(j)
 
     def consistent(i, j):
-        # Circuits fully assigned on either side must correspond.
+        # Each circuit of a that i -> j completes must map onto one of b.
         for m in circuits_at_a[i]:
             if m & ~(assigned_mask | (1 << i)):
                 continue
@@ -540,21 +550,10 @@ def _isomorphisms(a: BinaryMatroid, b: BinaryMatroid, pins):
                 mm ^= low
             if img | (1 << j) not in cb_set:
                 return False
-        for m in circuits_at_b[j]:
-            if m & ~(image_mask | (1 << j)):
-                continue
-            pre = 0
-            mm = m & ~(1 << j)
-            while mm:
-                low = mm & -mm
-                pre |= 1 << inverse[low.bit_length() - 1]
-                mm ^= low
-            if pre | (1 << i) not in ca_set:
-                return False
         return True
 
     def backtrack(pos):
-        nonlocal assigned_mask, image_mask
+        nonlocal assigned_mask
         if pos == na:
             yield {a.labels[i]: b.labels[mapping[i]] for i in range(na)}
             return
@@ -568,10 +567,8 @@ def _isomorphisms(a: BinaryMatroid, b: BinaryMatroid, pins):
             mapping[i] = j
             inverse[j] = i
             assigned_mask |= 1 << i
-            image_mask |= 1 << j
             yield from backtrack(pos + 1)
             assigned_mask &= ~(1 << i)
-            image_mask &= ~(1 << j)
             mapping[i] = -1
             inverse[j] = -1
 

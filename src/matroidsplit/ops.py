@@ -36,26 +36,31 @@ def _inside_cocircuit(m: BinaryMatroid, subset) -> bool:
     return any(mask & c == mask != c for c in m._cocircuit_masks)
 
 
+def _split_mask(m: BinaryMatroid, t) -> int:
+    """The mask of the splitting set ``t``, nonempty with no label repeated."""
+    t = tuple(t)
+    if not t:
+        raise ValueError("splitting set must be nonempty")
+    mask = m._label_mask(t)
+    if mask.bit_count() != len(t):
+        raise ValueError(f"splitting set repeats a label: {','.join(t)}")
+    return mask
+
+
 def splitting(m: BinaryMatroid, t) -> BinaryMatroid:
     """Append a row with 1s exactly on the columns of ``t``.
 
     The ground set is unchanged; the rank grows by one unless the indicator
     of ``t`` already lies in the row space.
     """
-    t = tuple(t)
-    if not t:
-        raise ValueError("splitting set must be nonempty")
-    return BinaryMatroid._derived(m.labels, m.rep.rows + (m._label_mask(t),),
+    return BinaryMatroid._derived(m.labels, m.rep.rows + (_split_mask(m, t),),
                                   m.rep.n_cols)
 
 
 def element_splitting(m: BinaryMatroid, t, new_label: str) -> BinaryMatroid:
     """Splitting on ``t`` plus a new element carrying the new row's indicator."""
     _check_new_label(m.labels, new_label)
-    t = tuple(t)
-    if not t:
-        raise ValueError("splitting set must be nonempty")
-    mask = m._label_mask(t)
+    mask = _split_mask(m, t)
     n = m.rep.n_cols
     check_room(n)
     return BinaryMatroid._derived(m.labels + (new_label,),

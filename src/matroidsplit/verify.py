@@ -12,9 +12,10 @@ G_1..G_3) and ``main`` (3-folds, G_4), are ``_Law`` constants run by one
 law sweep, :func:`_law_sweep`: one worker, one tally and one memoized row
 decision, :func:`_law_outcome`.
 
-:func:`run_checks` runs every sweep it selects (``_SWEEPS``) in one pass,
-one call and one memo per member, pooled as one map (:func:`_map_members`);
-the check functions then tally, or evaluate serially when called alone.  A
+:func:`run_checks` runs the evaluators of the reports it selects
+(``_REPORTS``) in one pass, one call and one memo per member, pooled as one
+map (:func:`_map_members`); the check functions then tally, or evaluate
+serially when called alone.  A
 report's ``wall_time`` is the seconds its evaluator spent on the members,
 as timed where it ran, plus its own tally.
 """
@@ -34,13 +35,13 @@ from operator import xor
 
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, check_room
-from .matroid import BinaryMatroid, MinorWitness, series_parallel_reduces
+from .matroid import BinaryMatroid, MinorWitness, canonical_key, series_parallel_reduces
 from .ops import admissible_pairs, splitting, three_fold, three_fold_rows
 # bench/run.py's install_tracer wraps splitting, element_splitting,
 # three_fold, three_fold_ghafari and admissible_pairs here and at ops, and
 # requires each name to be the same function at both.
 from .ops import element_splitting, three_fold_ghafari  # noqa: F401
-from .corpus import MAX_LOOPS, Corpus, canonical_key
+from .corpus import MAX_LOOPS, Corpus
 from .verifyreport import CaseFailure, VerificationReport, make_failure
 
 
@@ -77,33 +78,34 @@ def _member_outcomes(item, evaluators) -> tuple:
     return tuple(timed)
 
 
-def _map_members(evaluators, c: Corpus, pool=None, jobs: int = 1) -> dict:
-    """evaluator -> (its outcome on each member of ``c`` in corpus order,
-    the seconds it spent), from one :func:`_member_outcomes` call per
-    member: on ``pool`` with ``jobs`` workers, or serially without one.
+def _map_members(names, c: Corpus, pool=None, jobs: int = 1) -> dict:
+    """report name -> (its evaluator's outcome on each member of ``c`` in
+    corpus order, the seconds it spent), from one :func:`_member_outcomes`
+    call per member: on ``pool`` with ``jobs`` workers, or serially.
 
     Members go out largest first (stable by element count), so the last
     tasks to finish are small, in chunks of ceil(members / (4 * jobs)),
     ``multiprocessing.Pool.map``'s default: about four tasks per worker,
     cheap beside the work, and tasks are left for a worker that finishes
     early."""
+    evaluators = tuple(_REPORTS[name][1] for name in names)
     items = tuple(zip(c.members, c.gammoid_flags))
     order = sorted(range(len(items)), key=lambda i: -items[i][0].n_elements())
     fn, sent = partial(_member_outcomes, evaluators=evaluators), [items[i] for i in order]
     got = (pool.map(fn, sent, chunksize=max(1, ceil(len(sent) / (4 * jobs))))
            if pool else map(fn, sent))
     results = [r for _, r in sorted(zip(order, got), key=lambda pair: pair[0])]
-    return {evaluate: ([r[i][0] for r in results], sum(r[i][1] for r in results))
-            for i, evaluate in enumerate(evaluators)}
+    return {name: ([r[i][0] for r in results], sum(r[i][1] for r in results))
+            for i, name in enumerate(names)}
 
 
-def _swept(c: Corpus, evaluate) -> tuple:
-    """``evaluate``'s outcome on each member of ``c`` in corpus order and its
-    seconds outside the caller: the :func:`run_checks` pass's, or 0 here."""
+def _swept(c: Corpus, name: str) -> tuple:
+    """Report ``name``'s outcome on each member of ``c`` in corpus order and
+    its seconds outside the caller: the :func:`run_checks` pass's, or 0."""
     corpus, table = _RUN.get()
-    if corpus is c and evaluate in table:
-        return table[evaluate]
-    return _map_members((evaluate,), c)[evaluate][0], 0.0
+    if corpus is c and name in table:
+        return table[name]
+    return _map_members((name,), c)[name][0], 0.0
 
 
 def _k_subsets(s: BinaryMatroid, k: int):
@@ -193,12 +195,17 @@ def _gf_empty_member(m: BinaryMatroid, gammoid: bool, memo: dict, k: int) -> tup
     return got, gammoid and got != "absent" and _f_decision(m, 0, f)
 
 
-def _split_minor_sweep(c: Corpus, k: int, evaluate):
-    """Sweep ``evaluate``, a gf-empty or gf-collection evaluator at k:
+def _gf_collection_member(m: BinaryMatroid, gammoid: bool, memo: dict, k: int) -> tuple:
+    """The gf-collection-k{k} outcome of ``m``, with no F decision."""
+    return _split_minor_outcome(m, k, pinned_splitting_minor_set), None
+
+
+def _split_minor_sweep(c: Corpus, name: str, k: int):
+    """Sweep report ``name``, gf-empty or gf-collection at k:
     (gammoid, F decision) for the gammoids whose outcome is a witness,
     their failure records, the observations on the non-gammoids, and
     :func:`_swept`'s seconds."""
-    outcomes, spent = _swept(c, evaluate)
+    outcomes, spent = _swept(c, name)
     found = [(m, gammoid, got, has_f) for m, gammoid, (got, has_f)
              in zip(c.members, c.gammoid_flags, outcomes) if got != "absent"]
     hosts = [(m, has_f) for m, gammoid, _, has_f in found if gammoid]
@@ -236,8 +243,7 @@ def check_split_minor_empty(c: Corpus, k: int) -> VerificationReport:
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
-    hosts, failures, observations, spent = _split_minor_sweep(
-        c, k, _SWEEPS[f"gf-empty-k{k}"])
+    hosts, failures, observations, spent = _split_minor_sweep(c, f"gf-empty-k{k}", k)
     free = [m for m, has_f in hosts if not has_f]
     smallest = min(free, key=lambda m: m.n_elements(), default=None)
     return VerificationReport.from_failures(
@@ -271,8 +277,7 @@ def check_split_minor_collection_empty(c: Corpus, k: int) -> VerificationReport:
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
     start = time.perf_counter()
-    _, failures, observations, spent = _split_minor_sweep(c, k, lambda m, g, memo: (
-        _split_minor_outcome(m, k, pinned_splitting_minor_set), None))
+    _, failures, observations, spent = _split_minor_sweep(c, f"gf-collection-k{k}", k)
     return VerificationReport.from_failures(
         f"gf-collection-k{k}",
         _universe(c, f"for every member and every Y with |Y| = {k}, "
@@ -284,7 +289,8 @@ def check_split_minor_collection_empty(c: Corpus, k: int) -> VerificationReport:
 
 
 def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict):
-    """The gf-minors outcome of ``m``, None for a non-gammoid; the left side
+    """The gf-minors outcome of ``m``, (whether a 3-element splitting has an
+    F minor, the F_i minors' names), None for a non-gammoid; the left side
     reads and adds to the member's F decisions in ``memo``."""
     if not gammoid:
         return None
@@ -292,9 +298,7 @@ def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict):
         m, 3, memo.setdefault("F", {})) is not None
     present = _kernel.profile_present(m.rep.rows, m.rep.n_cols,
                                       tuple(map(_profile_want, _FI)))
-    found = [name for name, hit in zip(_FI, present) if hit]
-    return (f"splitting_minor={lhs} f_minors={','.join(found) or 'none'} "
-            f"agree={lhs == bool(found)}")
+    return lhs, tuple(name for name, hit in zip(_FI, present) if hit)
 
 
 # The excluded minors of the characterization, all of rank <= 2.
@@ -311,10 +315,13 @@ def check_split_minor_characterization(c: Corpus) -> VerificationReport:
     share one pass over the rank-1 contractions.
     """
     start = time.perf_counter()
-    outcomes, spent = _swept(c, _SWEEPS["gf-minors"])
-    failures = [make_failure(compact(m), {"k": 3}, expected="agree=True", got=got)
-                for m, got in zip(c.members, outcomes) if got and "agree=False" in got]
-    in_collection = sum("splitting_minor=True" in got for got in outcomes if got)
+    outcomes, spent = _swept(c, "gf-minors")
+    read = [(m, *got) for m, got in zip(c.members, outcomes) if got]
+    failures = [make_failure(compact(m), {"k": 3}, expected="agree=True",
+                             got=f"splitting_minor={lhs} f_minors="
+                                 f"{','.join(found) or 'none'} agree=False")
+                for m, lhs, found in read if lhs != bool(found)]
+    in_collection = sum(lhs for _, lhs, _ in read)
     return VerificationReport.from_failures(
         "gf-minors",
         _universe(c, "both directions of: exists Y, |Y| = 3, with an F "
@@ -542,7 +549,7 @@ def _law_sweep(name: str, c: Corpus) -> tuple:
     non-gammoid) and the pinned reading (a case goes non-gammoid iff it is
     the image of a marked set)."""
     law = _LAWS[name]
-    outcomes, spent = _swept(c, _SWEEPS[name])
+    outcomes, spent = _swept(c, name)
     members = [(m, got) for m, got in zip(c.members, outcomes) if got]
     failures = []
     asserted = with_minor = with_minor_and_bad = pinned_checked = pinned_agree = 0
@@ -733,7 +740,7 @@ def check_element_splitting_identities(c: Corpus) -> VerificationReport:
     back the original matroid.  Swept over every member of ``c`` and every T
     with 1 <= |T| <= 3."""
     start = time.perf_counter()
-    outcomes, spent = _swept(c, _SWEEPS["esplit-identities"])
+    outcomes, spent = _swept(c, "esplit-identities")
     failures = [make_failure(compact(m), {"T": ",".join(t)},
                              expected=f"{which} holds", got="violated")
                 for m, bad in zip(c.members, outcomes) for t, which in bad]
@@ -761,65 +768,61 @@ def check_names(names) -> list[str]:
     return wanted
 
 
-# One evaluator per report that sweeps members: (member, gammoid flag, the
-# member's memo) -> the outcome its sweep tallies, None for a member it
-# does not read.  They are sent to workers by reference, never as lambdas.
-_SWEEPS = {
-    "gf-empty-k1": partial(_gf_empty_member, k=1),
-    "gf-empty-k2": partial(_gf_empty_member, k=2),
-    "gf-minors": _gf_member_worker,
-    "split-gammoid": partial(_law_worker, name="split-gammoid"),
-    "main": partial(_law_worker, name="main"),
-    "esplit-identities": _esplit_worker,
-}
-
-
 def run_checks(names, c: Corpus | None, jobs: int | None = None
                ) -> list[VerificationReport]:
     """Run the named checks (or all of them) and return their reports.
 
-    First every sweep they select runs in one pass over ``c``, one call and
-    one memo per member (:func:`_map_members`), so gf-empty k = 1, 2, their
-    witness hosts and gf-minors decide each F coset of a member once.  With
-    ``jobs > 1`` it is the one map of a pool that closes when it ends.
+    First the evaluators of the reports they select run in one pass over
+    ``c``, one call and one memo per member (:func:`_map_members`), so
+    gf-empty k = 1, 2, their witness hosts and gf-minors decide each F coset
+    of a member once.  With ``jobs > 1`` it is the one map of a pool.
     """
     wanted = check_names(names)
     needs_corpus = set(wanted) - {"catalog", "quotients"}
     if needs_corpus and c is None:
         raise ValueError("these checks need a corpus: " + ", ".join(sorted(needs_corpus)))
-    evaluators = tuple(dict.fromkeys(
-        evaluate for name in wanted for report, evaluate in _SWEEPS.items()
-        if _REPORTS[report][0] == name))
-    pooled = evaluators and jobs and jobs > 1
+    swept = tuple(dict.fromkeys(
+        report for name in wanted for report, (check, evaluate, _) in _REPORTS.items()
+        if check == name and evaluate))
+    pooled = swept and jobs and jobs > 1
     with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
-        table = _map_members(evaluators, c, pool, jobs) if evaluators else {}
+        table = _map_members(swept, c, pool, jobs) if swept else {}
     token = _RUN.set((c, table))
     try:
         return [run(c) for name in wanted
-                for check, run in _REPORTS.values() if check == name]
+                for check, _, run in _REPORTS.values() if check == name]
     finally:
         _RUN.reset(token)
 
 
 # Each report by name: the run_checks name that selects it (None: none does;
-# it runs alone or in a replay) and its run on a corpus.  The check functions
-# are looked up when a report runs, as bench/run.py's tracer wraps them in
-# this module; k stays positional, as the tracer names gf-empty spans by
-# args[1].
+# it runs alone or in a replay); its evaluator, (member, gammoid flag, the
+# member's memo) -> the outcome it tallies (None: no member), sent to workers
+# by reference, never as a lambda; and its run on a corpus.  The check
+# functions are looked up when a report runs, as bench/run.py's tracer wraps
+# them in this module; k stays positional, as the tracer names gf-empty spans
+# by args[1].
 _REPORTS = {
-    "catalog": ("catalog", lambda c: catalog.validate_all()),
-    "quotients": ("quotients", lambda c: check_quotients_of_f()),
-    "gf-empty-k1": ("gf-empty", lambda c: check_split_minor_empty(c, 1)),
-    "gf-empty-k2": ("gf-empty", lambda c: check_split_minor_empty(c, 2)),
-    "gf-minors": ("gf-minors", lambda c: check_split_minor_characterization(c)),
-    "split-gammoid": ("split-gammoid", lambda c: check_splitting_excluded_minors(c)),
-    "main": ("main", lambda c: check_three_fold_excluded_minor(c)),
-    "esplit-identities": ("esplit-identities",
+    "catalog": ("catalog", None, lambda c: catalog.validate_all()),
+    "quotients": ("quotients", None, lambda c: check_quotients_of_f()),
+    "gf-empty-k1": ("gf-empty", partial(_gf_empty_member, k=1),
+                    lambda c: check_split_minor_empty(c, 1)),
+    "gf-empty-k2": ("gf-empty", partial(_gf_empty_member, k=2),
+                    lambda c: check_split_minor_empty(c, 2)),
+    "gf-minors": ("gf-minors", _gf_member_worker,
+                  lambda c: check_split_minor_characterization(c)),
+    "split-gammoid": ("split-gammoid", partial(_law_worker, name="split-gammoid"),
+                      lambda c: check_splitting_excluded_minors(c)),
+    "main": ("main", partial(_law_worker, name="main"),
+             lambda c: check_three_fold_excluded_minor(c)),
+    "esplit-identities": ("esplit-identities", _esplit_worker,
                           lambda c: check_element_splitting_identities(c)),
-    "gf-collection-k1": (None, lambda c: check_split_minor_collection_empty(c, 1)),
-    "gf-collection-k2": (None, lambda c: check_split_minor_collection_empty(c, 2)),
+    "gf-collection-k1": (None, partial(_gf_collection_member, k=1),
+                         lambda c: check_split_minor_collection_empty(c, 1)),
+    "gf-collection-k2": (None, partial(_gf_collection_member, k=2),
+                         lambda c: check_split_minor_collection_empty(c, 2)),
 }
-CHECK_NAMES = tuple(dict.fromkeys(check for check, _ in _REPORTS.values() if check))
+CHECK_NAMES = tuple(dict.fromkeys(check for check, _, _ in _REPORTS.values() if check))
 
 
 def rerun_case(report_name: str, failure: CaseFailure) -> bool:
@@ -835,4 +838,4 @@ def rerun_case(report_name: str, failure: CaseFailure) -> bool:
                          f"known: {', '.join(_REPORTS)}")
     m = from_compact(failure.matroid)
     alone = Corpus(m.n_elements(), m.rank(), (m,), (m.is_binary_gammoid(),))
-    return failure in _REPORTS[report_name][1](alone).failures
+    return failure in _REPORTS[report_name][2](alone).failures

@@ -55,19 +55,26 @@ def standard_dual_rows(m: BinaryMatroid) -> tuple[int, ...]:
                  for q in range(m.n_elements()) if q not in pivots)
 
 
-def brute_isomorphism(a: BinaryMatroid, b: BinaryMatroid):
-    """Permutation search comparing brute-force circuit sets."""
+def brute_isomorphisms(a: BinaryMatroid, b: BinaryMatroid, pins=None):
+    """Every label bijection carrying a's circuits onto b's and each key of
+    ``pins`` to its value, by permutation search comparing brute-force
+    circuit sets, in the order of ``permutations(b.labels)``."""
     if a.n_elements() != b.n_elements():
-        return None
+        return
     ca = brute_circuits(a)
     cb = brute_circuits(b)
     if len(ca) != len(cb):
-        return None
+        return
     for perm in permutations(b.labels):
         phi = dict(zip(a.labels, perm))
-        if {frozenset(phi[x] for x in c) for c in ca} == cb:
-            return phi
-    return None
+        if (all(phi[x] == y for x, y in (pins or {}).items())
+                and {frozenset(phi[x] for x in c) for c in ca} == cb):
+            yield phi
+
+
+def brute_isomorphism(a: BinaryMatroid, b: BinaryMatroid):
+    """The first of :func:`brute_isomorphisms`, or None."""
+    return next(brute_isomorphisms(a, b), None)
 
 
 def delete_rows(rows, n_cols: int, dmask: int):

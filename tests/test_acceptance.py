@@ -13,9 +13,8 @@ import time
 from itertools import combinations
 
 from matroidsplit import catalog, verify
-from matroidsplit.corpus import canonical_key
 from matroidsplit.gf2 import Gf2Matrix, row_space_contains
-from matroidsplit.matroid import BinaryMatroid
+from matroidsplit.matroid import BinaryMatroid, canonical_key
 from matroidsplit.ops import element_splitting, splitting, three_fold_steps
 
 from oracles import brute_circuits

@@ -74,6 +74,14 @@ def test_split_output_round_trips(runner, g4_file, tmp_path):
     assert reparsed == on_disk
 
 
+def test_split_rejects_a_repeated_label(runner, g4_file):
+    for args in (("split", g4_file, "--t", "x,x"),
+                 ("esplit", g4_file, "--t", "y,x,y", "--new", "a")):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.output
+        assert "splitting set repeats a label" in result.output
+
+
 def test_threefold_golden_rows(runner, g4_file):
     rec = record_of(invoke(runner, "threefold", g4_file, "--x", "x", "--y", "y"))
     assert rec["matroid"] == [
@@ -155,6 +163,10 @@ def test_minor_with_pattern_file_and_pins(runner, g4_file, tmp_path):
                       "--pin", "e12=x", "--pin", "e13=x")
     assert repeated.exit_code == 2
     assert "repeat the element label 'x'" in repeated.output
+    twice = invoke(runner, "minor", str(fold), "--pattern", str(patt),
+                   "--pin", "e12=x", "--pin", "e12=y")
+    assert twice.exit_code == 2
+    assert "--pin repeats the pattern label 'e12'" in twice.output
 
 
 def test_minor_unknown_catalog_pattern(runner, g4_file):

@@ -8,14 +8,10 @@ import pytest
 
 from matroidsplit import _kernel, catalog
 from matroidsplit import corpus as corpus_mod
-from matroidsplit.corpus import (
-    Corpus,
-    canonical_key,
-    enumerate_binary_matroids,
-    matroid_from_columns,
-)
+from matroidsplit._kernel import pure
+from matroidsplit.corpus import Corpus, enumerate_binary_matroids, matroid_from_columns
 from matroidsplit.gf2 import Gf2Matrix
-from matroidsplit.matroid import BinaryMatroid, reduced_columns
+from matroidsplit.matroid import BinaryMatroid, canonical_key, reduced_columns
 
 from oracles import classify_matroids, gl_least_image
 
@@ -94,12 +90,22 @@ def test_canonical_forms_match_the_gl_brute_force():
     assert canonical >= 20
 
 
-def test_key_rank_limit():
-    wide = BinaryMatroid.from_matrix(
-        tuple(f"e{i}" for i in range(5)),
-        Gf2Matrix(tuple(1 << i for i in range(5)), 5))
-    with pytest.raises(ValueError, match="rank 5 exceeds"):
-        canonical_key(wide)
+@pytest.mark.parametrize("r", [5, 6, 7])
+def test_keys_past_the_corpus_rank(r):
+    # canonical_key has no rank cap: on the compiled backend its canonical
+    # forms are compiled up to rank 6 and pure above, and on either backend
+    # the key is pure's, unmoved by column shuffles and row operations.
+    rng = random.Random(r)
+    for extra in (0, 2, 4):
+        cols = [1 << i for i in range(r)] + [rng.randrange(1 << r) for _ in range(extra)]
+        rng.shuffle(cols)
+        m = matroid_from_columns(r, cols)
+        key = canonical_key(m)
+        assert key == (r, pure.canon_key_cols(reduced_columns(m)[1], r))
+        assert canonical_key(shuffled_copy(m, rng)) == key
+        rows = list(m.rep.rows)
+        rows[0] ^= rows[-1]
+        assert canonical_key(BinaryMatroid(m.labels, Gf2Matrix(tuple(rows), len(cols)))) == key
 
 
 # -- enumeration ----------------------------------------------------------------------
@@ -314,3 +320,5 @@ def test_malformed_corpus_lines():
         corpus_mod.from_file_text("2 x 1 2\n")
     with pytest.raises(ValueError, match="malformed"):
         corpus_mod.from_file_text("two g 1 2\n")
+    with pytest.raises(ValueError, match="line 2: header bound 'max_rank=x' is not an integer"):
+        corpus_mod.from_file_text("# binary matroid corpus\n# max_elements=4 max_rank=x\n1 g 1\n")

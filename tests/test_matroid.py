@@ -17,6 +17,7 @@ from oracles import (
     brute_circuits,
     brute_cocircuits,
     brute_isomorphism,
+    brute_isomorphisms,
     component_count,
     cycle_edge_sets,
     first_minor,
@@ -376,6 +377,56 @@ def test_isomorphism_agrees_with_permutation_oracle():
     for a in entries:
         for b in entries:
             assert (a.is_isomorphic(b) is None) == (brute_isomorphism(a, b) is None)
+
+
+def test_isomorphisms_are_exactly_the_permutation_oracles_maps():
+    # _isomorphisms checks only that each circuit of a lands on one of b;
+    # every bijection of the oracle must come out of it, once.  No two
+    # non-isomorphic binary matroids on <= 9 elements of rank <= 4 share
+    # the invariants the search prunes on (rank, circuit count and sizes,
+    # each element's circuit sizes), so pins make such pairs: pins between
+    # elements with equal circuit sizes that no isomorphism keeps, as two
+    # disjoint edges of K4 pinned to two adjacent ones.
+    def random_matroid(prefix, n):
+        rows = tuple(rng.getrandbits(n) for _ in range(rng.randint(0, 4)))
+        return BinaryMatroid([f"{prefix}{i}" for i in range(n)], Gf2Matrix(rows, n))
+
+    def shuffled(m):
+        order = rng.sample(range(m.n_elements()), m.n_elements())
+        rows = [sum((row >> j & 1) << i for i, j in enumerate(order)) for row in m.rep.rows]
+        if len(rows) > 1:
+            rows[0] ^= rows[1]
+        return BinaryMatroid([f"b{i}" for i in order], Gf2Matrix(tuple(rows), len(order)))
+
+    def sizes_at(m):
+        circuits = brute_circuits(m)
+        return {e: sorted(len(c) for c in circuits if e in c) for e in m.labels}
+
+    def listed(maps):
+        return sorted(tuple(sorted(phi.items())) for phi in maps)
+
+    rng = random.Random(30)
+    seen = {"isomorphic": 0, "pinned_away": 0, "not_isomorphic": 0}
+    for a in [k4_matroid()] + [random_matroid("a", rng.randint(1, 6)) for _ in range(40)]:
+        n = a.n_elements()
+        for b in (shuffled(a), random_matroid("c", n)):
+            at_a, at_b = sizes_at(a), sizes_at(b)
+            pins = [None]
+            for count in (1, 2, 3):
+                xs = rng.sample(a.labels, min(count, n))
+                ys = [rng.choice([y for y in b.labels if at_b[y] == at_a[x]] or [None])
+                      for x in xs]
+                if None not in ys and len(set(ys)) == len(ys):
+                    pins.append(dict(zip(xs, ys)))
+            free = listed(brute_isomorphisms(a, b))
+            for pin in pins:
+                want = listed(brute_isomorphisms(a, b, pin))
+                assert listed(matroid._isomorphisms(a, b, pin)) == want, (a, b, pin)
+                if pin is None:
+                    seen["isomorphic" if want else "not_isomorphic"] += 1
+                else:
+                    seen["pinned_away"] += bool(free) and not want
+    assert all(seen.values()), seen
 
 
 # -- minors ---------------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from matroidsplit import _kernel, catalog, matroid, verify
-from matroidsplit.corpus import MAX_LOOPS, CanonicalKey, Corpus
+from matroidsplit.corpus import MAX_LOOPS, Corpus
 from matroidsplit.gf2 import Gf2Matrix
 from matroidsplit.matroid import BinaryMatroid, series_parallel_reduces
 from matroidsplit.ops import admissible_pairs, splitting, three_fold
@@ -537,8 +537,7 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
                               (_kernel, "contract_rows", lambda rows, n, mask: rows)],
         "gf-minors": [odd_last_row],
         "gf-empty": [odd_last_row],
-        "quotients": [(verify, "canonical_key",
-                       lambda m: CanonicalKey(len(m.labels), m.rep.rows))],
+        "quotients": [(verify, "canonical_key", lambda m: (len(m.labels), m.rep.rows))],
         # The catalog was validated above, so get() still serves it.
         "catalog": [(BinaryMatroid, "is_isomorphic", lambda self, other: None)],
     }
@@ -609,7 +608,7 @@ def test_every_corpus_universe_names_the_loop_cap(corpus6):
     # universe that named only the element and rank bounds would claim more
     # than was checked.  The catalog and quotient reports read no corpus.
     bounds = f"with <= 6 elements, rank <= 4, at most {MAX_LOOPS} loops; "
-    for name, (_, run) in verify._REPORTS.items():
+    for name, (_, _, run) in verify._REPORTS.items():
         universe = run(corpus6).universe
         assert (bounds in universe) == (name not in ("catalog", "quotients")), name
 
