@@ -14,7 +14,8 @@ does while one equals it (a ``KIND_CANONICAL`` match in ``find_minors``).
 Both ``space_min_supports`` refuse a span of more than 20 basis vectors,
 the one bound on circuit and cocircuit enumeration.  Pure
 ``profile_present`` decides F's profile (2, 0, (1, 2, 2)) with loops and
-coloops dropped, on the dual when that walk has fewer candidate sets; the
+coloops dropped, on the dual when that walk has fewer candidate sets, and
+asked for F alone it takes no rank first, one elimination per call; the
 compiled one walks the matroid itself, which in C costs less than the dual
 walk in Python.
 ``BACKEND`` names the module that loaded last ("compiled" or "pure").

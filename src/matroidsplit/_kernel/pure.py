@@ -323,6 +323,12 @@ def _dominates(have, need) -> bool:
     return len(have) >= len(need) and all(h >= w for h, w in zip(have, need))
 
 
+def _is_f(want) -> bool:
+    """Whether ``want`` is F's profile (2, 0, (1, 2, 2))."""
+    rho, loops, sizes = want
+    return rho == 2 and loops == 0 and list(sizes) == [1, 2, 2]
+
+
 def _f_present(rows, n_cols: int) -> bool:
     """Whether the matroid M of ``rows`` (no bits at or above ``n_cols``)
     has a minor with F's profile (2, 0, (1, 2, 2)), walked on M or on M*,
@@ -391,7 +397,10 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
     apart, on M or on its dual M*, whichever walk is cheaper
     (``_f_present``), by this lemma: M has an F minor iff M* has an
     independent set D with |D| = n - r - 3 such that M*/D has at least 5
-    distinct nonzero points.
+    distinct nonzero points.  When every want is F's, no rank is taken
+    first: ``_f_present`` reads False wherever ``_profile_need`` would
+    refuse F, rank below 2 or corank below 3, since dropping loops and
+    coloops raises neither the rank nor the corank.
     Proof: F has rank 2 and corank 3, and its cocircuits, the complements
     of its parallel classes, have 3 or 4 elements, so F* is simple of
     rank 3 on 5 elements: 5 distinct nonzero points of PG(2, 2).  GL(3, 2)
@@ -406,6 +415,8 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
     ``_profile_need`` says for every want.
     """
     rows = [row & ((1 << n_cols) - 1) for row in rows]
+    if wants and all(map(_is_f, wants)):
+        return (_f_present(rows, n_cols),) * len(wants)
     full = rank(rows)
     found = [False] * len(wants)
     # rho -> [(index, loops, sizes sorted descending)] still to find.
@@ -414,7 +425,7 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
         need = _profile_need(want, full, n_cols)
         if need is None:
             continue
-        if need == [2, 2, 1] and want[0] == 2 and want[1] == 0:
+        if _is_f(want):
             found[i] = _f_present(rows, n_cols)
         else:
             open_wants.setdefault(want[0], []).append((i, want[1], need))

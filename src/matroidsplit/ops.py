@@ -143,19 +143,20 @@ def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
     splittings append the rows t|p and t'|q, so p and q are unit columns on
     those two rows, r = p + q is 1 on exactly them, and the rows are
     ``m``'s plus (t|p|r, t'|q|r), as the core builds them.  The tests pin
-    it against the element splittings themselves.
+    it against the element splittings themselves.  Each set is read as
+    the splittings read theirs (:func:`_split_mask`), so a repeated label
+    raises.
     """
     t = tuple(t)
-    t_prime = tuple(t_prime)
     labels = _new_fold_labels(m, new_labels)
-    if not t_prime or not set(t_prime) < set(t):
+    mask, mask_prime = _split_mask(m, t), _split_mask(m, t_prime)
+    if mask_prime & ~mask or mask_prime == mask:
         raise ValueError("second splitting set must be a nonempty proper subset "
                          "of the first")
     if not _inside_cocircuit(m, t):
-        raise ValueError(f"{{{','.join(sorted(frozenset(t)))}}} not a proper "
+        raise ValueError(f"{{{','.join(sorted(t))}}} not a proper "
                          "subset of any cocircuit")
-    rows = three_fold_rows(m.rep.rows, m.rep.n_cols, m._label_mask(t),
-                           m._label_mask(t_prime))
+    rows = three_fold_rows(m.rep.rows, m.rep.n_cols, mask, mask_prime)
     return BinaryMatroid._derived(labels, rows, len(labels))
 
 

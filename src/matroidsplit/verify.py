@@ -290,18 +290,19 @@ def check_split_minor_collection_empty(c: Corpus, k: int) -> VerificationReport:
 
 def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict):
     """The gf-minors outcome of ``m``, (whether a 3-element splitting has an
-    F minor, the F_i minors' names), None for a non-gammoid; the left side
-    reads and adds to the member's F decisions in ``memo``."""
+    F minor, the F_i minors' names), None for a non-gammoid.  F_1 is F, so
+    it reads coset 0 of the member's F decisions in ``memo``, as the left
+    side reads and adds to them; F_2..F_4 take one call."""
     if not gammoid:
         return None
-    lhs = m.n_elements() >= 3 and splitting_minor_set(
-        m, 3, memo.setdefault("F", {})) is not None
-    present = _kernel.profile_present(m.rep.rows, m.rep.n_cols,
-                                      tuple(map(_profile_want, _FI)))
+    f = memo.setdefault("F", {})
+    lhs = m.n_elements() >= 3 and splitting_minor_set(m, 3, f) is not None
+    present = (_f_decision(m, 0, f),) + _kernel.profile_present(
+        m.rep.rows, m.rep.n_cols, tuple(map(_profile_want, _FI[1:])))
     return lhs, tuple(name for name, hit in zip(_FI, present) if hit)
 
 
-# The excluded minors of the characterization, all of rank <= 2.
+# The excluded minors of the characterization, all of rank <= 2; F_1 is F.
 _FI = ("F_1", "F_2", "F_3", "F_4")
 
 
@@ -311,8 +312,10 @@ def check_split_minor_characterization(c: Corpus) -> VerificationReport:
     F and F_1..F_4 have rank <= 2, so both sides are decided on rows with
     ``_kernel.profile_present``, with no witness built: the left through
     :func:`splitting_minor_set`, one call per row-space coset of the Ys'
-    masks, the right with one call holding all four wants, so F_2..F_4
-    share one pass over the rank-1 contractions.
+    masks.  On the right, F_1 is isomorphic to F (the catalog records it)
+    and has F's profile, so it is the member's own F decision, coset 0,
+    which gf-empty shares in one pass; F_2..F_4 take one call holding
+    their three wants, which share one pass over the rank-1 contractions.
     """
     start = time.perf_counter()
     outcomes, spent = _swept(c, "gf-minors")
@@ -434,13 +437,22 @@ class _Law:
     ``images(m, cases)`` gives the pinned reading, the label sets that the
     marks of some excluded minor occupy, as frozensets; every mark set is
     nonempty, so ``m`` has an excluded minor iff some image exists.  The
-    operation appends rows to ``m``'s, each a label mask u plus bits in
-    new columns; ``key(cosets, case)`` gives the row-space cosets of the
-    masks u, each the XOR of its labels' ``m._label_cosets``, and
-    ``rows(m, key)`` gives (rows in standard form, n_cols) of the result.
-    A failure names its case under ``param``; ``some_bad_key`` counts the
-    members with an excluded minor where some case goes non-gammoid.  The
-    sweep reads the gammoids of at least ``min_elements`` elements."""
+    sweep reads it only where some case goes non-gammoid, since every
+    image is such a case.  Proof: let T be the image of the marks under
+    N = m \\ D / C, isomorphic to the excluded minor.  The operation on T
+    commutes with deleting or contracting any e outside T (its new rows
+    are 0 at e and survive the pivot), so the result on T, with D deleted
+    and C contracted, is N's result on its marks: M(K4), as the catalog
+    validates for G_1..G_3 and ``main``'s known instance for G_4.  An M(K4)
+    minor passes up to the larger host, so the result on T is a
+    non-gammoid.  The operation appends rows to ``m``'s, each a label mask
+    u plus bits in new columns; ``key(cosets, case)`` gives the row-space
+    cosets of the masks u, each the XOR of its labels' ``m._label_cosets``,
+    and ``rows(m, key)`` gives (rows in standard form, n_cols) of the
+    result.  A failure names its case under ``param``; ``some_bad_key``
+    counts the members with an excluded minor where some case goes
+    non-gammoid.  The sweep reads the gammoids of at least
+    ``min_elements`` elements."""
 
     name: str
     images: Callable
@@ -531,10 +543,11 @@ def _law_worker(m: BinaryMatroid, gammoid: bool, memo: dict, name: str):
     if not gammoid or m.n_elements() < law.min_elements:
         return None
     cases = law.cases(m)
-    pinned = law.images(m, cases)
     decided = memo.setdefault(name, {})
     bad = tuple(case for case in cases
                 if _law_outcome(law, m, case, decided) != law.ok)
+    # Every image is a case that goes non-gammoid (see _Law).
+    pinned = law.images(m, cases) if bad else set()
     bad_set = set(bad)
     agree = sum((frozenset(case) in pinned) == (case in bad_set) for case in cases)
     return bool(pinned), len(cases), bad, agree
@@ -581,7 +594,9 @@ def check_splitting_excluded_minors(c: Corpus) -> VerificationReport:
     the pinned reading (the splitting set matches a marked-triple image).
 
     Each splitting M_T is decided on rows by :func:`_law_outcome`, once
-    per row-space coset of T's mask.
+    per row-space coset of T's mask.  The marked-triple images are
+    searched only where some M_T goes non-gammoid, as M_T does at every
+    image T (proved at ``_Law``).
     """
     start = time.perf_counter()
     members, failures, observations, _, spent = _law_sweep("split-gammoid", c)
@@ -756,11 +771,12 @@ def check_element_splitting_identities(c: Corpus) -> VerificationReport:
 
 
 def check_names(names) -> list[str]:
-    """The checks that ``names`` selects ("all" selects every one).
+    """The checks that ``names`` selects ("all" selects every one), each
+    once, in the order first named.
 
     Raises ValueError on an unknown name, before any work is done.
     """
-    wanted = list(CHECK_NAMES) if "all" in names else list(names)
+    wanted = list(CHECK_NAMES) if "all" in names else list(dict.fromkeys(names))
     unknown = [n for n in wanted if n not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "

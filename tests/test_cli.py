@@ -264,6 +264,13 @@ def test_verify_quotients_exit_zero(runner, tmp_path):
     assert data["verdict"] == "pass"
 
 
+def test_verify_runs_a_repeated_check_once(runner, tmp_path):
+    result = invoke(runner, "verify", "--check", "quotients", "--check", "quotients",
+                    "--report-dir", str(tmp_path / "reports"))
+    assert result.exit_code == 0
+    assert result.output.count("PASS quotients") == 1
+
+
 def test_verify_gf_empty_exits_one(runner, tmp_path):
     # The emptiness sweep finds genuine witnesses, so the asserted check
     # fails and the exit status reflects it.

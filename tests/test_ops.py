@@ -190,6 +190,16 @@ def test_ghafari_validations():
         three_fold_ghafari(g4(), ("zz", "x"), ("zz",))
 
 
+def test_ghafari_rejects_a_repeated_label():
+    # Each splitting set is read as splitting reads it: a repeated label is
+    # refused, not folded into three_fold(G_4, "x", "y").
+    for t, t_prime in ((("x", "x", "y"), ("x",)), (("x", "y"), ("x", "x"))):
+        with pytest.raises(ValueError, match="repeats a label"):
+            three_fold_ghafari(g4(), t, t_prime)
+    with pytest.raises(ValueError, match="nonempty"):
+        three_fold_ghafari(g4(), ("x", "y"), ())
+
+
 # -- the row core -------------------------------------------------------------------------------
 
 

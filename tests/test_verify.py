@@ -239,23 +239,63 @@ def test_g4_images_are_the_admissible_pairs(corpus7):
     assert 0 < with_pairs < len(hosts)
 
 
-def test_main_reads_no_marked_images(corpus7, monkeypatch):
-    # main's pinned reading comes from its admissible pairs, so its pass
-    # makes no profile_images call; split-gammoid's still searches.
+def test_split_images_are_non_gammoid_splittings(corpus7):
+    # split-gammoid reads G_1..G_3's pinned images only where some
+    # splitting goes non-gammoid, as _Law proves every image's splitting is
+    # one.  Here ops builds each image's splitting and tests it, on every
+    # member of the corpus, gammoid or not, and on random hosts with loops
+    # and coloops.
+    entries = [catalog.get(name) for name in ("G_1", "G_2", "G_3")]
+    rng = random.Random(31)
+    hosts = list(corpus7.members) + [_random_host(rng) for _ in range(1000)]
+    with_images = 0
+    for m in hosts:
+        images = set().union(*(m.minor_marked_images(e.matroid, e.marked)
+                               for e in entries))
+        for t in images:
+            assert not splitting(m, t).is_binary_gammoid(), (verify.compact(m), t)
+        with_images += bool(images)
+    assert 0 < with_images < len(hosts)
+
+
+def _spy_images(monkeypatch) -> list:
+    """The (rows, n_cols) of every host that profile_images is called on."""
     calls = []
     images = _kernel.profile_images
 
-    def spy(*args):
-        calls.append(args)
-        return images(*args)
+    def spy(rows, n_cols, *pattern):
+        calls.append((tuple(rows), n_cols))
+        return images(rows, n_cols, *pattern)
 
     monkeypatch.setattr(_kernel, "profile_images", spy)
+    return calls
+
+
+def test_main_reads_no_marked_images(corpus7, monkeypatch):
+    # main's pinned reading comes from its admissible pairs, so its pass
+    # makes no profile_images call; split-gammoid's still searches where a
+    # splitting goes non-gammoid, which needs an M(K4) minor: 6 elements.
+    calls = _spy_images(monkeypatch)
     [report] = verify.run_checks(["main"], corpus7)
     assert report.verdict == "pass"
     assert report.observations["pinned_reading_agreements"] > 0
     assert not calls
-    verify.run_checks(["split-gammoid"], corpus7.restrict(5))
+    verify.run_checks(["split-gammoid"], corpus7.restrict(6))
     assert calls
+
+
+def test_split_gammoid_searches_images_only_where_a_splitting_fails(corpus8,
+                                                                     monkeypatch):
+    # profile_images runs on exactly the members with a non-gammoid
+    # splitting: 69 of the 397 that the sweep reads at n <= 8.
+    outcomes, _ = verify._swept(corpus8, "split-gammoid")
+    failing = {(m.rep.rows, m.rep.n_cols)
+               for m, got in zip(corpus8.members, outcomes) if got and got[2]}
+    calls = _spy_images(monkeypatch)
+    [report] = verify.run_checks(["split-gammoid"], corpus8)
+    assert report.verdict == "pass" and report.cases == 397
+    assert set(calls) == failing
+    assert len(failing) == report.observations["members_with_excluded_minor"] == 69
 
 
 # -- one decision per row-space coset -------------------------------------------------------
@@ -695,13 +735,17 @@ def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
     # Every F decision of the gf sweeps is a profile_present call on a
     # member's rows plus one coset representative.  One run_checks call
     # decides each (member row space, coset) once, across k and sweeps.
+    # F_1 is F, so no call asks for F's profile beside other wants.
     f_want = (verify._profile_want("F"),)
-    decided = []
+    assert verify._profile_want("F_1") == f_want[0]
+    decided, mixed = [], []
     present = _kernel.profile_present
 
     def counted(rows, n_cols, wants):
         if wants == f_want:
             decided.append((_kernel.rref(rows[:-1]), n_cols, rows[-1]))
+        elif f_want[0] in wants:
+            mixed.append(wants)
         return present(rows, n_cols, wants)
 
     separate = [verify.check_split_minor_empty(corpus6, 1),
@@ -710,6 +754,7 @@ def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
     monkeypatch.setattr(_kernel, "profile_present", counted)
     together = verify.run_checks(["gf-empty", "gf-minors"], corpus6, jobs=1)
     assert decided and len(set(decided)) == len(decided)
+    assert not mixed
     for a, b in zip(separate, together, strict=True):
         a, b = a.to_json_dict(), b.to_json_dict()
         a.pop("wall_time")
