@@ -6,11 +6,14 @@ rebinds the per-candidate functions it compiles, the compiled subset:
 ``rref``, ``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
 ``contract_rows``, ``profile_present``, ``find_minors``, ``canon_key_cols``
 and ``is_canonical``.  The rest (``rank``, ``rank_masked``, ``cols_rank``,
-``columns``, ``profile``, ``profile_images``) is served by ``pure.py`` on
-both backends.  Each kernel has one canonical-form walk (``pure._gl_walk``,
-``gl_dfs``) with three answers: the least image (``canon_key_cols``),
-whether some image sorts below a bound (``is_canonical``), and whether none
-does while one equals it (a ``KIND_CANONICAL`` match in ``find_minors``).
+``columns``, ``profile``, ``profile_images``, ``splitting_counts``) is
+served by ``pure.py`` on both backends; ``splitting_counts`` answers the F
+and M(K4) questions of every splitting of one matroid from one walk over
+its dual, and proves it there.  Each kernel has one canonical-form walk
+(``pure._gl_walk``, ``gl_dfs``) with three answers: the least image
+(``canon_key_cols``), whether some image sorts below a bound
+(``is_canonical``), and whether none does while one equals it (a
+``KIND_CANONICAL`` match in ``find_minors``).
 Both ``space_min_supports`` refuse a span of more than 20 basis vectors,
 the one bound on circuit and cocircuit enumeration.  Pure
 ``profile_present`` decides F's profile (2, 0, (1, 2, 2)) with loops and

@@ -24,6 +24,9 @@ coloops dropped, on M or on the dual M*, whichever walk has fewer candidate
 sets, and on M* as a contraction to rank 3 with 5 distinct points.  The
 compiled ``profile_present`` walks M alone.  ``profile_images`` reads the
 marked images of such a pattern from the same contractions.
+``splitting_counts``, pure-only and served on both backends, answers F's
+question and M(K4)'s for every splitting M_w of one matroid at once, from
+one walk over the contractions of its dual to rank 4 (proved there).
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -42,7 +45,7 @@ __all__ = [
     "BACKEND", "KIND_SIMPLE_RANK3", "KIND_PROFILE", "KIND_CANONICAL",
     "rank", "rank_masked", "cols_rank", "rref", "nullspace_basis",
     "space_min_supports", "columns", "delete_rows", "contract_rows",
-    "profile", "profile_images", "profile_present", "find_minors",
+    "profile", "profile_images", "profile_present", "splitting_counts", "find_minors",
     "canon_key_cols", "is_canonical",
 ]
 
@@ -258,9 +261,11 @@ def _match(mrows, m_cols: int, kind: int, want) -> bool:
 
 
 def _contractions(cols, c_size: int):
-    """Yield (flat, classes) once for each flat of rank ``c_size`` of the
-    columns ``cols``: the flat's column mask and, for C any basis of it,
-    the parallel classes of M/C, each a column mask under a key of its own.
+    """Yield (flat, classes, basis) once for each flat of rank ``c_size``
+    of the columns ``cols``: the flat's column mask; for C any basis of it,
+    the parallel classes of M/C, each a column mask under a key of its own;
+    and the echelon basis of span(C) that reduced the columns, as
+    (lowest bit, vector) pairs.
 
     The flat is C plus the loops of M/C.  The classes map a column vector
     reduced modulo span(C) to the mask of the columns that reduce to it;
@@ -297,7 +302,7 @@ def _contractions(cols, c_size: int):
                     flat |= mask
             if flat not in seen:
                 seen.add(flat)
-                yield flat, classes
+                yield flat, classes, basis
 
 
 def _profile_need(want, full: int, n_cols: int):
@@ -367,11 +372,11 @@ def _f_present(rows, n_cols: int) -> bool:
             1 << t for t in range(n_cols - len(reduced)))
         # With loops and coloops gone, no column of M or M* is zero.
         if comb(len(set(dual)), d_size) < comb(len(set(cols)), c_size):
-            return any(len(classes) >= 5 for _, classes in _contractions(dual, d_size))
+            return any(len(classes) >= 5 for _, classes, _ in _contractions(dual, d_size))
     # Classes dominate (2, 2, 1) iff there are at least 3 of them and at
     # least 2 hold more than one column.
     return any(len(classes) >= 3 and sum(m & (m - 1) > 0 for m in classes.values()) >= 2
-               for _, classes in _contractions(cols, c_size))
+               for _, classes, _ in _contractions(cols, c_size))
 
 
 def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
@@ -433,7 +438,7 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
         c_size = full - rho
         # A flat with fewer classes than each open want needs dominates none.
         fewest = min(len(need) for _, _, need in pending)
-        for flat, classes in _contractions(columns(rows, n_cols), c_size):
+        for flat, classes, _ in _contractions(columns(rows, n_cols), c_size):
             if len(classes) < fewest:
                 continue
             loops_here = flat.bit_count() - c_size
@@ -446,6 +451,72 @@ def profile_present(rows, n_cols: int, wants) -> tuple[bool, ...]:
             if not pending:
                 break
     return tuple(found)
+
+
+def splitting_counts(rows, n_cols: int) -> dict:
+    """For the matroid M of ``rows``, of corank c, each nonzero coset key w
+    whose splitting M_w has an F minor, mapped to its count: the most
+    distinct nonzero points of a rank-3 contraction of (M_w)*.  M_w has
+    the rows plus the row w, and w is a vector with no pivot bit of
+    rref(rows), the XOR of ``BinaryMatroid._label_cosets``.  M_w has an F
+    minor iff w is a key, and an M(K4) minor, so is no binary gammoid, iff
+    its count is at least 6.  Bits at or above ``n_cols`` are ignored.
+
+    The points of M* are the cosets: rref(rows) is [I | A] up to column
+    order, M* is [A^T | I], and column j of M* is bit j plus the rref row
+    whose pivot it is, read on the non-pivot columns.  M_w is the element
+    splitting on w, rows plus the row w with a new element e, with e
+    deleted.  The cycles of that splitting are the cycles x of M with x.w
+    at e, so its dual is M* with e added at the point w, and
+    (M_w)* = M*/w: the points of M* taken modulo w (Oxley, *Matroid
+    Theory*, 2nd ed., Ch. 2-3 and 6).  By the lemma in
+    ``profile_present``, F* is any 5 distinct points of PG(2, 2).  M(K4)
+    is self-dual and is any 6 distinct points of PG(2, 2), the plane less
+    a point, since GL(3, 2) is transitive on points.  (M_w)* has rank
+    c - 1, so it has an F* (M(K4)) minor iff some independent D of c - 4
+    points of M*/w leaves at least 5 (6) distinct nonzero points in
+    (M*/w)/D.  D is independent in M*/w iff its span V in M* misses w,
+    and (M*/w)/D has the points of M* modulo V + w.  With R the distinct
+    nonzero points modulo V (``_contractions``' classes) and w' the
+    residue of w, that leaves
+
+        |R| - [w' in R] - #{pairs of R that sum to w'}
+
+    points: w' turns zero, and each pair {a, a + w'} becomes one.  The
+    count depends on V and w' alone, so one walk over the flats V of rank
+    c - 4 reads it for the 15 nonzero residues of the rank-4 quotient at
+    once, and each w in w' + V takes the largest over V.  With c < 4,
+    every M_w has corank below 3, the corank of F and of M(K4), and there
+    is no key.
+    """
+    reduced, _ = _rref_pivots([row & ((1 << n_cols) - 1) for row in rows])
+    corank = n_cols - len(reduced)
+    counts = {}
+    if corank < 4:
+        return counts
+    pivot_rows = {row & -row: row for row in reduced}
+    points = [(1 << j) ^ pivot_rows.get(1 << j, 0) for j in range(n_cols)]
+    for _, classes, basis in _contractions(points, corank - 4):
+        if len(classes) < 5:
+            continue
+        span = [0]
+        for _, b in basis:
+            span += [v ^ b for v in span]
+        pairs = {}
+        for a, b in combinations(classes, 2):
+            pairs[a ^ b] = pairs.get(a ^ b, 0) + 1
+        # The classes span the quotient, since the points span M*.
+        quotient = [0]
+        for a in classes:
+            if a not in quotient:
+                quotient += [q ^ a for q in quotient]
+        for residue in quotient[1:]:
+            count = len(classes) - (residue in classes) - pairs.get(residue, 0)
+            if count >= 5:
+                for v in span:
+                    if counts.get(residue ^ v, 0) < count:
+                        counts[residue ^ v] = count
+    return counts
 
 
 def _subset_masks(mask: int, k: int):
@@ -499,7 +570,7 @@ def profile_images(rows, n_cols: int, pattern_rows, pattern_n_cols: int,
     images = set()
     if c_size < 0:
         return images
-    for flat, classes in _contractions(columns(rows, n_cols), c_size):
+    for flat, classes, _ in _contractions(columns(rows, n_cols), c_size):
         if flat.bit_count() - c_size < loops:
             continue
         loop_picks = ([x for x in _subset_masks(flat, marked_loops)

@@ -10,7 +10,11 @@ on the recorded matroid alone.
 The paper's excluded-minor laws, ``split-gammoid`` (3-element splittings,
 G_1..G_3) and ``main`` (3-folds, G_4), are ``_Law`` constants run by one
 law sweep, :func:`_law_sweep`: one worker, one tally and one memoized row
-decision, :func:`_law_outcome`.
+decision, :func:`_law_outcome`.  A splitting's F question (the gf
+sweeps) and its gammoid question (``split-gammoid``) are both read, for
+every nonzero coset key of a member, off one table of the member's
+(:func:`_split_counts`, proved at ``_kernel.splitting_counts``) when its
+walk is small enough; otherwise each key is decided on its own.
 
 :func:`run_checks` runs the evaluators of the reports it selects
 (``_REPORTS``) in one pass, one call and one memo per member, pooled as one
@@ -131,24 +135,64 @@ def splitting_minor_set(s: BinaryMatroid, k: int, memo: dict | None = None):
     mask of Y as a row (:func:`ops.splitting`), so it depends only on that
     mask's coset, the XOR of the labels' ``s._label_cosets`` (see there),
     and F has rank 2.  Each coset met is decided once, by
-    :func:`_f_decision`, and kept in ``memo``.
+    :func:`_f_decision`, in ``memo``, the member's memo: read off the
+    member's splitting counts (:func:`_split_counts`), or one
+    ``_kernel.profile_present`` call.
     """
-    decided = {} if memo is None else memo
+    memo = {} if memo is None else memo
     cosets = s._label_cosets
     return next((frozenset(y) for y in _k_subsets(s, k)
-                 if _f_decision(s, reduce(xor, map(cosets.get, y)), decided)),
+                 if _f_decision(s, reduce(xor, map(cosets.get, y)), memo)),
                 None)
 
 
-def _f_decision(s: BinaryMatroid, key: int, decided: dict) -> bool:
+# F's profile: the one want that a member's splitting counts answer.  A
+# want that _profile_want gives in its place is decided on every key.
+_F_PROFILE = (2, 0, (1, 2, 2))
+
+
+def _f_decision(s: BinaryMatroid, key: int, memo: dict) -> bool:
     """Whether ``s`` with the row ``key`` appended has an F minor, a coset
     representative modulo the row space of ``s`` (0 asks about ``s``
-    itself), decided by one ``_kernel.profile_present`` call on the rows;
-    ``decided`` holds the decisions already made for ``s``, by key."""
+    itself).  A nonzero key is a key of the member's splitting counts
+    (:func:`_split_counts`, proved at ``_kernel.splitting_counts``), when
+    it has them; any other key is decided once, by one
+    ``_kernel.profile_present`` call on the rows, and kept in
+    ``memo["F"]``.  ``memo`` is the member's memo."""
+    want = _profile_want("F")
+    if key and want == _F_PROFILE:
+        counts = _split_counts(s, memo)
+        if counts is not None:
+            return key in counts
+    decided = memo.setdefault("F", {})
     if key not in decided:
         decided[key] = _kernel.profile_present(
-            s.rep.rows + (key,), s.rep.n_cols, (_profile_want("F"),))[0]
+            s.rep.rows + (key,), s.rep.n_cols, (want,))[0]
     return decided[key]
+
+
+def _split_counts(m: BinaryMatroid, memo: dict) -> dict | None:
+    """``_kernel.splitting_counts`` of ``m``, built once and kept in the
+    member's ``memo``: it answers the F and the M(K4) question of every
+    splitting M_w with w nonzero.  ``m`` of rank r and corank c gets it
+    when c < 4, with no walk, or when r > 0 and its one walk, over
+    C(p*, c - 4) flats of the p* distinct points of the dual, is smaller
+    than one splitting's primal walk, over C(p, r - 1) sets of the p
+    distinct points of ``m``: the comparison, ties to the primal walk
+    included, that ``_kernel.profile_present`` makes for F.  Each flat
+    writes its counts to cosets of 2^(c - 4) keys, so above corank 5 the
+    walk is weighed by 2^(c - 5), as measured on the compiled backend,
+    where the keys' own walks are cheap.  Otherwise None, and each key is
+    decided on its own: low-rank, high-corank members, where the one walk
+    would cost more than the keys' walks."""
+    if "counts" not in memo:
+        r = m.rank()
+        c = m.n_elements() - r
+        p = len(set(m._columns) - {0})
+        p_dual = len(set(m._label_cosets.values()) - {0})
+        small = c < 4 or r and comb(p_dual, c - 4) << max(0, c - 5) < comb(p, r - 1)
+        memo["counts"] = _kernel.splitting_counts(m._rref, m.rep.n_cols) if small else None
+    return memo["counts"]
 
 
 def pinned_splitting_minor(s: BinaryMatroid, y) -> MinorWitness | None:
@@ -190,9 +234,8 @@ def _split_minor_outcome(m: BinaryMatroid, k: int, search) -> str:
 def _gf_empty_member(m: BinaryMatroid, gammoid: bool, memo: dict, k: int) -> tuple:
     """The gf-empty-k{k} outcome of ``m`` and, for a gammoid with a witness,
     whether ``m`` itself has an F minor: coset 0 of its F decisions."""
-    f = memo.setdefault("F", {})
-    got = _split_minor_outcome(m, k, partial(splitting_minor_set, memo=f))
-    return got, gammoid and got != "absent" and _f_decision(m, 0, f)
+    got = _split_minor_outcome(m, k, partial(splitting_minor_set, memo=memo))
+    return got, gammoid and got != "absent" and _f_decision(m, 0, memo)
 
 
 def _gf_collection_member(m: BinaryMatroid, gammoid: bool, memo: dict, k: int) -> tuple:
@@ -236,9 +279,11 @@ def check_split_minor_empty(c: Corpus, k: int) -> VerificationReport:
     elements, first in corpus order); and the same sweep over the
     non-gammoids, since the claim is only made for gammoids.
 
-    Each F question is decided on rows, one ``_kernel.profile_present``
-    call per row-space coset (:func:`splitting_minor_set`); the counts read
-    coset 0 of each witness host, the host itself.  No witness is built.
+    Each F question is decided on rows, once per row-space coset
+    (:func:`splitting_minor_set`): read off the member's splitting counts
+    (:func:`_split_counts`) or by one ``_kernel.profile_present`` call; the
+    counts read coset 0 of each witness host, the host itself, always by a
+    call.  No witness is built.
     """
     if k not in (1, 2):
         raise ValueError("emptiness is only asserted for k in {1, 2}")
@@ -295,9 +340,8 @@ def _gf_member_worker(m: BinaryMatroid, gammoid: bool, memo: dict):
     side reads and adds to them; F_2..F_4 take one call."""
     if not gammoid:
         return None
-    f = memo.setdefault("F", {})
-    lhs = m.n_elements() >= 3 and splitting_minor_set(m, 3, f) is not None
-    present = (_f_decision(m, 0, f),) + _kernel.profile_present(
+    lhs = m.n_elements() >= 3 and splitting_minor_set(m, 3, memo) is not None
+    present = (_f_decision(m, 0, memo),) + _kernel.profile_present(
         m.rep.rows, m.rep.n_cols, tuple(map(_profile_want, _FI[1:])))
     return lhs, tuple(name for name, hit in zip(_FI, present) if hit)
 
@@ -309,13 +353,14 @@ _FI = ("F_1", "F_2", "F_3", "F_4")
 def check_split_minor_characterization(c: Corpus) -> VerificationReport:
     """Assert: some 3-element splitting has an F minor iff some F_i minor exists.
 
-    F and F_1..F_4 have rank <= 2, so both sides are decided on rows with
-    ``_kernel.profile_present``, with no witness built: the left through
-    :func:`splitting_minor_set`, one call per row-space coset of the Ys'
-    masks.  On the right, F_1 is isomorphic to F (the catalog records it)
-    and has F's profile, so it is the member's own F decision, coset 0,
-    which gf-empty shares in one pass; F_2..F_4 take one call holding
-    their three wants, which share one pass over the rank-1 contractions.
+    F and F_1..F_4 have rank <= 2, so both sides are decided on rows, with
+    no witness built: the left through :func:`splitting_minor_set`, once per
+    row-space coset of the Ys' masks, off the member's splitting counts
+    (:func:`_split_counts`) or by one ``_kernel.profile_present`` call.  On
+    the right, F_1 is isomorphic to F (the catalog records it) and has F's
+    profile, so it is the member's own F decision, coset 0, which gf-empty
+    shares in one pass; F_2..F_4 take one call holding their three wants,
+    which share one pass over the rank-1 contractions.
     """
     start = time.perf_counter()
     outcomes, spent = _swept(c, "gf-minors")
@@ -451,34 +496,44 @@ class _Law:
     and ``rows(m, key)`` gives (rows in standard form, n_cols) of the
     result.  A failure names its case under ``param``; ``some_bad_key``
     counts the members with an excluded minor where some case goes
-    non-gammoid.  The sweep reads the gammoids of at least
-    ``min_elements`` elements."""
+    non-gammoid.  With ``tabled``, the result is the splitting on the one
+    mask u, and a nonzero key is read off the member's splitting counts
+    (:func:`_split_counts`) when it has them.  The sweep reads the gammoids
+    of at least ``min_elements`` elements."""
 
     name: str
     images: Callable
     cases: Callable
     key: Callable
     rows: Callable
+    tabled: bool
     ok: str
     param: str
     some_bad_key: str
     min_elements: int
 
 
-def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict) -> str:
+def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict,
+                 counts: dict | None = None) -> str:
     """Whether the operation of ``law`` on ``case`` keeps ``m`` a binary
     gammoid: ``law.ok`` or "non-gammoid".
 
-    Decided on rows, without building the result or reducing any rows:
-    for a ``law.key`` not yet in ``memo``, the decisions already made for
-    ``m``, ``law.rows`` builds the result's rows in standard form from
-    ``m._rref`` and the key, and :func:`series_parallel_reduces` decides
-    them.  The key is the coset representatives of the masks u
-    (``BinaryMatroid._label_cosets`` proves it sound), so the outcome is
-    exactly what the computation on the result would give.  ``m`` was
-    validated and its labels make up ``case``, so nothing is left to check.
+    Decided on rows, without building the result or reducing any rows.
+    A nonzero ``law.key`` is read off ``counts``, the member's splitting
+    counts when the law is ``tabled`` and the member has them: the
+    splitting is a non-gammoid iff the key counts at least 6 (proved at
+    ``_kernel.splitting_counts``).  For any other key not yet in ``memo``,
+    the decisions already made for ``m``, ``law.rows`` builds the result's
+    rows in standard form from ``m._rref`` and the key, and
+    :func:`series_parallel_reduces` decides them.  The key is the coset
+    representatives of the masks u (``BinaryMatroid._label_cosets`` proves
+    it sound), so the outcome is exactly what the computation on the result
+    would give.  ``m`` was validated and its labels make up ``case``, so
+    nothing is left to check.
     """
     key = law.key(m._label_cosets, case)
+    if key and counts is not None:
+        return law.ok if counts.get(key, 0) < 6 else "non-gammoid"
     if key not in memo:
         memo[key] = series_parallel_reduces(*law.rows(m, key))
     return law.ok if memo[key] else "non-gammoid"
@@ -519,7 +574,7 @@ _LAWS = {law.name: law for law in (
     _Law(name="split-gammoid", images=_split_images,
          cases=lambda m: tuple(combinations(sorted(m.labels), 3)),
          key=lambda cos, t: cos[t[0]] ^ cos[t[1]] ^ cos[t[2]], rows=_split_rows,
-         ok=_SPLIT_OK, param="T",
+         tabled=True, ok=_SPLIT_OK, param="T",
          some_bad_key="members_where_some_splitting_non_gammoid", min_elements=3),
     # The marks (x, y) of G_4 occupy exactly the admissible pairs, the cases
     # (see check_three_fold_excluded_minor), so no image is searched.
@@ -530,7 +585,7 @@ _LAWS = {law.name: law for law in (
          # standard form: its new columns p and q are each 1 in one row alone.
          rows=lambda m, key: (three_fold_rows(m._rref, m.rep.n_cols, *key),
                               m.rep.n_cols + 3),
-         ok=_FOLD_OK, param="pair",
+         tabled=False, ok=_FOLD_OK, param="pair",
          some_bad_key="members_where_some_fold_non_gammoid", min_elements=0),
 )}
 
@@ -544,8 +599,9 @@ def _law_worker(m: BinaryMatroid, gammoid: bool, memo: dict, name: str):
         return None
     cases = law.cases(m)
     decided = memo.setdefault(name, {})
+    counts = _split_counts(m, memo) if law.tabled else None
     bad = tuple(case for case in cases
-                if _law_outcome(law, m, case, decided) != law.ok)
+                if _law_outcome(law, m, case, decided, counts) != law.ok)
     # Every image is a case that goes non-gammoid (see _Law).
     pinned = law.images(m, cases) if bad else set()
     bad_set = set(bad)
@@ -594,7 +650,9 @@ def check_splitting_excluded_minors(c: Corpus) -> VerificationReport:
     the pinned reading (the splitting set matches a marked-triple image).
 
     Each splitting M_T is decided on rows by :func:`_law_outcome`, once
-    per row-space coset of T's mask.  The marked-triple images are
+    per row-space coset of T's mask: read off the member's splitting counts
+    (:func:`_split_counts`, proved at ``_kernel.splitting_counts``), or by
+    one series-parallel reduction.  The marked-triple images are
     searched only where some M_T goes non-gammoid, as M_T does at every
     image T (proved at ``_Law``).
     """
@@ -791,7 +849,10 @@ def run_checks(names, c: Corpus | None, jobs: int | None = None
     First the evaluators of the reports they select run in one pass over
     ``c``, one call and one memo per member (:func:`_map_members`), so
     gf-empty k = 1, 2, their witness hosts and gf-minors decide each F coset
-    of a member once.  With ``jobs > 1`` it is the one map of a pool.
+    of a member once, and a member's splitting counts (:func:`_split_counts`)
+    are built once for them and ``split-gammoid``.  That build lands in the
+    ``wall_time`` of the first report that asks for it, gf-empty-k1 in a
+    full pass.  With ``jobs > 1`` it is the one map of a pool.
     """
     wanted = check_names(names)
     needs_corpus = set(wanted) - {"catalog", "quotients"}

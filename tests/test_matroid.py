@@ -746,6 +746,77 @@ def test_f_profile_drops_loops_and_coloops_and_takes_the_cheaper_walk(monkeypatc
         assert sizes == [0]
 
 
+def _coset_keys(rows, n_cols):
+    """Every nonzero vector with no pivot bit of the rref of ``rows``, bits
+    at or above ``n_cols`` dropped: the coset keys of the splittings."""
+    kept = [row & ((1 << n_cols) - 1) for row in rows]
+    pivots = sum(row & -row for row in pure.rref(kept))
+    free = [1 << j for j in range(n_cols) if not pivots >> j & 1]
+    return [sum(bit for i, bit in enumerate(free) if pick >> i & 1)
+            for pick in range(1, 1 << len(free))]
+
+
+def _assert_splitting_counts_match_oracle(rows, n_cols, present=None):
+    """``splitting_counts`` against each nonzero coset key's splitting: an F
+    minor (``present``, per key) iff the key counts at least 5, an M(K4)
+    minor (no series-parallel reduction) iff at least 6.  Returns each
+    key's count, 0 for a key left out."""
+    present = present or _kernel.profile_present
+    counts = _kernel.splitting_counts(rows, n_cols)
+    keys = _coset_keys(rows, n_cols)
+    assert set(counts) <= set(keys)
+    for key in keys:
+        split = tuple(rows) + (key,)
+        has_f = present(split, n_cols, (F_WANT,))[0]
+        gammoid = matroid.series_parallel_reduces(
+            _kernel.rref([row & ((1 << n_cols) - 1) for row in split]), n_cols)
+        got = counts.get(key, 0)
+        assert (got >= 5, got >= 6) == (has_f, not gammoid), (rows, n_cols, key, got)
+    return [counts.get(key, 0) for key in keys]
+
+
+def test_splitting_counts_match_each_splitting_on_corpus(corpus7):
+    # Every nonzero coset of every member, gammoid or not.  Both thresholds
+    # occur: splittings with an F minor that stay gammoids (count 5), and
+    # splittings with an M(K4) minor.
+    seen = [count for m in corpus7.members
+            for count in _assert_splitting_counts_match_oracle(m.rep.rows, m.rep.n_cols)]
+    assert len(seen) == 2594
+    assert 5 in seen and max(seen) >= 6
+
+
+def test_splitting_counts_match_each_splitting_on_random_hosts():
+    # Random rows, then coloops (a new row each), loops (zero columns) and
+    # bits above the column count, which every side must ignore.
+    rng = random.Random(3232)
+    seen = []
+    for _ in range(80):
+        n, coloops, loops = rng.randint(0, 8), rng.randint(0, 2), rng.randint(0, 2)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(0, 5))]
+        rows += [1 << (n + i) for i in range(coloops)]
+        n_cols = n + coloops + loops
+        rows = tuple(row | rng.getrandbits(2) << n_cols for row in rows)
+        seen += _assert_splitting_counts_match_oracle(rows, n_cols)
+    assert 5 in seen and max(seen) >= 6
+
+
+def test_splitting_counts_on_edge_shapes():
+    # No rows: every column a loop, every splitting of rank 1.
+    assert _kernel.splitting_counts((), 6) == {}
+    assert _assert_splitting_counts_match_oracle((), 6) == [0] * 63
+    # All coloops: corank 0, so there is no nonzero key and no walk.
+    assert _kernel.splitting_counts(tuple(1 << j for j in range(7)), 7) == {}
+    assert _coset_keys(tuple(1 << j for j in range(7)), 7) == []
+    # 64 columns: 56 coloops beside a random rank-3 core on 8 columns, and a
+    # bit at 64.  Pure profile_present drops the coloops before its walk.
+    rng = random.Random(64)
+    core = pure.columns([rng.randrange(1, 8) for _ in range(8)], 3)
+    rows = core + tuple(1 << (8 + i) for i in range(56))
+    rows = (rows[0] | 1 << 64,) + rows[1:]
+    assert len(_assert_splitting_counts_match_oracle(rows, 64, pure.profile_present)) == \
+        2 ** (8 - pure.rank(core)) - 1
+
+
 def _label_masks(m, k):
     """(Y, mask of Y) for every k-subset Y of ``m``, in label order."""
     return [(frozenset(y), sum(1 << m.labels.index(lab) for lab in y))

@@ -768,6 +768,82 @@ def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
     assert len(decided) == 2 * alone
 
 
+def test_table_members_read_nonzero_keys_off_one_table(corpus7, monkeypatch):
+    # In one pass of the F sweeps and split-gammoid, each member with
+    # splitting counts builds them once, and its nonzero keys get no F
+    # profile_present call and no series-parallel reduction; key 0, the
+    # member itself, keeps both.  The other members decide key by key, and
+    # n <= 7 has both kinds.
+    member, builds, f_calls, reductions = [None], [], [], []
+    outcomes, counts = verify._member_outcomes, _kernel.splitting_counts
+    present, reduces = _kernel.profile_present, verify.series_parallel_reduces
+    f_want = (verify._profile_want("F"),)
+
+    def each_member(item, evaluators):
+        member[0] = item[0]
+        return outcomes(item, evaluators)
+
+    def built(rows, n_cols):
+        builds.append(member[0])
+        return counts(rows, n_cols)
+
+    def asked(rows, n_cols, wants):
+        if wants == f_want:
+            f_calls.append((member[0], rows[-1]))
+        return present(rows, n_cols, wants)
+
+    def reduced(rows, n_cols):
+        reductions.append((member[0], rows))
+        return reduces(rows, n_cols)
+
+    separate = verify.run_checks(["gf-empty", "gf-minors", "split-gammoid"], corpus7)
+    monkeypatch.setattr(verify, "_member_outcomes", each_member)
+    monkeypatch.setattr(_kernel, "splitting_counts", built)
+    monkeypatch.setattr(_kernel, "profile_present", asked)
+    monkeypatch.setattr(verify, "series_parallel_reduces", reduced)
+    spied = verify.run_checks(["gf-empty", "gf-minors", "split-gammoid"], corpus7)
+    tabled = set(builds)
+    assert tabled and len(builds) == len(tabled)
+    # Only a member whose every label is a coloop may ask no nonzero key.
+    selected = {m for m in corpus7.members if verify._split_counts(m, {}) is not None}
+    assert {m for m in selected if any(m._label_cosets.values())} <= tabled <= selected
+    assert all(key == 0 for m, key in f_calls if m in tabled)
+    assert all(rows == m._rref for m, rows in reductions if m in tabled)
+    assert any(key for m, key in f_calls if m not in tabled)
+    assert any(rows != m._rref for m, rows in reductions if m not in tabled)
+    for a, b in zip(separate, spied, strict=True):
+        a, b = a.to_json_dict(), b.to_json_dict()
+        a.pop("wall_time")
+        b.pop("wall_time")
+        assert a == b
+
+
+def test_wide_low_rank_hosts_stay_off_the_table_walk(monkeypatch):
+    # 64 columns.  32 parallel pairs: the table would walk C(32, 28) flats
+    # of the dual, a splitting's primal walk C(32, 31) sets.  One parallel
+    # class of 43 beside 21 loops: C(64, 59) flats against 1 set.  Neither
+    # builds the table, and the second still finds its witnesses key by
+    # key, as profile_present on each Y's rows finds them.
+    built = []
+    monkeypatch.setattr(_kernel, "splitting_counts",
+                        lambda rows, n_cols: built.append(n_cols) or {})
+    pairs = BinaryMatroid(tuple(f"p{j:02}" for j in range(64)),
+                          Gf2Matrix(tuple(3 << 2 * i for i in range(32)), 64))
+    loops = BinaryMatroid(tuple(f"e{j:02}" for j in range(64)),
+                          Gf2Matrix((sum(1 << j for j in range(64) if j % 3 != 2),), 64))
+    assert verify._split_counts(pairs, {}) is None
+    f_want = (verify._profile_want("F"),)
+    for k in (1, 3):
+        memo = {}
+        first = next((frozenset(y) for y in combinations(sorted(loops.labels), k)
+                      if _kernel.profile_present(
+                          loops.rep.rows + (loops._label_mask(y),), 64, f_want)[0]), None)
+        assert verify.splitting_minor_set(loops, k, memo) == first
+        assert memo["counts"] is None
+    assert first == {"e00", "e01", "e02"}
+    assert built == []
+
+
 # -- the traced bench run ------------------------------------------------------------
 
 
