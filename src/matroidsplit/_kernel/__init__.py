@@ -4,16 +4,20 @@ Every name in ``pure.__all__`` is bound from ``pure.py`` first.  Unless
 ``MATROIDSPLIT_PURE`` is set, the C extension ``_speed.c``, when built, then
 rebinds the per-candidate functions it compiles, the compiled subset:
 ``rref``, ``nullspace_basis``, ``space_min_supports``, ``delete_rows``,
-``contract_rows``, ``profile_present``, ``find_minors``, ``canon_key_cols``
-and ``is_canonical``.  The rest (``rank``, ``rank_masked``, ``cols_rank``,
-``columns``, ``profile``, ``profile_images``, ``splitting_counts``) is
-served by ``pure.py`` on both backends; ``splitting_counts`` answers the F
-and M(K4) questions of every splitting of one matroid from one walk over
-its dual, and proves it there.  Each kernel has one canonical-form walk
-(``pure._gl_walk``, ``gl_dfs``) with three answers: the least image
-(``canon_key_cols``), whether some image sorts below a bound
-(``is_canonical``), and whether none does while one equals it (a
-``KIND_CANONICAL`` match in ``find_minors``).
+``contract_rows``, ``profile_present``, ``find_minors``, ``canon_key_cols``,
+``is_canonical``, and the three per-member loops of the law and
+element-splitting sweeps: ``series_parallel_reduces`` (the gammoid test),
+``law_decisions`` (every splitting or 3-fold key a law sweep asks of one
+member) and ``esplit_violations`` (every T of one member, on the backend's
+own ``delete_rows`` and ``contract_rows`` code).  The rest (``rank``,
+``rank_masked``, ``cols_rank``, ``columns``, ``profile``,
+``profile_images``, ``splitting_counts``) is served by ``pure.py`` on both
+backends; ``splitting_counts`` answers the F and M(K4) questions of every
+splitting of one matroid from one walk over its dual, and proves it there.
+Each kernel has one canonical-form walk (``pure._gl_walk``, ``gl_dfs``)
+with three answers: the least image (``canon_key_cols``), whether some
+image sorts below a bound (``is_canonical``), and whether none does while
+one equals it (a ``KIND_CANONICAL`` match in ``find_minors``).
 Both ``space_min_supports`` refuse a span of more than 20 basis vectors,
 the one bound on circuit and cocircuit enumeration.  Pure
 ``profile_present`` decides F's profile (2, 0, (1, 2, 2)) with loops and

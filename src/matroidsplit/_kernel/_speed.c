@@ -1,4 +1,5 @@
-/* Compiled GF(2) kernel: the per-candidate half of matroidsplit._kernel.pure.
+/* Compiled GF(2) kernel: the per-candidate and per-member half of
+ * matroidsplit._kernel.pure.
  *
  * The functions compiled here are listed in matroidsplit._kernel's
  * docstring; each returns exactly what its namesake in pure.py returns, and
@@ -10,7 +11,10 @@
  * absent, as in pure, and a rank of any size outside 0..2 raises ValueError
  * in the profile decisions, as in pure.  Where pure would go past a word
  * (n_cols > 64 in nullspace_basis, profile_present and find_minors) or take
- * canonical forms for r > 6, ValueError is raised.  Distinct low bits bound
+ * canonical forms for r > 6, ValueError is raised.  The series-parallel
+ * reduction (more than 64 rows or columns), law_decisions (a result past 64
+ * columns) and esplit_violations (n_cols > 63) raise ValueError in both
+ * kernels, since their vectors are words here.  Distinct low bits bound
  * a reduced basis by 64 rows, so only bases and column lists use 64-entry
  * arrays; buffers that a caller's row count indexes are allocated to size.
  *
@@ -203,6 +207,62 @@ static Py_ssize_t pivot_out_c(u64 *rows, Py_ssize_t n, int n_cols, u64 cmask)
         n--;
     }
     return n;
+}
+
+/* delete_rows (contract 0) or contract_rows (contract 1) on rows[0..n) in
+ * place; returns the number of rows left. */
+static Py_ssize_t minor_c(u64 *rows, Py_ssize_t n, int n_cols, u64 mask, int contract)
+{
+    if (contract)
+        n = pivot_out_c(rows, n, n_cols, mask);
+    delete_c(rows, n, n_cols, mask);
+    return n;
+}
+
+/* pure.series_parallel_reduces on rows[0..n), n <= 64, of n_cols <= 64
+ * columns.  vec[0] holds the columns over the rows, vec[1] the rows over
+ * the columns, each read once; a pass over side s keeps in live[s] one
+ * index for each distinct vector of weight at least 2, read on the other
+ * side's live indices alone, in the order pure keeps them. */
+static int sp_reduces_c(const u64 *rows, int n, int n_cols)
+{
+    u64 vec[2][64], seen[64];
+    int live[2][64], nlive[2] = {n_cols, n}, s = 0;
+    u64 full = n_cols == 64 ? ~(u64)0 : BIT(n_cols) - 1;
+    for (int j = 0; j < n_cols; j++) {
+        vec[0][j] = 0;
+        live[0][j] = j;
+    }
+    for (int i = 0; i < n; i++) {
+        vec[1][i] = rows[i] & full;
+        live[1][i] = i;
+        for (u64 r = vec[1][i]; r; r &= r - 1)
+            vec[0][__builtin_ctzll(r)] |= BIT(i);
+    }
+    for (;;) {
+        u64 other = 0;
+        int nk = 0;
+        for (int i = 0; i < nlive[!s]; i++)
+            other |= BIT(live[!s][i]);
+        for (int i = 0; i < nlive[s]; i++) {
+            int j = live[s][i], d = 0;
+            u64 v = vec[s][j] & other;
+            if (!(v & (v - 1)))
+                continue;
+            while (d < nk && seen[d] != v)
+                d++;
+            if (d == nk) {
+                seen[nk] = v;
+                live[s][nk++] = j;
+            }
+        }
+        if (nk < 3)
+            return 1;
+        if (nk == nlive[s])
+            return 0;
+        nlive[s] = nk;
+        s = !s;
+    }
 }
 
 /* -- canonical forms ---------------------------------------------------------
@@ -630,9 +690,7 @@ static PyObject *minor_common(PyObject *const *args, Py_ssize_t nargs,
     u64 *buf = load(args[0], &n);
     if (buf == NULL)
         return NULL;
-    if (contract)
-        n = pivot_out_c(buf, n, nc, mask);
-    delete_c(buf, n, nc, mask);
+    n = minor_c(buf, n, nc, mask, contract);
     PyObject *out = tuple_u64(buf, n);
     PyMem_Free(buf);
     return out;
@@ -640,6 +698,161 @@ static PyObject *minor_common(PyObject *const *args, Py_ssize_t nargs,
 
 VARIANT(delete_rows, minor_common, 0)
 VARIANT(contract_rows, minor_common, 1)
+
+/* A column count in 0..most, else ValueError naming the column limit. */
+static int n_cols_within(PyObject *obj, long most, const char *what, int *out)
+{
+    long v = PyLong_AsLong(obj);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (v < 0 || v > most) {
+        PyErr_Format(PyExc_ValueError, "column limit exceeded: %s needs "
+                     "0 <= n_cols <= %ld, not %ld", what, most, v);
+        return -1;
+    }
+    *out = (int)v;
+    return 0;
+}
+
+static int sp_bounds_ok(long n_cols, Py_ssize_t n)
+{
+    if (0 <= n_cols && n_cols <= 64 && n <= 64)
+        return 1;
+    PyErr_SetString(PyExc_ValueError, "series-parallel reduction needs 0 <= n_cols <= 64 "
+                    "and at most 64 rows");
+    return 0;
+}
+
+/* series_parallel_reduces(rows, n_cols) */
+static PyObject *py_series_parallel_reduces(PyObject *self, PyObject *const *args,
+                                            Py_ssize_t nargs)
+{
+    Py_ssize_t n;
+    if (check_nargs(nargs, 2, "series_parallel_reduces") < 0)
+        return NULL;
+    long nc = PyLong_AsLong(args[1]);
+    if ((nc == -1 && PyErr_Occurred()) || !sp_bounds_ok(nc, 0))
+        return NULL;
+    u64 *buf = load(args[0], &n);
+    if (buf == NULL)
+        return NULL;
+    PyObject *out = sp_bounds_ok(nc, n) ? PyBool_FromLong(sp_reduces_c(buf, (int)n, (int)nc)) : NULL;
+    PyMem_Free(buf);
+    return out;
+}
+
+/* law_decisions(rref, n_cols, keys, fold): the rows of pure._law_forms for
+ * each key, then sp_reduces_c, which transposes them. */
+static PyObject *py_law_decisions(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int nc, fold;
+    Py_ssize_t n;
+    PyObject *keys, *out = NULL;
+    if (check_nargs(nargs, 4, "law_decisions") < 0 || (fold = PyObject_IsTrue(args[3])) < 0 ||
+        n_cols_within(args[1], fold ? 61 : 64, fold ? "a 3-fold" : "a splitting", &nc) < 0)
+        return NULL;
+    u64 *rref = load(args[0], &n), full = nc == 64 ? ~(u64)0 : BIT(nc) - 1;
+    if (rref == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++)
+        rref[i] &= full;
+    u64 *rows = PyMem_Malloc((n + 2) * sizeof(u64));
+    keys = PySequence_Fast(args[2], "keys must be a sequence");
+    if (rows == NULL || keys == NULL) {
+        if (rows == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t nk = PySequence_Fast_GET_SIZE(keys);
+    if ((out = PyTuple_New(nk)) == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < nk; k++) {
+        PyObject *key = PySequence_Fast_GET_ITEM(keys, k);
+        Py_ssize_t m = n;
+        u64 w, x;
+        memcpy(rows, rref, n * sizeof(u64));
+        if (fold) {
+            PyObject *pair = PySequence_Fast(key, "a 3-fold key is a pair (xy, x)");
+            int ok = pair != NULL && PySequence_Fast_GET_SIZE(pair) == 2;
+            if (pair != NULL && !ok)
+                PyErr_SetString(PyExc_ValueError, "a 3-fold key is a pair (xy, x)");
+            ok = ok && to_u64(PySequence_Fast_GET_ITEM(pair, 0), &w) == 0 &&
+                 to_u64(PySequence_Fast_GET_ITEM(pair, 1), &x) == 0;
+            Py_XDECREF(pair);
+            if (!ok)
+                goto fail;
+            rows[m++] = (w & full) | BIT(nc) | BIT(nc + 2);
+            rows[m++] = (x & full) | BIT(nc + 1) | BIT(nc + 2);
+        } else {
+            if (to_u64(key, &w) < 0)
+                goto fail;
+            if ((w &= full)) {
+                for (Py_ssize_t i = 0; i < n; i++)
+                    if (rows[i] & LOW(w))
+                        rows[i] ^= w;
+                rows[m++] = w;
+            }
+        }
+        if (!sp_bounds_ok(nc, m))
+            goto fail;
+        PyTuple_SET_ITEM(out, k, PyBool_FromLong(sp_reduces_c(rows, (int)m, fold ? nc + 3 : nc)));
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    Py_XDECREF(keys);
+    PyMem_Free(rows);
+    PyMem_Free(rref);
+    return out;
+}
+
+/* esplit_violations(rows, n_cols, masks): minor_c, the code of delete_rows
+ * and contract_rows, on each element splitting, compared as pure compares. */
+static PyObject *py_esplit_violations(PyObject *self, PyObject *const *args,
+                                      Py_ssize_t nargs)
+{
+    int nc;
+    Py_ssize_t n, nm;
+    PyObject *out = NULL;
+    u64 *rows = NULL, *masks = NULL, *buf = NULL;
+    if (check_nargs(nargs, 3, "esplit_violations") < 0 ||
+        n_cols_within(args[1], 63, "an element splitting", &nc) < 0 ||
+        (rows = load(args[0], &n)) == NULL || (masks = load(args[2], &nm)) == NULL)
+        goto done;
+    if ((buf = PyMem_Malloc((n + 1) * sizeof(u64))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+    u64 e = BIT(nc);
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        for (int contract = 0; contract < 2; contract++) {
+            memcpy(buf, rows, n * sizeof(u64));
+            buf[n] = masks[i] | e;
+            Py_ssize_t left = minor_c(buf, n + 1, nc + 1, e, contract);
+            int holds = contract
+                ? left == n && memcmp(buf, rows, n * sizeof(u64)) == 0
+                : left == n + 1 && memcmp(buf, rows, n * sizeof(u64)) == 0 && buf[n] == masks[i];
+            if (holds)
+                continue;
+            PyObject *bad = Py_BuildValue("(ns)", i, contract ? "contract" : "delete");
+            if (bad == NULL || PyList_Append(out, bad) < 0) {
+                Py_XDECREF(bad);
+                Py_CLEAR(out);
+                goto done;
+            }
+            Py_DECREF(bad);
+        }
+    }
+    Py_SETREF(out, PyList_AsTuple(out));
+done:
+    PyMem_Free(rows);
+    PyMem_Free(masks);
+    PyMem_Free(buf);
+    return out;
+}
 
 /* profile_present(rows, n_cols, wants): profile_absent for each want. */
 static PyObject *py_profile_present(PyObject *self, PyObject *const *args,
@@ -821,6 +1034,9 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, "See pure.find_minors."},
     FAST(canon_key_cols),
     FAST(is_canonical),
+    FAST(series_parallel_reduces),
+    FAST(law_decisions),
+    FAST(esplit_violations),
     {NULL, NULL, 0, NULL},
 };
 

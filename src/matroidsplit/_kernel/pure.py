@@ -28,6 +28,12 @@ marked images of such a pattern from the same contractions.
 question and M(K4)'s for every splitting M_w of one matroid at once, from
 one walk over the contractions of its dual to rank 4 (proved there).
 
+The gammoid test is series-parallel reduction (``series_parallel_reduces``,
+proved there).  ``law_decisions`` runs it on the standard forms of one
+member's splittings or 3-folds, one per coset key, and
+``esplit_violations`` runs the element-splitting identities of one member
+on every mask given: one call per member for each law and identity sweep.
+
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
   * a column vector over rows 0..r-1 is an int with bit ``i`` = entry in row ``i``
@@ -46,7 +52,8 @@ __all__ = [
     "rank", "rank_masked", "cols_rank", "rref", "nullspace_basis",
     "space_min_supports", "columns", "delete_rows", "contract_rows",
     "profile", "profile_images", "profile_present", "splitting_counts", "find_minors",
-    "canon_key_cols", "is_canonical",
+    "canon_key_cols", "is_canonical", "series_parallel_reduces", "law_decisions",
+    "esplit_violations",
 ]
 
 BACKEND = "pure"
@@ -517,6 +524,166 @@ def splitting_counts(rows, n_cols: int) -> dict:
                     if counts.get(residue ^ v, 0) < count:
                         counts[residue ^ v] = count
     return counts
+
+
+def series_parallel_reduces(rows, n_cols: int) -> bool:
+    """True iff the binary matroid with ``rows``, a standard form of an
+    ``n_cols``-column representation, has no M(K4) minor, decided by
+    series-parallel reduction.  A standard form is any set of rows in which
+    each row has a column where it alone is 1, such as the rref: up to the
+    order of rows and columns it is [I | A], and no row is zero.  Bits at
+    or above ``n_cols`` are ignored; more than 64 rows, or ``n_cols``
+    outside 0..64, raise ValueError, as in ``_speed.c``, whose vectors are
+    words.  A standard form of at most 64 columns has at most 64 rows.
+
+    A binary matroid has no M(K4) minor iff deleting loops and parallel
+    copies and contracting coloops and series copies empties it: every
+    nonempty matroid without an M(K4) minor has one of these four
+    (Duffin 1965; Brylawski 1971; Oxley, *Matroid Theory*, 2nd ed.,
+    Section 5.4).  In standard form [I | A] the rows of A are the basis
+    elements and its columns the others, so a zero, weight-one or repeated
+    column is a loop or parallel copy, and the same in a row is a coloop or
+    series copy.  Only the columns are read, and the unit columns of I go
+    in the first pass with A's own zero, weight-one and repeated ones, so
+    nothing depends on which columns make up I or on the order of rows and
+    columns; the answer, a property of the matroid, is the same for every
+    basis.  A pass that keeps fewer than 3 vectors of A leaves a matroid
+    of corank or rank below 3, those of M(K4), so none of its minors is
+    M(K4).  (Fewer than 3 live vectors on one side leave at most one
+    vector of weight 2 or more on the other, so this one test serves both
+    sides.)
+
+    The matrix is transposed once.  Each pass cleans one side, columns
+    first: it keeps one index for each distinct vector of weight at least
+    2 among that side's live vectors, each read on the other side's live
+    indices alone.  That is the transpose of the matrix that the other
+    side's pass left, up to the order of bits, which changes no weight and
+    no equality.  When a pass removes nothing, the other side, cleaned by
+    the previous pass, is unchanged too, so A is irreducible.  (In a
+    standard form with rows the first pass always removes the unit
+    columns.)  Labels play no part, so callers may pass rows that no
+    ``BinaryMatroid`` holds, such as :func:`law_decisions`' standard forms
+    of a splitting or a 3-fold.
+    """
+    if not 0 <= n_cols <= 64 or len(rows) > 64:
+        raise ValueError("series-parallel reduction needs 0 <= n_cols <= 64 "
+                         "and at most 64 rows")
+    full = (1 << n_cols) - 1
+    return _reduces(columns([row & full for row in rows], n_cols), rows)
+
+
+def _reduces(cols, rows) -> bool:
+    """The passes of :func:`series_parallel_reduces` on the columns
+    ``cols`` of ``rows``; row bits outside the columns are never read."""
+    this, live, other, other_live = cols, range(len(cols)), rows, range(len(rows))
+    other_mask = (1 << len(rows)) - 1
+    while True:
+        # Each distinct vector of weight >= 2 keeps its first index.
+        kept, mask = {}, 0
+        for j in live:
+            v = this[j] & other_mask
+            if v & (v - 1) and v not in kept:
+                kept[v] = j
+                mask |= 1 << j
+        if len(kept) < 3:
+            return True
+        if len(kept) == len(live):
+            return False
+        this, live, other, other_live = other, other_live, this, kept.values()
+        other_mask = mask
+
+
+def _law_forms(rref, n_cols: int, keys, fold: bool):
+    """Yield (rows, columns) of a standard form of the splitting (``fold``
+    false) or the 3-fold (``fold`` true) of the matroid with rows ``rref``,
+    its reduced echelon form, for each of ``keys``: the row-space coset of
+    the splitting mask, or the pair of cosets (v(xy), v(x)) of the
+    3-fold's two masks, vectors with no pivot bit of ``rref``, the XOR of
+    ``BinaryMatroid._label_cosets``.  Bits of ``rref`` and the keys at or
+    above ``n_cols`` are ignored; a form of more than 64 rows raises
+    ValueError, as :func:`series_parallel_reduces` does.
+
+    The splitting on T appends the mask of T as a row (Raghunathan,
+    Shikare, Waphare, "Splitting in a binary matroid", Discrete Math. 184,
+    1998), and adding a vector of the row space to an appended row keeps
+    the row space, so the coset stands for the mask.  The key has no pivot
+    bit of ``rref``, so each rref row keeps its pivot alone, and each row
+    holding the key's lowest bit is XORed with the key, which leaves that
+    bit to the key's row alone; key 0 leaves the rows.  The 3-fold appends
+    (xy|p|r, x|q|r) for three new columns p, q, r at ``n_cols`` up
+    (``ops.three_fold_rows``); p and q are each 1 in one new row alone.
+    ``rref`` is transposed once, and each key's columns are read off its
+    columns: XORing the key into the rows S that hold its lowest bit flips
+    S in each column where the key is 1, and a new row n adds bit n to the
+    columns where it is 1.
+    """
+    full = (1 << n_cols) - 1
+    rref = tuple(row & full for row in rref)
+    cols = columns(rref, n_cols)
+    n = len(rref)
+    for key in keys:
+        if fold:
+            xy, x = key[0] & full, key[1] & full
+            p, q, r = 1 << n_cols, 1 << n_cols + 1, 1 << n_cols + 2
+            rows = rref + (xy | p | r, x | q | r)
+            form = [c | (xy >> j & 1) << n | (x >> j & 1) << n + 1
+                    for j, c in enumerate(cols)] + [1 << n, 2 << n, 3 << n]
+        elif key & full:
+            key &= full
+            low = key & -key
+            flip = cols[low.bit_length() - 1] | 1 << n
+            rows = tuple(row ^ key if row & low else row for row in rref) + (key,)
+            form = [c ^ flip if key >> j & 1 else c for j, c in enumerate(cols)]
+        else:
+            rows, form = rref, cols
+        if len(rows) > 64:
+            raise ValueError("series-parallel reduction needs 0 <= n_cols <= 64 "
+                             "and at most 64 rows")
+        yield rows, form
+
+
+def law_decisions(rref, n_cols: int, keys, fold: bool) -> tuple[bool, ...]:
+    """For each of ``keys``, whether the splitting (``fold`` false) or the
+    3-fold (``fold`` true) of the matroid with rows ``rref`` on ``n_cols``
+    columns is a binary gammoid: the passes of
+    :func:`series_parallel_reduces` on its standard form
+    (:func:`_law_forms`).  A splitting key is a coset representative, a
+    3-fold key the pair (v(xy), v(x)).  The 3-fold adds three columns, so
+    ``n_cols`` above 61 raises ValueError naming the column limit, as
+    ``ops.three_fold`` does, with or without keys; a negative ``n_cols``,
+    or one above 64, raises too."""
+    width = n_cols + 3 if fold else n_cols
+    if n_cols < 0 or width > 64:
+        raise ValueError(f"column limit exceeded: a {'3-fold' if fold else 'splitting'} "
+                         f"needs 0 <= n_cols <= {64 - width + n_cols}, not {n_cols}")
+    return tuple(_reduces(form, rows) for rows, form in _law_forms(rref, n_cols, keys, fold))
+
+
+def esplit_violations(rows, n_cols: int, masks) -> tuple[tuple[int, str], ...]:
+    """(index, "delete" or "contract") for each element-splitting identity
+    that fails on one of ``masks``, in order.
+
+    The element splitting on a mask extends ``rows`` by a new last column
+    e and the row mask | e.  Deleting e must leave exactly the splitting's
+    rows, ``rows`` plus the mask; contracting e must give back exactly
+    ``rows``, since e's only 1 is in the appended row, so the pivot on e
+    removes that row and touches no other.  Both sides run this kernel's
+    own :func:`delete_rows` and :func:`contract_rows`.  e must fit in a
+    64-bit row, so ``n_cols`` outside 0..63 raises ValueError naming the
+    column limit."""
+    if not 0 <= n_cols < 64:
+        raise ValueError(f"column limit exceeded: an element splitting needs "
+                         f"0 <= n_cols <= 63, not {n_cols}")
+    rows = tuple(rows)
+    e, width = 1 << n_cols, n_cols + 1
+    out = []
+    for i, mask in enumerate(masks):
+        ext = rows + (mask | e,)
+        if delete_rows(ext, width, e) != rows + (mask,):
+            out.append((i, "delete"))
+        if contract_rows(ext, width, e) != rows:
+            out.append((i, "contract"))
+    return tuple(out)
 
 
 def _subset_masks(mask: int, k: int):

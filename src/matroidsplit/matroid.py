@@ -385,53 +385,14 @@ class BinaryMatroid:
     # -- gammoid test ------------------------------------------------------------
 
     def is_binary_gammoid(self) -> bool:
-        """True iff no M(K4) minor exists (:func:`series_parallel_reduces` on
-        the reduced rows).  No witness is built: :meth:`k4_minor` keeps the
-        exhaustive scan for that."""
-        return series_parallel_reduces(self._rref, self.rep.n_cols)
+        """True iff no M(K4) minor exists (``_kernel.series_parallel_reduces``
+        on the reduced rows, proved there).  No witness is built:
+        :meth:`k4_minor` keeps the exhaustive scan for that."""
+        return _kernel.series_parallel_reduces(self._rref, self.rep.n_cols)
 
     def k4_minor(self):
         """MinorWitness of M(K4) when the matroid is not a binary gammoid."""
         return self.has_minor(k4_matroid())
-
-
-def series_parallel_reduces(reduced: tuple[int, ...], n_cols: int) -> bool:
-    """True iff the binary matroid with rows ``reduced``, a standard form
-    of an ``n_cols``-column representation, has no M(K4) minor, decided by
-    series-parallel reduction.  A standard form is any set of rows in which
-    each row has a column where it alone is 1, such as the rref: up to the
-    order of rows and columns it is [I | A], and no row is zero.
-
-    A binary matroid has no M(K4) minor iff deleting loops and parallel
-    copies and contracting coloops and series copies empties it: every
-    nonempty matroid without an M(K4) minor has one of these four
-    (Duffin 1965; Brylawski 1971; Oxley, *Matroid Theory*, 2nd ed.,
-    Section 5.4).  In standard form [I | A] the rows of A are the basis
-    elements and its columns the others, so a zero, weight-one or repeated
-    column is a loop or parallel copy, and the same in a row is a coloop or
-    series copy.  Only the columns are read, and the unit columns of I go
-    in the first pass with A's own zero, weight-one and repeated ones, so
-    nothing depends on which columns make up I or on the order of rows and
-    columns; the answer, a property of the matroid, is the same for every
-    basis.  Once rank or corank drops below 3, the
-    rank and corank of M(K4), no minor can be M(K4).  Labels play no part,
-    so callers may pass rows that no ``BinaryMatroid`` holds: ``verify``
-    passes standard forms of a splitting or a 3-fold, built from a
-    validated matroid's rref and row-space cosets, so they are not checked
-    again.
-    """
-    vecs = _kernel.columns(reduced, n_cols)
-    width = len(reduced)
-    while True:
-        # One side of A loses its zero, weight-one and repeated vectors;
-        # when that removes nothing, the other side, cleaned by the
-        # previous pass, is unchanged too, so A is irreducible.
-        kept = tuple({v for v in vecs if v & (v - 1)})
-        if len(kept) < 3 or width < 3:
-            return True
-        if len(kept) == len(vecs):
-            return False
-        vecs, width = _kernel.columns(kept, width), len(kept)
 
 
 def reduced_columns(m: BinaryMatroid) -> tuple[int, tuple[int, ...]]:

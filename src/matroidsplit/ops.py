@@ -10,8 +10,9 @@ Both 3-fold constructions share one row-level core, :func:`three_fold_rows`,
 which takes the host's rows and two label masks and returns the extension's
 rows.  The core checks the column limit; the public functions validate the
 rest of their arguments and wrap the core's rows.  ``verify`` decides the
-3-fold sweep without building a matroid, on rows in standard form that it
-builds from the host's rref and the masks' row-space cosets.
+3-fold sweep without building a matroid: ``_kernel.law_decisions`` builds
+the same rows in standard form from the host's rref and the masks'
+row-space cosets.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def three_fold_rows(rows, n_cols: int, xy: int, x: int) -> tuple[int, ...]:
     Three zero columns p, q, r (bits ``n_cols`` to ``n_cols + 2``) are
     adjoined, then the splittings on {x, y, p, r} and on {x, q, r} append
     one row each.  Raises ValueError when the three new columns do not fit
-    under ``MAX_COLS``; every 3-fold that is built gets its rows here.
+    under ``MAX_COLS``; every 3-fold matroid that is built gets its rows
+    here.
     """
     check_room(n_cols, 3)
     p, q, r = 1 << n_cols, 1 << n_cols + 1, 1 << n_cols + 2

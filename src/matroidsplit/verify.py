@@ -9,12 +9,15 @@ on the recorded matroid alone.
 
 The paper's excluded-minor laws, ``split-gammoid`` (3-element splittings,
 G_1..G_3) and ``main`` (3-folds, G_4), are ``_Law`` constants run by one
-law sweep, :func:`_law_sweep`: one worker, one tally and one memoized row
-decision, :func:`_law_outcome`.  A splitting's F question (the gf
-sweeps) and its gammoid question (``split-gammoid``) are both read, for
-every nonzero coset key of a member, off one table of the member's
-(:func:`_split_counts`, proved at ``_kernel.splitting_counts``) when its
-walk is small enough; otherwise each key is decided on its own.
+law sweep, :func:`_law_sweep`: one tally, and one worker,
+:func:`_law_worker`, that decides each distinct row-space coset key of a
+member once, all of them in one ``_kernel.law_decisions`` call.  A
+splitting's F question (the gf sweeps) and its gammoid question
+(``split-gammoid``) are both read, for every nonzero coset key of a
+member, off one table of the member's (:func:`_split_counts`, proved at
+``_kernel.splitting_counts``) when its walk is small enough; otherwise
+each key is decided on its own.  The element-splitting identities take one
+``_kernel.esplit_violations`` call per member.
 
 :func:`run_checks` runs the evaluators of the reports it selects
 (``_REPORTS``) in one pass, one call and one memo per member, pooled as one
@@ -39,8 +42,8 @@ from operator import xor
 
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, check_room
-from .matroid import BinaryMatroid, MinorWitness, canonical_key, series_parallel_reduces
-from .ops import admissible_pairs, splitting, three_fold, three_fold_rows
+from .matroid import BinaryMatroid, MinorWitness, canonical_key
+from .ops import admissible_pairs, splitting, three_fold
 # bench/run.py's install_tracer wraps splitting, element_splitting,
 # three_fold, three_fold_ghafari and admissible_pairs here and at ops, and
 # requires each name to be the same function at both.
@@ -491,67 +494,27 @@ class _Law:
     validates for G_1..G_3 and ``main``'s known instance for G_4.  An M(K4)
     minor passes up to the larger host, so the result on T is a
     non-gammoid.  The operation appends rows to ``m``'s, each a label mask
-    u plus bits in new columns; ``key(cosets, case)`` gives the row-space
-    cosets of the masks u, each the XOR of its labels' ``m._label_cosets``,
-    and ``rows(m, key)`` gives (rows in standard form, n_cols) of the
-    result.  A failure names its case under ``param``; ``some_bad_key``
-    counts the members with an excluded minor where some case goes
-    non-gammoid.  With ``tabled``, the result is the splitting on the one
-    mask u, and a nonzero key is read off the member's splitting counts
-    (:func:`_split_counts`) when it has them.  The sweep reads the gammoids
-    of at least ``min_elements`` elements."""
+    u plus bits in new columns; ``keys(cosets, cases)`` gives each case's
+    row-space cosets of the masks u, each the XOR of its labels'
+    ``m._label_cosets`` (which proves a decision may be keyed by them).
+    With ``fold`` the operation is the 3-fold and the key the pair
+    (v(xy), v(x)); otherwise it is the splitting on the one mask u, and a
+    nonzero key is read off the member's splitting counts
+    (:func:`_split_counts`) when it has them.  ``_kernel.law_decisions``
+    decides every other key.  A failure names its case under ``param``;
+    ``some_bad_key`` counts the members with an excluded minor where some
+    case goes non-gammoid.  The sweep reads the gammoids of at least
+    ``min_elements`` elements."""
 
     name: str
     images: Callable
     cases: Callable
-    key: Callable
-    rows: Callable
-    tabled: bool
+    keys: Callable
+    fold: bool
     ok: str
     param: str
     some_bad_key: str
     min_elements: int
-
-
-def _law_outcome(law: _Law, m: BinaryMatroid, case, memo: dict,
-                 counts: dict | None = None) -> str:
-    """Whether the operation of ``law`` on ``case`` keeps ``m`` a binary
-    gammoid: ``law.ok`` or "non-gammoid".
-
-    Decided on rows, without building the result or reducing any rows.
-    A nonzero ``law.key`` is read off ``counts``, the member's splitting
-    counts when the law is ``tabled`` and the member has them: the
-    splitting is a non-gammoid iff the key counts at least 6 (proved at
-    ``_kernel.splitting_counts``).  For any other key not yet in ``memo``,
-    the decisions already made for ``m``, ``law.rows`` builds the result's
-    rows in standard form from ``m._rref`` and the key, and
-    :func:`series_parallel_reduces` decides them.  The key is the coset
-    representatives of the masks u (``BinaryMatroid._label_cosets`` proves
-    it sound), so the outcome is exactly what the computation on the result
-    would give.  ``m`` was validated and its labels make up ``case``, so
-    nothing is left to check.
-    """
-    key = law.key(m._label_cosets, case)
-    if key and counts is not None:
-        return law.ok if counts.get(key, 0) < 6 else "non-gammoid"
-    if key not in memo:
-        memo[key] = series_parallel_reduces(*law.rows(m, key))
-    return law.ok if memo[key] else "non-gammoid"
-
-
-def _split_rows(m: BinaryMatroid, key: int) -> tuple:
-    """The splitting on T appends the mask of T as a row (Raghunathan,
-    Shikare, Waphare, "Splitting in a binary matroid", Discrete Math. 184,
-    1998).  For ``key`` its coset, the splitting in standard form is
-    ``m._rref`` plus the row ``key``: the key has no pivot bit of
-    ``m._rref``, so each rref row keeps its pivot alone, and each row
-    holding the key's lowest bit is XORed with the key, which leaves that
-    bit to the key's row alone.  Key 0 leaves the rows of ``m``."""
-    if not key:
-        return m._rref, m.rep.n_cols
-    low = key & -key
-    return (tuple(row ^ key if row & low else row for row in m._rref) + (key,),
-            m.rep.n_cols)
 
 
 # (matroid, marked) of G_1..G_3, each read once: G_2 is G_1 with its loop b
@@ -573,19 +536,15 @@ def _split_images(m: BinaryMatroid, cases) -> set[frozenset[str]]:
 _LAWS = {law.name: law for law in (
     _Law(name="split-gammoid", images=_split_images,
          cases=lambda m: tuple(combinations(sorted(m.labels), 3)),
-         key=lambda cos, t: cos[t[0]] ^ cos[t[1]] ^ cos[t[2]], rows=_split_rows,
-         tabled=True, ok=_SPLIT_OK, param="T",
+         keys=lambda cos, cases: [cos[a] ^ cos[b] ^ cos[c] for a, b, c in cases],
+         fold=False, ok=_SPLIT_OK, param="T",
          some_bad_key="members_where_some_splitting_non_gammoid", min_elements=3),
     # The marks (x, y) of G_4 occupy exactly the admissible pairs, the cases
     # (see check_three_fold_excluded_minor), so no image is searched.
     _Law(name="main", images=lambda m, cases: set(map(frozenset, cases)),
          cases=lambda m: tuple(sorted(tuple(sorted(p)) for p in admissible_pairs(m))),
-         key=lambda cos, p: (cos[p[0]] ^ cos[p[1]], cos[p[0]]),
-         # For the cosets (v(xy), v(x)) the 3-fold's rows on m._rref are a
-         # standard form: its new columns p and q are each 1 in one row alone.
-         rows=lambda m, key: (three_fold_rows(m._rref, m.rep.n_cols, *key),
-                              m.rep.n_cols + 3),
-         tabled=False, ok=_FOLD_OK, param="pair",
+         keys=lambda cos, cases: [(cos[x] ^ cos[y], cos[x]) for x, y in cases],
+         fold=True, ok=_FOLD_OK, param="pair",
          some_bad_key="members_where_some_fold_non_gammoid", min_elements=0),
 )}
 
@@ -593,17 +552,38 @@ _LAWS = {law.name: law for law in (
 def _law_worker(m: BinaryMatroid, gammoid: bool, memo: dict, name: str):
     """(whether ``m`` has an excluded minor, its number of cases, the cases
     that go non-gammoid, the cases where the pinned reading agrees); None
-    for a member that the sweep of law ``name`` does not read."""
+    for a member that the sweep of law ``name`` does not read.
+
+    Decided on rows, without building any result.  Each distinct key of
+    the cases is decided once: a nonzero splitting key off the member's
+    splitting counts, when it has them, which read the splitting as a
+    non-gammoid iff the key counts at least 6 (proved at
+    ``_kernel.splitting_counts``); all the others in one
+    ``_kernel.law_decisions`` call, which builds each result's rows in
+    standard form from ``m._rref`` and the key and reduces them.  The keys
+    stand for the masks (``BinaryMatroid._label_cosets`` proves it), so
+    each outcome is exactly what the computation on the result would give.
+    ``m`` was validated and its labels make up the cases, so nothing is
+    left to check."""
     law = _LAWS[name]
     if not gammoid or m.n_elements() < law.min_elements:
         return None
     cases = law.cases(m)
-    decided = memo.setdefault(name, {})
-    counts = _split_counts(m, memo) if law.tabled else None
-    bad = tuple(case for case in cases
-                if _law_outcome(law, m, case, decided, counts) != law.ok)
-    # Every image is a case that goes non-gammoid (see _Law).
-    pinned = law.images(m, cases) if bad else set()
+    keys = law.keys(m._label_cosets, cases)
+    distinct = dict.fromkeys(keys)
+    counts = None if law.fold else _split_counts(m, memo)
+    gammoid_at = ({key: counts.get(key, 0) < 6 for key in distinct if key}
+                  if counts is not None else {})
+    asked = [key for key in distinct if key not in gammoid_at]
+    if asked:
+        gammoid_at.update(zip(asked, _kernel.law_decisions(
+            m._rref, m.rep.n_cols, asked, law.fold)))
+    bad = tuple(case for case, key in zip(cases, keys) if not gammoid_at[key])
+    # Every image is a case that goes non-gammoid (see _Law), so with none
+    # there is no image and the pinned reading agrees on every case.
+    if not bad:
+        return False, len(cases), bad, len(cases)
+    pinned = law.images(m, cases)
     bad_set = set(bad)
     agree = sum((frozenset(case) in pinned) == (case in bad_set) for case in cases)
     return bool(pinned), len(cases), bad, agree
@@ -649,10 +629,11 @@ def check_splitting_excluded_minors(c: Corpus) -> VerificationReport:
     under both the unlabeled reading (some splitting goes non-gammoid) and
     the pinned reading (the splitting set matches a marked-triple image).
 
-    Each splitting M_T is decided on rows by :func:`_law_outcome`, once
+    Each splitting M_T is decided on rows by :func:`_law_worker`, once
     per row-space coset of T's mask: read off the member's splitting counts
     (:func:`_split_counts`, proved at ``_kernel.splitting_counts``), or by
-    one series-parallel reduction.  The marked-triple images are
+    one series-parallel reduction in the member's one
+    ``_kernel.law_decisions`` call.  The marked-triple images are
     searched only where some M_T goes non-gammoid, as M_T does at every
     image T (proved at ``_Law``).
     """
@@ -732,8 +713,9 @@ def check_three_fold_excluded_minor(c: Corpus) -> VerificationReport:
     and on {x, q, r}.  PAPER.md holds only the paper's abstract, so the
     paper's 3-fold-3-point splitting may be defined otherwise.
 
-    Each 3-fold is decided on rows by :func:`_law_outcome`, once per pair
-    of row-space cosets (v(xy), v(x)) of the two splitting masks.
+    Each 3-fold is decided on rows by :func:`_law_worker`, once per pair
+    of row-space cosets (v(xy), v(x)) of the two splitting masks, all in
+    the member's one ``_kernel.law_decisions`` call.
 
     ``ghafari_construction_identical`` is proved, not measured: it equals
     ``ghafari_construction_compared``, the number of admissible pairs.
@@ -766,52 +748,36 @@ def check_three_fold_excluded_minor(c: Corpus) -> VerificationReport:
 # -- element-splitting delete/contract identities ---------------------------------
 
 
-def _esplit_violations(m: BinaryMatroid, t) -> list[str]:
-    """The element-splitting identities on ``t`` that fail for ``m``.
-
-    Checked on rows, as :func:`ops.element_splitting` builds them: the
-    extension by a new last element e has ``m``'s rows plus the mask of
-    ``t`` with e's bit set.  Deleting e must leave exactly the splitting's
-    rows, ``m``'s plus the mask; contracting e must give back exactly
-    ``m``'s rows, since e's only 1 is in the appended row, so the pivot on e
-    removes that row and touches no other.  ``m`` was validated and its
-    labels make up ``t``, so the mask is read off ``m._label_bits`` with no
-    check, and e needs no label, so no matroid is built.  The worker checks
-    once per member that e fits (``check_room``).
-    """
-    bits = m._label_bits
-    mask = 0
-    for lab in t:
-        mask |= bits[lab]
-    rows, n = m.rep.rows, m.rep.n_cols
-    e = 1 << n
-    ext = rows + (mask | e,)
-    bad = []
-    if _kernel.delete_rows(ext, n + 1, e) != rows + (mask,):
-        bad.append("delete identity")
-    if _kernel.contract_rows(ext, n + 1, e) != rows:
-        bad.append("contract identity")
-    return bad
-
-
 # The sizes of T that the element-splitting identities are swept over.
 _ESPLIT_SIZES = (1, 2, 3)
 
 
 def _esplit_worker(m: BinaryMatroid, gammoid: bool, memo: dict) -> tuple:
-    """The (T, identity) pairs that fail on ``m``, gammoid or not."""
+    """The (T, identity) pairs that fail on ``m``, gammoid or not, from one
+    ``_kernel.esplit_violations`` call over the masks of every T in sweep
+    order.  ``m`` was validated and its labels make up each T, so the
+    masks are read off ``m._label_bits`` with no check, and the new
+    element needs no label, so no matroid is built.  The worker checks
+    once per member that it fits (``check_room``)."""
     check_room(m.rep.n_cols)
     labels = sorted(m.labels)
-    return tuple((t, which)
-                 for size in _ESPLIT_SIZES
-                 for t in combinations(labels, size)
-                 for which in _esplit_violations(m, t))
+    bits = [m._label_bits[lab] for lab in labels]
+    bad = _kernel.esplit_violations(
+        m.rep.rows, m.rep.n_cols,
+        [sum(t) for size in _ESPLIT_SIZES for t in combinations(bits, size)])
+    if not bad:
+        return ()
+    cases = [t for size in _ESPLIT_SIZES for t in combinations(labels, size)]
+    return tuple((cases[i], f"{which} identity") for i, which in bad)
 
 
 def check_element_splitting_identities(c: Corpus) -> VerificationReport:
     """delete(esplit) equals the splitting exactly; contract(esplit) gives
     back the original matroid.  Swept over every member of ``c`` and every T
-    with 1 <= |T| <= 3."""
+    with 1 <= |T| <= 3, on rows, as :func:`ops.element_splitting` builds
+    them: one ``_kernel.esplit_violations`` call per member
+    (:func:`_esplit_worker`) runs the kernel's own delete and contract on
+    each T and names the identities that fail."""
     start = time.perf_counter()
     outcomes, spent = _swept(c, "esplit-identities")
     failures = [make_failure(compact(m), {"T": ",".join(t)},

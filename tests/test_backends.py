@@ -8,6 +8,7 @@ compiler that ``sysconfig`` names is not installed.
 
 import importlib.util
 import json
+from itertools import combinations
 import os
 import random
 import shutil
@@ -75,8 +76,25 @@ def test_compiled_module_defines_exactly_the_hot_subset(compiled):
     names = {n for n in pure.__all__ if hasattr(compiled, n)}
     assert names == {"BACKEND", "rref", "nullspace_basis", "space_min_supports",
                      "delete_rows", "contract_rows", "profile_present",
-                     "find_minors", "canon_key_cols", "is_canonical"}
+                     "find_minors", "canon_key_cols", "is_canonical",
+                     "series_parallel_reduces", "law_decisions", "esplit_violations"}
     assert compiled.BACKEND == "compiled"
+
+
+def test_compiled_source_compiles_without_warnings():
+    # The compiler that builds the extension, at -Wall -Wextra as errors,
+    # less two groups that the C-API's method tables and structs trip;
+    # syntax only, so nothing is written.
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if not shutil.which(compiler):
+        pytest.skip(f"no C compiler {compiler!r} to check the compiled kernel")
+    run = subprocess.run(
+        [compiler, "-Wall", "-Wextra", "-Wno-unused-parameter",
+         "-Wno-missing-field-initializers", "-Werror", "-fsyntax-only",
+         "-I", sysconfig.get_paths()["include"],
+         str(REPO / "src" / "matroidsplit" / "_kernel" / "_speed.c")],
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_elementwise_functions_agree(compiled):
@@ -444,6 +462,86 @@ def test_canonical_forms_agree_on_wide_multisets(compiled):
             assert compiled.is_canonical(key, r)
 
 
+# -- the law loops: series-parallel reduction, law decisions, esplit identities --
+
+# Column counts at the edges: 0, small, and the widest that a 3-fold (61),
+# an element splitting (63) and a row (64) allow, each also one past.
+LAW_COLS = st.one_of(st.integers(0, 12), st.sampled_from([61, 62, 63, 64]))
+
+
+@st.composite
+def reduced_forms(draw):
+    """(rref, n_cols): rows in reduced echelon form, 0 rows included, with
+    loops (zero columns) and coloops (unit rows) drawn in."""
+    n_cols = draw(LAW_COLS)
+    top = (1 << n_cols) - 1
+    rows = draw(st.lists(st.integers(0, top), max_size=min(n_cols, 9)))
+    loops = draw(st.integers(0, top))
+    rows = [row & ~loops for row in rows]
+    for j in draw(st.sets(st.integers(0, max(0, n_cols - 1)), max_size=3)) if n_cols else ():
+        rows = [row & ~(1 << j) for row in rows] + [1 << j]
+    if n_cols == 64 and rows and draw(st.booleans()):
+        rows = [row | TOP for row in rows[1:]] + [TOP]
+    return pure.rref(rows), n_cols
+
+
+@EDGE
+@given(reduced_forms(), st.lists(st.integers(0, WORD), max_size=6),
+       st.lists(st.integers(0, WORD), max_size=3))
+@example(form=((), 0), words=[], raw=[])
+@example(form=((), 64), words=[WORD], raw=[WORD])
+def test_law_loops_agree_on_edge_shapes(compiled, form, words, raw):
+    # The reduction on the rref, the splittings and 3-folds on coset keys
+    # (vectors with no pivot bit, 0 among them) and on raw keys with pivot
+    # and high bits, and the element-splitting identities on masks of any
+    # bits.
+    rref, n_cols = form
+    pivots = sum(row & -row for row in rref)
+    cosets = [0] + [w & ~pivots & ((1 << n_cols) - 1) for w in words]
+    for keys, fold in ((cosets + raw, False),
+                       (list(zip(cosets, reversed(cosets))) + list(zip(raw, raw)), True)):
+        assert outcome(pure.law_decisions, rref, n_cols, keys, fold) == \
+            outcome(compiled.law_decisions, rref, n_cols, keys, fold), (keys, fold)
+    assert outcome(pure.series_parallel_reduces, rref, n_cols) == \
+        outcome(compiled.series_parallel_reduces, rref, n_cols)
+    masks = cosets + raw
+    assert outcome(pure.esplit_violations, rref, n_cols, masks) == \
+        outcome(compiled.esplit_violations, rref, n_cols, masks)
+
+
+@EDGE
+@given(edge_matrices())
+def test_series_parallel_reduction_agrees_on_edge_matrices(compiled, matrix):
+    # Rows that are no standard form: zero, repeated and dense rows, bits
+    # at or above n_cols, and 65-80 rows, which both kernels refuse.
+    rows, n_cols = matrix
+    assert outcome(pure.series_parallel_reduces, rows, n_cols) == \
+        outcome(compiled.series_parallel_reduces, rows, n_cols)
+
+
+def test_law_loops_agree_on_the_corpus(compiled, corpus6):
+    # Every member of the n <= 6 corpus: its reduction, every triple's
+    # splitting key, every pair's 3-fold key, and the identities on every
+    # T with |T| <= 3, as the sweeps ask them.
+    gammoids = {True: 0, False: 0}
+    for m in corpus6.members:
+        cosets, n = m._label_cosets, m.rep.n_cols
+        labels = sorted(m.labels)
+        triples = [cosets[a] ^ cosets[b] ^ cosets[c] for a, b, c in combinations(labels, 3)]
+        pairs = [(cosets[x] ^ cosets[y], cosets[x]) for x, y in combinations(labels, 2)]
+        masks = [m._label_mask(t) for size in (1, 2, 3) for t in combinations(labels, size)]
+        for kernel_args in ((m._rref, n, triples, False), (m._rref, n, pairs, True)):
+            got = pure.law_decisions(*kernel_args)
+            assert compiled.law_decisions(*kernel_args) == got
+            for gammoid in got:
+                gammoids[gammoid] += 1
+        assert compiled.series_parallel_reduces(m._rref, n) == \
+            pure.series_parallel_reduces(m._rref, n)
+        assert compiled.esplit_violations(m.rep.rows, n, masks) == \
+            pure.esplit_violations(m.rep.rows, n, masks) == ()
+    assert all(gammoids.values()), gammoids
+
+
 def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
     for bad in (1 << 64, (1 << 64) + 1, 1 << 70, -1):
         calls = [
@@ -457,6 +555,12 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
             lambda: compiled.profile_present((1, bad), 3, [(1, 0, (1,))]),
             lambda: compiled.canon_key_cols((bad,), 0),
             lambda: compiled.is_canonical((bad,), 2),
+            lambda: compiled.series_parallel_reduces((3, bad), 3),
+            lambda: compiled.law_decisions((bad,), 3, [], False),
+            lambda: compiled.law_decisions((1,), 3, [0, bad], False),
+            lambda: compiled.law_decisions((1,), 3, [(2, bad)], True),
+            lambda: compiled.esplit_violations((1, bad), 3, [1]),
+            lambda: compiled.esplit_violations((1,), 3, [1, bad]),
         ]
         for call in calls:
             with pytest.raises((OverflowError, ValueError)):
@@ -467,6 +571,12 @@ def test_ints_outside_64_bits_raise_and_never_wrap(compiled):
         compiled.find_minors((1,), 65, 0, 0, pure.KIND_SIMPLE_RANK3, None)
     with pytest.raises(ValueError):
         compiled.profile_present((1,), 65, [(1, 0, (1,))])
+    for call in (lambda: compiled.series_parallel_reduces((1,), 65),
+                 lambda: compiled.law_decisions((1,), 65, [], False),
+                 lambda: compiled.law_decisions((1,), 62, [], True),
+                 lambda: compiled.esplit_violations((1,), 64, [])):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_backend_name_reported():
@@ -526,14 +636,18 @@ _MINORS = (
 
 def test_full_check_agrees_across_backends(build_lib):
     # Same corpus file, verdicts, >64-row structure and minor witnesses from
-    # both kernels; the gf-empty reports name each witness Y, and both fail.
+    # both kernels; the gf-empty reports name each witness Y, and both fail;
+    # the law and element-splitting reports count their cases alike.
     code = (
         "import json\n"
         "from matroidsplit import _kernel, corpus, verify\n"
         + _REPRO + _MINORS +
         "c = corpus.enumerate_binary_matroids(6, 4)\n"
         "rs = [verify.check_split_minor_characterization(c),\n"
-        "      verify.check_split_minor_empty(c, 1), verify.check_split_minor_empty(c, 2)]\n"
+        "      verify.check_split_minor_empty(c, 1), verify.check_split_minor_empty(c, 2),\n"
+        "      verify.check_splitting_excluded_minors(c),\n"
+        "      verify.check_three_fold_excluded_minor(c),\n"
+        "      verify.check_element_splitting_identities(c)]\n"
         "ds = [r.to_json_dict() for r in rs]\n"
         "for d in ds: d.pop('wall_time')\n"
         "print(json.dumps([_kernel.BACKEND, repro, minors, corpus.to_file_text(c), ds],"
@@ -555,5 +669,6 @@ def test_full_check_agrees_across_backends(build_lib):
     assert outs["pure"][2][2][1:3] == [[], ["h0"]]
     assert dict(outs["pure"][2][3][3])["x"] == "h9"
     assert [(d["check"], d["verdict"]) for d in outs["pure"][4]] == [
-        ("gf-minors", "pass"), ("gf-empty-k1", "fail"), ("gf-empty-k2", "fail")]
+        ("gf-minors", "pass"), ("gf-empty-k1", "fail"), ("gf-empty-k2", "fail"),
+        ("split-gammoid", "pass"), ("main", "pass"), ("esplit-identities", "pass")]
     assert outs["compiled"][1:] == outs["pure"][1:]

@@ -768,7 +768,7 @@ def _assert_splitting_counts_match_oracle(rows, n_cols, present=None):
     for key in keys:
         split = tuple(rows) + (key,)
         has_f = present(split, n_cols, (F_WANT,))[0]
-        gammoid = matroid.series_parallel_reduces(
+        gammoid = _kernel.series_parallel_reduces(
             _kernel.rref([row & ((1 << n_cols) - 1) for row in split]), n_cols)
         got = counts.get(key, 0)
         assert (got >= 5, got >= 6) == (has_f, not gammoid), (rows, n_cols, key, got)

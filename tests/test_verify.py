@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from matroidsplit import _kernel, catalog, matroid, verify
+from matroidsplit import _kernel, catalog, verify
+from matroidsplit._kernel import pure
 from matroidsplit.corpus import MAX_LOOPS, Corpus
 from matroidsplit.gf2 import Gf2Matrix
-from matroidsplit.matroid import BinaryMatroid, series_parallel_reduces
-from matroidsplit.ops import admissible_pairs, splitting, three_fold
+from matroidsplit.matroid import BinaryMatroid
+from matroidsplit.ops import admissible_pairs, splitting, three_fold, three_fold_rows
 from matroidsplit.verifyreport import VerificationReport, make_failure
 
 REPO = Path(__file__).resolve().parents[1]
@@ -301,31 +302,57 @@ def test_split_gammoid_searches_images_only_where_a_splitting_fails(corpus8,
 # -- one decision per row-space coset -------------------------------------------------------
 
 
-def test_split_outcomes_shared_per_coset_match_the_splittings(corpus6):
-    # One memo per member, as the sweep shares it: every triple's outcome is
-    # the splitting's own gammoid test, and the memo holds one entry per
-    # distinct splitting (row space), no more and no fewer.
-    for m in corpus6.gammoids():
-        memo, spans = {}, set()
-        for t in combinations(sorted(m.labels), 3):
-            split = splitting(m, t)
-            got = verify._law_outcome(verify._LAWS["split-gammoid"], m, t, memo)
-            assert (got == verify._SPLIT_OK) == split.is_binary_gammoid(), (m, t)
-            spans.add(split._rref)
-        assert len(memo) == len(spans), m
+def _spy_law_decisions(monkeypatch) -> list:
+    """The keys of each ``_kernel.law_decisions`` call, one tuple a call."""
+    calls = []
+    decide = _kernel.law_decisions
+
+    def spied(rref, n_cols, keys, fold):
+        calls.append(tuple(keys))
+        return decide(rref, n_cols, keys, fold)
+
+    monkeypatch.setattr(_kernel, "law_decisions", spied)
+    return calls
 
 
-def test_fold_outcomes_shared_per_coset_match_the_3_folds(corpus6):
-    # The same for every admissible pair and its 3-fold.
+def test_split_outcomes_shared_per_coset_match_the_splittings(corpus6, monkeypatch):
+    # Off the splitting counts (memo "counts" None, as _split_counts keeps
+    # it for a member without them), every triple's outcome is the
+    # splitting's own gammoid test, and the member's one law_decisions
+    # call asks one key per distinct splitting (row space), no more and no
+    # fewer.
+    calls = _spy_law_decisions(monkeypatch)
     for m in corpus6.gammoids():
-        memo, spans = {}, set()
-        for pair in sorted(admissible_pairs(m), key=sorted):
-            x, y = sorted(pair)
-            folded = three_fold(m, x, y)
-            got = verify._law_outcome(verify._LAWS["main"], m, (x, y), memo)
-            assert (got == verify._FOLD_OK) == folded.is_binary_gammoid(), (m, x, y)
-            spans.add(folded._rref)
-        assert len(memo) == len(spans), m
+        if m.n_elements() < 3:
+            continue
+        del calls[:]
+        _, n_cases, bad, _ = verify._law_worker(m, True, {"counts": None}, "split-gammoid")
+        triples = list(combinations(sorted(m.labels), 3))
+        splits = [splitting(m, t) for t in triples]
+        assert n_cases == len(triples)
+        assert bad == tuple(t for t, split in zip(triples, splits)
+                            if not split.is_binary_gammoid()), m
+        [asked] = calls
+        assert len(asked) == len(set(asked)) == len({s._rref for s in splits}), m
+
+
+def test_fold_outcomes_shared_per_coset_match_the_3_folds(corpus6, monkeypatch):
+    # The same for every admissible pair and its 3-fold; a member without
+    # one makes no call.
+    calls = _spy_law_decisions(monkeypatch)
+    for m in corpus6.gammoids():
+        del calls[:]
+        _, n_cases, bad, _ = verify._law_worker(m, True, {}, "main")
+        pairs = [tuple(sorted(pair)) for pair in sorted(admissible_pairs(m), key=sorted)]
+        folds = [three_fold(m, x, y) for x, y in pairs]
+        assert n_cases == len(pairs)
+        assert set(bad) == {pair for pair, folded in zip(pairs, folds)
+                            if not folded.is_binary_gammoid()}, m
+        if not pairs:
+            assert calls == [], m
+            continue
+        [asked] = calls
+        assert len(asked) == len(set(asked)) == len({f._rref for f in folds}), m
 
 
 def test_fold_outcome_keeps_the_64_column_limit():
@@ -347,41 +374,81 @@ def _alone_on_some_column(rows) -> bool:
 
 def test_law_rows_are_standard_forms_of_the_built_results(corpus7):
     # Each case's rows come from the member's rref and the coset key, with
-    # no elimination.  On every case of the n <= 7 corpus, gammoid or not,
-    # they are a standard form with the row space of the splitting or
-    # 3-fold that ops builds, and series_parallel_reduces reads them as it
-    # reads the rref of the built rows, and as the built matroid's own test.
+    # no elimination, and its columns from the rref's columns, with no
+    # transpose.  On every case of the n <= 7 corpus, gammoid or not, they
+    # are a standard form with the row space of the splitting or 3-fold
+    # that ops builds, the columns are its columns, and the reduction
+    # reads them as it reads the rref of the built rows, as law_decisions
+    # reads the key, and as the built matroid's own test.
     built = {"split-gammoid": lambda m, t: splitting(m, t),
              "main": lambda m, pair: three_fold(m, *pair)}
     counts = dict.fromkeys(built, 0)
     for name, build in built.items():
         law = verify._LAWS[name]
         for m in corpus7.members:
-            for case in law.cases(m):
-                rows, n_cols = law.rows(m, law.key(m._label_cosets, case))
+            cases = law.cases(m)
+            keys = law.keys(m._label_cosets, cases)
+            forms = pure._law_forms(m._rref, m.rep.n_cols, keys, law.fold)
+            decided = _kernel.law_decisions(m._rref, m.rep.n_cols, keys, law.fold)
+            for case, (rows, cols), gammoid in zip(cases, forms, decided, strict=True):
                 result = build(m, case)
-                assert n_cols == result.rep.n_cols
+                n_cols = result.rep.n_cols
+                assert tuple(cols) == pure.columns(rows, n_cols), (m, case)
                 assert _kernel.rref(rows) == result._rref, (m, case)
                 assert _alone_on_some_column(rows), (m, case)
-                assert series_parallel_reduces(rows, n_cols) == \
-                    series_parallel_reduces(_kernel.rref(result.rep.rows), n_cols) == \
-                    result.is_binary_gammoid(), (m, case)
+                assert _kernel.series_parallel_reduces(rows, n_cols) == \
+                    _kernel.series_parallel_reduces(_kernel.rref(result.rep.rows), n_cols) == \
+                    gammoid == result.is_binary_gammoid(), (m, case)
                 counts[name] += 1
     assert all(counts.values()), counts
 
 
 def test_fold_rows_keep_the_64_column_limit():
-    # The 3-fold's rows add three columns: 61 columns fit, 62 raise.
+    # The 3-fold's rows add three columns: 61 columns fit, 62 raise, also
+    # with no key to decide.
     for n, fits in ((61, True), (62, False)):
         wide = BinaryMatroid(tuple(f"e{j}" for j in range(n)),
                              Gf2Matrix(((1 << n) - 1,), n))
         key = (wide._label_cosets["e0"] ^ wide._label_cosets["e1"],
                wide._label_cosets["e0"])
-        if fits:
-            assert verify._LAWS["main"].rows(wide, key)[1] == 64
-        else:
-            with pytest.raises(ValueError, match="column limit"):
-                verify._LAWS["main"].rows(wide, key)
+        for keys in ([key], []):
+            if fits:
+                assert len(_kernel.law_decisions(wide._rref, n, keys, True)) == len(keys)
+            else:
+                with pytest.raises(ValueError, match="column limit"):
+                    _kernel.law_decisions(wide._rref, n, keys, True)
+
+
+def test_law_decisions_match_the_built_results_on_every_case(corpus7):
+    # An oracle beside the sweep's own cases: every triple of every n <= 7
+    # member, gammoid or not, and every 2-subset, admissible or not, whose
+    # 3-fold is built by ops.three_fold_rows from the label masks.  Every
+    # admissible 3-fold is proved non-gammoid (see
+    # check_three_fold_excluded_minor), so a fold path that always read
+    # non-gammoid would pass every report; the pairs that are not
+    # admissible catch it.
+    folds = {True: 0, False: 0}
+    for m in corpus7.members:
+        cosets, n = m._label_cosets, m.rep.n_cols
+        triples = list(combinations(sorted(m.labels), 3))
+        decided = _kernel.law_decisions(
+            m._rref, n, [cosets[a] ^ cosets[b] ^ cosets[c] for a, b, c in triples], False)
+        for t, gammoid in zip(triples, decided, strict=True):
+            assert gammoid == splitting(m, t).is_binary_gammoid(), (m, t)
+        pairs = list(combinations(sorted(m.labels), 2))
+        decided = _kernel.law_decisions(
+            m._rref, n, [(cosets[x] ^ cosets[y], cosets[x]) for x, y in pairs], True)
+        admissible = admissible_pairs(m)
+        for (x, y), gammoid in zip(pairs, decided, strict=True):
+            rows = three_fold_rows(m.rep.rows, n, m._label_mask((x, y)), m._label_mask((x,)))
+            folded = BinaryMatroid(m.labels + ("p", "q", "r"), Gf2Matrix(rows, n + 3))
+            assert gammoid == folded.is_binary_gammoid(), (m, x, y)
+            # Measured here, not proved: on a gammoid the 3-fold of a pair is
+            # a gammoid exactly when the pair is not admissible.
+            if m.is_binary_gammoid():
+                assert gammoid == (frozenset((x, y)) not in admissible), (m, x, y)
+            folds[gammoid] += 1
+    assert all(folds.values()), folds
 
 
 def test_esplit_keeps_the_64_column_limit():
@@ -550,50 +617,71 @@ def test_rerun_known_instance_cases(monkeypatch):
     assert not verify.rerun_case("main", unknown)
 
 
+class _EverySix(dict):
+    """Splitting counts that read every key as counting 6: an F minor and
+    an M(K4) minor in every splitting with a nonzero key."""
+
+    def __contains__(self, key):
+        return True
+
+    def get(self, key, default=None):
+        return 6
+
+
 def test_every_forced_failure_replays(corpus6, monkeypatch):
-    # Each patch makes a check record failures; replaying each record under
-    # the same patch must reproduce its recorded outcome.
+    # Each patch makes the checks it names record failures; replaying each
+    # record under the same patch must reproduce its recorded outcome.
     small = corpus6.restrict(5)
     catalog.get("F")  # validate the catalog before any primitive is patched
-    # The workers decide on rows: split-gammoid and main call the
-    # series-parallel reduction imported into verify.  main also reaches it
-    # through is_binary_gammoid, for the G_4 known instance, and only that
-    # instance can fail there: the asserted direction over admissible pairs
-    # has no cases (see check_three_fold_excluded_minor), so main's patch
-    # covers both names.  The esplit identities compare the kernel's delete
-    # and contract rows, and gf-minors and gf-empty decide with the kernel's
-    # profile_present, gf-empty once per row-space coset of its Ys' masks.
-    # A kernel patch that returns its input rows leaves the new element in
-    # place; the profile_present patch reads a want as present when the last
-    # row is odd, so the F test on the split rows and the F_i test on the
-    # host's rows disagree on some members.
+    # The workers decide on rows: split-gammoid and main read the kernel's
+    # law_decisions.  main also reaches the kernel's series-parallel
+    # reduction through is_binary_gammoid, for the G_4 known instance, and
+    # only that instance can fail there: the asserted direction over
+    # admissible pairs has no cases (see check_three_fold_excluded_minor),
+    # so main's patch covers both names.  The esplit identities run the
+    # kernel's delete and contract rows inside esplit_violations: pure's
+    # reads the patched pure names, and serves both backends here.
+    # gf-minors and gf-empty decide with the kernel's profile_present,
+    # gf-empty once per row-space coset of its Ys' masks, or off the
+    # splitting counts, which split-gammoid reads too.  A kernel patch that
+    # returns its input rows leaves the new element in place; the
+    # profile_present patch reads a want as present when the last row is
+    # odd, so the F test on the split rows and the F_i test on the host's
+    # rows disagree on some members; the counts patch reads every nonzero
+    # key as an F and an M(K4) minor, so the table path fails too.
     odd_last_row = (_kernel, "profile_present",
                     lambda rows, n, wants: (bool(rows) and rows[-1] % 2 == 1,) * len(wants))
-    patches = {
-        "split-gammoid": [(verify, "series_parallel_reduces", lambda rows, n: False)],
-        "main": [(verify, "series_parallel_reduces", lambda rows, n: True),
-                 (matroid, "series_parallel_reduces", lambda rows, n: True)],
-        "esplit-identities": [(_kernel, "delete_rows", lambda rows, n, mask: rows),
-                              (_kernel, "contract_rows", lambda rows, n, mask: rows)],
-        "gf-minors": [odd_last_row],
-        "gf-empty": [odd_last_row],
-        "quotients": [(verify, "canonical_key", lambda m: (len(m.labels), m.rep.rows))],
+    patches = [
+        (["split-gammoid"], [(_kernel, "law_decisions",
+                              lambda rref, n, keys, fold: (False,) * len(keys))]),
+        (["main"], [(_kernel, "law_decisions", lambda rref, n, keys, fold: (True,) * len(keys)),
+                    (_kernel, "series_parallel_reduces", lambda rows, n: True)]),
+        (["esplit-identities"], [(pure, "delete_rows", lambda rows, n, mask: rows),
+                                 (pure, "contract_rows", lambda rows, n, mask: rows),
+                                 (_kernel, "esplit_violations", pure.esplit_violations)]),
+        (["gf-minors"], [odd_last_row]),
+        (["gf-empty"], [odd_last_row]),
+        (["gf-empty", "split-gammoid"], [(_kernel, "splitting_counts",
+                                          lambda rows, n: _EverySix())]),
+        (["quotients"], [(verify, "canonical_key", lambda m: (len(m.labels), m.rep.rows))]),
         # The catalog was validated above, so get() still serves it.
-        "catalog": [(BinaryMatroid, "is_isomorphic", lambda self, other: None)],
-    }
-    for name, patch in patches.items():
+        (["catalog"], [(BinaryMatroid, "is_isomorphic", lambda self, other: None)]),
+    ]
+    for names, patch in patches:
         with monkeypatch.context() as mp:
             for owner, attr, value in patch:
                 mp.setattr(owner, attr, value)
             # gf-empty gives two reports, k = 1 and 2; the others one.
-            for report in verify.run_checks([name], small, jobs=1):
-                assert report.verdict == "fail", report.name
+            reports = verify.run_checks(names, small, jobs=1)
+            assert len(reports) == len(names) + ("gf-empty" in names)
+            for report in reports:
+                assert report.verdict == "fail", (names, report.name)
                 replayed = [verify.rerun_case(report.name, f) for f in report.failures]
                 assert all(replayed), (report.name, replayed)
-                if name == "esplit-identities":
+                if report.name == "esplit-identities":
                     assert {f.expected for f in report.failures} == {
                         "delete identity holds", "contract identity holds"}
-                if name == "quotients":
+                if report.name == "quotients":
                     assert len({(f.matroid, f.params) for f in report.failures}) \
                         == len(report.failures)
                     assert "class-set" in {dict(f.params).get("check")
@@ -706,10 +794,10 @@ def test_no_worker_outlives_run_checks(corpus6, monkeypatch):
     verify.run_checks(["split-gammoid"], small, jobs=2)
     assert multiprocessing.active_children() == []
 
-    def fails(rows, n_cols):
+    def fails(rref, n_cols, keys, fold):
         raise RuntimeError("sweep failed")
 
-    monkeypatch.setattr(verify, "series_parallel_reduces", fails)
+    monkeypatch.setattr(_kernel, "law_decisions", fails)
     with pytest.raises(RuntimeError, match="sweep failed"):
         verify.run_checks(["split-gammoid"], small, jobs=2)
     assert multiprocessing.active_children() == []
@@ -720,13 +808,13 @@ def test_pooled_wall_time_counts_the_evaluator_seconds(corpus6, monkeypatch):
     # members, summed over the workers, plus its tally; with two workers
     # the clock sees about half of that pass.
     small = corpus6.restrict(4)
-    violations = verify._esplit_violations
+    violations = _kernel.esplit_violations
 
-    def slow(m, t):
-        time.sleep(0.001)
-        return violations(m, t)
+    def slow(rows, n_cols, masks):
+        time.sleep(0.001 * len(masks))
+        return violations(rows, n_cols, masks)
 
-    monkeypatch.setattr(verify, "_esplit_violations", slow)
+    monkeypatch.setattr(_kernel, "esplit_violations", slow)
     [report] = verify.run_checks(["esplit-identities"], small, jobs=2)
     assert report.wall_time >= report.cases * 0.001
 
@@ -771,12 +859,12 @@ def test_gf_sweeps_of_one_run_decide_each_coset_once(corpus6, monkeypatch):
 def test_table_members_read_nonzero_keys_off_one_table(corpus7, monkeypatch):
     # In one pass of the F sweeps and split-gammoid, each member with
     # splitting counts builds them once, and its nonzero keys get no F
-    # profile_present call and no series-parallel reduction; key 0, the
+    # profile_present call and are not asked of law_decisions; key 0, the
     # member itself, keeps both.  The other members decide key by key, and
     # n <= 7 has both kinds.
-    member, builds, f_calls, reductions = [None], [], [], []
+    member, builds, f_calls, law_calls = [None], [], [], []
     outcomes, counts = verify._member_outcomes, _kernel.splitting_counts
-    present, reduces = _kernel.profile_present, verify.series_parallel_reduces
+    present, decide = _kernel.profile_present, _kernel.law_decisions
     f_want = (verify._profile_want("F"),)
 
     def each_member(item, evaluators):
@@ -792,15 +880,15 @@ def test_table_members_read_nonzero_keys_off_one_table(corpus7, monkeypatch):
             f_calls.append((member[0], rows[-1]))
         return present(rows, n_cols, wants)
 
-    def reduced(rows, n_cols):
-        reductions.append((member[0], rows))
-        return reduces(rows, n_cols)
+    def decided(rref, n_cols, keys, fold):
+        law_calls.append((member[0], tuple(keys)))
+        return decide(rref, n_cols, keys, fold)
 
     separate = verify.run_checks(["gf-empty", "gf-minors", "split-gammoid"], corpus7)
     monkeypatch.setattr(verify, "_member_outcomes", each_member)
     monkeypatch.setattr(_kernel, "splitting_counts", built)
     monkeypatch.setattr(_kernel, "profile_present", asked)
-    monkeypatch.setattr(verify, "series_parallel_reduces", reduced)
+    monkeypatch.setattr(_kernel, "law_decisions", decided)
     spied = verify.run_checks(["gf-empty", "gf-minors", "split-gammoid"], corpus7)
     tabled = set(builds)
     assert tabled and len(builds) == len(tabled)
@@ -808,9 +896,12 @@ def test_table_members_read_nonzero_keys_off_one_table(corpus7, monkeypatch):
     selected = {m for m in corpus7.members if verify._split_counts(m, {}) is not None}
     assert {m for m in selected if any(m._label_cosets.values())} <= tabled <= selected
     assert all(key == 0 for m, key in f_calls if m in tabled)
-    assert all(rows == m._rref for m, rows in reductions if m in tabled)
+    assert all(keys == (0,) for m, keys in law_calls if m in tabled)
     assert any(key for m, key in f_calls if m not in tabled)
-    assert any(rows != m._rref for m, rows in reductions if m not in tabled)
+    assert any(any(keys) for m, keys in law_calls if m not in tabled)
+    # One law_decisions call a member at most, each key asked once.
+    assert len({m for m, _ in law_calls}) == len(law_calls)
+    assert all(len(set(keys)) == len(keys) for _, keys in law_calls)
     for a, b in zip(separate, spied, strict=True):
         a, b = a.to_json_dict(), b.to_json_dict()
         a.pop("wall_time")
