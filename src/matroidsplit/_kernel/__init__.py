@@ -9,8 +9,9 @@ rebinds the per-candidate functions it compiles, the compiled subset:
 element-splitting sweeps: ``series_parallel_reduces`` (the gammoid test),
 ``law_decisions`` (every splitting or 3-fold key a law sweep asks of one
 member) and ``esplit_violations`` (every T of one member, on the backend's
-own ``delete_rows`` and ``contract_rows`` code).  The rest (``rank``,
-``rank_masked``, ``cols_rank``, ``columns``, ``profile``,
+own ``delete_rows`` and ``contract_rows`` code: pure runs each once over
+all the T stacked, proved there; compiled runs them T by T).  The rest
+(``rank``, ``rank_masked``, ``cols_rank``, ``columns``, ``profile``,
 ``profile_images``, ``splitting_counts``) is served by ``pure.py`` on both
 backends; ``splitting_counts`` answers the F and M(K4) questions of every
 splitting of one matroid from one walk over its dual, and proves it there.

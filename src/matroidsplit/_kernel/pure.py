@@ -32,7 +32,9 @@ The gammoid test is series-parallel reduction (``series_parallel_reduces``,
 proved there).  ``law_decisions`` runs it on the standard forms of one
 member's splittings or 3-folds, one per coset key, and
 ``esplit_violations`` runs the element-splitting identities of one member
-on every mask given: one call per member for each law and identity sweep.
+on every mask given, with one ``delete_rows`` and one ``contract_rows``
+over the member's rows stacked on every mask's row (proved there): one
+call per member for each law and identity sweep.
 
 Conventions:
   * a matrix is a sequence of ints, bit ``j`` of a row = entry in column ``j``
@@ -667,21 +669,49 @@ def esplit_violations(rows, n_cols: int, masks) -> tuple[tuple[int, str], ...]:
     e and the row mask | e.  Deleting e must leave exactly the splitting's
     rows, ``rows`` plus the mask; contracting e must give back exactly
     ``rows``, since e's only 1 is in the appended row, so the pivot on e
-    removes that row and touches no other.  Both sides run this kernel's
-    own :func:`delete_rows` and :func:`contract_rows`.  e must fit in a
-    64-bit row, so ``n_cols`` outside 0..63 raises ValueError naming the
-    column limit."""
+    removes that row and touches no other.  e must fit in a 64-bit row, so
+    ``n_cols`` outside 0..63 raises ValueError naming the column limit.
+
+    Both sides run this kernel's own :func:`delete_rows` and
+    :func:`contract_rows`, once each per call, on ``rows`` stacked on every
+    mask's row mask | e, r = len(rows) rows first.  The output is the one
+    that running both on each mask's extension ``rows`` + (mask | e,) alone
+    would give, on any rows, bits at and above ``n_cols`` included:
+
+    * Delete.  Deleting e acts on each row alone, so a mask's result is
+      the stacked result's first r rows followed by that mask's own row.
+    * Contract, no row of ``rows`` holding e.  Each extension pivots on its
+      own appended row and leaves every other row as it is, so each
+      mask's result is the stacked result's first r rows.  The stack
+      pivots on the first appended row; the later ones change, but none
+      of them is read.
+    * Contract, some row of ``rows`` holding e.  The pivot on e is the
+      first row holding e, the same row of ``rows`` in every extension and
+      in the stack; it is dropped and every other row changes on its own.
+      So a mask's result is the stacked result's first r - 1 rows followed
+      by that mask's own row.  Both functions drop column e, so no row of
+      any result holds e: no mask's result equals ``rows``, and neither
+      do the stacked result's first r rows.  So the one comparison of the
+      case above reads this case too, as a failure on every mask; the
+      delete identity fails on every mask as well, since the first r
+      deleted rows differ from ``rows`` in the same way."""
     if not 0 <= n_cols < 64:
         raise ValueError(f"column limit exceeded: an element splitting needs "
                          f"0 <= n_cols <= 63, not {n_cols}")
-    rows = tuple(rows)
+    rows, masks = tuple(rows), tuple(masks)
+    r = len(rows)
     e, width = 1 << n_cols, n_cols + 1
+    stacked = rows + tuple([mask | e for mask in masks])
+    deleted = delete_rows(stacked, width, e)
+    rows_kept = deleted[:r] == rows
+    contract_holds = contract_rows(stacked, width, e)[:r] == rows
+    if rows_kept and contract_holds and deleted[r:] == masks:
+        return ()
     out = []
-    for i, mask in enumerate(masks):
-        ext = rows + (mask | e,)
-        if delete_rows(ext, width, e) != rows + (mask,):
+    for i, (mask, row) in enumerate(zip(masks, deleted[r:])):
+        if not rows_kept or row != mask:
             out.append((i, "delete"))
-        if contract_rows(ext, width, e) != rows:
+        if not contract_holds:
             out.append((i, "contract"))
     return tuple(out)
 

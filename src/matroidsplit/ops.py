@@ -17,6 +17,8 @@ row-space cosets.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .gf2 import check_room
 from .matroid import BinaryMatroid, _check_label
 
@@ -162,14 +164,19 @@ def three_fold_ghafari(m: BinaryMatroid, t, t_prime,
     return BinaryMatroid._derived(labels, rows, len(labels))
 
 
+def admissible_column_pairs(m: BinaryMatroid) -> set[tuple[int, int]]:
+    """Column pairs (i, j), i < j, properly contained in a cocircuit: the
+    pairs of set bits of each cocircuit mask with at least 3 of them."""
+    pairs = set()
+    for mask in m._cocircuit_masks:
+        if mask.bit_count() >= 3:
+            pairs.update(combinations(
+                [j for j in range(mask.bit_length()) if mask >> j & 1], 2))
+    return pairs
+
+
 def admissible_pairs(m: BinaryMatroid) -> frozenset[frozenset[str]]:
     """All 2-subsets of the ground set properly contained in a cocircuit."""
-    pairs = set()
-    for cocircuit in m.cocircuits():
-        if len(cocircuit) < 3:
-            continue
-        members = sorted(cocircuit)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.add(frozenset((members[i], members[j])))
-    return frozenset(pairs)
+    labels = m.labels
+    return frozenset(frozenset((labels[i], labels[j]))
+                     for i, j in admissible_column_pairs(m))

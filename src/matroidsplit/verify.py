@@ -17,7 +17,8 @@ splitting's F question (the gf sweeps) and its gammoid question
 member, off one table of the member's (:func:`_split_counts`, proved at
 ``_kernel.splitting_counts``) when its walk is small enough; otherwise
 each key is decided on its own.  The element-splitting identities take one
-``_kernel.esplit_violations`` call per member.
+``_kernel.esplit_violations`` call per member; the pure kernel checks
+every T of the member with one delete and one contract over all of them.
 
 :func:`run_checks` runs the evaluators of the reports it selects
 (``_REPORTS``) in one pass, one call and one memo per member, pooled as one
@@ -43,11 +44,11 @@ from operator import xor
 from . import _kernel, catalog
 from .gf2 import Gf2Matrix, check_room
 from .matroid import BinaryMatroid, MinorWitness, canonical_key
-from .ops import admissible_pairs, splitting, three_fold
+from .ops import admissible_column_pairs, splitting, three_fold
 # bench/run.py's install_tracer wraps splitting, element_splitting,
 # three_fold, three_fold_ghafari and admissible_pairs here and at ops, and
 # requires each name to be the same function at both.
-from .ops import element_splitting, three_fold_ghafari  # noqa: F401
+from .ops import admissible_pairs, element_splitting, three_fold_ghafari  # noqa: F401
 from .corpus import MAX_LOOPS, Corpus
 from .verifyreport import CaseFailure, VerificationReport, make_failure
 
@@ -542,7 +543,8 @@ _LAWS = {law.name: law for law in (
     # The marks (x, y) of G_4 occupy exactly the admissible pairs, the cases
     # (see check_three_fold_excluded_minor), so no image is searched.
     _Law(name="main", images=lambda m, cases: set(map(frozenset, cases)),
-         cases=lambda m: tuple(sorted(tuple(sorted(p)) for p in admissible_pairs(m))),
+         cases=lambda m: tuple(sorted(tuple(sorted((m.labels[i], m.labels[j])))
+                                      for i, j in admissible_column_pairs(m))),
          keys=lambda cos, cases: [(cos[x] ^ cos[y], cos[x]) for x, y in cases],
          fold=True, ok=_FOLD_OK, param="pair",
          some_bad_key="members_where_some_fold_non_gammoid", min_elements=0),
@@ -755,16 +757,19 @@ _ESPLIT_SIZES = (1, 2, 3)
 def _esplit_worker(m: BinaryMatroid, gammoid: bool, memo: dict) -> tuple:
     """The (T, identity) pairs that fail on ``m``, gammoid or not, from one
     ``_kernel.esplit_violations`` call over the masks of every T in sweep
-    order.  ``m`` was validated and its labels make up each T, so the
-    masks are read off ``m._label_bits`` with no check, and the new
-    element needs no label, so no matroid is built.  The worker checks
-    once per member that it fits (``check_room``)."""
+    order, which checks both identities of every T (the pure kernel with
+    one delete and one contract over all of them, the compiled one T by
+    T).  ``m`` was validated and its labels make up each T, so the masks
+    are read off ``m._label_bits`` with no check, and the new element
+    needs no label, so no matroid is built.  The worker checks once per
+    member that it fits (``check_room``)."""
     check_room(m.rep.n_cols)
     labels = sorted(m.labels)
     bits = [m._label_bits[lab] for lab in labels]
-    bad = _kernel.esplit_violations(
-        m.rep.rows, m.rep.n_cols,
-        [sum(t) for size in _ESPLIT_SIZES for t in combinations(bits, size)])
+    # The masks of the T of each size in _ESPLIT_SIZES, in order.
+    masks = [*bits, *(a | b for a, b in combinations(bits, 2)),
+             *(a | b | c for a, b, c in combinations(bits, 3))]
+    bad = _kernel.esplit_violations(m.rep.rows, m.rep.n_cols, masks)
     if not bad:
         return ()
     cases = [t for size in _ESPLIT_SIZES for t in combinations(labels, size)]
@@ -776,8 +781,8 @@ def check_element_splitting_identities(c: Corpus) -> VerificationReport:
     back the original matroid.  Swept over every member of ``c`` and every T
     with 1 <= |T| <= 3, on rows, as :func:`ops.element_splitting` builds
     them: one ``_kernel.esplit_violations`` call per member
-    (:func:`_esplit_worker`) runs the kernel's own delete and contract on
-    each T and names the identities that fail."""
+    (:func:`_esplit_worker`) runs the kernel's own delete and contract
+    over every T and names the identities that fail."""
     start = time.perf_counter()
     outcomes, spent = _swept(c, "esplit-identities")
     failures = [make_failure(compact(m), {"T": ",".join(t)},

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -115,9 +116,12 @@ def _shared(params: tuple) -> tuple:
 
 
 def make_failure(matroid: str, params: dict, expected, got) -> CaseFailure:
+    """A failure record holding one copy of each repeated string: the same
+    member token recurs across a member's cases and across reports (as on
+    gf-empty-k1 and -k2), and ``expected`` and ``got`` take a few values."""
     return CaseFailure(
-        matroid=matroid,
+        matroid=sys.intern(matroid),
         params=_shared(tuple(sorted((str(k), str(v)) for k, v in params.items()))),
-        expected=str(expected),
-        got=str(got),
+        expected=sys.intern(str(expected)),
+        got=sys.intern(str(got)),
     )

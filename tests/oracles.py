@@ -4,8 +4,9 @@ Everything here is deliberately naive and independent of the library's
 algorithmic paths: circuits come from subset-rank enumeration, isomorphism
 from permutation search over circuit sets, graph cycles from degree checks,
 connected components from union-find, the profiles of minors and the
-first minor occurrence from the rank function of the contraction, and
-canonical forms from every map of GL(r, 2).
+first minor occurrence from the rank function of the contraction,
+canonical forms from every map of GL(r, 2), and the element-splitting
+identities from one extension per mask.
 """
 
 from __future__ import annotations
@@ -99,6 +100,23 @@ def contract_rows(rows, n_cols: int, cmask: int):
         del work[hits[0]]
     packed = [sum(bit << j for j, bit in enumerate(row)) for row in work]
     return delete_rows(packed, n_cols, cmask)
+
+
+def esplit_violations(rows, n_cols: int, masks):
+    """(index, "delete" or "contract") for each element-splitting identity
+    that fails on one of ``masks``, in order: each mask's extension
+    ``rows`` + (mask | e,), e the new column ``n_cols``, deleted and
+    contracted on its own by the bit-by-bit functions above."""
+    rows = tuple(rows)
+    e = 1 << n_cols
+    out = []
+    for i, mask in enumerate(masks):
+        ext = rows + (mask | e,)
+        if delete_rows(ext, n_cols + 1, e) != rows + (mask,):
+            out.append((i, "delete"))
+        if contract_rows(ext, n_cols + 1, e) != rows:
+            out.append((i, "contract"))
+    return tuple(out)
 
 
 def _columns(rows, n_cols: int):

@@ -487,14 +487,18 @@ def reduced_forms(draw):
 
 @EDGE
 @given(reduced_forms(), st.lists(st.integers(0, WORD), max_size=6),
-       st.lists(st.integers(0, WORD), max_size=3))
-@example(form=((), 0), words=[], raw=[])
-@example(form=((), 64), words=[WORD], raw=[WORD])
-def test_law_loops_agree_on_edge_shapes(compiled, form, words, raw):
+       st.lists(st.integers(0, WORD), max_size=3), st.lists(st.integers(0, WORD), max_size=2))
+@example(form=((), 0), words=[], raw=[], stray=[])
+@example(form=((), 64), words=[WORD], raw=[WORD], stray=[WORD])
+@example(form=((0b101, 0b10), 3), words=[0b1], raw=[0b1010], stray=[0b1000])
+@example(form=((0b1,), 63), words=[], raw=[TOP | 0b1], stray=[TOP | 0b10, TOP])
+def test_law_loops_agree_on_edge_shapes(compiled, form, words, raw, stray):
     # The reduction on the rref, the splittings and 3-folds on coset keys
     # (vectors with no pivot bit, 0 among them) and on raw keys with pivot
     # and high bits, and the element-splitting identities on masks of any
-    # bits.
+    # bits, over the rref followed by stray rows of any bits: some hold the
+    # new column n_cols, so that the contraction pivots on a row of the
+    # member, or bits above it.
     rref, n_cols = form
     pivots = sum(row & -row for row in rref)
     cosets = [0] + [w & ~pivots & ((1 << n_cols) - 1) for w in words]
@@ -505,8 +509,9 @@ def test_law_loops_agree_on_edge_shapes(compiled, form, words, raw):
     assert outcome(pure.series_parallel_reduces, rref, n_cols) == \
         outcome(compiled.series_parallel_reduces, rref, n_cols)
     masks = cosets + raw
-    assert outcome(pure.esplit_violations, rref, n_cols, masks) == \
-        outcome(compiled.esplit_violations, rref, n_cols, masks)
+    for rows in (rref, rref + tuple(stray)):
+        assert outcome(pure.esplit_violations, rows, n_cols, masks) == \
+            outcome(compiled.esplit_violations, rows, n_cols, masks), rows
 
 
 @EDGE

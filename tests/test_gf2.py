@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from matroidsplit._kernel import pure
@@ -182,6 +182,38 @@ def test_pure_contract_rows_matches_bit_by_bit_oracle():
         cmask = _oracle_mask(rng, n_cols)
         assert pure.contract_rows(rows, n_cols, cmask) == \
             oracles.contract_rows(rows, n_cols, cmask), (rows, n_cols, cmask)
+
+
+@st.composite
+def esplit_inputs(draw):
+    """(rows, n_cols, masks): rows and masks with bits up to 3 above
+    ``n_cols``, and the new column ``n_cols`` set in some rows, so that
+    contracting it pivots on a row of ``rows`` or on an appended one."""
+    n_cols = draw(st.one_of(st.integers(0, 9), st.sampled_from([62, 63])))
+    word = st.integers(0, (1 << (n_cols + 3)) - 1)
+    rows = draw(st.lists(word, max_size=5))
+    e_rows = draw(st.sets(st.integers(0, max(0, len(rows) - 1)), max_size=2)) if rows else ()
+    rows = [row | 1 << n_cols if i in e_rows else row & ~(1 << n_cols)
+            for i, row in enumerate(rows)]
+    low = st.integers(0, (1 << n_cols) - 1)
+    masks = draw(st.lists(st.one_of(low, word), max_size=5))
+    return tuple(rows), n_cols, masks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(esplit_inputs())
+@example(((), 0, []))
+@example(((), 63, []))
+@example(((), 0, [0, 1, 3]))
+@example(((1 << 63, 5), 63, []))
+@example(((0b101, 0b1010, 0b110), 3, [0b101, 0b11]))
+@example(((0b101, 0b1010, 0b1110), 3, [0b101, 0b11, 0b1000]))
+def test_pure_esplit_violations_match_the_per_mask_oracle(inputs):
+    # Pure checks every mask with one delete_rows and one contract_rows
+    # over the stacked rows; the oracle builds each mask's extension alone.
+    rows, n_cols, masks = inputs
+    assert pure.esplit_violations(rows, n_cols, masks) == \
+        oracles.esplit_violations(rows, n_cols, masks)
 
 
 def test_zero_by_n_and_m_by_zero_are_valid():

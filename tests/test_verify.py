@@ -240,6 +240,21 @@ def test_g4_images_are_the_admissible_pairs(corpus7):
     assert 0 < with_pairs < len(hosts)
 
 
+def test_main_cases_are_the_pairs_of_brute_cocircuits(corpus7):
+    # main reads its cases off the cocircuit masks; the oracle takes every
+    # 2-subset of every cocircuit with at least 3 elements, from the rank
+    # function alone.
+    from oracles import brute_cocircuits
+    main = verify._LAWS["main"]
+    with_pairs = 0
+    for m in corpus7.members:
+        pairs = {tuple(sorted(p)) for cc in brute_cocircuits(m) if len(cc) >= 3
+                 for p in combinations(cc, 2)}
+        assert main.cases(m) == tuple(sorted(pairs)), verify.compact(m)
+        with_pairs += bool(pairs)
+    assert 0 < with_pairs < len(corpus7.members)
+
+
 def test_split_images_are_non_gammoid_splittings(corpus7):
     # split-gammoid reads G_1..G_3's pinned images only where some
     # splitting goes non-gammoid, as _Law proves every image's splitting is
@@ -508,6 +523,40 @@ def test_esplit_identities(corpus6):
     assert report.failures == ()
 
 
+def test_esplit_worker_deletes_and_contracts_once_a_member(corpus6, monkeypatch):
+    # The worker passes the mask of every T with |T| <= 3, in sweep order,
+    # and pure esplit_violations checks them all with one delete_rows and
+    # one contract_rows call over the stacked rows; contract_rows deletes
+    # through delete_rows, so a member makes two delete_rows calls in all.
+    small = corpus6.restrict(5)
+    calls = {"delete_rows": 0, "contract_rows": 0}
+    masks = []
+
+    def spy(name):
+        inner = getattr(pure, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    def recorded(rows, n_cols, given):
+        masks.append((tuple(rows), n_cols, list(given)))
+        return pure.esplit_violations(rows, n_cols, given)
+
+    monkeypatch.setattr(_kernel, "esplit_violations", recorded)
+    for name in calls:
+        monkeypatch.setattr(pure, name, spy(name))
+    [report] = verify.run_checks(["esplit-identities"], small, jobs=1)
+    assert report.verdict == "pass"
+    assert calls == {"delete_rows": 2 * len(small.members),
+                     "contract_rows": len(small.members)}
+    assert sorted(masks) == sorted(
+        (m.rep.rows, m.rep.n_cols, [m._label_mask(t) for size in (1, 2, 3)
+                                    for t in combinations(sorted(m.labels), size)])
+        for m in small.members)
+
+
 def test_esplit_identities_on_a_member_labelled_like_a_new_element():
     # The identities adjoin an unlabelled element, so a member may hold any
     # label; the check once named its new element "a*" and raised here.
@@ -566,6 +615,16 @@ def test_case_failures_pickle_and_share_their_params():
     back = pickle.loads(pickle.dumps(a))
     assert back == a and hash(back) == hash(a)
     assert back.describe() == a.describe()
+
+
+def test_gf_empty_reports_share_each_member_token(corpus6):
+    # gf-empty-k1 and -k2 record many of the same members, each compacted
+    # once a report; a pass holds one string for each such member.
+    k1, k2 = verify.run_checks(["gf-empty"], corpus6, jobs=1)
+    tokens = {f.matroid: f.matroid for f in k1.failures}
+    both = [f.matroid for f in k2.failures if f.matroid in tokens]
+    assert both
+    assert all(token is tokens[token] for token in both)
 
 
 def test_compact_round_trip(corpus6):
@@ -640,7 +699,10 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
     # admissible pairs has no cases (see check_three_fold_excluded_minor),
     # so main's patch covers both names.  The esplit identities run the
     # kernel's delete and contract rows inside esplit_violations: pure's
-    # reads the patched pure names, and serves both backends here.
+    # reads the patched pure names, and serves both backends here.  It
+    # contracts every T at once, and when no row of the member holds the
+    # new element e only the member's own rows are read back, so the
+    # contract patch flips bit 0 of every row, which no T's result keeps.
     # gf-minors and gf-empty decide with the kernel's profile_present,
     # gf-empty once per row-space coset of its Ys' masks, or off the
     # splitting counts, which split-gammoid reads too.  A kernel patch that
@@ -657,7 +719,8 @@ def test_every_forced_failure_replays(corpus6, monkeypatch):
         (["main"], [(_kernel, "law_decisions", lambda rref, n, keys, fold: (True,) * len(keys)),
                     (_kernel, "series_parallel_reduces", lambda rows, n: True)]),
         (["esplit-identities"], [(pure, "delete_rows", lambda rows, n, mask: rows),
-                                 (pure, "contract_rows", lambda rows, n, mask: rows),
+                                 (pure, "contract_rows",
+                                  lambda rows, n, mask: tuple(row ^ 1 for row in rows)),
                                  (_kernel, "esplit_violations", pure.esplit_violations)]),
         (["gf-minors"], [odd_last_row]),
         (["gf-empty"], [odd_last_row]),
